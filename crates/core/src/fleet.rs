@@ -50,7 +50,6 @@ use crate::tracker::{PositionTracker, TrackMode, TrackerConfig};
 use chronos_link::event::EventQueue;
 use chronos_link::time::{Duration, Instant};
 use chronos_math::constants::C_M_PER_NS;
-use chronos_math::lstsq::GnWorkspace;
 use chronos_rf::csi::MeasurementContext;
 use chronos_rf::environment::Environment;
 use chronos_rf::geometry::Point;
@@ -111,25 +110,24 @@ impl Default for ClockSyncConfig {
     }
 }
 
-/// One sync round's outcome: the fleet's clock state until the next.
+/// The fleet's clock model: truth per-AP offset/drift trajectories plus
+/// the advertised residual bound that gates TDoA eligibility.
+///
+/// Only the latest round's state is kept: every query comes from the
+/// fleet's event pump at or after the latest round (events run in time
+/// order and rounds win ties), so older rounds are never read again and
+/// each round refills the per-AP buffers in place.
 #[derive(Debug, Clone)]
-struct SyncEpoch {
-    at: Instant,
-    /// Truth residual offset per AP at `at`, ns (hidden from the
+pub struct ClockSync {
+    cfg: ClockSyncConfig,
+    /// Instant of the latest round; `None` before the first.
+    synced_at: Option<Instant>,
+    /// Truth residual offset per AP at `synced_at`, ns (hidden from the
     /// estimator — it only biases blast timestamps).
     offsets_ns: Vec<f64>,
     /// Truth residual drift per AP, ppb (grows the offset until the
     /// next round).
     drifts_ppb: Vec<f64>,
-}
-
-/// The fleet's clock model: truth per-AP offset/drift trajectories plus
-/// the advertised residual bound that gates TDoA eligibility.
-#[derive(Debug, Clone)]
-pub struct ClockSync {
-    cfg: ClockSyncConfig,
-    n_aps: usize,
-    epochs: Vec<SyncEpoch>,
     next_round: Instant,
     rounds: u64,
 }
@@ -138,8 +136,9 @@ impl ClockSync {
     fn new(cfg: ClockSyncConfig, n_aps: usize) -> Self {
         ClockSync {
             cfg,
-            n_aps,
-            epochs: Vec::new(),
+            synced_at: None,
+            offsets_ns: vec![0.0; n_aps],
+            drifts_ppb: vec![0.0; n_aps],
             next_round: Instant::ZERO,
             rounds: 0,
         }
@@ -154,36 +153,33 @@ impl ClockSync {
     /// offset/drift draw. RNG streams are keyed by (seed, round, AP) so
     /// the trajectory is invariant to window splits.
     fn run_round(&mut self, seed: u64, at: Instant) {
-        let mut offsets_ns = Vec::with_capacity(self.n_aps);
-        let mut drifts_ppb = Vec::with_capacity(self.n_aps);
-        for ap in 0..self.n_aps {
+        for ap in 0..self.offsets_ns.len() {
             let mut rng = StdRng::seed_from_u64(mix_seed(seed ^ SYNC_SALT, self.rounds + 1, ap));
-            offsets_ns.push(self.cfg.jitter_ns * complex_gaussian(&mut rng, 1.0).re);
-            drifts_ppb.push(self.cfg.drift_ppb * complex_gaussian(&mut rng, 1.0).re);
+            self.offsets_ns[ap] = self.cfg.jitter_ns * complex_gaussian(&mut rng, 1.0).re;
+            self.drifts_ppb[ap] = self.cfg.drift_ppb * complex_gaussian(&mut rng, 1.0).re;
         }
-        self.epochs.push(SyncEpoch {
-            at,
-            offsets_ns,
-            drifts_ppb,
-        });
+        self.synced_at = Some(at);
         self.rounds += 1;
         self.next_round = at + self.cfg.interval;
     }
 
-    fn epoch_at(&self, t: Instant) -> Option<&SyncEpoch> {
-        self.epochs.iter().rev().find(|e| e.at <= t)
+    /// Nanoseconds from the latest round to `t`; `None` before the first
+    /// round or for a `t` earlier than the latest round.
+    fn since_round_ns(&self, t: Instant) -> Option<f64> {
+        self.synced_at
+            .filter(|&at| at <= t)
+            .map(|at| t.saturating_since(at).as_nanos() as f64)
     }
 
     /// Truth clock offset of AP `ap` at time `t`, ns — the post-round
-    /// residual plus accumulated residual drift. Infinite before the
-    /// first round (unsynchronized).
+    /// residual plus accumulated residual drift. Answers for `t` at or
+    /// after the latest round (the only times the fleet asks about);
+    /// infinite (unsynchronized) before the first round and for any
+    /// earlier `t`.
     pub fn offset_ns(&self, ap: usize, t: Instant) -> f64 {
-        match self.epoch_at(t) {
+        match self.since_round_ns(t) {
             None => f64::INFINITY,
-            Some(e) => {
-                let dt_ns = t.saturating_since(e.at).as_nanos() as f64;
-                e.offsets_ns[ap] + e.drifts_ppb[ap] * 1e-9 * dt_ns
-            }
+            Some(dt_ns) => self.offsets_ns[ap] + self.drifts_ppb[ap] * 1e-9 * dt_ns,
         }
     }
 
@@ -191,14 +187,12 @@ impl ClockSync {
     /// twice the per-AP 3-sigma envelope
     /// `3·(jitter_ns + drift_ppb·10⁻⁹·Δt_ns)`. Conservative by
     /// construction — TDoA eligibility thresholds this bound, never the
-    /// hidden truth offsets. Infinite before the first round.
+    /// hidden truth offsets. Answers for `t` at or after the latest
+    /// round; infinite before the first round and for any earlier `t`.
     pub fn pair_residual_bound_ns(&self, t: Instant) -> f64 {
-        match self.epoch_at(t) {
+        match self.since_round_ns(t) {
             None => f64::INFINITY,
-            Some(e) => {
-                let dt_ns = t.saturating_since(e.at).as_nanos() as f64;
-                2.0 * 3.0 * (self.cfg.jitter_ns + self.cfg.drift_ppb * 1e-9 * dt_ns)
-            }
+            Some(dt_ns) => 2.0 * 3.0 * (self.cfg.jitter_ns + self.cfg.drift_ppb * 1e-9 * dt_ns),
         }
     }
 }
@@ -514,7 +508,12 @@ pub struct FleetEngine {
     /// Pending blasts (TDoA mode), keyed by fleet client index.
     blasts: EventQueue<usize>,
     clock: Instant,
-    gn_ws: GnWorkspace,
+    /// Blast scratch reused across blasts so the blast loop does not
+    /// allocate: the APs that heard the current blast, as (AP, distance
+    /// to the client in m, timestamp error in m)...
+    blast_anchors: Vec<(usize, f64, f64)>,
+    /// ...and their range differences against the reference.
+    blast_diffs: Vec<RangeDiff>,
     /// The fleet-wide worker pool (shard windows *and* every shard's
     /// sweep batches), when one exists — see [`FleetConfig::workers`].
     runtime: Option<std::sync::Arc<WorkerRuntime>>,
@@ -576,7 +575,8 @@ impl FleetEngine {
             sync,
             blasts: EventQueue::new(),
             clock: Instant::ZERO,
-            gn_ws: GnWorkspace::default(),
+            blast_anchors: Vec::with_capacity(aps.len()),
+            blast_diffs: Vec::with_capacity(aps.len()),
             runtime,
             shard_workers,
             pipeline: SweepPipeline::new(),
@@ -837,9 +837,12 @@ impl FleetEngine {
             .unwrap_or(f64::INFINITY);
         // Anchors in AP-index order: the RNG draw sequence is a pure
         // function of geometry, so results are schedule-invariant.
-        let mut anchors: Vec<(usize, f64)> = Vec::new(); // (ap, timestamp err, m)
-        for ap in 0..self.aps.len() {
-            let in_range = pos.dist(self.aps[ap]) <= cfg.max_range_m;
+        let anchors = &mut self.blast_anchors;
+        anchors.clear();
+        let mut d_ref = None;
+        for (ap, &ap_pos) in self.aps.iter().enumerate() {
+            let dist_m = pos.dist(ap_pos);
+            let in_range = dist_m <= cfg.max_range_m;
             let eligible = ap == serving || bound_ns <= cfg.residual_threshold_ns;
             if !(in_range && eligible) {
                 continue;
@@ -850,7 +853,11 @@ impl FleetEngine {
                 .as_ref()
                 .map(|s| s.offset_ns(ap, t))
                 .unwrap_or(f64::INFINITY);
-            anchors.push((ap, C_M_PER_NS * (offset_ns + noise_ns)));
+            let err_m = C_M_PER_NS * (offset_ns + noise_ns);
+            if ap == serving {
+                d_ref = Some((dist_m, err_m));
+            }
+            anchors.push((ap, dist_m, err_m));
         }
         let mut out = TdoaOutcome {
             client,
@@ -866,15 +873,15 @@ impl FleetEngine {
             mode,
             anomaly_score: 0.0,
         };
-        let heard_serving = anchors.iter().any(|&(ap, _)| ap == serving);
-        if anchors.len() < cfg.min_anchors || !heard_serving {
-            // Not enough fleet to solve: no fix, but the tracker still
-            // sees the miss (mode machine + anomaly accounting).
+        let Some((d_ref, err_ref)) = d_ref.filter(|_| anchors.len() >= cfg.min_anchors) else {
+            // Not enough fleet to solve (or the serving AP missed the
+            // blast): no fix, but the tracker still sees the miss (mode
+            // machine + anomaly accounting).
             let upd = self.clients[client].tracker.observe(t, None, false);
             out.anomaly_score = upd.anomaly_score;
             return out;
-        }
-        for &(ap, _) in &anchors {
+        };
+        for &(ap, _, _) in anchors.iter() {
             // A blast is overheard, not scheduled: it happens at `t` on
             // the client's cadence no matter what this AP's arbiter
             // thinks, so it books the air at its true instant (O(1))
@@ -883,26 +890,20 @@ impl FleetEngine {
             self.shards[ap].charge_airtime_at(t, cfg.blast_airtime);
         }
         out.n_anchors = anchors.len();
-        let err_ref = anchors
-            .iter()
-            .find(|&&(ap, _)| ap == serving)
-            .map(|&(_, e)| e)
-            .expect("serving AP heard the blast");
         let reference = self.aps[serving];
-        let diffs: Vec<RangeDiff> = anchors
-            .iter()
-            .filter(|&&(ap, _)| ap != serving)
-            .map(|&(ap, err)| RangeDiff {
+        self.blast_diffs.clear();
+        for &(ap, dist_m, err_m) in anchors.iter().filter(|a| a.0 != serving) {
+            self.blast_diffs.push(RangeDiff {
                 anchor: self.aps[ap],
-                diff_m: (pos.dist(self.aps[ap]) - pos.dist(reference)) + (err - err_ref),
-            })
-            .collect();
+                diff_m: (dist_m - d_ref) + (err_m - err_ref),
+            });
+        }
         let prior = self.clients[client]
             .tracker
             .filter()
             .predicted_position()
             .unwrap_or(reference);
-        let fix = solve_tdoa(reference, &diffs, prior, &cfg.solver, &mut self.gn_ws).ok();
+        let fix = solve_tdoa(reference, &self.blast_diffs, prior, &cfg.solver).ok();
         let upd = self.clients[client]
             .tracker
             .observe(t, fix.map(|f| f.point), true);
@@ -1087,6 +1088,66 @@ mod tests {
         let mut c = ClockSync::new(ClockSyncConfig::default(), 3);
         c.run_round(43, Instant::ZERO);
         assert_ne!(a.offset_ns(0, t).to_bits(), c.offset_ns(0, t).to_bits());
+    }
+
+    #[test]
+    fn clock_sync_keeps_one_epoch_over_many_rounds() {
+        let cfg = ClockSyncConfig::default();
+        let mut sync = ClockSync::new(cfg, 4);
+        let buffers = (sync.offsets_ns.as_ptr(), sync.drifts_ppb.as_ptr());
+        let mut latest = Instant::ZERO;
+        for round in 0..1000u64 {
+            latest = Instant::ZERO + Duration::from_nanos(round * cfg.interval.as_nanos());
+            sync.run_round(7, latest);
+        }
+        assert_eq!(sync.rounds(), 1000);
+        assert_eq!(sync.synced_at, Some(latest));
+        // One epoch's state, refilled in place: same length, same buffers.
+        assert_eq!((sync.offsets_ns.len(), sync.drifts_ppb.len()), (4, 4));
+        assert_eq!(
+            (sync.offsets_ns.as_ptr(), sync.drifts_ppb.as_ptr()),
+            buffers
+        );
+        // The latest round answers exactly like a fresh model's round at
+        // the same ordinal would.
+        let mut fresh = ClockSync::new(cfg, 4);
+        fresh.rounds = 999;
+        fresh.run_round(7, latest);
+        let t = latest + Duration::from_millis(40);
+        for ap in 0..4 {
+            assert_eq!(
+                sync.offset_ns(ap, t).to_bits(),
+                fresh.offset_ns(ap, t).to_bits()
+            );
+        }
+        assert_eq!(
+            sync.pair_residual_bound_ns(t).to_bits(),
+            fresh.pair_residual_bound_ns(t).to_bits()
+        );
+    }
+
+    #[test]
+    fn non_finite_blast_stamps_never_reach_the_tracker() {
+        // No clock sync but an open gate: every AP in range is eligible
+        // and stamps with an infinite offset, so every range difference
+        // is NaN. The solver must reject each blast.
+        let mut cfg = FleetConfig::position(TrackerConfig::default(), FleetRangingMode::Tdoa);
+        cfg.chronos = quick_chronos();
+        cfg.clock = None;
+        cfg.tdoa.residual_threshold_ns = f64::INFINITY;
+        cfg.tdoa.solver.max_residual_m = f64::INFINITY;
+        let mut fleet = FleetEngine::new(cfg, Environment::free_space(), ap_grid(4, 20.0));
+        let c = fleet.add_client(Point::new(8.0, 7.0));
+        let report = fleet.run_window(1, Duration::from_secs_f64(0.3));
+        assert!(!report.tdoa_outcomes.is_empty(), "blasts still fire");
+        for o in &report.tdoa_outcomes {
+            assert_eq!(o.n_anchors, 4, "the solver is reached");
+            assert!(o.fix.is_none() && o.residual_m.is_none(), "{o:?}");
+            assert!(o.tracked_pos.is_none(), "{o:?}");
+            assert!(o.anomaly_score.is_finite());
+        }
+        assert_eq!(report.fixes(), 0);
+        assert!(!fleet.tdoa_tracker(c).filter().is_initialized());
     }
 
     #[test]
