@@ -1,7 +1,7 @@
 //! The fleet capacity benchmark and its CI regression gate:
 //! synchronized one-way TDoA versus per-AP round-trip sweeps at 16 APs
 //! with 1000 roaming clients, plus the shard-scaling rows for the
-//! pool-parallel window driver (see `docs/FLEET.md`).
+//! shard-parallel window driver (see `docs/FLEET.md`).
 //!
 //! ```sh
 //! # Regenerate the checked-in baseline (CI gates a --quick run, so the
@@ -44,10 +44,11 @@ fn main() -> ExitCode {
         }
     };
 
-    // Let the worker runtime charge fine-task allocations to the
-    // per-thread counting allocator, so the worker_allocs column
-    // reports true worker-side allocation events (the steady-state
-    // 0-allocs contract on the shard path).
+    // Let the worker runtime charge counted-item allocations to the
+    // per-thread counting allocator, so the worker_allocs column reports
+    // true allocation events. A fleet runs its shard windows uncounted
+    // and its sweeps inline, so the column pins that no fleet sweep runs
+    // as a counted pool item.
     chronos_core::runtime::set_alloc_probe(chronos_bench::alloc_count::thread_allocations);
 
     let table = fleet_table(SEED, args.quick);

@@ -18,7 +18,7 @@
 //! metrics only: `speedup_x` (pipeline vs the transcribed pre-refactor
 //! solver; >20% regression or falling below the absolute 3.0× floor
 //! fails) and `allocs_per_sweep` (any increase fails — including the
-//! worker-side counters on the persistent-pool rows). Absolute sweeps/s
+//! per-item counters on the `fix_pool` rows). Absolute sweeps/s
 //! columns are informational — they depend on the host.
 
 use chronos_bench::alloc_count::CountingAlloc;
@@ -41,8 +41,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // Let the worker runtime charge job allocations to the per-thread
-    // counting allocator, so the fix_pool rows report true worker-side
+    // Let the worker runtime charge item allocations to the per-thread
+    // counting allocator on every lane, so the fix_pool rows report true
     // allocation events (the 0-allocs/sweep contract).
     chronos_core::runtime::set_alloc_probe(chronos_bench::alloc_count::thread_allocations);
 

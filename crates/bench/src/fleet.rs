@@ -18,15 +18,18 @@
 //! worker config measured once per round) min-filtered per config, with
 //! the serial loop (`w1`) as the speedup denominator. Wall-clock
 //! speedup is informational — CI hosts vary in core count — but the
-//! rows' stats columns and the `worker_allocs = 0` steady-state gate
-//! are exact, and the table builder asserts every config's reports
-//! digest-identical before a baseline can be written.
+//! rows' stats columns and the `worker_allocs = 0` gate are exact, and
+//! the table builder asserts every config's reports digest-identical
+//! before a baseline can be written. `worker_allocs` reads the fleet
+//! runtime's counted items; shard windows run uncounted and shards sweep
+//! inline, so the gate pins that no fleet sweep runs as a counted pool
+//! item (it does not measure the estimation span inside the sweeps).
 //!
 //! Determinism: walkers move as a pure function of (index, window);
 //! both fleet modes inherit the engine seeding contract, so identical
 //! seeds replay identical tables and the regression gate trips on real
 //! drift, not noise. Worker counts never change results — only wall
-//! clock — per the fleet's two-level parallelism contract
+//! clock — per the fleet's one-level parallelism contract
 //! (`docs/FLEET.md`).
 
 use crate::report::Table;
@@ -47,8 +50,8 @@ pub const AP_SPACING_M: f64 = 20.0;
 /// Roaming clients (the ROADMAP's city-size target: ~62 per AP).
 pub const FLEET_CLIENTS: usize = 1000;
 
-/// Pool workers pinned for the headline mode rows (4-way shard
-/// concurrency with the helping fleet driver). Pinned — not host-auto —
+/// Workers pinned for the headline mode rows (4-way shard concurrency
+/// with the fleet driver's own lane). Pinned — not host-auto —
 /// so every machine runs the identical execution strategy; reports are
 /// bitwise worker-count-invariant anyway, so this only affects wall
 /// clock.
@@ -183,10 +186,10 @@ pub struct FleetModeRun {
     /// Host wall clock over the window loop (construction, population
     /// and plan prewarm excluded).
     pub wall_s: f64,
-    /// Worker-side allocation events on the fine (sweep) task path
-    /// after the first window — the steady-state counter the gate pins
-    /// at 0. Always 0 when the bench binary's alloc probe is not
-    /// installed (e.g. under `cargo test`).
+    /// Allocation events of counted runtime items after the first
+    /// window — the counter the gate pins at 0 (0 also when the fleet
+    /// has no runtime). Always 0 when the bench binary's alloc probe is
+    /// not installed (e.g. under `cargo test`).
     pub worker_allocs: u64,
     /// FNV-1a digest of everything deterministic in the window reports
     /// (outcome streams, utilization bits, handoff/sync accounting;
@@ -301,8 +304,8 @@ pub fn run_fleet_mode(
 
 /// The shard-scaling ladder: row name and the [`FleetConfig::workers`]
 /// value it pins. `w1` is the strictly serial shard loop; `wN` means
-/// N-way shard concurrency (N−1 pool workers plus the helping fleet
-/// driver).
+/// N-way shard concurrency (N−1 workers plus the fleet driver's own
+/// lane).
 pub const SHARD_SCALING: [(&str, usize); 3] = [
     ("fleet_shard_w1", 0),
     ("fleet_shard_w2", 1),

@@ -18,13 +18,13 @@
 //!   path through the allocating API vs a warm
 //!   [`chronos_core::pipeline::SweepPipeline`]; the pipeline row must
 //!   report **0 allocs/sweep**.
-//! * `pool_spinup` / `fix_pool_w{1,2,4}` — the persistent
-//!   [`chronos_core::WorkerRuntime`]: spin-up cost paid **once** (thread
-//!   spawns, ring allocation — reported as its own row, not amortized
-//!   into the sweep rows), then steady-state fix sweeps batched through
-//!   the pool at 1/2/4-way concurrency. The pool rows' alloc column
-//!   counts **worker-side** allocation events (via the
-//!   [`chronos_core::runtime::set_alloc_probe`] hook) and must stay 0.
+//! * `fix_pool_w{1,2,4}` — steady-state fix sweeps spread by
+//!   [`chronos_core::WorkerRuntime::run`] over 1/2/4 caller-owned
+//!   lanes, each a warm [`chronos_core::pipeline::SweepPipeline`]; every
+//!   batch runs the caller's lane plus scoped threads for the rest. The
+//!   pool rows' alloc column counts the allocation events of the items
+//!   themselves, on every lane (via the
+//!   [`chronos_core::runtime::set_alloc_probe`] hook), and must stay 0.
 //!
 //! Wall-clock rates are hardware-dependent, so the regression gate
 //! ([`check_throughput_regression`]) gates the *ratios* (`speedup_x`)
@@ -43,8 +43,8 @@ use chronos_core::ndft::TauGrid;
 use chronos_core::pipeline::SweepPipeline;
 use chronos_core::plan::{NdftPlan, PlanCache};
 use chronos_core::reciprocity::BandProduct;
-use chronos_core::runtime::{PoolJob, WorkerRuntime};
-use chronos_core::tof::{genie_product, TofEstimator, TofFix};
+use chronos_core::runtime::WorkerRuntime;
+use chronos_core::tof::{genie_product, TofEstimator};
 use chronos_math::constants::m_to_ns;
 use chronos_math::cvec;
 use chronos_math::Complex64;
@@ -193,35 +193,17 @@ impl DenseReference {
 pub struct ThroughputCase {
     /// Row key.
     pub name: &'static str,
-    /// Total concurrency of the case (1 for the inline rows; worker
-    /// threads + the helping submitter for the pool rows).
+    /// Total concurrency of the case (1 for the inline rows; the lanes
+    /// of the pool rows).
     pub workers: usize,
     /// Completed estimation sweeps per second of wall time.
     pub sweeps_per_sec: f64,
     /// Allocation events per sweep (counting allocator; 0 when the
-    /// binary does not install it). Pool rows count worker-side events
-    /// through the runtime's alloc probe instead.
+    /// binary does not install it). Pool rows count the items' own
+    /// events on every lane through the runtime's alloc probe instead.
     pub allocs_per_sweep: f64,
     /// Rate relative to this case's baseline counterpart, if any.
     pub speedup_x: Option<f64>,
-}
-
-/// A steady-state fix estimation submitted to the persistent pool: the
-/// same products → ToF path as `fix_pipeline`, run on whichever worker
-/// claims it (each worker owns its own warm [`SweepPipeline`]).
-struct FixJob<'a> {
-    estimator: &'a TofEstimator,
-    products: &'a [BandProduct],
-}
-
-impl PoolJob for FixJob<'_> {
-    type Output = TofFix;
-
-    fn run(&self, pipeline: &mut SweepPipeline) -> TofFix {
-        pipeline
-            .estimate_fix(self.estimator, self.products)
-            .expect("pool fix")
-    }
 }
 
 /// Times `sweeps` invocations of `body`, returning (sweeps/s,
@@ -396,78 +378,52 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         speedup_x: None,
     });
 
-    // 6. Persistent worker pool. Spin-up (thread spawns + ring) is paid
-    // once per runtime lifetime, so it gets its own row instead of
-    // being smeared into the per-sweep rates below.
-    let jobs: Vec<FixJob> = track_products
-        .iter()
-        .map(|ps| FixJob {
-            estimator: &estimator,
-            products: ps,
-        })
-        .collect();
-
-    let a0 = thread_allocations();
-    let t0 = Instant::now();
-    let pool_w4 = WorkerRuntime::new(3); // 3 workers + helping submitter
-    let spinup_dt = t0.elapsed().as_secs_f64();
-    cases.push(ThroughputCase {
-        name: "pool_spinup",
-        workers: 4,
-        sweeps_per_sec: 1.0 / spinup_dt.max(1e-9), // spin-ups (not sweeps) per second
-        allocs_per_sweep: (thread_allocations() - a0) as f64,
-        speedup_x: None,
-    });
-    let pool_w2 = WorkerRuntime::new(1); // 1 worker + helping submitter
-
-    // 7. Steady-state fix sweeps through the pool at 1/2/4-way
-    // concurrency (the worker-scaling column). The alloc column reads
-    // the runtime's worker-side probe: after warm-up every worker owns
-    // a grown arena, so the persistent-worker path must report 0. No
+    // 6. Steady-state fix sweeps spread over 1/2/4 lanes (the
+    // worker-scaling column): the same products → ToF path as
+    // `fix_pipeline`, run on whichever lane pulls it. The alloc column
+    // reads the runtime's probe around every item on every lane: after
+    // warm-up each lane owns a grown arena, so it must report 0. No
     // gated speedup — wall-clock scaling is hardware-dependent (CI may
     // pin a single core); the workers column plus sweeps/s documents it.
-    for (name, concurrency, pool) in [
-        ("fix_pool_w1", 1usize, None),
-        ("fix_pool_w2", 2, Some(&pool_w2)),
-        ("fix_pool_w4", 4, Some(&pool_w4)),
+    let fix = |pipeline: &mut SweepPipeline, products: &Vec<BandProduct>| {
+        pipeline
+            .estimate_fix(&estimator, products)
+            .expect("pool fix")
+    };
+    for (name, lanes) in [
+        ("fix_pool_w1", 1usize),
+        ("fix_pool_w2", 2),
+        ("fix_pool_w4", 4),
     ] {
-        let mut local = SweepPipeline::new();
-        let (rate, allocs) = match pool {
-            None => {
-                // Inline baseline: the same jobs on the submitter alone.
-                for job in &jobs {
-                    std::hint::black_box(job.run(&mut local));
-                }
-                measure(sweeps, |i| {
-                    std::hint::black_box(jobs[i % N_CLIENTS].run(&mut local));
-                })
+        let mut pipelines: Vec<SweepPipeline> = (0..lanes).map(|_| SweepPipeline::new()).collect();
+        // Warm every lane's arena on every client shape (peak/grouping
+        // scratch is data-dependent), so no one-time growth lands in
+        // the timed loop whichever lane pulls which item.
+        for pipeline in &mut pipelines {
+            for products in &track_products {
+                std::hint::black_box(fix(pipeline, products));
             }
-            Some(pool) => {
-                // Deterministically warm every worker's arena on every
-                // client shape (job→worker assignment in run_batch is
-                // racy, so ordinary warm-up batches could leave some
-                // (worker, client) pair cold — peak/grouping scratch is
-                // data-dependent — and charge its one-time growth to the
-                // timed loop), plus the helping submitter's pipeline.
-                for job in &jobs {
-                    std::hint::black_box(pool.prewarm(job));
-                    std::hint::black_box(job.run(&mut local));
-                }
-                let a0 = pool.worker_allocations();
-                let t0 = Instant::now();
-                for _ in 0..rounds {
-                    std::hint::black_box(pool.run_batch(&jobs, &mut local));
-                }
-                let dt = t0.elapsed().as_secs_f64();
-                (
-                    sweeps as f64 / dt.max(1e-9),
-                    (pool.worker_allocations() - a0) as f64 / sweeps as f64,
-                )
+        }
+        let (rate, allocs) = if lanes == 1 {
+            // Inline baseline: the same items on the caller alone.
+            measure(sweeps, |i| {
+                std::hint::black_box(fix(&mut pipelines[0], &track_products[i % N_CLIENTS]));
+            })
+        } else {
+            let pool = WorkerRuntime::new(lanes - 1);
+            let t0 = Instant::now();
+            for _ in 0..rounds {
+                std::hint::black_box(pool.run(&track_products, &mut pipelines, fix));
             }
+            let dt = t0.elapsed().as_secs_f64();
+            (
+                sweeps as f64 / dt.max(1e-9),
+                pool.worker_allocations() as f64 / sweeps as f64,
+            )
         };
         cases.push(ThroughputCase {
             name,
-            workers: concurrency,
+            workers: lanes,
             sweeps_per_sec: rate,
             allocs_per_sweep: allocs,
             speedup_x: None,
@@ -632,17 +588,15 @@ mod tests {
         // test harness does not install the counting allocator — the
         // real assertions live in tests/alloc.rs and the bench binary.)
         let cases = throughput_cases(1);
-        assert_eq!(cases.len(), 9);
+        assert_eq!(cases.len(), 8);
         let solver = cases.iter().find(|c| c.name == "solver_pipeline").unwrap();
         assert!(solver.speedup_x.unwrap() > 1.0, "{:?}", solver);
-        // The worker-scaling rows cover 1/2/4-way concurrency and the
-        // spin-up row is present exactly once.
+        // The worker-scaling rows cover 1/2/4-way concurrency.
         let pool_workers: Vec<usize> = cases
             .iter()
             .filter(|c| c.name.starts_with("fix_pool_w"))
             .map(|c| c.workers)
             .collect();
         assert_eq!(pool_workers, vec![1, 2, 4]);
-        assert_eq!(cases.iter().filter(|c| c.name == "pool_spinup").count(), 1);
     }
 }

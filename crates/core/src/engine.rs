@@ -22,7 +22,7 @@
 //!        │                                 concurrency cap, contention
 //!        │                                 loss), plan priced per client
 //!        ▼
-//!   worker-pool sweep + estimation         host-parallel, per-sweep RNG
+//!   lane-parallel sweep + estimation       host-parallel, per-sweep RNG
 //!        │                                 (results schedule-invariant)
 //!        ▼
 //!   SweepComplete(client)                  fires at the sweep's actual
@@ -70,7 +70,7 @@ use crate::config::{ChronosConfig, IngestionConfig};
 use crate::ndft::TauGrid;
 use crate::pipeline::{BatchSweep, SweepPipeline};
 use crate::plan::{CacheStats, PlanCache};
-use crate::runtime::{PoolJob, WorkerRuntime};
+use crate::runtime::WorkerRuntime;
 use crate::service::{
     outcome_stats, ClientOutcome, EpochReport, LocalizationMode, ModeOccupancy, ServiceConfig,
 };
@@ -473,17 +473,15 @@ pub struct ServiceEngine {
     /// directly, pre-ingestion behavior bit for bit).
     ingest: Option<IngestState>,
     clock: Instant,
-    /// The submitter-side scratch pipeline: runs single-sweep batches
-    /// inline and helps drain the runtime's ring on multi-sweep batches.
-    /// Allocated lazily, reused for every subsequent batch — this is
-    /// what makes steady-state estimation allocation-free. (Worker
-    /// threads own their pipelines inside the [`WorkerRuntime`].)
+    /// One scratch pipeline per lane, owned by the engine and reused for
+    /// every batch — this is what makes steady-state estimation
+    /// allocation-free. Single-sweep batches run inline on the first;
+    /// multi-sweep batches spread over all of them. Allocated lazily.
     pipelines: Vec<SweepPipeline>,
-    /// The persistent worker pool. Created once — lazily on the first
-    /// multi-sweep batch, or installed up front via
-    /// [`ServiceEngine::set_runtime`] so fleet shards share one pool —
-    /// and reused for every batch after; the engine never spawns another
-    /// thread past this point.
+    /// Spreads multi-sweep batches over `pipelines`: the engine's thread
+    /// plus `threads - 1` scoped threads per batch. Created on the first
+    /// multi-sweep batch of a multi-threaded engine and kept for its
+    /// counters.
     runtime: Option<Arc<WorkerRuntime>>,
 }
 
@@ -827,15 +825,8 @@ impl ServiceEngine {
     }
 
     /// Worker-thread count for this run.
-    pub(crate) fn thread_count(&self) -> usize {
-        if self.cfg.threads > 0 {
-            self.cfg.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        }
-        .max(1)
+    fn thread_count(&self) -> usize {
+        thread_count(self.cfg.threads)
     }
 
     /// The TRACK-mode subset for one client's full plan, memoized.
@@ -931,106 +922,78 @@ impl ServiceEngine {
         }
     }
 
-    /// Runs a batch of admitted sweeps on the persistent worker runtime:
-    /// every job is submitted to the pool's lock-free ring and executed
-    /// on a long-lived worker (or the helping submitter), each worker
-    /// owning a [`SweepPipeline`] whose scratch arena survives across
-    /// every batch of the runtime's lifetime. Results come back in
-    /// submission (ordinal) order, and each job owns its seeded RNG, so
-    /// neither the thread schedule nor the batching can change any
-    /// result — the `{1, 2, 8}`-thread bitwise determinism tests pin
-    /// this.
-    ///
-    /// The pool is created exactly once (here, lazily, or installed via
-    /// [`ServiceEngine::set_runtime`]); the engine never spawns a thread
-    /// per batch.
+    /// Runs a batch of admitted sweeps. A single sweep, or any batch of a
+    /// single-threaded engine, runs inline on the first pipeline; a
+    /// larger batch spreads over one pipeline per thread through the
+    /// [`WorkerRuntime`], the engine's thread taking the first. Results
+    /// come back in batch (ordinal) order, and each job owns its seeded
+    /// RNG, so neither the thread schedule nor the batching can change
+    /// any result — the `{1, 2, 8}`-thread bitwise determinism tests
+    /// pin this.
     fn execute(&mut self, jobs: &[Job]) -> Vec<SweepOutput> {
-        fn batch_of<'a>(slots: &'a [Slot], slice: &'a [Job]) -> Vec<BatchSweep<'a>> {
-            slice
-                .iter()
-                .map(|job| BatchSweep {
-                    session: &slots[job.client].session,
-                    sweep_cfg: &job.sweep_cfg,
-                    rng_seed: job.rng_seed,
-                    start: job.grant.start,
-                })
-                .collect()
-        }
-        let n_threads = self.thread_count();
+        let threads = self.thread_count();
         let slots = self.slots.as_slice();
-        if self.pipelines.is_empty() {
-            self.pipelines.push(SweepPipeline::new());
+        let sweeps = jobs.iter().map(|job| BatchSweep {
+            session: &slots[job.client].session,
+            sweep_cfg: &job.sweep_cfg,
+            rng_seed: job.rng_seed,
+            start: job.grant.start,
+        });
+        let run = |pipeline: &mut SweepPipeline, sweep: BatchSweep<'_>| pipeline.run_sweep(&sweep);
+        if jobs.len() <= 1 || threads == 1 {
+            if self.pipelines.is_empty() {
+                self.pipelines.push(SweepPipeline::new());
+            }
+            let pipeline = &mut self.pipelines[0];
+            return sweeps.map(|sweep| run(pipeline, sweep)).collect();
         }
-        // Continuous-cadence batches are usually a single sweep: run
-        // those inline on the submitter's pipeline rather than paying a
-        // queue round-trip per sweep.
-        if jobs.len() <= 1 || n_threads == 1 {
-            return self.pipelines[0].run_batch(&batch_of(slots, jobs));
-        }
-        let runtime = ensure_runtime(&mut self.runtime, n_threads - 1);
-        runtime.run_batch(&batch_of(slots, jobs), &mut self.pipelines[0])
+        let runtime = self
+            .runtime
+            .get_or_insert_with(|| Arc::new(WorkerRuntime::new(threads - 1)));
+        self.pipelines
+            .resize_with(runtime.workers() + 1, SweepPipeline::new);
+        runtime.run(sweeps, &mut self.pipelines, run)
     }
 
-    /// The persistent worker runtime, if one has been created (lazily on
-    /// the first multi-sweep batch of a multi-threaded engine) or
-    /// installed.
+    /// The engine's [`WorkerRuntime`], once a multi-sweep batch of a
+    /// multi-threaded engine (or [`ServiceEngine::prewarm_plans`]) has
+    /// created it.
     pub fn runtime(&self) -> Option<&Arc<WorkerRuntime>> {
         self.runtime.as_ref()
     }
 
-    /// Installs a (possibly shared) worker runtime. A fleet installs one
-    /// pool across all its shards so N shards don't spawn N pools; a
-    /// bench can install a pre-spun pool to measure spin-up separately
-    /// from throughput.
-    pub fn set_runtime(&mut self, runtime: Arc<WorkerRuntime>) {
-        self.runtime = Some(runtime);
-    }
-
-    /// Explicitly sizes the engine's worker pool to `workers` pool
-    /// threads (the submitter still helps, so effective concurrency is
-    /// `workers + 1`), resizing a live pool in place or creating one —
-    /// the escape hatch from the lazy `thread_count() - 1` default.
-    /// Call between windows; see [`WorkerRuntime::resize`].
-    pub fn set_pool_workers(&mut self, workers: usize) {
-        match &self.runtime {
-            Some(rt) => rt.resize(workers),
-            None => self.runtime = Some(Arc::new(WorkerRuntime::new(workers))),
-        }
-    }
-
     /// Pre-builds the NDFT plans every client's ACQUIRE (full-plan)
-    /// sweep will request, routing the expensive constructions — matrix
-    /// materialization plus the operator-norm power iteration — through
-    /// the worker runtime so distinct plans build in parallel. With at
-    /// most one distinct plan, or on a single-threaded engine, the
-    /// builds run inline (a pool would have nothing to overlap).
+    /// sweep will request. The expensive constructions — matrix
+    /// materialization plus the operator-norm power iteration — spread
+    /// over the engine's threads so distinct plans build in parallel.
+    /// With at most one distinct plan, or on a single-threaded engine,
+    /// the builds run inline.
     ///
     /// Purely an opt-in warm-up: the plan cache double-checks under its
     /// write lock either way, so estimation results and steady-state
     /// behavior are identical whether or not this runs. Returns the
     /// number of distinct plans built or found resident.
     pub fn prewarm_plans(&mut self) -> usize {
-        let n_threads = self.thread_count();
-        if self.pipelines.is_empty() {
-            self.pipelines.push(SweepPipeline::new());
-        }
+        let threads = self.thread_count();
         let mut jobs: Vec<PlanPrewarmJob<'_>> = Vec::new();
         collect_plan_jobs(&self.slots, &self.plans, &mut jobs);
-        if jobs.len() <= 1 || n_threads == 1 {
-            for job in &jobs {
-                job.run(&mut self.pipelines[0]);
-            }
-            return jobs.len();
+        if jobs.len() <= 1 || threads == 1 {
+            jobs.iter().for_each(PlanPrewarmJob::build);
+        } else {
+            let runtime = self
+                .runtime
+                .get_or_insert_with(|| Arc::new(WorkerRuntime::new(threads - 1)));
+            runtime.run(&jobs, &mut vec![(); runtime.workers() + 1], |_, job| {
+                job.build()
+            });
         }
-        let runtime = ensure_runtime(&mut self.runtime, n_threads - 1);
-        runtime.run_batch(&jobs, &mut self.pipelines[0]);
         jobs.len()
     }
 
     /// Appends this engine's distinct plan-construction jobs to `jobs`,
     /// deduplicating against entries already present — so a fleet can
     /// collect one job list across all shards (which share a plan
-    /// cache) and build each distinct plan exactly once, on one pool.
+    /// cache) and build each distinct plan exactly once, on one runtime.
     pub(crate) fn plan_prewarm_jobs<'a>(&'a self, jobs: &mut Vec<PlanPrewarmJob<'a>>) {
         collect_plan_jobs(&self.slots, &self.plans, jobs);
     }
@@ -1548,17 +1511,20 @@ impl ServiceEngine {
     }
 }
 
-/// Returns the engine's runtime, creating a pool of `workers` threads on
-/// first use. A free function (not a method) so callers can hold other
-/// `self` field borrows across the call.
-fn ensure_runtime(slot: &mut Option<Arc<WorkerRuntime>>, workers: usize) -> &Arc<WorkerRuntime> {
-    // The submitter helps, so `workers` pool threads give `workers + 1`
-    // effective concurrency.
-    slot.get_or_insert_with(|| Arc::new(WorkerRuntime::new(workers)))
+/// Threads for a [`ServiceConfig::threads`] setting: the setting itself,
+/// or one per available core when it is 0. The host is read only then.
+pub(crate) fn thread_count(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    }
 }
 
 /// One distinct NDFT plan construction (matrix materialization plus the
-/// operator-norm power iteration), shaped as a pool job so prewarm can
+/// operator-norm power iteration), collected up front so prewarm can
 /// build distinct plans in parallel. See
 /// [`ServiceEngine::plan_prewarm_jobs`].
 pub(crate) struct PlanPrewarmJob<'a> {
@@ -1568,9 +1534,9 @@ pub(crate) struct PlanPrewarmJob<'a> {
     lobe_span_ns: f64,
 }
 
-impl PoolJob for PlanPrewarmJob<'_> {
-    type Output = ();
-    fn run(&self, _pipeline: &mut SweepPipeline) {
+impl PlanPrewarmJob<'_> {
+    /// Builds the plan into the shared cache (or finds it resident).
+    pub(crate) fn build(&self) {
         let _ = self
             .plans
             .ndft_plan(&self.freqs, self.grid, self.lobe_span_ns);

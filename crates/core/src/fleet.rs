@@ -41,10 +41,9 @@
 //! and the TDoA vs. round-trip trade-off table.
 
 use crate::config::ChronosConfig;
-use crate::engine::{mix_seed, ServiceEngine, WindowReport};
+use crate::engine::{mix_seed, thread_count, PlanPrewarmJob, ServiceEngine, WindowReport};
 use crate::localization::tdoa::{solve_tdoa, RangeDiff, TdoaSolverConfig};
-use crate::pipeline::SweepPipeline;
-use crate::runtime::{PoolJob, WorkerRuntime};
+use crate::runtime::WorkerRuntime;
 use crate::service::ServiceConfig;
 use crate::tracker::{PositionTracker, TrackMode, TrackerConfig};
 use chronos_link::event::EventQueue;
@@ -280,21 +279,23 @@ pub struct FleetConfig {
     /// SNR model anchor shared by every client context (see
     /// [`client_context`]).
     pub snr_at_1m_db: f64,
-    /// Worker threads of the fleet's shared pool, and with it the shard
-    /// execution strategy of [`FleetEngine::run_window`]:
+    /// Threads [`FleetEngine::run_window`] adds to the fleet driver to
+    /// run shard windows in parallel. Shard windows are the fleet's one
+    /// level of parallelism: every shard runs its own sweeps inline, so
+    /// [`ServiceConfig::threads`] never starts threads inside a fleet.
     ///
-    /// - `None` (default): auto — `thread_count() - 1` pool workers
-    ///   (the helping fleet driver is the extra lane), shard windows run
-    ///   **in parallel** when that leaves at least one worker and the
-    ///   fleet has more than one shard.
-    /// - `Some(0)`: the strictly serial shard loop (the pre-parallel
-    ///   comparison path). Shards still share one pool for their own
-    ///   sweep batches when the service is multi-threaded.
-    /// - `Some(n)`: exactly `n` pool workers, shard-parallel windows.
+    /// - `None` (default): auto — `ServiceConfig::threads - 1`, or one
+    ///   per available core but the driver's when `threads` is 0. Only
+    ///   this setting reads the host's core count.
+    /// - `Some(0)`: the strictly serial shard loop (the reference the
+    ///   parallel widths are compared against). No runtime exists and
+    ///   no thread is ever started.
+    /// - `Some(n)`: up to `n + 1`-way shard windows.
     ///
-    /// Every strategy produces bitwise-identical [`FleetWindowReport`]s
-    /// — see the `run_window` docs for why — so this knob trades wall
-    /// clock and core count only.
+    /// A single-AP fleet always runs serially. Every strategy produces
+    /// bitwise-identical [`FleetWindowReport`]s — see the `run_window`
+    /// docs for why — so this knob trades wall clock and core count
+    /// only.
     pub workers: Option<usize>,
 }
 
@@ -514,14 +515,10 @@ pub struct FleetEngine {
     blast_anchors: Vec<(usize, f64, f64)>,
     /// ...and their range differences against the reference.
     blast_diffs: Vec<RangeDiff>,
-    /// The fleet-wide worker pool (shard windows *and* every shard's
-    /// sweep batches), when one exists — see [`FleetConfig::workers`].
-    runtime: Option<std::sync::Arc<WorkerRuntime>>,
-    /// Pool workers serving shard-level jobs; 0 = serial shard loop.
-    shard_workers: usize,
-    /// The fleet driver's own helping pipeline for pool submissions
-    /// (shard-window driver batches, plan prewarm).
-    pipeline: SweepPipeline,
+    /// Spreads shard windows (and plan prewarm) over the driver plus
+    /// `workers` scoped threads; `None` runs the serial shard loop —
+    /// see [`FleetConfig::workers`].
+    runtime: Option<WorkerRuntime>,
 }
 
 impl FleetEngine {
@@ -529,44 +526,29 @@ impl FleetEngine {
     /// and one plan cache. Panics if `aps` is empty.
     pub fn new(cfg: FleetConfig, env: Environment, aps: Vec<Point>) -> Self {
         assert!(!aps.is_empty(), "a fleet needs at least one AP");
+        // Shard windows are the parallel level, so every shard sweeps
+        // inline on its own pipeline.
+        let service = ServiceConfig {
+            threads: 1,
+            ..cfg.service.clone()
+        };
         let mut shards = Vec::with_capacity(aps.len());
-        let first = ServiceEngine::new(cfg.service.clone());
+        let first = ServiceEngine::new(service.clone());
         let plans = std::sync::Arc::clone(first.plans());
         shards.push(first);
         for _ in 1..aps.len() {
             shards.push(ServiceEngine::with_cache(
-                cfg.service.clone(),
+                service.clone(),
                 std::sync::Arc::clone(&plans),
             ));
         }
-        // One persistent worker pool for the whole fleet, sized by
-        // [`FleetConfig::workers`]: with shard-level workers the pool
-        // runs whole shard windows concurrently (the coarse ring) *and*
-        // every shard's sweep batches (the fine ring); with 0 shard
-        // workers the shard loop stays serial but shards still share
-        // one sweep pool when the service is multi-threaded. Either
-        // way, the fleet never spawns a thread after this constructor.
-        let threads = shards[0].thread_count();
-        let shard_workers = if aps.len() > 1 {
-            cfg.workers.unwrap_or_else(|| threads.saturating_sub(1))
-        } else {
+        let workers = if aps.len() == 1 {
             0
-        };
-        let pool_workers = if shard_workers > 0 {
-            shard_workers
-        } else if threads > 1 && aps.len() > 1 {
-            threads - 1
         } else {
-            0
+            cfg.workers
+                .unwrap_or_else(|| thread_count(cfg.service.threads) - 1)
         };
-        let mut runtime = None;
-        if pool_workers > 0 {
-            let rt = std::sync::Arc::new(WorkerRuntime::new(pool_workers));
-            for shard in &mut shards {
-                shard.set_runtime(std::sync::Arc::clone(&rt));
-            }
-            runtime = Some(rt);
-        }
+        let runtime = (workers > 0).then(|| WorkerRuntime::new(workers));
         let sync = cfg.clock.map(|c| ClockSync::new(c, aps.len()));
         FleetEngine {
             shards,
@@ -578,8 +560,6 @@ impl FleetEngine {
             blast_anchors: Vec::with_capacity(aps.len()),
             blast_diffs: Vec::with_capacity(aps.len()),
             runtime,
-            shard_workers,
-            pipeline: SweepPipeline::new(),
             cfg,
             env,
             aps,
@@ -611,23 +591,24 @@ impl FleetEngine {
         self.sync.as_ref()
     }
 
-    /// The fleet's shared worker pool, when one exists (see
-    /// [`FleetConfig::workers`]). Benches read its allocation counter.
-    pub fn runtime(&self) -> Option<&std::sync::Arc<WorkerRuntime>> {
+    /// The runtime that spreads shard windows, when the fleet runs them
+    /// in parallel (see [`FleetConfig::workers`]). Benches read its
+    /// counters.
+    pub fn runtime(&self) -> Option<&WorkerRuntime> {
         self.runtime.as_ref()
     }
 
-    /// Pool workers serving shard-level window jobs; 0 means
+    /// Threads added to the driver for shard windows; 0 means
     /// [`FleetEngine::run_window`] runs its shard loop serially.
     pub fn shard_workers(&self) -> usize {
-        self.shard_workers
+        self.runtime.as_ref().map_or(0, WorkerRuntime::workers)
     }
 
     /// Pre-builds every distinct NDFT plan the fleet's clients will
     /// request, **once across the whole fleet**: shards share one plan
     /// cache, so the job list is deduplicated across shards and each
-    /// distinct plan is built exactly once (in parallel on the shared
-    /// pool when there is one) instead of once per shard. Purely an
+    /// distinct plan is built exactly once (in parallel on the fleet's
+    /// runtime when there is one) instead of once per shard. Purely an
     /// opt-in warm-up with identical steady-state results — see
     /// [`ServiceEngine::prewarm_plans`], which this supersedes for
     /// fleets. Call after the population is added. Returns the number
@@ -638,14 +619,10 @@ impl FleetEngine {
             shard.plan_prewarm_jobs(&mut jobs);
         }
         match &self.runtime {
-            Some(rt) if jobs.len() > 1 => {
-                rt.run_batch(&jobs, &mut self.pipeline);
+            Some(rt) => {
+                rt.run(&jobs, &mut vec![(); rt.workers() + 1], |_, job| job.build());
             }
-            _ => {
-                for job in &jobs {
-                    job.run(&mut self.pipeline);
-                }
-            }
+            None => jobs.iter().for_each(PlanPrewarmJob::build),
         }
         jobs.len()
     }
@@ -926,52 +903,36 @@ impl FleetEngine {
     /// ap)`, so a `sync_disabled` round-trip fleet is bit-identical to
     /// standalone engines run with those seeds.
     ///
-    /// ## Two-level parallelism
+    /// ## One level of parallelism
     ///
     /// Everything fleet-wide — handoffs, sync rounds, TDoA blasts,
     /// airtime pre-charges — runs serially here at the window boundary;
     /// the shard windows between boundaries share no mutable state
-    /// (each shard owns its clients, events, and RNG stream; the plan
-    /// cache is content-addressed), so with a pool
-    /// ([`FleetConfig::workers`]) they run concurrently as coarse
-    /// driver jobs, each of which may itself fan its multi-client
-    /// sweep batches onto the *same* pool as fine tasks. Results land
-    /// in ordinal slots and each shard is seeded independently, so
-    /// every [`FleetWindowReport`] field is bitwise identical across
-    /// worker counts and vs. the serial loop, except two pieces of
-    /// execution metadata: `shard_reports[..].wall` (host wall clock)
-    /// and `shard_reports[..].cache.hits` — a *lookup* count that
-    /// depends on per-pipeline plan-memo warmth, hence on which worker
-    /// ran which sweep (true for any multi-threaded engine, not just
-    /// fleets). `cache.misses` and the entry counts are invariant.
+    /// (each shard owns its clients, events, pipeline and RNG stream;
+    /// the plan cache is content-addressed), so with a runtime
+    /// ([`FleetConfig::workers`]) they spread over the driver plus
+    /// scoped threads, each shard running its own sweeps inline.
+    /// Reports come back in shard order and each shard is seeded
+    /// independently, so every [`FleetWindowReport`] field is bitwise
+    /// identical across worker counts and vs. the serial loop, except
+    /// `shard_reports[..].wall` (host wall clock) and
+    /// `shard_reports[..].cache.hits`, a shared-cache *lookup* count
+    /// that tests leave out as execution metadata. `cache.misses` and
+    /// the entry counts are invariant.
     pub fn run_window(&mut self, seed: u64, window: Duration) -> FleetWindowReport {
         let started = self.clock;
         let ended = started + window;
         let handoffs = self.run_handoffs();
         let mut tdoa_outcomes = Vec::new();
         let sync_rounds = self.pump_fleet_events(seed, ended, &mut tdoa_outcomes);
-        let parallel = self.shard_workers > 0 && self.shards.len() > 1;
-        let mut shard_reports: Vec<WindowReport> = if parallel {
-            let jobs: Vec<ShardWindowJob> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(ap, shard)| ShardWindowJob {
-                    shard: std::sync::Mutex::new(Some(shard)),
-                    seed: shard_seed(seed, ap),
-                    ended,
-                })
-                .collect();
-            self.runtime
-                .as_ref()
-                .expect("parallel fleet has a pool")
-                .run_driver_batch(&jobs, &mut self.pipeline)
-        } else {
-            self.shards
-                .iter_mut()
-                .enumerate()
-                .map(|(ap, shard)| shard.run_until(shard_seed(seed, ap), ended))
-                .collect()
+        let run_shard =
+            |(ap, shard): (usize, &mut ServiceEngine)| shard.run_until(shard_seed(seed, ap), ended);
+        let shards = self.shards.iter_mut().enumerate();
+        let mut shard_reports: Vec<WindowReport> = match &self.runtime {
+            Some(rt) => rt.run_uncounted(shards, &mut vec![(); rt.workers() + 1], |_, shard| {
+                run_shard(shard)
+            }),
+            None => shards.map(run_shard).collect(),
         };
         // The plan cache is shared, so mid-run per-shard snapshots of
         // its counters are schedule-dependent. The *post-window* miss
@@ -1013,31 +974,6 @@ impl FleetEngine {
             sync_rounds,
             n_clients: self.clients.len(),
         }
-    }
-}
-
-/// One shard's `run_until` window as a coarse pool job
-/// ([`WorkerRuntime::run_driver_batch`]). The `Mutex<Option<&mut ..>>`
-/// smuggles the exclusive shard borrow through the `&self` job
-/// interface; each job is executed exactly once, so the `take` never
-/// observes `None`.
-struct ShardWindowJob<'a> {
-    shard: std::sync::Mutex<Option<&'a mut ServiceEngine>>,
-    seed: u64,
-    ended: Instant,
-}
-
-impl PoolJob for ShardWindowJob<'_> {
-    type Output = WindowReport;
-
-    fn run(&self, _pipeline: &mut SweepPipeline) -> WindowReport {
-        let shard = self
-            .shard
-            .lock()
-            .expect("shard job lock")
-            .take()
-            .expect("shard window job runs exactly once");
-        shard.run_until(self.seed, self.ended)
     }
 }
 

@@ -63,7 +63,7 @@
 //! [`engine`] is the continuous scheduler underneath the service: a
 //! discrete-event [`ServiceEngine`] over virtual time in which every
 //! client re-sweeps at its own tracker-derived cadence (`SweepDue` →
-//! arbiter admission → worker-pool execution → `SweepComplete` → tracker
+//! arbiter admission → lane execution → `SweepComplete` → tracker
 //! fusion → reschedule), with client join/leave as first-class events.
 //! `RangingService::run_until` exposes it directly; `run_epoch` is a
 //! compatibility wrapper reproducing the legacy lock-step rounds (see
@@ -92,6 +92,8 @@
 //! method for the Fig. 7(c) analysis. [`config`] carries the estimator's
 //! knobs with paper-matched defaults, and [`error`] the pipeline's
 //! failure taxonomy.
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod crt;
@@ -129,7 +131,7 @@ pub use error::ChronosError;
 pub use pipeline::{EstimatorScratch, SweepPipeline};
 pub use plan::{CacheStats, NdftPlan, PlanCache};
 pub use profile::MultipathProfile;
-pub use runtime::{PoolJob, TokenRing, WorkerRuntime};
+pub use runtime::WorkerRuntime;
 pub use service::{CadenceConfig, EpochReport, QuarantineConfig, RangingService, ServiceConfig};
 pub use session::{ChronosSession, SweepOutput};
 pub use tof::{BandSample, TofEstimate, TofEstimator, TofFix};

@@ -120,7 +120,7 @@ impl EstimatorScratch {
     }
 }
 
-/// One sweep of a batch handed to [`SweepPipeline::run_batch`].
+/// One admitted sweep, handed to [`SweepPipeline::run_sweep`].
 #[derive(Debug)]
 pub struct BatchSweep<'a> {
     /// The client session to sweep.
@@ -137,7 +137,7 @@ pub struct BatchSweep<'a> {
 /// A reusable estimation pipeline: one scratch arena driving the full
 /// products → ToF → localization path.
 ///
-/// Allocate one per worker (the engine keeps one per worker thread) and
+/// Allocate one per lane (the engine keeps one per thread) and
 /// feed it sweeps forever; results are bitwise identical to the
 /// allocating [`TofEstimator`]/[`crate::localization::locate_all`] path.
 #[derive(Debug, Default)]
@@ -208,20 +208,13 @@ impl SweepPipeline {
         crate::localization::locate_all_into(ranges, cfg, &mut self.scratch.locate, out)
     }
 
-    /// Runs a batch of admitted sweeps back-to-back over this pipeline's
-    /// scratch — the engine's same-instant dues path. Plan lookups and
-    /// every estimation buffer are amortized across the whole batch; each
-    /// sweep still owns its seeded RNG, so results are independent of how
-    /// sweeps are grouped into batches (and bitwise identical to
-    /// [`ChronosSession::sweep_with`]).
-    pub fn run_batch(&mut self, jobs: &[BatchSweep<'_>]) -> Vec<SweepOutput> {
-        jobs.iter().map(|job| self.run_sweep(job)).collect()
-    }
-
     /// Runs one admitted sweep over this pipeline's scratch — the unit of
-    /// work the persistent [`crate::runtime::WorkerRuntime`] dispatches.
-    /// Each sweep owns its seeded RNG, so results are independent of
-    /// which pipeline (or thread) runs it.
+    /// work the engine spreads over its lanes with
+    /// [`crate::runtime::WorkerRuntime::run`]. Plan lookups and every
+    /// estimation buffer are amortized across sweeps; each sweep owns its
+    /// seeded RNG, so results are independent of which pipeline (or
+    /// thread) runs it and bitwise identical to
+    /// [`ChronosSession::sweep_with`].
     pub fn run_sweep(&mut self, job: &BatchSweep<'_>) -> SweepOutput {
         let mut rng = StdRng::seed_from_u64(job.rng_seed);
         job.session

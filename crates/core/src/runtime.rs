@@ -1,982 +1,250 @@
-//! The persistent worker runtime: long-lived estimation threads fed by a
-//! bounded lock-free MPMC ring.
+//! One level of host parallelism: [`WorkerRuntime::run`] spreads a batch
+//! of items over caller-owned lanes on scoped threads.
 //!
-//! PR 4's engine spawned a fresh `std::thread::scope` per same-instant
-//! batch — correct, but a thread spawn + join per batch on the hot
-//! scheduling path, and every spawn re-derived its worker/pipeline
-//! pairing. This module replaces that with a [`WorkerRuntime`]: a fixed
-//! pool of threads created **once**, each owning its
-//! [`SweepPipeline`] scratch arena for the lifetime of the pool (so the
-//! PR-5 zero-allocation warmth is never thrown away), pulling work from a
-//! [`TokenRing`] — a Vyukov-style bounded MPMC queue whose slots carry a
-//! sequence token instead of a lock.
+//! The calling thread is lane 0; up to [`WorkerRuntime::workers`]
+//! `std::thread::scope` threads take the other lanes for the length of
+//! one batch. Lanes pull items in order from one `Mutex`-guarded cursor
+//! that also hands out each item's output slot, so results come back in
+//! item order whichever lane ran what. Each lane is state the caller
+//! keeps between batches — the engine passes its `SweepPipeline`s — so
+//! scratch stays warm without a persistent pool.
 //!
-//! ## Determinism
+//! Each run is exactly one level deep: a `ServiceEngine` spreads its
+//! same-instant sweeps, a `FleetEngine` spreads its shard windows and
+//! each shard runs its own sweeps inline. No item waits on another
+//! batch, so there is no queue, no nesting and nothing to deadlock.
 //!
-//! Every submitted job writes its result into its own ordinal slot of the
-//! batch's output buffer, so the caller reads results in submission order
-//! no matter which worker ran what, in what order, or how the queue
-//! interleaved producers. Combined with the engine's seeding contract
-//! (each sweep owns an RNG seeded from its client/counter, never from
-//! schedule state), `WindowReport`s remain **bitwise identical across
-//! thread counts** — the `{1, 2, 8}`-worker determinism tests in
-//! `tests/engine.rs` run against this runtime.
-//!
-//! ## Blocking discipline
-//!
-//! Workers spin briefly when the ring runs dry, then park
-//! (`std::thread::park`); submitters unpark the pool once per batch, not
-//! per job. The submitting thread does not idle either: it *helps* — it
-//! drains the ring through its own pipeline until the batch completes, so
-//! a full ring can never deadlock (an un-enqueued job just runs inline)
-//! and a single-core host loses nothing to hand-off latency.
-//!
-//! ## Two job tiers
-//!
-//! The runtime carries two rings over one pool of threads. The **fine**
-//! ring holds estimation-sized jobs (per-client sweep batches, plan
-//! builds) submitted by [`WorkerRuntime::run_batch`]. The **coarse**
-//! ring, fed by [`WorkerRuntime::run_driver_batch`], holds *driver*
-//! jobs — a fleet shard's whole scheduling window — which themselves
-//! submit fine batches back into the same pool from inside their `run`.
-//! Workers prefer coarse work (a shard window keeps a core busy for the
-//! whole window) and fall back to fine work, so spare workers drain the
-//! sweep batches the busy shards emit. The wait graph stays acyclic:
-//! coarse jobs wait only on fine tasks, fine tasks never wait on the
-//! pool, and every submitter drains the ring it submitted to — so the
-//! shared rings cannot deadlock (the nested-submission proptest in
-//! `tests/properties.rs` exercises this).
-//!
-//! See `docs/SCHEDULING.md` for startup/shutdown, queue sizing and the
-//! determinism note.
+//! See `docs/SCHEDULING.md` for how the engine and the fleet use it.
 
-use crate::pipeline::SweepPipeline;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-
-/// A batch job the pool can run: borrow-only access to its inputs, one
-/// owned output. The runtime guarantees `run` is called at most once per
-/// job and that all jobs of a batch finish before
-/// [`WorkerRuntime::run_batch`] returns, which is what makes the borrowed
-/// inputs sound across the pool's `'static` threads.
-pub trait PoolJob: Sync {
-    /// The per-job result, written into the batch's ordinal output slot.
-    type Output: Send;
-    /// Runs the job on a worker-owned (or the submitter's) pipeline.
-    fn run(&self, pipeline: &mut SweepPipeline) -> Self::Output;
-}
-
-/// The engine's unit of work: one admitted sweep, run on whichever
-/// pipeline the pool hands it.
-impl PoolJob for crate::pipeline::BatchSweep<'_> {
-    type Output = crate::session::SweepOutput;
-    fn run(&self, pipeline: &mut SweepPipeline) -> Self::Output {
-        pipeline.run_sweep(self)
-    }
-}
-
-/// Per-batch completion state, owned by the submitting stack frame.
-struct BatchState {
-    /// Jobs not yet finished (successfully or by panic).
-    remaining: AtomicUsize,
-    /// Set when any job panicked; the submitter re-raises after the
-    /// batch drains (matching the old scoped-join behavior).
-    poisoned: AtomicBool,
-}
-
-/// One type-erased unit of work in the ring: raw pointers into the
-/// submitting frame (job input, output slot, batch state) plus the
-/// monomorphized runner that knows the concrete types.
-///
-/// Soundness: the submitter blocks in [`WorkerRuntime::run_batch`] until
-/// `remaining` hits zero, so every pointer outlives every access.
-struct Task {
-    job: *const (),
-    out: *mut (),
-    state: *const BatchState,
-    run: unsafe fn(*const (), *mut (), &mut SweepPipeline) -> bool,
-    /// Whether this task's allocations count toward
-    /// [`WorkerRuntime::worker_allocations`]. Fine (estimation) tasks
-    /// are counted — they carry the steady-state zero-allocation
-    /// contract. Coarse driver jobs are not: a shard window allocates
-    /// by design (event queues, report assembly), identically in serial
-    /// and parallel, and probing them would also double-count the fine
-    /// tasks they run inline while helping.
-    counted: bool,
-}
-
-// SAFETY: the pointers reference the submitter's frame, which outlives
-// the task (the submitter blocks until the batch completes), and `J:
-// Sync` / `J::Output: Send` bound the data actually shared or moved.
-unsafe impl Send for Task {}
-
-/// Runs one job of type `J`, writing the output slot on success.
-/// Returns `false` if the job panicked (the output slot stays
-/// uninitialized and the batch is poisoned by the caller).
-unsafe fn run_erased<J: PoolJob>(
-    job: *const (),
-    out: *mut (),
-    pipeline: &mut SweepPipeline,
-) -> bool {
-    let job = &*(job as *const J);
-    match catch_unwind(AssertUnwindSafe(|| job.run(pipeline))) {
-        Ok(v) => {
-            (out as *mut J::Output).write(v);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// One slot of the [`TokenRing`]: a sequence token plus the payload
-/// cell. The token encodes the slot's turn — see the queue docs.
-struct Slot<T> {
-    seq: AtomicUsize,
-    val: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// A bounded lock-free MPMC queue (Vyukov's token/slot ring).
-///
-/// Each slot carries a sequence number. A producer claims position `p`
-/// by CAS on the enqueue cursor when `slot.seq == p` (the slot's
-/// "produce" token), writes the value, then publishes `seq = p + 1`. A
-/// consumer claims `p` when `seq == p + 1`, reads, and re-arms the slot
-/// for the next lap with `seq = p + capacity`. No slot is ever accessed
-/// without holding its token, so there are no locks and no ABA window.
-///
-/// `push` returns the value back on a full ring instead of blocking —
-/// callers decide (the runtime's submitter runs the job inline).
-pub struct TokenRing<T> {
-    buf: Box<[Slot<T>]>,
-    mask: usize,
-    enqueue: AtomicUsize,
-    dequeue: AtomicUsize,
-}
-
-// SAFETY: slots hand exclusive access over via the seq token protocol;
-// moving `T` between threads requires `T: Send`.
-unsafe impl<T: Send> Sync for TokenRing<T> {}
-unsafe impl<T: Send> Send for TokenRing<T> {}
-
-impl<T> TokenRing<T> {
-    /// A ring with at least `capacity` slots (rounded up to a power of
-    /// two, minimum 2).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let buf: Box<[Slot<T>]> = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                val: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        TokenRing {
-            buf,
-            mask: cap - 1,
-            enqueue: AtomicUsize::new(0),
-            dequeue: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Enqueues `v`, or returns it if the ring is full.
-    pub fn push(&self, v: T) -> Result<(), T> {
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.buf[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos as isize;
-            if dif == 0 {
-                // Our turn to produce: claim the position.
-                match self.enqueue.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS gave us exclusive ownership of
-                        // this slot until we publish seq below.
-                        unsafe { (*slot.val.get()).write(v) };
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if dif < 0 {
-                // The slot still holds last lap's value: full.
-                return Err(v);
-            } else {
-                pos = self.enqueue.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Dequeues the oldest value, or `None` if the ring is empty.
-    pub fn pop(&self) -> Option<T> {
-        let mut pos = self.dequeue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.buf[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - pos.wrapping_add(1) as isize;
-            if dif == 0 {
-                match self.dequeue.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS gave us exclusive ownership of
-                        // this slot until we re-arm seq below.
-                        let v = unsafe { (*slot.val.get()).assume_init_read() };
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(v);
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if dif < 0 {
-                return None;
-            } else {
-                pos = self.dequeue.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Whether the ring currently holds no values (racy, advisory).
-    pub fn is_empty(&self) -> bool {
-        let pos = self.dequeue.load(Ordering::Relaxed);
-        let slot = &self.buf[pos & self.mask];
-        slot.seq.load(Ordering::Acquire) as isize - pos.wrapping_add(1) as isize != 0
-    }
-}
-
-impl<T> Drop for TokenRing<T> {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
-}
-
-/// Shared state between the pool's threads and submitters.
-struct RuntimeShared {
-    /// Fine-grained estimation tasks (sweep batches, plan builds).
-    ring: TokenRing<Task>,
-    /// Coarse driver jobs (e.g. one fleet shard's whole window), which
-    /// may themselves submit fine batches. Workers drain this ring
-    /// first; see the module docs for the deadlock-freedom argument.
-    coarse: TokenRing<Task>,
-    shutdown: AtomicBool,
-    /// Desired worker count; threads with an index at or beyond this
-    /// retire at their next idle check (see [`WorkerRuntime::resize`]).
-    target: AtomicUsize,
-    /// Batches completed over the runtime's lifetime (reporting only).
-    batches: AtomicU64,
-    /// Heap allocations performed by worker threads while *running
-    /// jobs*, summed over the pool's lifetime. Only meaningful under the
-    /// counting allocator of `chronos-bench`, where it backs the
-    /// allocs-stay-zero gate on the persistent-worker path; elsewhere
-    /// it stays 0 because the hook is unset.
-    worker_allocs: AtomicU64,
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// A hook letting the bench harness observe per-thread allocation
-/// deltas around each job (see `chronos-bench/src/alloc_count.rs`).
+/// deltas around each counted item (see `chronos-bench/src/alloc_count.rs`).
 /// Returns the calling thread's allocation counter.
 pub type AllocProbe = fn() -> u64;
 
-static ALLOC_PROBE: std::sync::OnceLock<AllocProbe> = std::sync::OnceLock::new();
+static ALLOC_PROBE: OnceLock<AllocProbe> = OnceLock::new();
 
 /// Installs the thread-local allocation probe (first caller wins). The
 /// bench harness points this at its counting allocator so
-/// [`WorkerRuntime::worker_allocations`] reports true worker-side
-/// allocations per job.
+/// [`WorkerRuntime::worker_allocations`] reports true per-item
+/// allocations on every lane.
 pub fn set_alloc_probe(probe: AllocProbe) {
     let _ = ALLOC_PROBE.set(probe);
 }
 
-/// The persistent worker pool: `workers` long-lived threads, each owning
-/// one [`SweepPipeline`] for its lifetime, plus a submitter that helps.
-///
-/// Created once per engine (or shared by every shard of a fleet) and
-/// reused for every batch until drop; dropping sets the shutdown flag,
-/// unparks and joins the pool.
+/// Spreads batches over the calling thread plus up to `workers` scoped
+/// threads. It holds no threads between batches: only its width and
+/// two lifetime counters.
+#[derive(Debug, Default)]
 pub struct WorkerRuntime {
-    shared: Arc<RuntimeShared>,
-    /// Live pool threads, index-aligned with their worker indices. The
-    /// mutex serializes [`WorkerRuntime::resize`] against the per-batch
-    /// unpark sweep; batches only ever take it uncontended and briefly.
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    workers: usize,
+    batches: AtomicU64,
+    worker_allocs: AtomicU64,
 }
-
-impl std::fmt::Debug for WorkerRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerRuntime")
-            .field("workers", &self.workers())
-            .field("ring_capacity", &self.shared.ring.capacity())
-            .field("batches", &self.shared.batches.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// Ring capacity: generous relative to any same-instant due batch (the
-/// engine batches at most one job per client per instant); overflow is
-/// handled by running the job inline, so this is a throughput knob, not
-/// a correctness bound.
-const RING_CAPACITY: usize = 1024;
-
-/// Dry-ring pops a worker attempts before parking.
-const IDLE_SPINS: u32 = 64;
 
 impl WorkerRuntime {
-    /// Spawns a pool of `workers` threads (clamped to at least 1), each
-    /// allocating its own pipeline up front. This is the *only* moment
-    /// the runtime creates threads — the spin-up cost is paid once, here,
-    /// never per batch.
+    /// A runtime that adds up to `workers` threads to the caller's own
+    /// lane per batch.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(RuntimeShared {
-            ring: TokenRing::with_capacity(RING_CAPACITY),
-            coarse: TokenRing::with_capacity(RING_CAPACITY),
-            shutdown: AtomicBool::new(false),
-            target: AtomicUsize::new(workers),
-            batches: AtomicU64::new(0),
-            worker_allocs: AtomicU64::new(0),
-        });
-        let handles = (0..workers).map(|i| spawn_worker(&shared, i)).collect();
         WorkerRuntime {
-            shared,
-            handles: Mutex::new(handles),
+            workers,
+            ..Self::default()
         }
     }
 
-    /// Number of pool threads (excluding the helping submitter).
+    /// Threads a batch may add to the calling thread.
     pub fn workers(&self) -> usize {
-        self.handles.lock().expect("pool handles").len()
+        self.workers
     }
 
-    /// Resizes the pool to `workers` threads (clamped to at least 1).
-    ///
-    /// Growing spawns fresh threads immediately (each allocating its
-    /// pipeline up front, like [`WorkerRuntime::new`]). Shrinking lowers
-    /// the target and joins the excess threads — each retires at its
-    /// next idle check, so its warm pipeline is dropped; the surviving
-    /// threads keep theirs. Call between batches: resizing concurrently
-    /// with `run_batch`/`run_driver_batch`/`prewarm` blocks those
-    /// submitters on the handle lock and can strand a shrinking join
-    /// behind queued work.
-    pub fn resize(&self, workers: usize) {
-        let workers = workers.max(1);
-        let mut handles = self.handles.lock().expect("pool handles");
-        self.shared.target.store(workers, Ordering::Release);
-        if workers < handles.len() {
-            for h in handles.iter() {
-                h.thread().unpark();
-            }
-            for h in handles.drain(workers..) {
-                let _ = h.join();
-            }
-        } else {
-            for i in handles.len()..workers {
-                handles.push(spawn_worker(&self.shared, i));
-            }
-        }
-    }
-
-    /// Batches completed over the runtime's lifetime.
+    /// Batches run over the runtime's lifetime.
     pub fn batches_run(&self) -> u64 {
-        self.shared.batches.load(Ordering::Relaxed)
+        self.batches.load(Ordering::Relaxed)
     }
 
-    /// Heap allocations performed while running **fine** (estimation)
-    /// tasks — [`run_batch`](WorkerRuntime::run_batch) jobs and
-    /// [`prewarm`](WorkerRuntime::prewarm) jobs, wherever they execute
-    /// (pool thread, helping submitter, or a coarse job draining its own
-    /// nested batch) — summed over the runtime's lifetime. Coarse driver
-    /// jobs submitted via
-    /// [`run_driver_batch`](WorkerRuntime::run_driver_batch) are *not*
-    /// probed: a shard window allocates by design (event queues, report
-    /// assembly — engine-side work that is identical in serial and
-    /// parallel), and probing the outer job would double-count the fine
-    /// tasks it helps with. This is the counter behind the
-    /// allocs-stay-zero gates in `BENCH_throughput.json` and
-    /// `BENCH_fleet.json`; zero unless the bench alloc probe is
-    /// installed ([`set_alloc_probe`]).
+    /// Heap allocations made while running items of
+    /// [`WorkerRuntime::run`] batches, on any lane, summed over the
+    /// runtime's lifetime. Items of
+    /// [`WorkerRuntime::run_uncounted`] batches are not probed. This is
+    /// the counter behind the allocs-stay-zero gates in
+    /// `BENCH_throughput.json` and `BENCH_fleet.json`; it stays 0
+    /// unless the bench probe is installed ([`set_alloc_probe`]).
     pub fn worker_allocations(&self) -> u64 {
-        self.shared.worker_allocs.load(Ordering::Relaxed)
+        self.worker_allocs.load(Ordering::Relaxed)
     }
 
-    /// Wakes every pool thread (one permit store per thread; a no-op for
-    /// threads already running).
-    fn unpark_all(&self) {
-        for h in self.handles.lock().expect("pool handles").iter() {
-            h.thread().unpark();
-        }
+    /// Runs `f(lane, item)` for every item and returns the outputs in
+    /// item order.
+    ///
+    /// The batch takes `min(lanes.len(), workers + 1, items)` lanes: the
+    /// caller runs the first, one scoped thread runs each other, and
+    /// all of them pull from the same in-order cursor until it runs
+    /// dry. If an item panics, the panic re-raises here once every lane
+    /// has finished; the runtime and the lanes stay usable for the next
+    /// batch. Each item's allocations count toward
+    /// [`WorkerRuntime::worker_allocations`].
+    ///
+    /// Panics if `lanes` is empty.
+    pub fn run<I, L, R, F>(&self, items: I, lanes: &mut [L], f: F) -> Vec<R>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator + Send,
+        L: Send,
+        R: Send,
+        F: Fn(&mut L, I::Item) -> R + Sync,
+    {
+        self.spread(items, lanes, f, ALLOC_PROBE.get().copied())
     }
 
-    /// Runs a batch: enqueues every job, wakes the pool, helps drain the
-    /// ring through `local` (the submitter's own pipeline), and returns
-    /// the outputs **in submission order**.
-    ///
-    /// Safe to call from *inside* a coarse driver job (see
-    /// [`WorkerRuntime::run_driver_batch`]): the nested submitter helps
-    /// drain the fine ring only, so it can never pick up another driver
-    /// job and recurse.
-    ///
-    /// Panics if any job panicked, after the whole batch has drained —
-    /// the same observable contract as the old per-batch scoped join.
-    pub fn run_batch<J: PoolJob>(&self, jobs: &[J], local: &mut SweepPipeline) -> Vec<J::Output> {
-        let n = jobs.len();
-        let mut outs: Vec<MaybeUninit<J::Output>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
-        let state = BatchState {
-            remaining: AtomicUsize::new(n),
-            poisoned: AtomicBool::new(false),
-        };
-        for (job, out) in jobs.iter().zip(outs.iter_mut()) {
-            let task = Task {
-                job: job as *const J as *const (),
-                out: out.as_mut_ptr() as *mut (),
-                state: &state,
-                run: run_erased::<J>,
-                counted: true,
-            };
-            if let Err(task) = self.shared.ring.push(task) {
-                // Full ring: the submitter is the backpressure valve.
-                execute_task(task, local, Some(&self.shared));
-            }
-        }
-        // One wake per batch: unpark is a no-op permit store for already
-        // running workers.
-        self.unpark_all();
-        // Help until the ring is dry, then wait out in-flight stragglers.
-        while let Some(task) = self.shared.ring.pop() {
-            execute_task(task, local, Some(&self.shared));
-        }
-        while state.remaining.load(Ordering::Acquire) > 0 {
-            // A worker still owns a task of ours (or of a sibling shard's
-            // batch); yield rather than burn the core it needs.
-            std::thread::yield_now();
-        }
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        if state.poisoned.load(Ordering::Acquire) {
-            panic!("engine worker panicked");
-        }
-        // SAFETY: remaining == 0 and the batch was not poisoned, so every
-        // slot was written exactly once.
-        outs.into_iter()
-            .map(|o| unsafe { o.assume_init() })
-            .collect()
+    /// [`WorkerRuntime::run`] without the allocation probe, for items
+    /// that allocate by design: a fleet shard's whole window builds
+    /// event queues and its report, the same in serial and parallel.
+    pub fn run_uncounted<I, L, R, F>(&self, items: I, lanes: &mut [L], f: F) -> Vec<R>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator + Send,
+        L: Send,
+        R: Send,
+        F: Fn(&mut L, I::Item) -> R + Sync,
+    {
+        self.spread(items, lanes, f, None)
     }
 
-    /// Runs a batch of **coarse driver jobs** — units the size of a whole
-    /// fleet-shard window, which may themselves call
-    /// [`WorkerRuntime::run_batch`] on this same runtime from inside
-    /// their `run`. Results return in submission order, so a fleet's
-    /// per-AP reports keep their AP indexing no matter which worker ran
-    /// which shard.
-    ///
-    /// Top-level only: call from the thread that owns the runtime (the
-    /// fleet driver), never from inside a pool job. While waiting, the
-    /// submitter helps with coarse jobs first (it is one more shard-sized
-    /// execution lane) and otherwise drains the fine ring, so the busy
-    /// shards' sweep batches still make progress through it.
-    ///
-    /// Driver jobs are excluded from [`WorkerRuntime::worker_allocations`]
-    /// — see that method's docs for the exact contract.
-    ///
-    /// Panics if any job panicked, after the whole batch has drained.
-    pub fn run_driver_batch<J: PoolJob>(
+    fn spread<I, L, R, F>(
         &self,
-        jobs: &[J],
-        local: &mut SweepPipeline,
-    ) -> Vec<J::Output> {
-        let n = jobs.len();
-        let mut outs: Vec<MaybeUninit<J::Output>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
-        let state = BatchState {
-            remaining: AtomicUsize::new(n),
-            poisoned: AtomicBool::new(false),
-        };
-        for (job, out) in jobs.iter().zip(outs.iter_mut()) {
-            let task = Task {
-                job: job as *const J as *const (),
-                out: out.as_mut_ptr() as *mut (),
-                state: &state,
-                run: run_erased::<J>,
-                counted: false,
-            };
-            if let Err(task) = self.shared.coarse.push(task) {
-                execute_task(task, local, Some(&self.shared));
-            }
-        }
-        self.unpark_all();
-        loop {
-            // Coarse first: an idle driver thread is a full extra shard
-            // lane, not just a sweep helper.
-            if let Some(task) = self.shared.coarse.pop() {
-                execute_task(task, local, Some(&self.shared));
-                continue;
-            }
-            if state.remaining.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            // Shards still running on workers: drain the fine batches
-            // they emit rather than spinning.
-            if let Some(task) = self.shared.ring.pop() {
-                execute_task(task, local, Some(&self.shared));
-                continue;
-            }
-            std::thread::yield_now();
-        }
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        if state.poisoned.load(Ordering::Acquire) {
-            panic!("engine worker panicked");
-        }
-        // SAFETY: remaining == 0 and the batch was not poisoned, so every
-        // slot was written exactly once.
-        outs.into_iter()
-            .map(|o| unsafe { o.assume_init() })
-            .collect()
-    }
-
-    /// Runs `job` exactly once on **every** pool thread, returning the
-    /// per-worker outputs (in no particular order).
-    ///
-    /// Job-to-worker assignment in [`WorkerRuntime::run_batch`] is racy
-    /// by design, so a fixed number of ordinary batches can never
-    /// guarantee a given worker has run anything — a late-waking thread
-    /// can sleep through all of them and pay its one-time scratch-arena
-    /// growth later, on the measured (or latency-sensitive) path. This
-    /// call makes warm-up deterministic: each task holds its worker at a
-    /// barrier until all `workers()` threads have claimed one, so no
-    /// thread can run two, and the submitter does not help. The
-    /// every-worker guarantee assumes no concurrent `run_batch` is
-    /// draining the ring (call it right after construction, or between
-    /// batches); a panicking job still releases the barrier (arrival is
-    /// a drop guard) and poisons the batch like `run_batch`.
-    pub fn prewarm<J: PoolJob>(&self, job: &J) -> Vec<J::Output> {
-        /// Wraps the caller's job with a barrier arrival on completion
-        /// (including unwinds, so a panicking job cannot strand the
-        /// other workers at the barrier).
-        struct Sentinel<'a, J> {
-            inner: &'a J,
-            barrier: &'a std::sync::Barrier,
-        }
-        impl<J: PoolJob> PoolJob for Sentinel<'_, J> {
-            type Output = J::Output;
-            fn run(&self, pipeline: &mut SweepPipeline) -> J::Output {
-                struct Arrive<'b>(&'b std::sync::Barrier);
-                impl Drop for Arrive<'_> {
-                    fn drop(&mut self) {
-                        self.0.wait();
-                    }
-                }
-                let _arrive = Arrive(self.barrier);
-                self.inner.run(pipeline)
-            }
-        }
-
-        let n = self.workers();
-        let barrier = std::sync::Barrier::new(n + 1); // workers + this thread
-        let jobs: Vec<Sentinel<'_, J>> = (0..n)
-            .map(|_| Sentinel {
-                inner: job,
-                barrier: &barrier,
-            })
-            .collect();
-        let mut outs: Vec<MaybeUninit<J::Output>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
-        let state = BatchState {
-            remaining: AtomicUsize::new(n),
-            poisoned: AtomicBool::new(false),
-        };
-        for (j, out) in jobs.iter().zip(outs.iter_mut()) {
-            let mut task = Task {
-                job: j as *const Sentinel<'_, J> as *const (),
-                out: out.as_mut_ptr() as *mut (),
-                state: &state,
-                run: run_erased::<Sentinel<'_, J>>,
-                counted: true,
-            };
-            // Unlike run_batch, the submitter must not execute these
-            // inline (it would strand a worker without a task), so keep
-            // retrying on a full ring while the pool drains it.
+        items: I,
+        lanes: &mut [L],
+        f: F,
+        probe: Option<AllocProbe>,
+    ) -> Vec<R>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator + Send,
+        L: Send,
+        R: Send,
+        F: Fn(&mut L, I::Item) -> R + Sync,
+    {
+        assert!(!lanes.is_empty(), "a batch needs at least one lane");
+        let items = items.into_iter();
+        let mut outs: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+        let width = lanes.len().min(self.workers + 1).min(outs.len());
+        let cursor = Mutex::new(items.zip(outs.iter_mut()));
+        let lane = |state: &mut L| {
+            let mut allocs = 0;
             loop {
-                match self.shared.ring.push(task) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        task = back;
-                        self.unpark_all();
-                        std::thread::yield_now();
-                    }
-                }
+                // A `let`, not `while let`: the guard drops here, so no
+                // item runs under the lock.
+                let next = cursor
+                    .lock()
+                    .expect("no item runs under the cursor lock")
+                    .next();
+                let Some((item, out)) = next else { break };
+                let before = probe.map_or(0, |p| p());
+                *out = Some(f(state, item));
+                allocs += probe.map_or(0, |p| p() - before);
             }
+            self.worker_allocs.fetch_add(allocs, Ordering::Relaxed);
+        };
+        if let Some((first, rest)) = lanes[..width].split_first_mut() {
+            let lane = &lane;
+            std::thread::scope(|s| {
+                for state in rest {
+                    s.spawn(move || lane(state));
+                }
+                lane(first);
+            });
         }
-        self.unpark_all();
-        // Arrive as the (n+1)-th participant instead of helping: the
-        // barrier releases only once every worker holds a task.
-        barrier.wait();
-        while state.remaining.load(Ordering::Acquire) > 0 {
-            std::thread::yield_now();
-        }
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        if state.poisoned.load(Ordering::Acquire) {
-            panic!("engine worker panicked");
-        }
-        // SAFETY: remaining == 0 without poisoning, so every slot was
-        // written exactly once.
+        drop(cursor); // ends its borrow of `outs`
+        self.batches.fetch_add(1, Ordering::Relaxed);
         outs.into_iter()
-            .map(|o| unsafe { o.assume_init() })
+            .map(|out| out.expect("every item ran"))
             .collect()
-    }
-}
-
-impl Drop for WorkerRuntime {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let handles = self.handles.get_mut().expect("pool handles");
-        for h in handles.iter() {
-            h.thread().unpark();
-        }
-        for h in handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Spawns pool thread `idx`, which retires when the runtime shrinks its
-/// target below `idx` (see [`WorkerRuntime::resize`]).
-fn spawn_worker(shared: &Arc<RuntimeShared>, idx: usize) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("chronos-worker-{idx}"))
-        .spawn(move || worker_main(&shared, idx))
-        .expect("spawn chronos worker")
-}
-
-/// Runs one task on `pipeline`, updating the batch state (and, for
-/// counted tasks, the worker-side allocation tally when `shared` is
-/// given and the probe is installed). Returns `false` if the job
-/// panicked, so worker threads can retire a possibly corrupted scratch
-/// arena.
-fn execute_task(task: Task, pipeline: &mut SweepPipeline, shared: Option<&RuntimeShared>) -> bool {
-    let probe = shared
-        .filter(|_| task.counted)
-        .and_then(|_| ALLOC_PROBE.get().copied());
-    let before = probe.map(|p| p()).unwrap_or(0);
-    // SAFETY: the submitter keeps job/out/state alive until `remaining`
-    // reaches zero, which happens only after this call finishes.
-    let ok = unsafe { (task.run)(task.job, task.out, pipeline) };
-    if let (Some(p), Some(shared)) = (probe, shared) {
-        shared
-            .worker_allocs
-            .fetch_add(p().saturating_sub(before), Ordering::Relaxed);
-    }
-    let state = unsafe { &*task.state };
-    if !ok {
-        state.poisoned.store(true, Ordering::Release);
-    }
-    state.remaining.fetch_sub(1, Ordering::Release);
-    ok
-}
-
-/// The worker thread body: pop-run until shutdown (or retirement by
-/// [`WorkerRuntime::resize`]), with a spin-then-park idle policy. Coarse
-/// driver jobs are preferred over fine tasks — a shard window keeps the
-/// core busy end-to-end, and the fine batches it emits are drained by
-/// whoever is free. The pipeline lives here — allocated once at spawn,
-/// warmed by the first batches, reused until the pool drops (or the
-/// thread retires).
-fn worker_main(shared: &RuntimeShared, idx: usize) {
-    let mut pipeline = SweepPipeline::new();
-    let mut dry: u32 = 0;
-    loop {
-        match shared.coarse.pop().or_else(|| shared.ring.pop()) {
-            Some(task) => {
-                dry = 0;
-                if !execute_task(task, &mut pipeline, Some(shared)) {
-                    // The job unwound mid-estimation; scratch invariants
-                    // may be broken, so start a fresh arena.
-                    pipeline = SweepPipeline::new();
-                }
-            }
-            None => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                // Retire only when idle: a shrinking resize never
-                // abandons a task mid-flight.
-                if idx >= shared.target.load(Ordering::Acquire) {
-                    return;
-                }
-                dry += 1;
-                if dry < IDLE_SPINS {
-                    std::hint::spin_loop();
-                } else {
-                    // Park consumes a pending unpark permit, so a wake
-                    // issued between our failed pop and this call returns
-                    // immediately — no lost-wakeup window.
-                    std::thread::park();
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
-    struct SquareJob(u64);
-    impl PoolJob for SquareJob {
-        type Output = u64;
-        fn run(&self, _pipeline: &mut SweepPipeline) -> u64 {
-            self.0 * self.0
+    #[test]
+    fn outputs_arrive_in_item_order_at_every_width() {
+        for workers in [0usize, 1, 3] {
+            let rt = WorkerRuntime::new(workers);
+            let mut lanes = vec![(); workers + 1];
+            // Fewer items than lanes, as many, and many more.
+            for n in [0u64, 1, 2, 4, 257] {
+                let items: Vec<u64> = (0..n).collect();
+                let outs = rt.run(&items, &mut lanes, |_, v| v * v);
+                let expect: Vec<u64> = (0..n).map(|v| v * v).collect();
+                assert_eq!(outs, expect, "width {} with {n} items", workers + 1);
+            }
+            assert_eq!(rt.batches_run(), 5);
         }
     }
 
     #[test]
-    fn ring_is_fifo_when_single_threaded() {
-        let ring = TokenRing::with_capacity(8);
-        for i in 0..5 {
-            ring.push(i).unwrap();
-        }
-        for i in 0..5 {
-            assert_eq!(ring.pop(), Some(i));
-        }
-        assert_eq!(ring.pop(), None);
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn ring_rejects_overflow_and_recovers() {
-        let ring = TokenRing::with_capacity(4);
-        for i in 0..4 {
-            ring.push(i).unwrap();
-        }
-        assert_eq!(ring.push(99), Err(99));
-        assert_eq!(ring.pop(), Some(0));
-        ring.push(99).unwrap();
-        assert_eq!(
-            (0..4).filter_map(|_| ring.pop()).collect::<Vec<_>>(),
-            vec![1, 2, 3, 99]
-        );
-    }
-
-    #[test]
-    fn ring_wraps_many_laps() {
-        let ring = TokenRing::with_capacity(2);
-        for lap in 0..1000u64 {
-            ring.push(lap).unwrap();
-            assert_eq!(ring.pop(), Some(lap));
-        }
-    }
-
-    #[test]
-    fn batch_results_arrive_in_submission_order() {
+    fn lane_state_persists_across_batches() {
         let rt = WorkerRuntime::new(3);
-        let mut local = SweepPipeline::new();
-        let jobs: Vec<SquareJob> = (0..257).map(SquareJob).collect();
-        let outs = rt.run_batch(&jobs, &mut local);
-        let expect: Vec<u64> = (0..257u64).map(|v| v * v).collect();
-        assert_eq!(outs, expect);
-        assert_eq!(rt.batches_run(), 1);
-    }
-
-    #[test]
-    fn pool_survives_many_batches_without_respawn() {
-        let rt = WorkerRuntime::new(2);
-        let mut local = SweepPipeline::new();
-        for round in 0..50u64 {
-            let jobs: Vec<SquareJob> = (round..round + 7).map(SquareJob).collect();
-            let outs = rt.run_batch(&jobs, &mut local);
-            assert_eq!(outs.len(), 7);
+        // Each lane records every item it ran; the caller keeps the
+        // lanes, so the second batch appends to the first's records.
+        let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); 4];
+        for round in 0..2u32 {
+            let items: Vec<u32> = (round * 100..round * 100 + 40).collect();
+            rt.run(&items, &mut lanes, |seen, v| seen.push(*v));
         }
-        assert_eq!(rt.workers(), 2);
-        assert_eq!(rt.batches_run(), 50);
+        let mut all: Vec<u32> = lanes.iter().flatten().copied().collect();
+        all.sort_unstable();
+        let expect: Vec<u32> = (0..40).chain(100..140).collect();
+        assert_eq!(all, expect, "every item ran exactly once, on some lane");
+        for seen in &lanes {
+            assert!(seen.windows(2).all(|w| w[0] < w[1]), "lanes pull in order");
+        }
     }
 
     #[test]
-    fn concurrent_producers_lose_nothing() {
-        // Hammer the ring from several real producer threads against one
-        // consuming main thread; every token must arrive exactly once and
-        // each producer's own tokens must stay in its submission order.
-        let ring = Arc::new(TokenRing::with_capacity(16));
-        let producers = 4;
-        let per = 500usize;
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let ring = Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per {
-                    let mut v = (p, i);
-                    loop {
-                        match ring.push(v) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                v = back;
-                                std::thread::yield_now();
-                            }
+    fn panic_reraises_after_every_lane_finishes_and_runtime_stays_usable() {
+        let rt = WorkerRuntime::new(2);
+        let mut lanes = vec![0usize; 3];
+        let panicked = AtomicBool::new(false);
+        let done = AtomicUsize::new(0);
+        let items: Vec<u32> = (0..12).collect();
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            rt.run(&items, &mut lanes, |runs, v| {
+                *runs += 1;
+                match v {
+                    0 => {
+                        panicked.store(true, Ordering::SeqCst);
+                        panic!("boom");
+                    }
+                    // Item 1 runs on another lane (item 0's lane stops at
+                    // its panic) and can only finish after that panic.
+                    1 => {
+                        while !panicked.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
                         }
                     }
+                    _ => {}
                 }
-            }));
-        }
-        let mut seen = vec![Vec::new(); producers];
-        let mut got = 0;
-        while got < producers * per {
-            if let Some((p, i)) = ring.pop() {
-                seen[p].push(i);
-                got += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(ring.pop(), None);
-        for (p, s) in seen.iter().enumerate() {
-            assert_eq!(s.len(), per, "producer {p} lost tokens");
-            assert!(s.windows(2).all(|w| w[0] < w[1]), "producer {p} reordered");
-        }
-    }
-
-    #[test]
-    fn prewarm_runs_once_on_every_worker() {
-        struct TidJob(std::sync::Mutex<Vec<std::thread::ThreadId>>);
-        impl PoolJob for TidJob {
-            type Output = std::thread::ThreadId;
-            fn run(&self, _pipeline: &mut SweepPipeline) -> std::thread::ThreadId {
-                let tid = std::thread::current().id();
-                self.0.lock().unwrap().push(tid);
-                tid
-            }
-        }
-        let rt = WorkerRuntime::new(3);
-        let job = TidJob(std::sync::Mutex::new(Vec::new()));
-        let outs = rt.prewarm(&job);
-        assert_eq!(outs.len(), 3);
-        let tids = job.0.into_inner().unwrap();
-        assert_eq!(tids.len(), 3, "each worker must run the job exactly once");
-        let distinct: std::collections::HashSet<_> = tids.iter().copied().collect();
-        assert_eq!(distinct.len(), 3, "no worker may claim two prewarm tasks");
-        assert!(
-            !distinct.contains(&std::thread::current().id()),
-            "the submitter must not steal a prewarm task"
-        );
-        // The pool is still serviceable afterwards.
-        let mut local = SweepPipeline::new();
-        assert_eq!(rt.run_batch(&[SquareJob(6)], &mut local), vec![36]);
-    }
-
-    #[test]
-    fn resize_grows_and_shrinks_and_stays_serviceable() {
-        let rt = WorkerRuntime::new(1);
-        assert_eq!(rt.workers(), 1);
-        let mut local = SweepPipeline::new();
-        let jobs: Vec<SquareJob> = (0..31).map(SquareJob).collect();
-        let expect: Vec<u64> = (0..31u64).map(|v| v * v).collect();
-        assert_eq!(rt.run_batch(&jobs, &mut local), expect);
-        rt.resize(4);
-        assert_eq!(rt.workers(), 4);
-        assert_eq!(rt.run_batch(&jobs, &mut local), expect);
-        // Prewarm after a grow reaches every live worker.
-        assert_eq!(rt.prewarm(&SquareJob(3)).len(), 4);
-        rt.resize(2);
-        assert_eq!(rt.workers(), 2);
-        assert_eq!(rt.run_batch(&jobs, &mut local), expect);
-        // Clamped like the constructor.
-        rt.resize(0);
-        assert_eq!(rt.workers(), 1);
-        assert_eq!(rt.run_batch(&jobs, &mut local), expect);
-    }
-
-    /// A coarse driver job that submits fine batches back into the same
-    /// runtime from inside its `run` — the fleet-shard shape.
-    struct NestedJob<'a> {
-        rt: &'a WorkerRuntime,
-        base: u64,
-        inner: usize,
-    }
-    impl PoolJob for NestedJob<'_> {
-        type Output = u64;
-        fn run(&self, pipeline: &mut SweepPipeline) -> u64 {
-            let jobs: Vec<SquareJob> = (self.base..self.base + self.inner as u64)
-                .map(SquareJob)
-                .collect();
-            self.rt.run_batch(&jobs, pipeline).iter().sum()
-        }
-    }
-
-    #[test]
-    fn driver_batch_runs_jobs_that_submit_nested_fine_batches() {
-        for workers in [1usize, 2, 4] {
-            let rt = WorkerRuntime::new(workers);
-            let mut local = SweepPipeline::new();
-            let jobs: Vec<NestedJob<'_>> = (0..6)
-                .map(|i| NestedJob {
-                    rt: &rt,
-                    base: i * 10,
-                    inner: 7,
-                })
-                .collect();
-            let outs = rt.run_driver_batch(&jobs, &mut local);
-            let expect: Vec<u64> = (0..6u64)
-                .map(|i| (i * 10..i * 10 + 7).map(|v| v * v).sum())
-                .collect();
-            assert_eq!(outs, expect, "workers={workers}");
-            // Ordinary fine batches still work on the same pool.
-            assert_eq!(rt.run_batch(&[SquareJob(5)], &mut local), vec![25]);
-        }
-    }
-
-    #[test]
-    fn driver_batch_survives_coarse_ring_overflow() {
-        // More driver jobs than ring slots would be absurd in practice;
-        // emulate the overflow path with a tiny pool and enough jobs to
-        // lap the submitter several times.
-        let rt = WorkerRuntime::new(1);
-        let mut local = SweepPipeline::new();
-        let jobs: Vec<NestedJob<'_>> = (0..40)
-            .map(|i| NestedJob {
-                rt: &rt,
-                base: i,
-                inner: 3,
+                done.fetch_add(1, Ordering::SeqCst);
             })
-            .collect();
-        let outs = rt.run_driver_batch(&jobs, &mut local);
-        assert_eq!(outs.len(), 40);
-        for (i, out) in outs.iter().enumerate() {
-            let base = i as u64;
-            let expect: u64 = (base..base + 3).map(|v| v * v).sum();
-            assert_eq!(*out, expect);
-        }
-    }
-
-    #[test]
-    fn worker_panic_poisons_the_batch() {
-        struct Bomb(bool);
-        impl PoolJob for Bomb {
-            type Output = ();
-            fn run(&self, _pipeline: &mut SweepPipeline) {
-                if self.0 {
-                    panic!("boom");
-                }
-            }
-        }
-        let rt = WorkerRuntime::new(2);
-        let mut local = SweepPipeline::new();
-        let jobs = vec![Bomb(false), Bomb(true), Bomb(false)];
-        let res = catch_unwind(AssertUnwindSafe(|| rt.run_batch(&jobs, &mut local)));
-        assert!(res.is_err(), "poisoned batch must re-raise");
-        // The pool is still serviceable afterwards.
-        let outs = rt.run_batch(&[SquareJob(9)], &mut local);
-        assert_eq!(outs, vec![81]);
+        }));
+        assert!(res.is_err(), "a panicking item must re-raise");
+        assert_eq!(
+            done.load(Ordering::SeqCst),
+            11,
+            "the panic surfaced before the other lanes finished"
+        );
+        // The same runtime and lanes run the next batch.
+        let outs = rt.run(&items, &mut lanes, |runs, v| {
+            *runs += 1;
+            v + 1
+        });
+        assert_eq!(outs, (1..13).collect::<Vec<u32>>());
+        assert_eq!(lanes.iter().sum::<usize>(), 24);
+        assert_eq!(rt.batches_run(), 1, "only the finished batch counts");
     }
 }

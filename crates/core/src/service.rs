@@ -97,8 +97,10 @@ pub struct ServiceConfig {
     /// With variable-length plans a fixed projection would overcharge
     /// subset sweeps, so admission scales with each client's actual plan.
     pub admission_headroom: f64,
-    /// Worker threads for per-client estimation; 0 = one per available
-    /// core.
+    /// Threads a same-instant sweep batch spreads over, the engine's own
+    /// included; 0 = one per available core. A fleet builds its shards
+    /// with 1 and parallelizes shard windows instead (see
+    /// [`crate::fleet::FleetConfig::workers`]).
     pub threads: usize,
     /// Idle gap inserted between epochs (the `run_epoch` compatibility
     /// path only; continuous windows use [`CadenceConfig`]).
@@ -664,7 +666,7 @@ impl RangingService {
 
     /// Runs one legacy epoch round on the engine: every active client is
     /// scheduled once at the current clock (admission in client order),
-    /// sweeps run on the worker pool, fixes fuse into the trackers, and
+    /// sweeps run on the engine's lanes, fixes fuse into the trackers, and
     /// the clock advances past the round's horizon plus the epoch gap.
     ///
     /// This is a thin compatibility wrapper over the continuous engine —

@@ -15,6 +15,8 @@
 //! * [`follow`] — the closed loop: Chronos sweep -> distance -> control
 //!   step, with an exact ground-truth recorder standing in for VICON.
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod dynamics;
 pub mod follow;

@@ -53,6 +53,8 @@
 //! displacement — the data structure behind the engine's load-shedding
 //! policy under overload.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod arbiter;
 pub mod event;

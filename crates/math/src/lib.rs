@@ -47,6 +47,8 @@
 //! All routines are deterministic and panic-free for finite inputs unless the
 //! documentation explicitly states a precondition.
 
+#![forbid(unsafe_code)]
+
 pub mod cmatrix;
 pub mod complex;
 pub mod constants;

@@ -24,6 +24,8 @@
 //!   deterministic greedy pick that keeps the full aperture while
 //!   minimizing alias risk (consumed by the `chronos-core` scheduler).
 
+#![forbid(unsafe_code)]
+
 pub mod bands;
 pub mod cfo;
 pub mod csi;

@@ -12,7 +12,7 @@
 #     lane-chunked SoA solver kernels landed), or when allocs/sweep
 #     increases AT ALL — the zero-allocation contract gates exactly,
 #     not within a tolerance, and on the fix_pool rows it gates the
-#     persistent pool's *worker-side* allocation counter. Wall-clock
+#     runtime's per-item allocation counter on every lane. Wall-clock
 #     sweeps/s columns are informational (they depend on the host);
 #     only the portable ratio/alloc metrics gate. The speedup is
 #     measured paired (reference and pipeline alternate call-by-call,
@@ -32,12 +32,18 @@
 #     scheduling change, never noise.
 #  5. Fleet capacity: rerun the quick 16-AP / 1000-roaming-client
 #     TDoA-vs-round-trip comparison plus the shard-scaling rows
-#     (fleet_shard_w1/w2/w4 — serial loop vs pool-parallel shard
-#     windows) and fail when per-client fix rate drops >20%, position
-#     error or handoff-gap sweeps grow >20%, or any exact column
-#     (AP/client/window/worker counts, handoffs, and the steady-state
-#     worker_allocs counter, which gates the shard path at exactly 0)
+#     (fleet_shard_w1/w2/w4 — serial loop vs shard windows spread over
+#     2 and 4 lanes) and fail when per-client fix rate drops >20%,
+#     position error or handoff-gap sweeps grow >20%, or any exact
+#     column (AP/client/window/worker counts, handoffs, worker_allocs)
 #     drifts at all, against the checked-in BENCH_fleet.json baseline.
+#     worker_allocs reads the fleet runtime's counted items after the
+#     first window. A fleet runs its shard windows uncounted and every
+#     shard sweeps inline, and workers=0 builds no runtime at all, so
+#     its 0 pins that no fleet sweep runs as a counted pool item, on a
+#     host of any core count. It does not measure the zero-allocation
+#     contract of the estimation span inside the sweeps; narrowing the
+#     probe to that span is still open.
 #     The speedup_vs_serial column is informational only (CI hosts vary
 #     in core count). The bench itself also asserts the headline claim
 #     (TDoA >= 2x fixes/s per client at <= 1.5x the error) and that

@@ -543,10 +543,11 @@ fn window_reports_bitwise_identical_across_thread_counts() {
     assert_eq!(one, fingerprint(8), "threads=8 diverged");
 }
 
-/// The engine spawns its worker pool exactly once: across consecutive
-/// windows the same `WorkerRuntime` keeps serving (same instance, same
-/// thread count) with its lifetime batch counter growing — scheduling
-/// never spawns a thread per batch or per window.
+/// The engine builds its `WorkerRuntime` exactly once: across
+/// consecutive windows the same instance keeps spreading multi-sweep
+/// batches (same width, lifetime batch counter growing) over the
+/// engine's own pipelines. Each such batch starts its scoped threads
+/// afresh; single-sweep batches run inline and start none.
 #[test]
 fn worker_runtime_persists_across_windows() {
     use std::sync::Arc;

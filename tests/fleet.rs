@@ -280,6 +280,20 @@ fn fleet_reports_bitwise_identical_across_worker_counts() {
         let got: Vec<String> = auto.iter().map(report_fingerprint).collect();
         assert_eq!(got, reference, "auto worker count diverged from serial");
     }
+    // Some(0) is strictly serial even over a multi-threaded service: no
+    // fleet runtime, and no shard ever builds one for its sweeps.
+    let mut cfg = fleet_cfg(FleetRangingMode::RoundTrip);
+    cfg.service.threads = 4;
+    cfg.workers = Some(0);
+    let mut fleet = FleetEngine::new(cfg, Environment::free_space(), ap_grid(9, 20.0));
+    for i in 0..6 {
+        fleet.add_client(walker(i, 0));
+    }
+    fleet.run_window(9, Duration::from_millis(250));
+    assert!(
+        fleet.runtime().is_none() && (0..9).all(|ap| fleet.shard(ap).runtime().is_none()),
+        "Some(0) must not build a runtime"
+    );
 }
 
 #[test]

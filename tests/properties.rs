@@ -555,252 +555,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Persistent-runtime MPMC token ring (PR 9): model-based and concurrent.
-// ---------------------------------------------------------------------------
-
-/// One step of the single-threaded ring/model comparison.
-#[derive(Debug, Clone)]
-enum RingOp {
-    Push(u32),
-    Pop,
-}
-
-fn ring_op() -> impl Strategy<Value = RingOp> {
-    prop_oneof![(0u32..10_000).prop_map(RingOp::Push), Just(RingOp::Pop)]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The lock-free token ring agrees with a bounded FIFO reference
-    /// model (a capacity-limited `VecDeque`) over arbitrary push/pop
-    /// interleavings: pushes succeed exactly when the model has room,
-    /// pops return exactly the model's front, emptiness matches at
-    /// every step, and a final drain yields the queued remainder in
-    /// FIFO order — nothing lost, nothing duplicated.
-    #[test]
-    fn token_ring_matches_fifo_model(
-        cap in 1usize..40,
-        ops in proptest::collection::vec(ring_op(), 1..400),
-    ) {
-        use chronos_suite::core::runtime::TokenRing;
-        use std::collections::VecDeque;
-        let ring = TokenRing::with_capacity(cap);
-        let cap = ring.capacity(); // rounded up to a power of two
-        let mut model: VecDeque<u32> = VecDeque::new();
-        for op in &ops {
-            match op {
-                RingOp::Push(v) => {
-                    if model.len() < cap {
-                        prop_assert_eq!(ring.push(*v), Ok(()), "push rejected with room");
-                        model.push_back(*v);
-                    } else {
-                        prop_assert_eq!(ring.push(*v), Err(*v), "push accepted into a full ring");
-                    }
-                }
-                RingOp::Pop => {
-                    prop_assert_eq!(ring.pop(), model.pop_front());
-                }
-            }
-            prop_assert_eq!(ring.is_empty(), model.is_empty());
-        }
-        while let Some(want) = model.pop_front() {
-            prop_assert_eq!(ring.pop(), Some(want));
-        }
-        prop_assert_eq!(ring.pop(), None);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Real concurrent interleavings: several producer threads and
-    /// several consumer threads hammer one ring. Every token must
-    /// arrive at exactly one consumer (no loss, no duplication), and
-    /// within each consumer's observation sequence any one producer's
-    /// tokens appear in that producer's submission order (each
-    /// consumer's claims are a subsequence of the global FIFO order).
-    #[test]
-    fn token_ring_concurrent_no_loss_no_dup(
-        producers in 1usize..4,
-        consumers in 1usize..3,
-        per in 1usize..300,
-        cap in 2usize..64,
-    ) {
-        use chronos_suite::core::runtime::TokenRing;
-        use std::collections::HashSet;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::{Arc, Mutex};
-        let ring: Arc<TokenRing<(usize, usize)>> = Arc::new(TokenRing::with_capacity(cap));
-        let done = Arc::new(AtomicBool::new(false));
-        type Sink = Arc<Mutex<Vec<Vec<(usize, usize)>>>>;
-        let sink: Sink = Arc::new(Mutex::new(Vec::new()));
-        let consumer_handles: Vec<_> = (0..consumers)
-            .map(|_| {
-                let ring = Arc::clone(&ring);
-                let done = Arc::clone(&done);
-                let sink = Arc::clone(&sink);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    loop {
-                        match ring.pop() {
-                            Some(v) => got.push(v),
-                            // `done` is set only after every producer
-                            // joined, so one last drain observes any
-                            // remainder this consumer is responsible for.
-                            None if done.load(Ordering::Acquire) => {
-                                while let Some(v) = ring.pop() {
-                                    got.push(v);
-                                }
-                                break;
-                            }
-                            None => std::thread::yield_now(),
-                        }
-                    }
-                    sink.lock().unwrap().push(got);
-                })
-            })
-            .collect();
-        let producer_handles: Vec<_> = (0..producers)
-            .map(|p| {
-                let ring = Arc::clone(&ring);
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        let mut v = (p, i);
-                        loop {
-                            match ring.push(v) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    v = back;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in producer_handles {
-            h.join().unwrap();
-        }
-        done.store(true, Ordering::Release);
-        for h in consumer_handles {
-            h.join().unwrap();
-        }
-        let per_consumer = sink.lock().unwrap();
-        let mut seen: HashSet<(usize, usize)> = HashSet::new();
-        let mut total = 0usize;
-        for got in per_consumer.iter() {
-            total += got.len();
-            let mut last_of: Vec<Option<usize>> = vec![None; producers];
-            for (p, i) in got {
-                prop_assert!(seen.insert((*p, *i)), "token ({}, {}) duplicated", p, i);
-                if let Some(last) = last_of[*p] {
-                    prop_assert!(
-                        *i > last,
-                        "producer {} reordered at consumer: {} after {}",
-                        p, i, last
-                    );
-                }
-                last_of[*p] = Some(*i);
-            }
-        }
-        prop_assert_eq!(total, producers * per, "tokens lost");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Two-tier pool scheduling (PR 10): coarse shard-level driver jobs that
-// submit nested fine batches onto the same shared rings. The invariant
-// under test is submitter-helps: every submitter drains work while it
-// waits, so any mix of driver batches, nested batches, worker counts,
-// and mid-stream resizes completes (no deadlock) with exactly the
-// sequential model's results in ordinal order.
-// ---------------------------------------------------------------------------
-
-/// A fine task standing in for one sweep: a pure function of its token.
-struct FineModelJob(u64);
-
-impl chronos_suite::core::runtime::PoolJob for FineModelJob {
-    type Output = u64;
-    fn run(&self, _p: &mut chronos_suite::core::pipeline::SweepPipeline) -> u64 {
-        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
-    }
-}
-
-/// A coarse job standing in for one shard window: folds its own base
-/// with a nested fine batch it submits to the *same* pool mid-job.
-struct DriverModelJob<'a> {
-    rt: &'a chronos_suite::core::runtime::WorkerRuntime,
-    base: u64,
-    inner: Vec<u64>,
-}
-
-impl chronos_suite::core::runtime::PoolJob for DriverModelJob<'_> {
-    type Output = u64;
-    fn run(&self, p: &mut chronos_suite::core::pipeline::SweepPipeline) -> u64 {
-        let fines: Vec<FineModelJob> = self.inner.iter().map(|v| FineModelJob(*v)).collect();
-        let outs = self.rt.run_batch(&fines, p);
-        outs.iter().enumerate().fold(self.base, |acc, (i, o)| {
-            acc.wrapping_add(o.rotate_left((i % 61) as u32))
-        })
-    }
-}
-
-/// The sequential reference for one driver job.
-fn driver_model(base: u64, inner: &[u64]) -> u64 {
-    inner
-        .iter()
-        .map(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
-        .enumerate()
-        .fold(base, |acc, (i, o)| {
-            acc.wrapping_add(o.rotate_left((i % 61) as u32))
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Arbitrary rounds of coarse driver batches — each job nesting its
-    /// own fine batch into the shared rings — complete without deadlock
-    /// on any pool width, reproduce the sequential model exactly, and
-    /// survive pool resizes between rounds.
-    #[test]
-    fn shard_jobs_sharing_sweep_rings_never_deadlock(
-        workers in 1usize..5,
-        rounds in proptest::collection::vec(
-            (
-                proptest::collection::vec(
-                    (0u64..1_000_000, proptest::collection::vec(0u64..1_000_000, 0..24)),
-                    1..10,
-                ),
-                1usize..5, // resize target applied before the round
-            ),
-            1..4,
-        ),
-    ) {
-        use chronos_suite::core::pipeline::SweepPipeline;
-        use chronos_suite::core::runtime::WorkerRuntime;
-        let rt = WorkerRuntime::new(workers);
-        let mut pipeline = SweepPipeline::new();
-        for (specs, resize_to) in &rounds {
-            rt.resize(*resize_to);
-            prop_assert_eq!(rt.workers(), (*resize_to).max(1));
-            let jobs: Vec<DriverModelJob> = specs
-                .iter()
-                .map(|(base, inner)| DriverModelJob { rt: &rt, base: *base, inner: inner.clone() })
-                .collect();
-            let got = rt.run_driver_batch(&jobs, &mut pipeline);
-            let want: Vec<u64> = specs
-                .iter()
-                .map(|(base, inner)| driver_model(*base, inner))
-                .collect();
-            prop_assert_eq!(got, want);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tolerance tier (PR 10): the lane-chunked conjugated-dot kernel behind
 // the debias refit's normal equations (`CMat::lstsq_into_lanes`). The
 // helpers are always compiled in `chronos_math`, so this pin runs in
