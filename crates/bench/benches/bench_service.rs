@@ -5,9 +5,9 @@
 //! * `cold_sessions/N` — N plain `ChronosSession`s swept sequentially,
 //!   each sweep rebuilding NDFT operators, operator norms, lobe tables
 //!   and spline factorizations from scratch (the pre-service design);
-//! * `service_shared/N` — the `RangingService` with one warmed
+//! * `service_shared/N` — one `ServiceEngine` with one warmed
 //!   `PlanCache`, single worker thread (isolates the plan-reuse win);
-//! * `service_parallel/N` — the same service with one worker per core
+//! * `service_parallel/N` — the same engine with one worker per core
 //!   (adds the scoped-thread inversion win).
 //!
 //! The same estimator arithmetic runs in all three; outputs are identical
@@ -32,7 +32,8 @@
 
 use chronos_bench::tracking::{capacity_table, mixed_capacity_table, mixed_table};
 use chronos_core::config::ChronosConfig;
-use chronos_core::service::{RangingService, ServiceConfig};
+use chronos_core::engine::ServiceEngine;
+use chronos_core::service::ServiceConfig;
 use chronos_core::session::ChronosSession;
 use chronos_core::tracker::TrackerConfig;
 use chronos_link::time::Instant;
@@ -66,15 +67,15 @@ fn cold_sessions(n: usize) -> Vec<ChronosSession> {
         .collect()
 }
 
-fn shared_service(n: usize, threads: usize) -> RangingService {
+fn shared_service(n: usize, threads: usize) -> ServiceEngine {
     let cfg = ServiceConfig {
         threads,
         ..Default::default()
     };
-    let mut svc = RangingService::new(cfg);
+    let mut svc = ServiceEngine::new(cfg);
     for i in 0..n {
-        let id = svc.add_client(client_ctx(i), ChronosConfig::ideal());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(client_ctx(i), ChronosConfig::ideal());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     // Warm the cache once so steady-state throughput is measured (the
     // first epoch pays the one-time plan construction).
@@ -82,11 +83,11 @@ fn shared_service(n: usize, threads: usize) -> RangingService {
     svc
 }
 
-fn adaptive_service(n: usize) -> RangingService {
-    let mut svc = RangingService::new(ServiceConfig::adaptive(TrackerConfig::default()));
+fn adaptive_service(n: usize) -> ServiceEngine {
+    let mut svc = ServiceEngine::new(ServiceConfig::adaptive(TrackerConfig::default()));
     for i in 0..n {
-        let id = svc.add_client(client_ctx(i), ChronosConfig::ideal());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(client_ctx(i), ChronosConfig::ideal());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     // Warm the cache AND converge every tracker into TRACK mode so the
     // bench measures adaptive steady state (subset sweeps).

@@ -15,7 +15,8 @@
 
 use crate::report::Table;
 use chronos_core::config::ChronosConfig;
-use chronos_core::service::{EpochReport, QuarantineConfig, RangingService, ServiceConfig};
+use chronos_core::engine::{ServiceEngine, WindowReport};
+use chronos_core::service::{QuarantineConfig, ServiceConfig};
 use chronos_core::tracker::TrackerConfig;
 use chronos_rf::bands::band_plan_5ghz;
 use chronos_rf::csi::MeasurementContext;
@@ -171,7 +172,7 @@ pub const CLIENT_POSITIONS: [Point; 3] = [
 #[derive(Debug, Clone)]
 pub struct AdversarialRun {
     /// Per-epoch service reports, in order (3 clients each).
-    pub reports: Vec<EpochReport>,
+    pub reports: Vec<WindowReport>,
     /// The onset epoch the run was configured with.
     pub onset: usize,
 }
@@ -268,8 +269,8 @@ pub fn adversarial_tracker() -> TrackerConfig {
 /// 3-antenna AP array at the origin, adaptive scheduling, quarantine
 /// policy on, all clients still honest. Shared by [`run_adversarial`]
 /// and the window-mode determinism tests.
-pub fn adversarial_service(threads: usize) -> RangingService {
-    let mut svc = RangingService::new(ServiceConfig {
+pub fn adversarial_service(threads: usize) -> ServiceEngine {
+    let mut svc = ServiceEngine::new(ServiceConfig {
         threads,
         quarantine: Some(QuarantineConfig::default()),
         ..ServiceConfig::position(adversarial_tracker())
@@ -283,8 +284,8 @@ pub fn adversarial_service(threads: usize) -> RangingService {
             Point::new(0.0, 0.0),
         );
         ctx.snr.snr_at_1m_db = 36.0;
-        let id = svc.add_client(ctx, adversarial_chronos());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(ctx, adversarial_chronos());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     svc
 }
@@ -298,7 +299,7 @@ pub fn run_adversarial(cfg: &AdversarialScenarioConfig) -> AdversarialRun {
     let mut reports = Vec::with_capacity(cfg.epochs);
     for e in 0..cfg.epochs {
         if e == cfg.onset {
-            svc.client_mut(ATTACKER).ctx.attacker = cfg.attacker.clone();
+            svc.session_mut(ATTACKER).ctx.attacker = cfg.attacker.clone();
         }
         reports.push(svc.run_epoch(cfg.seed.wrapping_mul(1000).wrapping_add(e as u64)));
     }

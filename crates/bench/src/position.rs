@@ -8,8 +8,8 @@
 
 use crate::report::Table;
 use chronos_core::config::ChronosConfig;
-use chronos_core::engine::WindowReport;
-use chronos_core::service::{EpochReport, RangingService, ServiceConfig};
+use chronos_core::engine::{ServiceEngine, WindowReport};
+use chronos_core::service::ServiceConfig;
 use chronos_core::tracker::TrackerConfig;
 use chronos_link::time::Duration;
 use chronos_rf::csi::MeasurementContext;
@@ -93,7 +93,7 @@ pub fn walker_at(cfg: &PositionScenarioConfig, e: usize) -> Point {
 #[derive(Debug, Clone)]
 pub struct PositionRun {
     /// Per-epoch service reports, in order (one client: the walker).
-    pub reports: Vec<EpochReport>,
+    pub reports: Vec<WindowReport>,
     /// Walker ground-truth position per epoch, AP frame.
     pub truth: Vec<Point>,
     /// Per-epoch count of AP antennas the walker had line of sight to.
@@ -186,9 +186,9 @@ pub fn run_position(cfg: &PositionScenarioConfig) -> PositionRun {
     );
     ctx.snr.snr_at_1m_db = cfg.snr_at_1m_db;
 
-    let mut svc = RangingService::new(ServiceConfig::position(cfg.tracker));
-    let id = svc.add_client(ctx, ChronosConfig::ideal());
-    svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+    let mut svc = ServiceEngine::new(ServiceConfig::position(cfg.tracker));
+    let id = svc.join(ctx, ChronosConfig::ideal());
+    svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
 
     let ap_antennas = ap_array.world_positions(Point::new(0.0, 0.0));
     let mut reports = Vec::with_capacity(cfg.epochs);
@@ -196,7 +196,7 @@ pub fn run_position(cfg: &PositionScenarioConfig) -> PositionRun {
     let mut los_antennas = Vec::with_capacity(cfg.epochs);
     for e in 0..cfg.epochs {
         let pos = walker_at(cfg, e);
-        svc.client_mut(id).ctx.initiator_pos = pos;
+        svc.session_mut(id).ctx.initiator_pos = pos;
         truth.push(pos);
         los_antennas.push(
             env.los_mask(pos, &ap_antennas)
@@ -271,15 +271,15 @@ pub fn run_position_continuous(
     );
     ctx.snr.snr_at_1m_db = cfg.snr_at_1m_db;
 
-    let mut svc = RangingService::new(ServiceConfig::position(cfg.tracker));
-    let id = svc.add_client(ctx, ChronosConfig::ideal());
-    svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+    let mut svc = ServiceEngine::new(ServiceConfig::position(cfg.tracker));
+    let id = svc.join(ctx, ChronosConfig::ideal());
+    svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
 
     let mut windows = Vec::with_capacity(cfg.epochs);
     let mut truth = Vec::with_capacity(cfg.epochs);
     for e in 0..cfg.epochs {
         let pos = walker_at(cfg, e);
-        svc.client_mut(id).ctx.initiator_pos = pos;
+        svc.session_mut(id).ctx.initiator_pos = pos;
         truth.push(pos);
         windows.push(svc.run_until(cfg.seed.wrapping_mul(1000), svc.clock() + window));
     }

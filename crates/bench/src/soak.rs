@@ -18,8 +18,8 @@
 
 use crate::report::Table;
 use chronos_core::config::{ChronosConfig, IngestionConfig};
-use chronos_core::engine::WindowReport;
-use chronos_core::service::{RangingService, ServiceConfig};
+use chronos_core::engine::{ServiceEngine, WindowReport};
+use chronos_core::service::ServiceConfig;
 use chronos_core::tracker::TrackerConfig;
 use chronos_link::admission::AdmissionConfig;
 use chronos_link::time::{Duration, Instant};
@@ -121,19 +121,19 @@ pub fn soak_ingestion() -> IngestionConfig {
 /// TRACK walkers, `load` ACQUIRE-pinned clients and `load` BACKGROUND
 /// monitors, all loss-free over an ideal single-antenna link (this
 /// bench measures scheduling under pressure, not RF).
-pub fn soak_service(cfg: &SoakScenarioConfig) -> RangingService {
-    let mut svc = RangingService::new(ServiceConfig {
+pub fn soak_service(cfg: &SoakScenarioConfig) -> ServiceEngine {
+    let mut svc = ServiceEngine::new(ServiceConfig {
         threads: cfg.threads,
         ingestion: Some(soak_ingestion()),
         ..ServiceConfig::adaptive(TrackerConfig::default())
     });
-    let add = |svc: &mut RangingService, d: f64, tracker: Option<TrackerConfig>| {
+    let add = |svc: &mut ServiceEngine, d: f64, tracker: Option<TrackerConfig>| {
         let ctx = soak_ctx(d);
         let id = match tracker {
-            Some(t) => svc.add_client_with_tracker(ctx, soak_chronos(), t),
-            None => svc.add_client(ctx, soak_chronos()),
+            Some(t) => svc.join_with_tracker(ctx, soak_chronos(), t),
+            None => svc.join(ctx, soak_chronos()),
         };
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
         id
     };
     for i in 0..WALKERS_PER_LOAD * cfg.load {
@@ -326,7 +326,7 @@ pub fn run_soak(cfg: &SoakScenarioConfig) -> SoakRun {
         let seed = cfg.seed.wrapping_mul(1000).wrapping_add(w as u64);
         reports.push(svc.run_until(seed, deadline));
         for i in cfg.walkers() {
-            svc.client_mut(i).ctx.responder_pos = Point::new(walker_distance_m(i, deadline), 0.0);
+            svc.session_mut(i).ctx.responder_pos = Point::new(walker_distance_m(i, deadline), 0.0);
         }
     }
     SoakRun {

@@ -7,7 +7,8 @@
 
 use crate::report::Table;
 use chronos_core::config::ChronosConfig;
-use chronos_core::service::{ClientOutcome, EpochReport, RangingService, ServiceConfig};
+use chronos_core::engine::{ServiceEngine, WindowReport};
+use chronos_core::service::{ClientOutcome, ServiceConfig};
 use chronos_core::tracker::{TrackMode, TrackerConfig};
 use chronos_link::time::Duration;
 use chronos_rf::csi::MeasurementContext;
@@ -47,13 +48,13 @@ impl Default for TrackingConfig {
 #[derive(Debug, Clone)]
 pub struct TrackingRun {
     /// Per-epoch reports, in order.
-    pub reports: Vec<EpochReport>,
+    pub reports: Vec<WindowReport>,
 }
 
 impl TrackingRun {
     /// Epochs in which every scheduled client ran in TRACK mode — the
     /// adaptive scheduler's steady state (empty for non-adaptive runs).
-    pub fn steady_state(&self) -> Vec<&EpochReport> {
+    pub fn steady_state(&self) -> Vec<&WindowReport> {
         self.reports
             .iter()
             .filter(|r| {
@@ -64,17 +65,11 @@ impl TrackingRun {
     }
 
     /// Mean sweeps/s of simulated airtime over the given reports.
-    fn mean_throughput(reports: &[&EpochReport]) -> Option<f64> {
+    fn mean_throughput(reports: &[&WindowReport]) -> Option<f64> {
         if reports.is_empty() {
             return None;
         }
-        Some(
-            reports
-                .iter()
-                .map(|r| r.sweeps_per_sec_airtime())
-                .sum::<f64>()
-                / reports.len() as f64,
-        )
+        Some(reports.iter().map(|r| r.sweeps_per_sec()).sum::<f64>() / reports.len() as f64)
     }
 
     /// Mean sweeps/s over steady-state (all-TRACK) epochs.
@@ -91,7 +86,7 @@ impl TrackingRun {
     /// mode (or over all epochs when no TRACK epochs exist).
     pub fn mean_abs_error_m(&self) -> Option<f64> {
         let steady = self.steady_state();
-        let pool: Vec<&EpochReport> = if steady.is_empty() {
+        let pool: Vec<&WindowReport> = if steady.is_empty() {
             self.reports.iter().collect()
         } else {
             steady
@@ -151,11 +146,11 @@ pub fn run_tracking(cfg: &TrackingConfig) -> TrackingRun {
         Some(t) => ServiceConfig::adaptive(t),
         None => ServiceConfig::default(),
     };
-    let mut svc = RangingService::new(service_cfg);
+    let mut svc = ServiceEngine::new(service_cfg);
     for i in 0..cfg.n_clients {
         let d = 2.0 + 7.0 * i as f64 / cfg.n_clients.max(1) as f64;
-        let id = svc.add_client(tracking_ctx(d), ChronosConfig::ideal());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(tracking_ctx(d), ChronosConfig::ideal());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
 
     let mut reports = Vec::with_capacity(cfg.epochs);
@@ -167,13 +162,13 @@ pub fn run_tracking(cfg: &TrackingConfig) -> TrackingRun {
             if let Some(span_s) = prev_span_s {
                 let step = cfg.velocity_mps * (span_s + 0.005);
                 for i in 0..cfg.n_clients {
-                    let x = svc.client(i).ctx.initiator_pos.x - step;
-                    svc.client_mut(i).ctx.initiator_pos = Point::new(x, 0.0);
+                    let x = svc.session(i).ctx.initiator_pos.x - step;
+                    svc.session_mut(i).ctx.initiator_pos = Point::new(x, 0.0);
                 }
             }
         }
         let r = svc.run_epoch(cfg.seed.wrapping_mul(1000).wrapping_add(e as u64));
-        prev_span_s = Some(r.airtime_span.as_secs_f64());
+        prev_span_s = Some(r.span().as_secs_f64());
         reports.push(r);
     }
     TrackingRun { reports }
@@ -263,15 +258,15 @@ impl MixedComparison {
 /// hoppers are allowed: with the default cap of 4 both schedulers
 /// saturate the medium at N ≥ 8 and the comparison would only measure
 /// the barrier tail, not the idle-while-waiting cost.
-fn mixed_service(n: usize) -> RangingService {
+fn mixed_service(n: usize) -> ServiceEngine {
     let mut cfg = ServiceConfig::adaptive(TrackerConfig::default());
     cfg.arbiter.max_concurrent = 8;
-    let mut svc = RangingService::new(cfg);
+    let mut svc = ServiceEngine::new(cfg);
     for i in 0..n {
         let d = 2.0 + 7.0 * i as f64 / n.max(1) as f64;
         let ctx = tracking_ctx(d);
         let id = if i % 2 == 0 {
-            svc.add_client_with_tracker(
+            svc.join_with_tracker(
                 ctx,
                 ChronosConfig::ideal(),
                 TrackerConfig {
@@ -280,9 +275,9 @@ fn mixed_service(n: usize) -> RangingService {
                 },
             )
         } else {
-            svc.add_client(ctx, ChronosConfig::ideal())
+            svc.join(ctx, ChronosConfig::ideal())
         };
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     svc
 }
@@ -330,8 +325,8 @@ pub fn mixed_comparison(
     for e in 0..epochs {
         let r = svc.run_epoch(seed.wrapping_add((WARM + e) as u64));
         completed += r.completed();
-        busy_s += r.utilization * r.airtime_span.as_secs_f64();
-        end = r.started + r.airtime_span;
+        busy_s += r.utilization * r.span().as_secs_f64();
+        end = r.ended;
         outcomes.extend(r.outcomes);
     }
     let total_s = end.saturating_since(t0).as_secs_f64().max(1e-9);

@@ -30,9 +30,9 @@ pub struct IngestionConfig {
     /// handful of sweeps in flight per concurrency lane.
     pub backlog_limit: Duration,
     /// Ceiling on the TRACK cadence stretch factor. The engine scales
-    /// `track_gap` by `1 + fill * (track_stretch_max - 1)` where `fill`
-    /// is the queue's global occupancy fraction, so a full queue spaces
-    /// TRACK sweeps at `track_stretch_max *` the configured gap. The
+    /// its 2 ms TRACK gap by `1 + fill * (track_stretch_max - 1)` where
+    /// `fill` is the queue's global occupancy fraction, so a full queue
+    /// spaces TRACK sweeps at `track_stretch_max *` that gap. The
     /// ladder's "TRACK slack is exhausted" point.
     pub track_stretch_max: f64,
     /// Delay before a deferred or shed request is offered again. Short

@@ -1,5 +1,6 @@
-//! The continuous, event-driven sweep engine behind
-//! [`crate::service::RangingService`].
+//! The continuous, event-driven sweep engine: [`ServiceEngine`] pools
+//! one access point's clients over a shared plan cache and one
+//! arbitrated medium (the multi-client service of [`crate::service`]).
 //!
 //! The paper's protocol is inherently asynchronous: each client's band
 //! sweep takes exactly as long as its hop plan dictates (§5, §7), so a
@@ -37,16 +38,17 @@
 //! [`ServiceEngine::leave_at`]) without disturbing other clients'
 //! schedules or the arbiter's single-charge airtime accounting.
 //!
-//! ## Windows, not epochs
+//! ## Windows and epoch rounds
 //!
 //! [`ServiceEngine::run_until`] advances the simulation to a deadline
-//! and returns a [`WindowReport`] — the generalization of
-//! `EpochReport` over an arbitrary time window. Sweeps still in the air
-//! at the deadline simply complete in the next window. The legacy
-//! `RangingService::run_epoch` survives as a thin compatibility wrapper:
-//! it schedules every client once at the current clock, drains the queue
-//! without rescheduling, and reports the round exactly as the barrier
-//! version did (same admission order, same seeds, same outcomes).
+//! and returns a [`WindowReport`] over that window. Sweeps still in the
+//! air at the deadline simply complete in the next window.
+//! [`ServiceEngine::run_epoch`] plays one legacy lock-step round on the
+//! same event pump: it schedules every client once at the current clock,
+//! drains the queue without rescheduling, and reports the round exactly
+//! as the barrier version did (same admission order, same seeds, same
+//! outcomes) in the same [`WindowReport`], whose window ends at the
+//! round's airtime horizon.
 //!
 //! ## Seeding contract
 //!
@@ -62,18 +64,16 @@
 //! * results are invariant to *cadence* — interleaving other clients,
 //!   changing gaps, or splitting a run into different `run_until`
 //!   windows never shifts another client's RNG stream;
-//! * under the epoch wrapper every client sweeps exactly once per round,
-//!   so ordinals coincide with the legacy global epoch index and the
-//!   wrapper reproduces pre-engine outcomes bit for bit.
+//! * in an epoch round every client sweeps exactly once, so ordinals
+//!   coincide with the legacy global epoch index and rounds reproduce
+//!   pre-engine outcomes bit for bit.
 
 use crate::config::{ChronosConfig, IngestionConfig};
 use crate::ndft::TauGrid;
 use crate::pipeline::{BatchSweep, SweepPipeline};
 use crate::plan::{CacheStats, PlanCache};
 use crate::runtime::WorkerRuntime;
-use crate::service::{
-    outcome_stats, ClientOutcome, EpochReport, LocalizationMode, ModeOccupancy, ServiceConfig,
-};
+use crate::service::{ClientOutcome, LocalizationMode, ModeOccupancy, ServiceConfig};
 use crate::session::{ChronosSession, SweepOutput};
 use crate::tracker::{ClientTracker, PositionTracker, TrackMode, TrackerConfig};
 use chronos_link::admission::{AdmissionQueue, IngestionStats, Offer};
@@ -98,6 +98,33 @@ use std::sync::Arc;
 /// unambiguous range a subset must keep ghost-free.
 const SUBSET_AMBIGUITY_SPAN_NS: f64 = 100.0;
 
+/// Idle gap between a TRACK client's sweep completion and its next due
+/// in a continuous window. A scheduling turnaround, not a pause: one
+/// guard interval below the arbiter's stagger, so TRACK clients re-sweep
+/// as soon as their subset airtime allows and the arbiter, not a
+/// barrier, paces them.
+const TRACK_GAP: Duration = Duration::from_millis(2);
+
+/// Idle gap for ACQUIRE clients (cold or re-acquiring tracks).
+const ACQUIRE_GAP: Duration = Duration::from_millis(2);
+
+/// When several clients of a continuous window fall due at the same
+/// instant, admit ACQUIRE clients first: a cold or broken track benefits
+/// most from the earliest slot the arbiter can grant. Epoch rounds admit
+/// in client order.
+const ACQUIRE_PRIORITY: bool = true;
+
+/// Idle gap between an epoch round's airtime horizon and the clock the
+/// next round or window starts at.
+const EPOCH_GAP: Duration = Duration::from_millis(5);
+
+/// Multiplier on a plan's loss-free airtime
+/// ([`SweepConfig::expected_duration`]) when projecting its admission
+/// window — headroom for retransmissions, ~95 ms for the standard ~84 ms
+/// sweep. Admission scales with each client's actual plan, so subset
+/// sweeps are not overcharged.
+const ADMISSION_HEADROOM: f64 = 1.13;
+
 /// Mixes `(seed, ordinal, client)` into an independent RNG stream.
 ///
 /// `ordinal` is the client's own monotonic sweep counter (see the
@@ -110,13 +137,16 @@ pub(crate) fn mix_seed(seed: u64, ordinal: u64, client: usize) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The result of one continuous-run window (`[started, ended]`).
+/// The result of one continuous-run window or epoch round
+/// (`[started, ended]`).
 ///
-/// The event-driven generalization of [`EpochReport`]: outcomes are in
+/// A [`ServiceEngine::run_until`] window's outcomes are in
 /// sweep-completion order (ties by client index), may contain several
 /// sweeps per client (TRACK clients re-sweep as soon as their subset
 /// airtime allows) and need not contain every client (a sweep still in
-/// the air at the deadline lands in the next window).
+/// the air at the deadline lands in the next window). A
+/// [`ServiceEngine::run_epoch`] round reports one fresh sweep per active
+/// client, sorted by client, over the round's busy span.
 ///
 /// **Scope: one engine = one AP.** Every field is **per-shard**: in a
 /// multi-AP fleet ([`crate::fleet::FleetEngine`]) each AP's engine
@@ -144,21 +174,27 @@ pub(crate) fn mix_seed(seed: u64, ordinal: u64, client: usize) -> u64 {
 ///     outcomes: Vec::new(),
 ///     utilization: 0.42,
 ///     wall: std::time::Duration::ZERO,
-///     cache: CacheStats { hits: 0, misses: 0, ndft_entries: 0, spline_entries: 0 },
+///     cache: CacheStats { hits: 2, misses: 1, ndft_entries: 1, spline_entries: 1 },
 ///     bands_planned: 24,
 ///     bands_full_sweep: 70,
 ///     ingestion: Default::default(),
 /// };
 /// assert_eq!(report.span(), Duration::from_millis(250));
 /// assert!((report.airtime_saved() - (1.0 - 24.0 / 70.0)).abs() < 1e-12);
+/// assert!((report.cache.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WindowReport {
     /// Window start on the simulated clock.
     pub started: Instant,
-    /// Window end (the `run_until` deadline).
+    /// Window end: the `run_until` deadline, or an epoch round's airtime
+    /// horizon (the last sweep's end). A round moves the engine's clock
+    /// a short idle gap past it, so the next window or round starts a
+    /// little after `ended`.
     pub ended: Instant,
-    /// Completed-sweep outcomes, in completion order.
+    /// Completed-sweep outcomes: in completion order for a window; for
+    /// an epoch round, sorted by client — one fresh sweep per active
+    /// client, plus any sweep carried over from an earlier window.
     pub outcomes: Vec<ClientOutcome>,
     /// Fraction of the window with at least one sweep on the air.
     pub utilization: f64,
@@ -174,28 +210,32 @@ pub struct WindowReport {
     /// Ingestion-layer accounting for this window: offered vs. admitted
     /// load, shed/deferral counts per class, queue high-water marks and
     /// the peak TRACK stretch. All-zero (default) when
-    /// [`ServiceConfig::ingestion`] is off.
+    /// [`ServiceConfig::ingestion`] is off, and for epoch rounds, which
+    /// bypass the admission queue.
     pub ingestion: IngestionStats,
 }
 
 impl WindowReport {
-    /// The window's length of simulated time.
+    /// The window's length of simulated time (an epoch round's busy
+    /// span).
     pub fn span(&self) -> Duration {
         self.ended.saturating_since(self.started)
     }
 
     /// Sweeps that produced a distance estimate.
     pub fn completed(&self) -> usize {
-        outcome_stats::completed(&self.outcomes)
+        self.outcomes
+            .iter()
+            .filter(|o| o.distance_m.is_some())
+            .count()
     }
 
-    /// Localization throughput: completed sweeps per second of **window
-    /// time**. Deliberately not named like
-    /// `EpochReport::sweeps_per_sec_airtime` (which divides by the busy
-    /// span of the round): this divides by the full window length,
-    /// idle time included — in continuous operation the medium never
-    /// drains, so the two coincide at steady state, but in a sparse
-    /// window this one is the lower, honest wall-rate.
+    /// Localization throughput: completed sweeps per second of
+    /// [`WindowReport::span`]. A window divides by its full length, idle
+    /// time included — in continuous operation the medium never drains,
+    /// so at steady state this is the airtime rate, but in a sparse
+    /// window it is the lower, honest wall-rate. An epoch round divides
+    /// by its busy span: the capacity figure an AP operator cares about.
     pub fn sweeps_per_sec(&self) -> f64 {
         let span = self.span().as_secs_f64();
         if span <= 0.0 {
@@ -207,39 +247,78 @@ impl WindowReport {
 
     /// Mean absolute ranging error over completed sweeps, meters.
     pub fn mean_abs_error_m(&self) -> Option<f64> {
-        outcome_stats::mean_abs_error_m(&self.outcomes)
+        let errs: Vec<f64> = self.outcomes.iter().filter_map(|o| o.error_m).collect();
+        if errs.is_empty() {
+            None
+        } else {
+            Some(errs.iter().sum::<f64>() / errs.len() as f64)
+        }
     }
 
-    /// Fraction of per-fix airtime saved versus full-plan sweeps (band
-    /// count as the airtime proxy).
+    /// Fraction of per-fix airtime the adaptive scheduler saved versus
+    /// sweeping every client's full plan: `1 − bands_planned /
+    /// bands_full_sweep` (band count is an airtime proxy — dwell cost
+    /// per band is constant, see [`SweepConfig::expected_duration`]).
+    /// Zero for a non-adaptive service.
     pub fn airtime_saved(&self) -> f64 {
-        outcome_stats::airtime_saved(self.bands_planned, self.bands_full_sweep)
+        if self.bands_full_sweep == 0 {
+            0.0
+        } else {
+            1.0 - self.bands_planned as f64 / self.bands_full_sweep as f64
+        }
     }
 
     /// Sweeps per mode this window.
     pub fn mode_occupancy(&self) -> ModeOccupancy {
-        outcome_stats::mode_occupancy(&self.outcomes)
+        let mut occ = ModeOccupancy::default();
+        for o in &self.outcomes {
+            match o.mode {
+                TrackMode::Acquire => occ.acquire += 1,
+                TrackMode::Track => occ.track += 1,
+            }
+        }
+        occ
     }
 
-    /// RMS error of the distance tracker's fused outputs, meters.
+    /// RMS error of the distance tracker's fused outputs against ground
+    /// truth, meters. `None` for non-adaptive services or before any
+    /// filter is seeded.
     pub fn track_rmse_m(&self) -> Option<f64> {
-        outcome_stats::track_rmse_m(&self.outcomes)
+        rms(self.outcomes.iter().filter_map(|o| o.tracked_error_m))
     }
 
-    /// RMS 2-D error of the position tracker's fused outputs, meters.
+    /// RMS 2-D error of the position tracker's fused outputs against
+    /// ground truth, meters. `None` outside position mode or before any
+    /// filter is seeded.
     pub fn pos_rmse_m(&self) -> Option<f64> {
-        outcome_stats::pos_rmse_m(&self.outcomes)
+        rms(self.outcomes.iter().filter_map(|o| o.tracked_pos_error_m))
     }
 
-    /// Median 2-D error of the raw position fixes, meters.
+    /// Median 2-D error of the raw position fixes against ground truth,
+    /// meters — the paper's §12.2 localization observable.
     pub fn median_pos_error_m(&self) -> Option<f64> {
-        outcome_stats::median_pos_error_m(&self.outcomes)
+        let errs: Vec<f64> = self.outcomes.iter().filter_map(|o| o.pos_error_m).collect();
+        if errs.is_empty() {
+            None
+        } else {
+            Some(chronos_math::stats::median(&errs))
+        }
     }
 
     /// Outcomes reported under QUARANTINE this window (estimates
     /// withheld; see [`crate::service::QuarantineConfig`]).
     pub fn quarantined(&self) -> usize {
-        outcome_stats::quarantined(&self.outcomes)
+        self.outcomes.iter().filter(|o| o.quarantined).count()
+    }
+}
+
+/// Root mean square of `errs`, `None` when empty.
+fn rms(errs: impl Iterator<Item = f64>) -> Option<f64> {
+    let errs: Vec<f64> = errs.collect();
+    if errs.is_empty() {
+        None
+    } else {
+        Some(chronos_math::stats::rms(&errs))
     }
 }
 
@@ -894,19 +973,10 @@ impl ServiceEngine {
                 sweep_cfg.band_loss = loss;
             }
         }
-        let expected = sweep_cfg
-            .expected_duration()
-            .mul_f64(self.cfg.admission_headroom.max(1.0));
+        let expected = sweep_cfg.expected_duration().mul_f64(ADMISSION_HEADROOM);
         let grant = self.arbiter.admit(now, expected);
         sweep_cfg.medium.loss_prob = (sweep_cfg.medium.loss_prob + grant.extra_loss).min(0.9);
-        let class = if self.slots[client].background {
-            TrafficClass::Background
-        } else {
-            match mode {
-                TrackMode::Acquire => TrafficClass::Acquire,
-                TrackMode::Track => TrafficClass::Track,
-            }
-        };
+        let class = self.class_of(client);
         let slot = &mut self.slots[client];
         let sweep_index = slot.sweeps;
         slot.sweeps += 1;
@@ -999,14 +1069,16 @@ impl ServiceEngine {
     }
 
     /// Processes one `SweepComplete`: feed the actual finish back, fuse
-    /// the fix into the client's tracker, record the outcome, and (in
-    /// continuous mode) reschedule the client at its per-mode cadence.
+    /// the fix into the client's tracker, record the outcome, and (in a
+    /// continuous window, where `track_stretch` is `Some`) reschedule the
+    /// client at its per-mode cadence, TRACK gaps stretched by the
+    /// ingestion pressure. An epoch round passes `None`: it never
+    /// reschedules.
     fn finish_sweep(
         &mut self,
         done: CompletedSweep,
         now: Instant,
-        auto_resweep: bool,
-        track_stretch: f64,
+        track_stretch: Option<f64>,
         acc: &mut WindowAcc,
     ) {
         let CompletedSweep {
@@ -1117,24 +1189,23 @@ impl ServiceEngine {
             class,
             deferrals,
         });
-        if auto_resweep && slot.active {
-            let gap = match next_mode {
-                // Cadence degradation: under queue pressure TRACK gaps
-                // stretch (the first rung of the shedding ladder).
-                // `track_stretch` is exactly 1.0 whenever ingestion is
-                // off, keeping the legacy path bit-for-bit intact.
-                TrackMode::Track if track_stretch > 1.0 => {
-                    self.cfg.cadence.track_gap.mul_f64(track_stretch)
-                }
-                TrackMode::Track => self.cfg.cadence.track_gap,
-                TrackMode::Acquire => self.cfg.cadence.acquire_gap,
-            };
-            slot.scheduled = true;
-            self.pending_ops += 1;
-            self.queue
-                .schedule(now + gap, EngineEvent::SweepDue(client));
-        } else {
-            slot.scheduled = false;
+        match track_stretch {
+            Some(stretch) if slot.active => {
+                let gap = match next_mode {
+                    // Cadence degradation: under queue pressure TRACK gaps
+                    // stretch (the first rung of the shedding ladder).
+                    // `stretch` is exactly 1.0 whenever ingestion is off,
+                    // keeping the legacy path bit-for-bit intact.
+                    TrackMode::Track if stretch > 1.0 => TRACK_GAP.mul_f64(stretch),
+                    TrackMode::Track => TRACK_GAP,
+                    TrackMode::Acquire => ACQUIRE_GAP,
+                };
+                slot.scheduled = true;
+                self.pending_ops += 1;
+                self.queue
+                    .schedule(now + gap, EngineEvent::SweepDue(client));
+            }
+            _ => slot.scheduled = false,
         }
     }
 
@@ -1176,8 +1247,11 @@ impl ServiceEngine {
     }
 
     /// The event loop: processes queued events in virtual-time order
-    /// until the queue drains (`deadline: None`) or the next event would
-    /// fire past the deadline.
+    /// until the next event would fire past `deadline` (a continuous
+    /// window) or, without a deadline (an epoch round), until only
+    /// scheduled departures remain. Only a window reschedules completed
+    /// sweeps, admits ACQUIRE dues first and runs the ingestion front
+    /// end; a round keeps the legacy semantics.
     ///
     /// All events firing at one instant are drained together and
     /// processed leaves first, then completions, then the admission
@@ -1194,22 +1268,11 @@ impl ServiceEngine {
     /// escape: if nothing is in flight and nothing was admitted this
     /// instant, one request is always released, so a non-empty queue
     /// always implies a pending completion and hence a future drain.
-    fn pump(
-        &mut self,
-        seed: u64,
-        deadline: Option<Instant>,
-        acquire_priority: bool,
-        auto_resweep: bool,
-        acc: &mut WindowAcc,
-    ) {
-        // The front end applies to continuous windows only; the epoch
-        // compatibility path keeps its legacy semantics. Taking the
-        // state out of `self` lets the loop borrow both freely.
-        let mut ingest = if auto_resweep {
-            self.ingest.take()
-        } else {
-            None
-        };
+    fn pump(&mut self, seed: u64, deadline: Option<Instant>, acc: &mut WindowAcc) {
+        let continuous = deadline.is_some();
+        // Taking the front end's state out of `self` lets the loop
+        // borrow both freely.
+        let mut ingest = if continuous { self.ingest.take() } else { None };
         while let Some(now) = self.queue.peek_time() {
             match deadline {
                 Some(d) if now > d => break,
@@ -1252,9 +1315,9 @@ impl ServiceEngine {
             }
             acc.since_flush += completes.len();
             for done in completes {
-                self.finish_sweep(*done, now, auto_resweep, track_stretch, acc);
+                self.finish_sweep(*done, now, continuous.then_some(track_stretch), acc);
             }
-            if auto_resweep && acc.since_flush >= AIRTIME_FLUSH_EVERY {
+            if continuous && acc.since_flush >= AIRTIME_FLUSH_EVERY {
                 self.flush_airtime(now, acc);
             }
             // Departed clients' dues dissolve.
@@ -1317,7 +1380,7 @@ impl ServiceEngine {
                 // of same-instant offer-then-admit churn.
                 ing.window_stretch_peak = ing.window_stretch_peak.max(ing.stretch());
             } else {
-                if acquire_priority {
+                if continuous && ACQUIRE_PRIORITY {
                     // ACQUIRE clients are admitted first (stable: ties
                     // keep due order) — a cold or broken track gets the
                     // earliest slot the arbiter can grant.
@@ -1392,8 +1455,8 @@ impl ServiceEngine {
 
     /// Releases everything still waiting in the admission queue as
     /// immediate dues at `at`. Epoch rounds bypass the front door
-    /// entirely (legacy semantics), so mixed window/epoch use must not
-    /// strand a queued client behind a door nobody is draining.
+    /// entirely (legacy semantics), so mixing windows and rounds must
+    /// not strand a queued client behind a door nobody is draining.
     fn flush_ingest_to_dues(&mut self, at: Instant) {
         if let Some(ing) = self.ingest.as_mut() {
             while let Some((class, c)) = ing.queue.pop() {
@@ -1437,8 +1500,7 @@ impl ServiceEngine {
         self.arbiter.release_before(started);
         self.begin_ingest_window();
         self.schedule_idle_clients(started);
-        let priority = self.cfg.cadence.acquire_priority;
-        self.pump(seed, Some(ended), priority, true, &mut acc);
+        self.pump(seed, Some(ended), &mut acc);
         let ingestion = self.end_ingest_window();
         // Utilization = periodically flushed coverage plus the tail the
         // arbiter still tracks (the segments are disjoint by
@@ -1470,43 +1532,47 @@ impl ServiceEngine {
         }
     }
 
-    /// The epoch-barrier compatibility path behind
-    /// [`crate::service::RangingService::run_epoch`]: every active
-    /// client is scheduled once at the current clock (admission in
-    /// client order, no priority), the queue drains without
-    /// rescheduling, and the clock advances past the round's horizon
-    /// plus the epoch gap — exactly the pre-engine semantics, seeds
-    /// included (see the module-level seeding contract).
+    /// Plays one legacy lock-step epoch round: every active client is
+    /// scheduled once at the current clock (admission in client order,
+    /// no priority), the queue drains without rescheduling, and the
+    /// clock advances past the round's airtime horizon plus a 5 ms idle
+    /// gap — exactly the pre-engine semantics, seeds included (see the
+    /// module-level seeding contract), so rounds reproduce pre-engine
+    /// outcomes bit for bit (asserted by `tests/engine.rs`).
     ///
-    /// Events carried over from a previous continuous window (in-flight
-    /// completions, cadence dues past its deadline) are drained first
-    /// and reported in this round, so every active client still gets a
-    /// fresh sweep — a client with a leftover due may therefore appear
-    /// twice in the round's outcomes.
-    pub(crate) fn run_epoch_window(&mut self, seed: u64, epoch: u64) -> EpochReport {
+    /// The report's window ends at the horizon, so its
+    /// [`WindowReport::span`] is the round's busy span and
+    /// [`WindowReport::sweeps_per_sec`] its airtime throughput. Outcomes
+    /// are sorted by client, and `ingestion` is all-zero: rounds bypass
+    /// the admission queue, releasing whatever a previous window left
+    /// parked there as immediate dues. Events carried over from a
+    /// previous window (in-flight completions, cadence dues past its
+    /// deadline) are drained first and reported in this round, so every
+    /// active client still gets a fresh sweep — a client with a leftover
+    /// due may therefore appear twice in the round's outcomes.
+    pub fn run_epoch(&mut self, seed: u64) -> WindowReport {
         let started = self.clock;
         let wall_start = std::time::Instant::now();
         let mut acc = WindowAcc::default();
         self.arbiter.release_before(started);
         self.flush_ingest_to_dues(started);
-        self.pump(seed, None, false, false, &mut acc);
+        self.pump(seed, None, &mut acc);
         self.schedule_idle_clients(started);
-        self.pump(seed, None, false, false, &mut acc);
-        let horizon = self.arbiter.horizon().max(started);
-        let airtime_span = horizon.saturating_since(started);
-        let utilization = self.arbiter.utilization(started, horizon);
-        self.clock = horizon + self.cfg.epoch_gap;
+        self.pump(seed, None, &mut acc);
+        let ended = self.arbiter.horizon().max(started);
+        let utilization = self.arbiter.utilization(started, ended);
+        self.clock = ended + EPOCH_GAP;
         acc.outcomes.sort_by_key(|o| o.client);
-        EpochReport {
-            epoch,
+        WindowReport {
             started,
-            airtime_span,
-            utilization,
+            ended,
             outcomes: acc.outcomes,
+            utilization,
             wall: wall_start.elapsed(),
             cache: self.plans.stats(),
             bands_planned: acc.bands_planned,
             bands_full_sweep: acc.bands_full_sweep,
+            ingestion: IngestionStats::default(),
         }
     }
 }
@@ -1764,7 +1830,7 @@ mod tests {
         // departure instant.
         let mut eng = engine_with(2, ServiceConfig::adaptive(TrackerConfig::default()));
         eng.leave_at(1, Instant::from_millis(800));
-        let e0 = eng.run_epoch_window(3, 0);
+        let e0 = eng.run_epoch(3);
         assert_eq!(e0.outcomes.len(), 2, "client 1 must still sweep");
         assert!(eng.is_active(1), "leave fired {} early", eng.clock());
         // Drive the clock past the departure with continuous windows.
@@ -1772,7 +1838,7 @@ mod tests {
         assert!(!eng.is_active(1));
         // The later round serves only client 0 (possibly twice: a sweep
         // carried over from the window plus its fresh epoch sweep).
-        let late = eng.run_epoch_window(3, 1);
+        let late = eng.run_epoch(3);
         assert!(!late.outcomes.is_empty());
         assert!(late.outcomes.iter().all(|o| o.client == 0));
     }
@@ -1860,5 +1926,224 @@ mod tests {
                 assert_eq!(o.class, expect);
             }
         }
+    }
+
+    #[test]
+    fn epoch_after_overloaded_window_serves_every_client() {
+        // A window under a tight backlog limit leaves requests parked in
+        // the admission queue. Epoch rounds bypass that queue, so the
+        // round must release them as dues instead of stranding their
+        // clients behind a door nobody drains.
+        let coarse = ChronosConfig {
+            max_iters: 120,
+            grid_step_ns: 0.5,
+            ..ChronosConfig::ideal()
+        };
+        let cfg = ServiceConfig {
+            ingestion: Some(IngestionConfig {
+                backlog_limit: Duration::from_millis(60),
+                ..IngestionConfig::default()
+            }),
+            ..ServiceConfig::adaptive(TrackerConfig::default())
+        };
+        let mut eng = ServiceEngine::new(cfg);
+        for i in 0..8 {
+            let id = eng.join(ideal_ctx(2.0 + i as f64), coarse.clone());
+            eng.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        }
+        eng.run_until(5, Instant::from_millis(300));
+        let parked = eng.ingest.as_ref().expect("front end on").queue.len();
+        assert!(parked > 0, "the window must leave requests queued");
+        let round = eng.run_epoch(6);
+        for c in 0..8 {
+            assert!(
+                round.outcomes.iter().any(|o| o.client == c),
+                "client {c} stranded"
+            );
+        }
+        assert_eq!(round.ingestion, IngestionStats::default());
+    }
+
+    #[test]
+    fn epoch_estimates_every_client() {
+        let mut eng = engine_with(3, ServiceConfig::default());
+        let report = eng.run_epoch(7);
+        assert_eq!(report.outcomes.len(), 3);
+        for (i, o) in report.outcomes.iter().enumerate() {
+            assert_eq!(o.client, i);
+            assert_eq!(o.sweep, 0, "first sweep ordinal");
+            let err = o.error_m.expect("estimate");
+            assert!(err < 0.3, "client {i} error {err}");
+        }
+        assert!(report.utilization > 0.0);
+        assert!(report.sweeps_per_sec() > 0.0);
+        // The round's window ends at its airtime horizon; the clock moves
+        // a short idle gap past it.
+        assert_eq!(eng.clock(), report.ended + EPOCH_GAP);
+    }
+
+    #[test]
+    fn clients_share_one_plan_cache() {
+        let mut eng = engine_with(4, ServiceConfig::default());
+        let report = eng.run_epoch(1);
+        // Ideal mode, identical grids: every client needs the same NDFT
+        // plan, so exactly one is ever built (plus one spline plan). The
+        // worker pipelines memoize the plan `Arc`s after the first
+        // lookup, so the shared cache sees at most a handful of queries
+        // — the sharing contract is "built exactly once", not a hit
+        // count.
+        assert_eq!(report.cache.ndft_entries, 1);
+        assert_eq!(report.cache.spline_entries, 1);
+        assert_eq!(report.cache.misses, 2, "{:?}", report.cache);
+    }
+
+    #[test]
+    fn results_independent_of_thread_count() {
+        let run = |threads: usize| {
+            let cfg = ServiceConfig {
+                threads,
+                ..Default::default()
+            };
+            let mut eng = engine_with(4, cfg);
+            let r = eng.run_epoch(3);
+            r.outcomes
+                .iter()
+                .map(|o| o.distance_m.unwrap().to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn epochs_advance_the_clock_and_stay_deterministic() {
+        let mut eng = engine_with(2, ServiceConfig::default());
+        let a = eng.run_epoch(5);
+        let b = eng.run_epoch(5);
+        assert!(b.started > a.started);
+        // Same engine construction, same seeds => same outcome stream.
+        let mut eng2 = engine_with(2, ServiceConfig::default());
+        let a2 = eng2.run_epoch(5);
+        for (x, y) in a.outcomes.iter().zip(a2.outcomes.iter()) {
+            assert_eq!(
+                x.distance_m.map(f64::to_bits),
+                y.distance_m.map(f64::to_bits)
+            );
+        }
+    }
+
+    fn position_ctx(p: Point) -> MeasurementContext {
+        let mut ctx = MeasurementContext::new(
+            Environment::free_space(),
+            ideal_device(AntennaArray::single()),
+            p,
+            ideal_device(AntennaArray::access_point()),
+            Point::new(0.0, 0.0),
+        );
+        ctx.snr.snr_at_1m_db = 60.0;
+        ctx
+    }
+
+    #[test]
+    fn position_mode_reports_submeter_fixes_and_promotes_to_track() {
+        let mut eng = ServiceEngine::new(ServiceConfig::position(TrackerConfig::default()));
+        let id = eng.join(position_ctx(Point::new(1.5, 4.0)), ChronosConfig::ideal());
+        eng.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let mut reports = Vec::new();
+        for e in 0..4 {
+            reports.push(eng.run_epoch(100 + e));
+        }
+        let last = reports.last().unwrap();
+        let o = &last.outcomes[0];
+        assert!(o.truth_pos.dist(Point::new(1.5, 4.0)) < 1e-12);
+        let err = o.pos_error_m.expect("raw fix");
+        assert!(err < 1.0, "raw position error {err}");
+        let rmse = last.pos_rmse_m().expect("tracked position");
+        assert!(rmse < 1.0, "tracked RMSE {rmse}");
+        // The position tracker's mode machine drives subset scheduling.
+        assert_eq!(o.mode, TrackMode::Track);
+        assert!(o.bands_planned < 35, "subset sweep expected");
+        assert!(last.median_pos_error_m().is_some());
+        // Distance-tracking fields stay unpopulated in position mode.
+        assert!(o.tracked_m.is_none());
+    }
+
+    #[test]
+    fn non_adaptive_position_mode_full_sweeps_still_fuse() {
+        let cfg = ServiceConfig {
+            localization: LocalizationMode::Position,
+            ..ServiceConfig::default()
+        };
+        let mut eng = ServiceEngine::new(cfg);
+        let id = eng.join(position_ctx(Point::new(-2.0, 3.0)), ChronosConfig::ideal());
+        eng.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        for e in 0..3 {
+            let r = eng.run_epoch(7 + e);
+            let o = &r.outcomes[0];
+            assert_eq!(
+                o.bands_planned, 35,
+                "non-adaptive service must sweep the full plan"
+            );
+            assert_eq!(
+                o.mode,
+                TrackMode::Acquire,
+                "reported mode must match the sweep actually issued"
+            );
+            assert!(o.tracked_pos.is_some());
+        }
+        assert_eq!(eng.run_epoch(99).mode_occupancy().track, 0);
+        assert!(eng.position_tracker(id).is_some());
+        assert!(eng.tracker(id).is_none());
+    }
+
+    #[test]
+    fn ratio_reporters_are_zero_not_nan_on_empty_input() {
+        // Every ratio must degrade to 0.0 (never 0/0 = NaN) when its
+        // denominator is empty: a zero-length window or an epoch round
+        // with no clients, and a never-queried cache.
+        let mut eng = ServiceEngine::new(ServiceConfig::default());
+        let window = eng.run_until(1, Instant::ZERO);
+        let round = eng.run_epoch(1);
+        for r in [window, round] {
+            assert_eq!(r.span(), Duration::ZERO);
+            assert_eq!(r.sweeps_per_sec(), 0.0);
+            assert_eq!(r.airtime_saved(), 0.0);
+            assert_eq!(r.utilization, 0.0);
+            assert_eq!(r.cache.hit_rate(), 0.0);
+            assert_eq!(r.completed(), 0);
+            assert_eq!(r.quarantined(), 0);
+            assert!(r.mean_abs_error_m().is_none());
+            assert!(r.track_rmse_m().is_none());
+            assert!(r.pos_rmse_m().is_none());
+            assert!(r.median_pos_error_m().is_none());
+            assert_eq!(r.mode_occupancy(), ModeOccupancy::default());
+        }
+    }
+
+    #[test]
+    fn contention_reported_for_overlapping_sweeps() {
+        let mut eng = engine_with(6, ServiceConfig::default());
+        let report = eng.run_epoch(11);
+        // With max_concurrent = 4 and six clients, some sweeps overlap
+        // and pay contention; the utilization must reflect real overlap.
+        assert!(report.outcomes.iter().any(|o| o.concurrent > 0));
+        assert!(report.outcomes.iter().any(|o| o.extra_loss > 0.0));
+        assert!(report.span() > Duration::from_millis(80));
+    }
+
+    #[test]
+    fn removed_client_skips_later_epochs() {
+        let mut eng = engine_with(3, ServiceConfig::default());
+        let first = eng.run_epoch(21);
+        assert_eq!(first.outcomes.len(), 3);
+        assert!(eng.leave(1));
+        assert!(!eng.leave(1), "double-leave reports inactive");
+        assert!(!eng.is_active(1));
+        assert_eq!(eng.n_slots(), 3, "slot indices stay valid");
+        assert_eq!(eng.n_active(), 2);
+        let second = eng.run_epoch(22);
+        let clients: Vec<usize> = second.outcomes.iter().map(|o| o.client).collect();
+        assert_eq!(clients, vec![0, 2]);
+        // Remaining clients' sweep ordinals keep advancing.
+        assert!(second.outcomes.iter().all(|o| o.sweep == 1));
     }
 }

@@ -54,20 +54,21 @@
 //! thread-safe [`PlanCache`]. Cached and uncached estimation are
 //! bit-identical; only the redundant per-sweep construction disappears.
 //!
-//! [`service`] is the multi-client layer: a [`RangingService`] pools
-//! sessions over one shared `PlanCache`, admits their sweeps through the
-//! airtime arbiter in [`chronos_link::arbiter`] so N hoppers contend
-//! realistically, and runs per-client inversion on scoped worker
-//! threads with schedule-independent results.
+//! [`service`] is the multi-client layer's policy and outcome types:
+//! one [`ServiceEngine`] pools sessions over one shared `PlanCache`,
+//! admits their sweeps through the airtime arbiter in
+//! [`chronos_link::arbiter`] so N hoppers contend realistically, and
+//! runs per-client inversion on scoped worker threads with
+//! schedule-independent results.
 //!
-//! [`engine`] is the continuous scheduler underneath the service: a
-//! discrete-event [`ServiceEngine`] over virtual time in which every
-//! client re-sweeps at its own tracker-derived cadence (`SweepDue` →
-//! arbiter admission → lane execution → `SweepComplete` → tracker
-//! fusion → reschedule), with client join/leave as first-class events.
-//! `RangingService::run_until` exposes it directly; `run_epoch` is a
-//! compatibility wrapper reproducing the legacy lock-step rounds (see
-//! `docs/SCHEDULING.md`).
+//! [`engine`] holds that engine: a discrete-event [`ServiceEngine`] over
+//! virtual time in which every client re-sweeps at its own
+//! tracker-derived cadence (`SweepDue` → arbiter admission → lane
+//! execution → `SweepComplete` → tracker fusion → reschedule), with
+//! client join/leave as first-class events.
+//! [`ServiceEngine::run_until`] runs it continuously to a deadline;
+//! [`ServiceEngine::run_epoch`] plays one legacy lock-step round. Both
+//! return a [`WindowReport`] (see `docs/SCHEDULING.md`).
 //!
 //! [`tracker`] closes the loop *across* epochs: a per-client
 //! constant-velocity Kalman filter ([`tracker::DistanceFilter`]) fuses
@@ -132,7 +133,7 @@ pub use pipeline::{EstimatorScratch, SweepPipeline};
 pub use plan::{CacheStats, NdftPlan, PlanCache};
 pub use profile::MultipathProfile;
 pub use runtime::WorkerRuntime;
-pub use service::{CadenceConfig, EpochReport, QuarantineConfig, RangingService, ServiceConfig};
+pub use service::{QuarantineConfig, ServiceConfig};
 pub use session::{ChronosSession, SweepOutput};
 pub use tof::{BandSample, TofEstimate, TofEstimator, TofFix};
 pub use tracker::{

@@ -137,7 +137,7 @@ impl CacheStats {
 ///
 /// One `PlanCache` (behind an `Arc`) serves any number of
 /// [`crate::session::ChronosSession`]s and the multi-client
-/// [`crate::service::RangingService`]: the first estimate on a given
+/// [`crate::engine::ServiceEngine`]: the first estimate on a given
 /// (band plan, grid) pays for plan construction, every later estimate —
 /// any client, any sweep, any thread — reuses it.
 ///

@@ -3,7 +3,8 @@
 //!
 //! A full Chronos fix sweeps all 35 bands; at service scale that per-fix
 //! airtime — not compute — caps how many clients one access point can
-//! localize (the `EpochReport::sweeps_per_sec_airtime` ceiling). But a
+//! localize (the airtime ceiling an epoch round's
+//! [`crate::engine::WindowReport::sweeps_per_sec`] reports). But a
 //! client being ranged every ~100 ms does not *need* a cold-start fix
 //! every epoch: its distance is a slowly varying physical quantity, and
 //! a constant-velocity filter carries an excellent prior between fixes.

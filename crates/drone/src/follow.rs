@@ -13,7 +13,8 @@ use crate::controller::{ControllerConfig, DistanceController};
 use crate::dynamics::Quadrotor;
 use crate::trajectory::WalkTrajectory;
 use chronos_core::config::ChronosConfig;
-use chronos_core::service::{RangingService, ServiceConfig};
+use chronos_core::engine::ServiceEngine;
+use chronos_core::service::ServiceConfig;
 use chronos_core::session::ChronosSession;
 use chronos_core::tracker::{ClientTracker, PositionTracker, TrackerConfig};
 use chronos_link::time::Instant;
@@ -41,7 +42,7 @@ pub enum FollowSource {
     /// as the control observable (§12.4's endgame).
     Position,
     /// Distances come from the **continuous event-driven engine**
-    /// ([`RangingService::run_until`]): the drone-side radio ranges the
+    /// ([`ServiceEngine::run_until`]): the drone-side radio ranges the
     /// user at the engine's own tracker-derived cadence — a full
     /// ACQUIRE sweep to converge, then TRACK-mode subset sweeps that
     /// deliver 2–3 fixes per 84 ms control tick instead of one — and
@@ -141,10 +142,10 @@ pub struct FollowSim {
     controller: DistanceController,
     dist_tracker: Option<ClientTracker>,
     pos_tracker: Option<PositionTracker>,
-    /// One-client continuous ranging service
+    /// One-client continuous ranging engine
     /// ([`FollowSource::Continuous`] only; built in `run()` after
     /// calibration so the engine adopts the calibrated session).
-    service: Option<RangingService>,
+    service: Option<ServiceEngine>,
     /// Seed for the engine's per-sweep RNG streams.
     seed: u64,
 }
@@ -202,8 +203,8 @@ impl FollowSim {
             // The continuous engine adopts the calibrated session; the
             // drone-side radio then sweeps at the engine's own cadence
             // rather than once per control tick.
-            let mut svc = RangingService::new(ServiceConfig::adaptive(self.cfg.tracker));
-            svc.add_session(self.session.clone());
+            let mut svc = ServiceEngine::new(ServiceConfig::adaptive(self.cfg.tracker));
+            svc.join_session(self.session.clone());
             self.service = Some(svc);
         }
 
@@ -223,7 +224,7 @@ impl FollowSim {
                 // ACQUIRE, or 2–3 TRACK subsets) and fuses every fix.
                 let svc = self.service.as_mut().expect("continuous service");
                 {
-                    let s = svc.client_mut(0);
+                    let s = svc.session_mut(0);
                     s.ctx.initiator_pos = user_pos;
                     s.ctx.responder_pos = self.drone.position;
                 }

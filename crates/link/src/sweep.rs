@@ -57,8 +57,8 @@ impl SweepConfig {
     /// timing model: per band, `measures_per_band` measure/ack exchanges
     /// (each padded by the inter-measure gap), one hop-advert exchange,
     /// and one channel switch. Multi-client admission scales this by a
-    /// headroom factor to absorb retransmissions — see
-    /// `chronos_core::service::ServiceConfig::admission_headroom`.
+    /// fixed 1.13 headroom factor to absorb retransmissions — see
+    /// `chronos_core::engine`.
     ///
     /// For the standard 35-band plan this lands near the paper's 84 ms
     /// median hop time (Fig. 9a); for a k-band subset it shrinks to

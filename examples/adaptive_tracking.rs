@@ -24,7 +24,8 @@
 //! and the same half second of airtime yields several fixes per client.
 
 use chronos_suite::core::config::ChronosConfig;
-use chronos_suite::core::service::{RangingService, ServiceConfig};
+use chronos_suite::core::engine::ServiceEngine;
+use chronos_suite::core::service::ServiceConfig;
 use chronos_suite::core::tracker::{TrackMode, TrackerConfig};
 use chronos_suite::link::time::Duration;
 use chronos_suite::rf::csi::MeasurementContext;
@@ -45,10 +46,10 @@ fn client_ctx(d: f64) -> MeasurementContext {
 }
 
 fn main() {
-    let mut service = RangingService::new(ServiceConfig::adaptive(TrackerConfig::default()));
+    let mut service = ServiceEngine::new(ServiceConfig::adaptive(TrackerConfig::default()));
     for d in [2.0, 4.0, 6.0, 8.0] {
-        let id = service.add_client(client_ctx(d), ChronosConfig::ideal());
-        service.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = service.join(client_ctx(d), ChronosConfig::ideal());
+        service.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
 
     let walker = 1; // client 1 walks away at 1 m/s (simulated time)
@@ -61,25 +62,25 @@ fn main() {
         // epoch k); its mobile endpoint backs away from the locator.
         if let Some(span_s) = prev_span_s {
             let dt_s = span_s + 0.005;
-            let x = service.client(walker).ctx.initiator_pos.x - 1.0 * dt_s;
-            service.client_mut(walker).ctx.initiator_pos = Point::new(x, 0.0);
+            let x = service.session(walker).ctx.initiator_pos.x - 1.0 * dt_s;
+            service.session_mut(walker).ctx.initiator_pos = Point::new(x, 0.0);
         }
         if e == 8 {
-            service.client_mut(jumper).ctx.initiator_pos = Point::new(5.0, 0.0);
+            service.session_mut(jumper).ctx.initiator_pos = Point::new(5.0, 0.0);
             println!("       -- client {jumper} teleports: 8 m -> 3 m from its locator --");
         }
 
         let r = service.run_epoch(7000 + e);
-        prev_span_s = Some(r.airtime_span.as_secs_f64());
+        prev_span_s = Some(r.span().as_secs_f64());
         let occ = r.mode_occupancy();
         println!(
             "{:>5}  A:{} T:{}         {:>5.1}ms  {:>4.0}%  {:>7.1}  {:>9}",
-            r.epoch,
+            e,
             occ.acquire,
             occ.track,
-            r.airtime_span.as_millis_f64(),
+            r.span().as_millis_f64(),
             100.0 * r.airtime_saved(),
-            r.sweeps_per_sec_airtime(),
+            r.sweeps_per_sec(),
             r.track_rmse_m()
                 .map(|x| format!("{x:.3} m"))
                 .unwrap_or_else(|| "-".into()),
@@ -103,7 +104,7 @@ fn main() {
     println!(
         "walker: tracked {:.2} m (truth {:.2} m), velocity {:+.2} m/s (truth +1.0 m/s)",
         t.filter().predicted_distance().unwrap_or(f64::NAN),
-        service.client(walker).truth_distance_m(),
+        service.session(walker).truth_distance_m(),
         t.filter().velocity().unwrap_or(f64::NAN),
     );
     let mode = service.tracker(jumper).map(|t| t.mode());
@@ -122,19 +123,19 @@ fn main() {
         100.0 * window.utilization,
         100.0 * window.airtime_saved(),
     );
-    for c in 0..service.n_clients() {
+    for c in 0..service.n_slots() {
         let n = window.outcomes.iter().filter(|o| o.client == c).count();
         let err = service
             .tracker(c)
             .and_then(|t| t.filter().predicted_distance())
-            .map(|d| (d - service.client(c).truth_distance_m()).abs());
+            .map(|d| (d - service.session(c).truth_distance_m()).abs());
         println!(
             "  client {c}: {n} sweeps this window, tracked error {}",
             err.map(|e| format!("{e:.3} m"))
                 .unwrap_or_else(|| "-".into()),
         );
     }
-    let per_client = window.completed() / service.n_clients();
+    let per_client = window.completed() / service.n_slots();
     assert!(
         per_client >= 3,
         "continuous engine should fit several subset sweeps per client, got {per_client}"

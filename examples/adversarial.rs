@@ -28,7 +28,7 @@ fn main() {
     println!("epoch  client  status      score  truth            tracked          err");
     for e in 0..epochs {
         if e == onset {
-            service.client_mut(ATTACKER).ctx.attacker = Some(replay_attacker(Strength::Strong));
+            service.session_mut(ATTACKER).ctx.attacker = Some(replay_attacker(Strength::Strong));
             println!("-- epoch {e}: client {ATTACKER} starts replaying with +20 ns delay --");
         }
         let report = service.run_epoch(73_000 + e as u64);

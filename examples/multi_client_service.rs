@@ -5,7 +5,7 @@
 //! cargo run --release --example multi_client_service
 //! ```
 //!
-//! Eight Intel 5300 clients register with a `RangingService`. Their
+//! Eight Intel 5300 clients join one `ServiceEngine`. Their
 //! sweeps share a single `PlanCache` (the NDFT operators, operator
 //! norms, lobe tables and spline factorizations are built once, on the
 //! first sweep, and reused by everyone) and contend for airtime through
@@ -16,7 +16,8 @@
 //! client leaving mid-run.
 
 use chronos_suite::core::config::ChronosConfig;
-use chronos_suite::core::service::{RangingService, ServiceConfig};
+use chronos_suite::core::engine::ServiceEngine;
+use chronos_suite::core::service::ServiceConfig;
 use chronos_suite::link::time::Duration;
 use chronos_suite::rf::csi::MeasurementContext;
 use chronos_suite::rf::environment::Environment;
@@ -27,7 +28,7 @@ use rand::SeedableRng;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
-    let mut service = RangingService::new(ServiceConfig::default());
+    let mut service = ServiceEngine::new(ServiceConfig::default());
 
     // Register eight clients scattered 2–9 m from the access point.
     let n_clients = 8;
@@ -41,7 +42,7 @@ fn main() {
             Intel5300::laptop(&mut rng),
             Point::new(0.0, 0.0),
         );
-        service.add_client(ctx, ChronosConfig::default());
+        service.join(ctx, ChronosConfig::default());
     }
 
     // One-time per-client calibration (paper §7 obs. 2).
@@ -53,11 +54,11 @@ fn main() {
         println!(
             "epoch {}: {}/{} clients estimated in {:.0} ms of airtime \
              ({:.1} sweeps/s, medium {:.0}% utilized, host wall {:?})",
-            report.epoch,
+            round,
             report.completed(),
             report.outcomes.len(),
-            report.airtime_span.as_millis_f64(),
-            report.sweeps_per_sec_airtime(),
+            report.span().as_millis_f64(),
+            report.sweeps_per_sec(),
             100.0 * report.utilization,
             report.wall,
         );
@@ -89,7 +90,7 @@ fn main() {
 
     // Continuous operation: no epoch barrier — every client re-sweeps as
     // soon as the arbiter grants airtime, and churn is an ordinary event.
-    service.remove_client(0);
+    service.leave(0);
     let window = service.run_until(2000, service.clock() + Duration::from_millis(300));
     println!(
         "continuous window ({}): {} sweeps from {} active clients \

@@ -15,7 +15,8 @@
 //! re-emerges. See `docs/LOCALIZATION.md` for the design.
 
 use chronos_suite::core::config::ChronosConfig;
-use chronos_suite::core::service::{RangingService, ServiceConfig};
+use chronos_suite::core::engine::ServiceEngine;
+use chronos_suite::core::service::ServiceConfig;
 use chronos_suite::core::tracker::{TrackMode, TrackerConfig};
 use chronos_suite::rf::csi::MeasurementContext;
 use chronos_suite::rf::environment::{Environment, Material};
@@ -49,16 +50,16 @@ fn main() {
         measurement_noise_m: 0.08,
         ..TrackerConfig::default()
     };
-    let mut service = RangingService::new(ServiceConfig::position(tracker));
-    let walker = service.add_client(ctx, ChronosConfig::ideal());
-    service.client_mut(walker).sweep_cfg.medium.loss_prob = 0.0;
+    let mut service = ServiceEngine::new(ServiceConfig::position(tracker));
+    let walker = service.join(ctx, ChronosConfig::ideal());
+    service.session_mut(walker).sweep_cfg.medium.loss_prob = 0.0;
 
     let antennas = ap.world_positions(Point::new(0.0, 0.0));
     println!("epoch  mode     ant  truth            fix              tracked          err");
     for e in 0..epochs {
         let t = e as f64 / (epochs - 1) as f64;
         let truth = start.lerp(end, t);
-        service.client_mut(walker).ctx.initiator_pos = truth;
+        service.session_mut(walker).ctx.initiator_pos = truth;
         let los = env
             .los_mask(truth, &antennas)
             .iter()

@@ -13,7 +13,7 @@
 //! * [`drone`] (`chronos-drone`) — the personal-drone application.
 //!
 //! For the design document (crate map, CSI→ToF data flow, the
-//! `PlanCache`/`RangingService` layer), see `docs/ARCHITECTURE.md`.
+//! `PlanCache`/`ServiceEngine` layer), see `docs/ARCHITECTURE.md`.
 //!
 //! ## Quickstart
 //!

@@ -146,7 +146,7 @@ fn window_reports_bitwise_identical_across_thread_counts_under_attack() {
         let mut fps = Vec::new();
         for w in 0..6u64 {
             if w == 2 {
-                svc.client_mut(ATTACKER).ctx.attacker = Some(replay_attacker(Strength::Strong));
+                svc.session_mut(ATTACKER).ctx.attacker = Some(replay_attacker(Strength::Strong));
             }
             let r = svc.run_until(SEED, svc.clock() + Duration::from_millis(250));
             for o in &r.outcomes {

@@ -150,7 +150,8 @@ fn localization_is_allocation_free_with_warm_scratch() {
 /// per-iteration regression anywhere in the sweep path is caught.)
 #[test]
 fn engine_window_allocations_per_sweep_bounded() {
-    use chronos_suite::core::service::{RangingService, ServiceConfig};
+    use chronos_suite::core::engine::ServiceEngine;
+    use chronos_suite::core::service::ServiceConfig;
     use chronos_suite::core::tracker::TrackerConfig;
     use chronos_suite::link::time::Instant;
     use chronos_suite::rf::csi::MeasurementContext;
@@ -165,14 +166,14 @@ fn engine_window_allocations_per_sweep_bounded() {
         Point::new(3.0, 0.0),
     );
     ctx.snr.snr_at_1m_db = 60.0;
-    let mut svc = RangingService::new(ServiceConfig::adaptive(TrackerConfig::default()));
+    let mut svc = ServiceEngine::new(ServiceConfig::adaptive(TrackerConfig::default()));
     let coarse = ChronosConfig {
         max_iters: 120,
         grid_step_ns: 0.5,
         ..ChronosConfig::ideal()
     };
-    let id = svc.add_client(ctx, coarse);
-    svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+    let id = svc.join(ctx, coarse);
+    svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     // Warm window: promote to TRACK, grow the worker pipeline's arena.
     svc.run_until(3, Instant::from_millis(500));
     let before = thread_allocations();

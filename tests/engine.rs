@@ -1,6 +1,6 @@
 //! Integration tests for the event-driven continuous sweep engine:
-//! the `run_epoch` compatibility wrapper must reproduce the pre-engine
-//! epoch-barrier outcomes, `WindowReport`s must be bitwise identical
+//! `run_epoch` rounds must reproduce the pre-engine epoch-barrier
+//! outcomes, `WindowReport`s must be bitwise identical
 //! across worker-thread counts, client churn must never corrupt the
 //! arbiter's single-charge airtime accounting, the engine must beat
 //! the epoch barrier's throughput on a mixed ACQUIRE/TRACK population,
@@ -10,7 +10,8 @@
 
 use chronos_bench::tracking::mixed_comparison;
 use chronos_suite::core::config::ChronosConfig;
-use chronos_suite::core::service::{RangingService, ServiceConfig};
+use chronos_suite::core::engine::{ServiceEngine, WindowReport};
+use chronos_suite::core::service::ServiceConfig;
 use chronos_suite::core::tracker::{TrackMode, TrackerConfig};
 use chronos_suite::link::time::{Duration, Instant};
 use chronos_suite::rf::csi::MeasurementContext;
@@ -46,20 +47,20 @@ fn adaptive_service_with(
     distances: &[f64],
     threads: usize,
     chronos: ChronosConfig,
-) -> RangingService {
+) -> ServiceEngine {
     let cfg = ServiceConfig {
         threads,
         ..ServiceConfig::adaptive(TrackerConfig::default())
     };
-    let mut svc = RangingService::new(cfg);
+    let mut svc = ServiceEngine::new(cfg);
     for &d in distances {
-        let id = svc.add_client(ideal_ctx(d), chronos.clone());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(ideal_ctx(d), chronos.clone());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     svc
 }
 
-fn adaptive_service(distances: &[f64], threads: usize) -> RangingService {
+fn adaptive_service(distances: &[f64], threads: usize) -> ServiceEngine {
     adaptive_service_with(distances, threads, quick_chronos())
 }
 
@@ -411,7 +412,7 @@ fn run_epoch_wrapper_reproduces_pre_refactor_outcomes() {
     for e in 0..4u64 {
         let r = svc.run_epoch(9000 + e);
         let (span, planned, full) = GOLDEN_EPOCHS[e as usize];
-        assert_eq!(r.airtime_span.as_nanos(), span, "epoch {e} span");
+        assert_eq!(r.span().as_nanos(), span, "epoch {e} span");
         assert_eq!(r.bands_planned, planned, "epoch {e} bands planned");
         assert_eq!(r.bands_full_sweep, full, "epoch {e} bands full");
         assert_eq!(r.outcomes.len(), 8, "epoch {e} must report every client");
@@ -473,7 +474,7 @@ fn warm_pipeline_sweeps_match_fresh_scratch_bitwise() {
     let mut warm = SweepPipeline::new();
     for sweep in 0..3u64 {
         for client in 0..2usize {
-            let session = svc.client(client);
+            let session = svc.session(client);
             let t = Instant::from_millis(100 * sweep + client as u64);
             let fresh_out = {
                 let mut rng = StdRng::seed_from_u64(1000 + 10 * sweep + client as u64);
@@ -555,7 +556,6 @@ fn worker_runtime_persists_across_windows() {
     svc.run_until(4321, Instant::from_millis(400));
     let (first_ptr, batches_after_first) = {
         let rt = svc
-            .engine()
             .runtime()
             .expect("a multi-threaded engine builds its pool on the first multi-sweep batch");
         assert_eq!(
@@ -570,14 +570,11 @@ fn worker_runtime_persists_across_windows() {
     // inline; joining clients all fall due at once, forcing the second
     // window to batch through the pool again.
     for d in [3.0, 4.5, 5.5, 7.0] {
-        let id = svc.add_client(ideal_ctx(d), quick_chronos());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(ideal_ctx(d), quick_chronos());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     svc.run_until(4321, Instant::from_millis(900));
-    let rt = svc
-        .engine()
-        .runtime()
-        .expect("the pool outlives its window");
+    let rt = svc.runtime().expect("the pool outlives its window");
     assert_eq!(
         Arc::as_ptr(rt),
         first_ptr,
@@ -601,12 +598,12 @@ fn churn_keeps_airtime_accounting_single_charge() {
     let w = svc.run_until(77, Instant::from_millis(2000));
     assert!(w.completed() > 10, "window too quiet: {}", w.completed());
     // Now remove everyone and drain: the engine must go quiescent.
-    for idx in 0..svc.n_clients() {
-        svc.remove_client(idx);
+    for idx in 0..svc.n_slots() {
+        svc.leave(idx);
     }
     let w2 = svc.run_until(77, Instant::from_millis(4000));
     assert_eq!(svc.n_active(), 0);
-    assert_eq!(svc.engine().pending_events(), 0, "engine not quiescent");
+    assert_eq!(svc.pending_events(), 0, "engine not quiescent");
     // Single-charge invariant over the final window: tracked airtime ==
     // sum of reported sweep durations (completion replaced projection;
     // nothing dangles after the leaves).
@@ -621,8 +618,8 @@ fn churn_keeps_airtime_accounting_single_charge() {
 
     // Join after churn: fresh slots, scheduling resumes, accounting
     // stays single-charge.
-    let id = svc.add_client(ideal_ctx(3.0), ChronosConfig::ideal());
-    svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+    let id = svc.join(ideal_ctx(3.0), ChronosConfig::ideal());
+    svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     assert_eq!(id, 3, "slot indices are never reused");
     let w3 = svc.run_until(78, Instant::from_millis(4600));
     assert!(w3.outcomes.iter().all(|o| o.client == id));
@@ -654,7 +651,7 @@ fn quarantined_client_rejoins_with_fresh_slot_and_clean_score() {
     };
 
     let mut svc = adversarial_service(0);
-    let charge = |r: &chronos_suite::core::EpochReport| {
+    let charge = |r: &WindowReport| {
         r.outcomes.iter().fold(Duration::ZERO, |acc, o| {
             acc + o.finished.saturating_since(o.started)
         })
@@ -664,12 +661,12 @@ fn quarantined_client_rejoins_with_fresh_slot_and_clean_score() {
     // start, so what the arbiter tracks afterwards must equal exactly
     // this round's reported sweep durations — every sweep charged one
     // window, completion replacing projection, attacker included.
-    let assert_single_charge = |svc: &RangingService, r: &chronos_suite::core::EpochReport| {
+    let assert_single_charge = |svc: &ServiceEngine, r: &WindowReport| {
         assert_eq!(
             svc.arbiter().total_tracked_airtime(),
             charge(r),
-            "epoch {}: arbiter charge diverged from reported sweeps",
-            r.epoch
+            "round at {}: arbiter charge diverged from reported sweeps",
+            r.started
         );
     };
     // Clean warm-up, then a blatant replay attack.
@@ -677,7 +674,7 @@ fn quarantined_client_rejoins_with_fresh_slot_and_clean_score() {
         let r = svc.run_epoch(500 + e);
         assert_single_charge(&svc, &r);
     }
-    svc.client_mut(ATTACKER).ctx.attacker = Some(replay_attacker(Strength::Strong));
+    svc.session_mut(ATTACKER).ctx.attacker = Some(replay_attacker(Strength::Strong));
     let mut detected = false;
     for e in 7..10u64 {
         let r = svc.run_epoch(500 + e);
@@ -693,7 +690,7 @@ fn quarantined_client_rejoins_with_fresh_slot_and_clean_score() {
 
     // The attacker leaves; its slot keeps the verdict but is never
     // scheduled again.
-    assert!(svc.remove_client(ATTACKER));
+    assert!(svc.leave(ATTACKER));
     let r = svc.run_epoch(600);
     assert!(r.outcomes.iter().all(|o| o.client != ATTACKER));
     assert!(svc.is_quarantined(ATTACKER), "verdict outlives the leave");
@@ -709,8 +706,8 @@ fn quarantined_client_rejoins_with_fresh_slot_and_clean_score() {
         Point::new(0.0, 0.0),
     );
     ctx.snr.snr_at_1m_db = 36.0;
-    let id = svc.add_client(ctx, adversarial_chronos());
-    svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+    let id = svc.join(ctx, adversarial_chronos());
+    svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     assert_eq!(id, 3, "slot indices are never reused");
     assert!(!svc.is_quarantined(id));
     assert_eq!(svc.anomaly_score(id), Some(0.0), "score starts clean");
@@ -733,7 +730,7 @@ fn removed_client_not_rescheduled_across_windows() {
     let mut svc = adaptive_service(&[2.5, 4.0], 0);
     let w1 = svc.run_until(5, Instant::from_millis(300));
     assert!(w1.outcomes.iter().any(|o| o.client == 1));
-    svc.remove_client(1);
+    svc.leave(1);
     let w2 = svc.run_until(5, Instant::from_millis(900));
     // At most one in-flight sweep of client 1 may still land; afterwards
     // only client 0 is scheduled.
@@ -777,19 +774,18 @@ fn event_engine_outpaces_epoch_barrier_at_n8_mixed() {
     );
 }
 
-/// Epoch rounds and continuous windows compose on one service: the
-/// clock is monotonic, trackers persist across the switch, and the
-/// epoch wrapper still reports one outcome per active client.
+/// Epoch rounds and continuous windows compose on one engine: the
+/// clock is monotonic, trackers persist across the switch, and an
+/// epoch round still reports one outcome per active client.
 #[test]
 fn epochs_and_windows_compose() {
     let mut svc = adaptive_service(&[3.0, 5.5], 0);
     let e0 = svc.run_epoch(31);
     assert_eq!(e0.outcomes.len(), 2);
     let w = svc.run_until(31, svc.clock() + Duration::from_millis(300));
-    assert!(w.started >= e0.started + e0.airtime_span);
+    assert!(w.started >= e0.ended);
     assert!(w.completed() >= 2);
     let e1 = svc.run_epoch(32);
-    assert_eq!(e1.epoch, 1, "epoch counter ignores windows");
     assert!(e1.started >= w.ended);
     for c in 0..2usize {
         // Sweeps carried over from the window (in flight or due past its
@@ -894,8 +890,6 @@ fn window_reports_identical_across_threads_with_shedding() {
 /// `migrate_state` handoff is built on).
 #[test]
 fn migrated_client_resumes_in_track_with_its_anomaly_score() {
-    use chronos_suite::core::engine::ServiceEngine;
-
     let cfg = ServiceConfig::adaptive(TrackerConfig::default());
     let mut a = ServiceEngine::new(cfg.clone());
     let c = a.join(ideal_ctx(3.0), quick_chronos());
@@ -946,7 +940,6 @@ fn migrated_client_resumes_in_track_with_its_anomaly_score() {
 /// (no handoff-laundering of an attacker's reputation).
 #[test]
 fn migrated_client_keeps_quarantine_verdict() {
-    use chronos_suite::core::engine::ServiceEngine;
     use chronos_suite::core::service::QuarantineConfig;
 
     // A hair-trigger policy so the mechanism (not the detector) is
@@ -991,8 +984,6 @@ fn migrated_client_keeps_quarantine_verdict() {
 /// boundary churn cannot corrupt per-slot sweep accounting.
 #[test]
 fn churn_during_handoff_keeps_accounting_and_track_state() {
-    use chronos_suite::core::engine::ServiceEngine;
-
     let cfg = ServiceConfig::adaptive(TrackerConfig::default());
     // Source engine: one client converging to TRACK.
     let mut a = ServiceEngine::new(cfg.clone());

@@ -7,7 +7,8 @@ use chronos_bench::position::{
     run_position, run_position_continuous, PositionRun, PositionScenarioConfig,
 };
 use chronos_suite::core::config::ChronosConfig;
-use chronos_suite::core::service::{LocalizationMode, RangingService, ServiceConfig};
+use chronos_suite::core::engine::ServiceEngine;
+use chronos_suite::core::service::{LocalizationMode, ServiceConfig};
 use chronos_suite::core::tracker::{PositionTracker, TrackerConfig};
 use chronos_suite::link::time::{Duration, Instant};
 use chronos_suite::rf::csi::MeasurementContext;
@@ -119,7 +120,7 @@ fn position_tracker_is_deterministic_across_epochs() {
 
 #[test]
 fn service_position_mode_tracks_multiple_clients() {
-    let mut svc = RangingService::new(ServiceConfig::position(TrackerConfig::default()));
+    let mut svc = ServiceEngine::new(ServiceConfig::position(TrackerConfig::default()));
     for p in [
         Point::new(1.5, 3.5),
         Point::new(-2.0, 4.0),
@@ -133,8 +134,8 @@ fn service_position_mode_tracks_multiple_clients() {
             Point::new(0.0, 0.0),
         );
         ctx.snr.snr_at_1m_db = 55.0;
-        let id = svc.add_client(ctx, ChronosConfig::ideal());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(ctx, ChronosConfig::ideal());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     assert_eq!(svc.config().localization, LocalizationMode::Position);
     let mut last = None;

@@ -3,8 +3,9 @@
 //! pure performance optimization (identical outputs).
 
 use chronos_suite::core::config::ChronosConfig;
+use chronos_suite::core::engine::ServiceEngine;
 use chronos_suite::core::plan::PlanCache;
-use chronos_suite::core::service::{RangingService, ServiceConfig};
+use chronos_suite::core::service::ServiceConfig;
 use chronos_suite::core::session::ChronosSession;
 use chronos_suite::core::tof::{genie_product, TofEstimator};
 use chronos_suite::link::time::Instant;
@@ -49,10 +50,10 @@ fn n_client_throughput_matches_single_session_accuracy() {
     }
 
     // The same geometries as concurrent service clients.
-    let mut svc = RangingService::new(ServiceConfig::default());
+    let mut svc = ServiceEngine::new(ServiceConfig::default());
     for d in distances {
-        let id = svc.add_client(ideal_ctx(d), ChronosConfig::ideal());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(ideal_ctx(d), ChronosConfig::ideal());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     let report = svc.run_epoch(321);
 
@@ -76,9 +77,9 @@ fn n_client_throughput_matches_single_session_accuracy() {
     // Throughput accounting is sane: simulated airtime covers the epoch
     // and at least the single-sweep rate is sustained.
     assert!(
-        report.sweeps_per_sec_airtime() >= 10.0,
+        report.sweeps_per_sec() >= 10.0,
         "{}",
-        report.sweeps_per_sec_airtime()
+        report.sweeps_per_sec()
     );
     assert!(report.utilization > 0.5);
 }
@@ -184,10 +185,10 @@ fn cached_session_sweep_is_bitwise_identical() {
 #[test]
 fn continuous_windows_reuse_plans_and_preserve_accuracy() {
     use chronos_suite::link::time::Duration;
-    let mut svc = RangingService::new(ServiceConfig::default());
+    let mut svc = ServiceEngine::new(ServiceConfig::default());
     for d in [3.0, 5.5] {
-        let id = svc.add_client(ideal_ctx(d), ChronosConfig::ideal());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(ideal_ctx(d), ChronosConfig::ideal());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     let first = svc.run_until(51, svc.clock() + Duration::from_millis(250));
     assert!(first.completed() >= 4, "only {} sweeps", first.completed());
@@ -219,10 +220,10 @@ fn continuous_windows_reuse_plans_and_preserve_accuracy() {
 /// hit rate as epochs accumulate.
 #[test]
 fn service_epochs_reuse_plans_across_rounds() {
-    let mut svc = RangingService::new(ServiceConfig::default());
+    let mut svc = ServiceEngine::new(ServiceConfig::default());
     for d in [2.5, 4.0, 6.0] {
-        let id = svc.add_client(ideal_ctx(d), ChronosConfig::ideal());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(ideal_ctx(d), ChronosConfig::ideal());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     let first = svc.run_epoch(9);
     let misses_after_first = first.cache.misses;

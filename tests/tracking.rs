@@ -5,7 +5,8 @@
 //! variable-length sweep exactly once.
 
 use chronos_suite::core::config::ChronosConfig;
-use chronos_suite::core::service::{RangingService, ServiceConfig};
+use chronos_suite::core::engine::ServiceEngine;
+use chronos_suite::core::service::ServiceConfig;
 use chronos_suite::core::tracker::{TrackMode, TrackerConfig};
 use chronos_suite::link::arbiter::{ArbiterConfig, MediumArbiter};
 use chronos_suite::link::sweep::SweepConfig;
@@ -27,16 +28,16 @@ fn ideal_ctx(d: f64) -> MeasurementContext {
     ctx
 }
 
-fn service(adaptive: bool, distances: &[f64]) -> RangingService {
+fn service(adaptive: bool, distances: &[f64]) -> ServiceEngine {
     let cfg = if adaptive {
         ServiceConfig::adaptive(TrackerConfig::default())
     } else {
         ServiceConfig::default()
     };
-    let mut svc = RangingService::new(cfg);
+    let mut svc = ServiceEngine::new(cfg);
     for &d in distances {
-        let id = svc.add_client(ideal_ctx(d), ChronosConfig::ideal());
-        svc.client_mut(id).sweep_cfg.medium.loss_prob = 0.0;
+        let id = svc.join(ideal_ctx(d), ChronosConfig::ideal());
+        svc.session_mut(id).sweep_cfg.medium.loss_prob = 0.0;
     }
     svc
 }
@@ -54,7 +55,7 @@ fn adaptive_static_error_bounded_and_throughput_doubles() {
     for e in 0..epochs {
         let r = full.run_epoch(900 + e);
         full_errs.extend(r.outcomes.iter().filter_map(|o| o.error_m));
-        full_tp.push(r.sweeps_per_sec_airtime());
+        full_tp.push(r.sweeps_per_sec());
     }
     let full_mae = full_errs.iter().sum::<f64>() / full_errs.len() as f64;
     let full_rate = full_tp.iter().sum::<f64>() / full_tp.len() as f64;
@@ -67,7 +68,7 @@ fn adaptive_static_error_bounded_and_throughput_doubles() {
         let occ = r.mode_occupancy();
         if occ.acquire == 0 && occ.track == distances.len() {
             track_errs.extend(r.outcomes.iter().filter_map(|o| o.error_m));
-            track_tp.push(r.sweeps_per_sec_airtime());
+            track_tp.push(r.sweeps_per_sec());
             assert!(
                 r.airtime_saved() > 0.5,
                 "airtime saved {}",
@@ -103,11 +104,11 @@ fn adaptive_moving_client_stays_tracked() {
     for e in 0..14u64 {
         // 1.2 m/s away from the locator, in simulated time.
         if let Some(span_s) = prev_span {
-            let x = svc.client(0).ctx.initiator_pos.x - 1.2 * (span_s + 0.005);
-            svc.client_mut(0).ctx.initiator_pos = Point::new(x, 0.0);
+            let x = svc.session(0).ctx.initiator_pos.x - 1.2 * (span_s + 0.005);
+            svc.session_mut(0).ctx.initiator_pos = Point::new(x, 0.0);
         }
         let r = svc.run_epoch(3100 + e);
-        prev_span = Some(r.airtime_span.as_secs_f64());
+        prev_span = Some(r.span().as_secs_f64());
         let o = &r.outcomes[0];
         if o.mode == TrackMode::Track {
             track_epochs += 1;
@@ -136,7 +137,7 @@ fn teleport_forces_reacquire_then_repromotes() {
     assert_eq!(svc.tracker(0).unwrap().mode(), TrackMode::Track);
 
     // Teleport: the mobile endpoint jumps 5 m closer between epochs.
-    svc.client_mut(0).ctx.initiator_pos = Point::new(5.0, 0.0);
+    svc.session_mut(0).ctx.initiator_pos = Point::new(5.0, 0.0);
     let r = svc.run_epoch(4300);
     let o = &r.outcomes[0];
     assert_eq!(o.mode, TrackMode::Track, "the jump lands on a TRACK epoch");
@@ -204,7 +205,7 @@ fn subset_plans_never_double_count_airtime() {
     }
     let r = last.unwrap();
     assert_eq!(r.mode_occupancy().track, 1);
-    let span = r.airtime_span;
+    let span = r.span();
     assert!(
         span < Duration::from_millis(45),
         "steady-state span {span} should be subset-sized (full sweep is ~84 ms)"
