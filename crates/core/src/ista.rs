@@ -117,8 +117,13 @@ struct SplitScratch {
     next_im: Vec<f64>,
     fy_re: Vec<f64>,
     fy_im: Vec<f64>,
-    grad_re: Vec<f64>,
-    grad_im: Vec<f64>,
+    /// Squared candidate magnitudes of the fused step's shrink pass.
+    sq: Vec<f64>,
+    /// Polyphase partial sums `S` of a raster plan's adjoint
+    /// ([`Ndft::fused_prox_step_split`]), real plane then imaginary:
+    /// `2 C P` entries, at most twice the grid length, which every solve
+    /// reserves up front.
+    sums: Vec<f64>,
     h_re: Vec<f64>,
     h_im: Vec<f64>,
     /// Ascending nonzero indices of `p` / `prev` / `next`.
@@ -365,8 +370,8 @@ fn solve_with_norm_into_simd(
         next_im,
         fy_re,
         fy_im,
-        grad_re,
-        grad_im,
+        sq,
+        sums,
         h_re,
         h_im,
         supp_p,
@@ -379,8 +384,15 @@ fn solve_with_norm_into_simd(
     h_im.clear();
     h_im.extend(h.iter().map(|z| z.im));
 
-    ndft.adjoint_split_into(h_re, h_im, grad_re, grad_im);
-    let alpha = cfg.alpha_rel * lanes::norm_inf_split(grad_re, grad_im) * 2.0;
+    // Every raster plan on this grid needs `C P <= m` partial sums per
+    // plane; reserving both planes' worst case keeps a warm scratch
+    // allocation-free across plans of different shape.
+    sums.clear();
+    sums.reserve(2 * m);
+    // The data's adjoint image only sets the threshold, so it borrows
+    // the `next` planes, which are zeroed below before the first step.
+    ndft.adjoint_split_into(h_re, h_im, sums, next_re, next_im);
+    let alpha = cfg.alpha_rel * lanes::norm_inf_split(next_re, next_im) * 2.0;
     let thresh = gamma * alpha;
 
     for buf in [
@@ -390,6 +402,7 @@ fn solve_with_norm_into_simd(
         &mut *prev_im,
         &mut *next_re,
         &mut *next_im,
+        &mut *sq,
     ] {
         buf.clear();
         buf.resize(m, 0.0);
@@ -428,12 +441,9 @@ fn solve_with_norm_into_simd(
         for (r, hv) in fy_im.iter_mut().zip(h_im.iter()) {
             *r -= *hv;
         }
-        // `grad_re` is idle inside the loop (only the startup alpha
-        // estimate used it), so it doubles as the squared-magnitude
-        // scratch plane for the fused kernel's shrink pass.
         let (delta2, pnorm2) = ndft.fused_prox_step_split(
-            fy_re, fy_im, p_re, p_im, prev_re, prev_im, beta, g2, thresh, next_re, next_im,
-            grad_re, supp_next,
+            fy_re, fy_im, p_re, p_im, prev_re, prev_im, beta, g2, thresh, next_re, next_im, sq,
+            sums, supp_next,
         );
         let delta = delta2.sqrt();
         let scale = pnorm2.sqrt() + 1.0;

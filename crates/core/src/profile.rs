@@ -279,43 +279,6 @@ pub fn strong_lobe_offsets(freqs_hz: &[f64], threshold: f64, max_offset_ns: f64)
     offsets
 }
 
-/// Cluster-limited resolution: splits sorted `freqs_hz` into clusters at
-/// gaps wider than `gap_hz`, and returns `1e9 / largest_cluster_span` —
-/// the width of the fringe *envelope* of the NDFT point response, which
-/// governs how far sidelobes stay strong (and hence the sidelobe-veto
-/// radius of [`MultipathProfile::first_path_peak`]).
-pub fn cluster_resolution_ns(freqs_hz: &[f64], gap_hz: f64) -> f64 {
-    let mut sorted = freqs_hz.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    cluster_resolution_ns_sorted(&sorted, gap_hz)
-}
-
-/// [`cluster_resolution_ns`] for frequencies already in ascending order
-/// (band groups keep theirs sorted) — the allocation-free hot-path
-/// variant. Identical result; sorting sorted input is the identity.
-pub fn cluster_resolution_ns_sorted(sorted: &[f64], gap_hz: f64) -> f64 {
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input not sorted");
-    let mut best_span = 0.0f64;
-    let mut start = match sorted.first() {
-        Some(f) => *f,
-        None => return 2.0,
-    };
-    let mut prev = start;
-    for f in sorted.iter().skip(1) {
-        if f - prev > gap_hz {
-            best_span = best_span.max(prev - start);
-            start = *f;
-        }
-        prev = *f;
-    }
-    best_span = best_span.max(prev - start);
-    if best_span > 0.0 {
-        1e9 / best_span
-    } else {
-        2.0
-    }
-}
-
 /// Golden-section search for the maximum of a unimodal function on
 /// `[lo, hi]` to absolute tolerance `tol`.
 fn golden_max(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> f64 {
@@ -496,20 +459,6 @@ mod tests {
         // Degenerate span falls back.
         assert_eq!(resolution_ns(&[5e9]), 2.0);
         assert_eq!(resolution_ns(&[]), 2.0);
-    }
-
-    #[test]
-    fn cluster_resolution_splits_at_gaps() {
-        let f = freqs();
-        // Only the 5.32 -> 5.5 GHz gap (180 MHz) exceeds the threshold; the
-        // 5.7 -> 5.745 gap (45 MHz) does not, so the largest cluster spans
-        // 5.5-5.825 GHz = 325 MHz -> ~3.08 ns.
-        let r = cluster_resolution_ns(&f, 150e6);
-        assert!((r - 3.077).abs() < 0.01, "{r}");
-        // With an enormous gap threshold everything is one cluster.
-        let r_all = cluster_resolution_ns(&f, 10e9);
-        assert!((r_all - resolution_ns(&f)).abs() < 1e-9);
-        assert_eq!(cluster_resolution_ns(&[], 1e6), 2.0);
     }
 
     #[test]

@@ -370,8 +370,6 @@ impl TofEstimator {
             }
             chronos_math::cvec::magnitudes_into(&scratch.p_final, &mut scratch.mags);
             let res_ns = crate::profile::resolution_ns(&g.freqs_hz);
-            // Group frequencies are kept ascending by `group_by_scale`.
-            let veto_ns = crate::profile::cluster_resolution_ns_sorted(&g.freqs_hz, 150e6);
             let min_sep = crate::profile::min_sep_bins(res_ns, grid.step_ns);
             // Physical prior: a genuine first peak cannot descale below the
             // calibration constant — that would mean negative distance.
@@ -391,7 +389,6 @@ impl TofEstimator {
                 &scratch.mags,
                 self.config.peak_dominance,
                 min_sep,
-                veto_ns,
                 self.config.sidelobe_veto_ratio,
                 min_profile_x,
                 self.config.atom_snr_min,
@@ -512,7 +509,6 @@ fn select_first_path(
     mags: &[f64],
     dominance: f64,
     min_sep: usize,
-    veto_window_ns: f64,
     energy_factor: f64,
     min_profile_x_ns: f64,
     atom_snr_min: f64,
@@ -523,7 +519,6 @@ fn select_first_path(
     // The one grid every delay index and x-coordinate below refers to —
     // taken from the operator itself so a mismatch is unrepresentable.
     let grid = ndft.grid();
-    let r_with = resid_sq(ndft, h, p_final, &mut sel.fit);
 
     // Dominant peaks past the physical-prior cutoff (the profile's
     // `dominant_peaks` + filter, over the scratch magnitude buffer).
@@ -606,7 +601,6 @@ fn select_first_path(
         // seeded with candidate-image atoms at every grating-lobe offset
         // after the candidate: if one of those explains the data, the
         // candidate was the ghost.
-        let _ = (veto_window_ns, r_with);
         let suspicious = sel
             .peaks
             .iter()

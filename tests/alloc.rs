@@ -110,6 +110,71 @@ fn acquire_estimation_is_allocation_free_after_warmup() {
     );
 }
 
+/// One warm pipeline alternating between plans of different shape stays
+/// allocation-free. Under `simd` the 12-band TRACK subset and the full
+/// ACQUIRE plan's 2.4 GHz group factor their adjoints with different
+/// numbers of polyphase partial sums (`C P`). Those planes live in the
+/// solver scratch, reserved to the grid length, so a scratch warmed on
+/// the smaller shape serves the larger one without growing.
+#[test]
+fn alternating_subset_and_full_plans_stay_allocation_free() {
+    let estimator = TofEstimator::with_cache(ChronosConfig::default(), Arc::new(PlanCache::new()));
+    let track: Vec<Vec<BandProduct>> = (0..4).map(track_products).collect();
+    let acquire: Vec<Vec<BandProduct>> = (0..4).map(acquire_products).collect();
+
+    // Solver level: the subset's group, then the 2.4 GHz group.
+    let grid = TauGrid::span(200.0, 0.25);
+    let group = |products: &[BandProduct], scale: f64| {
+        let (freqs, h): (Vec<f64>, Vec<Complex64>) = products
+            .iter()
+            .filter(|p| p.delay_scale == scale)
+            .map(|p| (p.freq_hz, p.value))
+            .unzip();
+        (NdftPlan::new(&freqs, grid, 200.0), h)
+    };
+    let (subset_plan, subset_h) = group(&track[0], 2.0);
+    let (coarse_plan, coarse_h) = group(&acquire[0], 8.0);
+    #[cfg(feature = "simd")]
+    {
+        let partial_sums = |plan: &NdftPlan| {
+            let (d, c) = plan.ndft.polyphase_shape().expect("on the 200 ns raster");
+            c * grid.len / d
+        };
+        assert!(partial_sums(&subset_plan) < partial_sums(&coarse_plan));
+    }
+    let cfg = IstaConfig::default();
+    let mut scratch = IstaScratch::new();
+    solve_planned_into(&subset_plan, &subset_h, &cfg, &mut scratch);
+    let before = thread_allocations();
+    solve_planned_into(&coarse_plan, &coarse_h, &cfg, &mut scratch);
+    let allocs = thread_allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "a subset-warmed solver scratch grew {allocs} times"
+    );
+
+    // Pipeline level: alternate whole estimates.
+    let mut pipeline = SweepPipeline::new();
+    let alternate = |pipeline: &mut SweepPipeline| {
+        for (t, a) in track.iter().zip(acquire.iter()) {
+            pipeline.estimate_fix(&estimator, t).expect("subset fix");
+            pipeline.estimate_fix(&estimator, a).expect("full-plan fix");
+        }
+    };
+    for _ in 0..2 {
+        alternate(&mut pipeline);
+    }
+    let before = thread_allocations();
+    for _ in 0..3 {
+        alternate(&mut pipeline);
+    }
+    let allocs = thread_allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "alternating subset/full-plan estimation allocated {allocs} times over 24 sweeps"
+    );
+}
+
 /// A warm pipeline's localization (the Gauss–Newton circle fit) is
 /// allocation-free into a reused candidate buffer.
 #[test]

@@ -743,8 +743,8 @@ mod simd_tolerance {
             let h_im: Vec<f64> = h.iter().map(|z| z.im).collect();
             let mut want = Vec::new();
             ndft.adjoint_into(&h, &mut want);
-            let (mut out_re, mut out_im) = (Vec::new(), Vec::new());
-            ndft.adjoint_split_into(&h_re, &h_im, &mut out_re, &mut out_im);
+            let (mut sums, mut out_re, mut out_im) = (Vec::new(), Vec::new(), Vec::new());
+            ndft.adjoint_split_into(&h_re, &h_im, &mut sums, &mut out_re, &mut out_im);
             let peak = want.iter().map(|z| z.abs()).fold(1e-30f64, f64::max);
             for (w, (r, i)) in want.iter().zip(out_re.iter().zip(out_im.iter())) {
                 prop_assert!((w.re - r).abs() <= 1e-12 * peak, "{} vs {}", w.re, r);
@@ -793,6 +793,65 @@ mod simd_tolerance {
                     (*a - *b).abs() <= 1e-6 * peak,
                     "solver tiers diverged: {} vs {}",
                     a, b
+                );
+            }
+        }
+
+        /// Raster plans: random subsets of at least five bands from
+        /// either Wi-Fi group, at 0.25, 0.5 or 1 ns over a 200 ns span,
+        /// always take the polyphase adjoint under `simd`. The solver
+        /// must still track the scalar reference: the same convergence
+        /// flag and drift within 1e-6 of the profile peak.
+        #[test]
+        fn raster_solver_tracks_scalar_on_wifi_subsets(
+            group_2g4 in 0usize..2,
+            scores in proptest::collection::vec(0.0f64..1.0, 24..25),
+            frac in 0.0f64..1.0,
+            step_idx in 0usize..3,
+            tau in 5.0f64..60.0,
+            sep in 2.0f64..20.0,
+            amp2 in 0.05f64..0.9,
+        ) {
+            use chronos_suite::rf::bands::band_plan;
+            let group: Vec<f64> = band_plan()
+                .iter()
+                .filter(|b| b.group.is_2g4() == (group_2g4 == 1))
+                .map(|b| b.center_hz)
+                .collect();
+            // The lowest-scoring `count` bands, back in frequency order.
+            let count = 5 + (frac * (group.len() - 4) as f64) as usize;
+            let mut order: Vec<usize> = (0..group.len()).collect();
+            order.sort_by(|a, b| scores[*a].total_cmp(&scores[*b]));
+            order.truncate(count);
+            order.sort_unstable();
+            let freqs: Vec<f64> = order.iter().map(|i| group[*i]).collect();
+            let step = [0.25, 0.5, 1.0][step_idx];
+            let plan = NdftPlan::new(&freqs, TauGrid::span(200.0, step), 200.0);
+            prop_assert!(plan.ndft.polyphase_shape().is_some(), "{:?} off the raster", freqs);
+            let h: Vec<Complex64> = freqs
+                .iter()
+                .map(|f| {
+                    let ph1 = -2.0 * PI * f * tau * 1e-9;
+                    let ph2 = -2.0 * PI * f * (tau + sep) * 1e-9;
+                    Complex64::cis(ph1) + Complex64::cis(ph2) * amp2
+                })
+                .collect();
+            let cfg = IstaConfig::default();
+            let mut scalar = IstaScratch::new();
+            let a = solve_planned_into_scalar(&plan, &h, &cfg, &mut scalar);
+            let mut simd = IstaScratch::new();
+            let b = solve_planned_into(&plan, &h, &cfg, &mut simd);
+            prop_assert_eq!(a.converged, b.converged, "{} bands at {} ns", freqs.len(), step);
+            let peak = scalar
+                .solution()
+                .iter()
+                .map(|z| z.abs())
+                .fold(1e-30f64, f64::max);
+            for (x, y) in scalar.solution().iter().zip(simd.solution().iter()) {
+                prop_assert!(
+                    (*x - *y).abs() <= 1e-6 * peak,
+                    "{} bands at {} ns: {} vs {}",
+                    freqs.len(), step, x, y
                 );
             }
         }
