@@ -1,7 +1,12 @@
 //! Algorithm 1 performance and the ISTA-vs-FISTA ablation (DESIGN.md §4).
+//!
+//! Every solve runs on a prebuilt `NdftPlan` into one reused scratch, as
+//! the estimator does, so the plan's operator norm (40 power-iteration
+//! passes) is paid once per plan, outside the timed loop.
 
-use chronos_core::ista::{debias, solve, IstaConfig};
-use chronos_core::ndft::{Ndft, TauGrid};
+use chronos_core::ista::{debias_into, solve_planned_into, DebiasScratch, IstaConfig, IstaScratch};
+use chronos_core::ndft::TauGrid;
+use chronos_core::plan::NdftPlan;
 use chronos_math::Complex64;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::f64::consts::PI;
@@ -30,6 +35,7 @@ fn measurement(freqs: &[f64]) -> Vec<Complex64> {
 fn bench_solver(c: &mut Criterion) {
     let f = freqs();
     let h = measurement(&f);
+    let mut scratch = IstaScratch::new();
     let mut group = c.benchmark_group("ista");
 
     // Grid-size scaling.
@@ -39,19 +45,20 @@ fn bench_solver(c: &mut Criterion) {
             step_ns: 200.0 / grid_points as f64,
             len: grid_points,
         };
-        let ndft = Ndft::new(&f, grid);
+        let plan = NdftPlan::new(&f, grid, 200.0);
         group.bench_with_input(
             BenchmarkId::new("solve_fista", grid_points),
             &grid_points,
             |b, _| {
                 b.iter(|| {
-                    std::hint::black_box(solve(
-                        &ndft,
+                    std::hint::black_box(solve_planned_into(
+                        &plan,
                         &h,
                         &IstaConfig {
                             accelerated: true,
                             ..Default::default()
                         },
+                        &mut scratch,
                     ))
                 })
             },
@@ -64,36 +71,44 @@ fn bench_solver(c: &mut Criterion) {
         step_ns: 0.25,
         len: 800,
     };
-    let ndft = Ndft::new(&f, grid);
+    let plan = NdftPlan::new(&f, grid, 200.0);
     group.bench_function("ablation_plain_ista", |b| {
         b.iter(|| {
-            std::hint::black_box(solve(
-                &ndft,
+            std::hint::black_box(solve_planned_into(
+                &plan,
                 &h,
                 &IstaConfig {
                     accelerated: false,
                     ..Default::default()
                 },
+                &mut scratch,
             ))
         })
     });
     group.bench_function("ablation_fista", |b| {
         b.iter(|| {
-            std::hint::black_box(solve(
-                &ndft,
+            std::hint::black_box(solve_planned_into(
+                &plan,
                 &h,
                 &IstaConfig {
                     accelerated: true,
                     ..Default::default()
                 },
+                &mut scratch,
             ))
         })
     });
 
     // Debias cost on top of a solve.
-    let sol = solve(&ndft, &h, &IstaConfig::default());
+    solve_planned_into(&plan, &h, &IstaConfig::default(), &mut scratch);
+    let p = scratch.solution().to_vec();
+    let mut ws = DebiasScratch::default();
+    let mut out = Vec::new();
     group.bench_function("debias", |b| {
-        b.iter(|| std::hint::black_box(debias(&ndft, &h, &sol.p, 12, 3)))
+        b.iter(|| {
+            debias_into(&plan.ndft, &h, &p, 12, 3, &mut ws, &mut out);
+            std::hint::black_box(&out);
+        })
     });
 
     // Sparsity-weight ablation: heavier alpha converges faster.
@@ -103,13 +118,14 @@ fn bench_solver(c: &mut Criterion) {
             &alpha,
             |b, alpha| {
                 b.iter(|| {
-                    std::hint::black_box(solve(
-                        &ndft,
+                    std::hint::black_box(solve_planned_into(
+                        &plan,
                         &h,
                         &IstaConfig {
                             alpha_rel: *alpha,
                             ..Default::default()
                         },
+                        &mut scratch,
                     ))
                 })
             },

@@ -8,7 +8,7 @@ use chronos_core::config::ChronosConfig;
 use chronos_core::delay::arrival_delay_ns;
 use chronos_core::session::ChronosSession;
 use chronos_core::tof::genie_product;
-use chronos_core::TofEstimator;
+use chronos_core::{SweepPipeline, TofEstimator};
 use chronos_link::sweep::{run_sweep, SweepConfig};
 use chronos_link::time::Instant;
 use chronos_link::traffic::{Outage, TcpModel, TcpSample, VideoModel, VideoSample};
@@ -296,8 +296,8 @@ pub fn run_fig4_profile() -> (Vec<(f64, f64)>, f64) {
     cfg.grid_span_ns = 50.0;
     cfg.grid_step_ns = 0.1;
     let est = TofEstimator::new(cfg);
-    let r = est
-        .estimate_from_products(&products)
+    let r = SweepPipeline::new()
+        .estimate_from_products(&est, &products)
         .expect("fig4 estimate");
     let prof = &r.groups[0].profile;
     let rows: Vec<(f64, f64)> = prof

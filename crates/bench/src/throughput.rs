@@ -15,9 +15,8 @@
 //!   `speedup_x` against the reference is the headline acceptance
 //!   metric (must stay ≥ 3.0×).
 //! * `fix_estimate` / `fix_pipeline` — the end-to-end products → ToF
-//!   path through the allocating API vs a warm
-//!   [`chronos_core::pipeline::SweepPipeline`]; the pipeline row must
-//!   report **0 allocs/sweep**.
+//!   path through a fresh [`chronos_core::pipeline::SweepPipeline`] per
+//!   call vs a warm one; the warm row must report **0 allocs/sweep**.
 //! * `fix_pool_w{1,2,4}` — steady-state fix sweeps spread by
 //!   [`chronos_core::WorkerRuntime::run`] over 1/2/4 caller-owned
 //!   lanes, each a warm [`chronos_core::pipeline::SweepPipeline`]; every
@@ -325,11 +324,16 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         speedup_x: Some(pipe_rate / ref_rate),
     });
 
-    // 3. End-to-end products → estimate through the allocating API (a
-    // fresh scratch arena per call — what a naive integration pays).
+    // 3. End-to-end products → estimate through a fresh pipeline per
+    // call (a cold scratch arena every time — what a naive integration
+    // pays).
     let (est_rate, est_allocs) = measure(sweeps, |i| {
         let ps = &track_products[i % N_CLIENTS];
-        std::hint::black_box(estimator.estimate_from_products(ps).expect("estimate"));
+        std::hint::black_box(
+            SweepPipeline::new()
+                .estimate_from_products(&estimator, ps)
+                .expect("estimate"),
+        );
     });
     cases.push(ThroughputCase {
         name: "fix_estimate",
@@ -339,11 +343,12 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         speedup_x: None,
     });
 
-    // 4. End-to-end products → fix through a warm pipeline: the
-    // steady-state TRACK hot path. Must be allocation-free. (No gated
-    // speedup on this row: the allocating API shares the same scratch
-    // solver internally, so the ratio hovers near 1 and would only gate
-    // on timing noise — the allocs column is this row's contract.)
+    // 4. End-to-end products → fix through a warm pipeline's
+    // allocation-free fix call on TRACK subsets. Must be
+    // allocation-free. (No gated speedup on this row: the cold pipeline
+    // runs the same scratch solver, so the ratio hovers near 1 and would
+    // only gate on timing noise — the allocs column is this row's
+    // contract.)
     let mut pipeline = SweepPipeline::new();
     for ps in &track_products {
         pipeline.estimate_fix(&estimator, ps).expect("warmup"); // warm the arena

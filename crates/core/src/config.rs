@@ -92,25 +92,6 @@ pub struct ChronosConfig {
     /// (LASSO debiasing). Removes shrinkage bias so weak direct paths keep
     /// their physical dominance in the profile.
     pub debias: bool,
-    /// Peak dominance threshold: a profile peak counts as a path when it
-    /// reaches this fraction of the strongest peak.
-    pub peak_dominance: f64,
-    /// Sidelobe/ghost veto strength for the model-comparison test: a
-    /// candidate first peak that is not the strongest is accepted only if
-    /// the best alternative model (support without the candidate, plus a
-    /// single seeded ghost-source atom at one grating-lobe offset) leaves
-    /// at least `(1 + ratio)` times the baseline residual energy.
-    /// Higher = more aggressive vetoing.
-    pub sidelobe_veto_ratio: f64,
-    /// Statistical significance floor for profile atoms: a candidate peak
-    /// must exceed `atom_snr_min * residual / sqrt(n_bands)` (roughly that
-    /// many standard errors of the least-squares fit) to count as a path.
-    /// Suppresses the low-amplitude "garbage collector" atoms the sparse
-    /// solver places to absorb noise and unmodeled content.
-    pub atom_snr_min: f64,
-    /// Use the 2.4 GHz coarse profile to cross-check/disambiguate the
-    /// 5 GHz estimate (only meaningful in [`QuirkMode::Intel5300`]).
-    pub use_24ghz_check: bool,
     /// Calibration constant subtracted from the raw (descaled) delay
     /// estimate, nanoseconds. Captures hardware chain delays and the fixed
     /// part of the protocol turnaround-CFO coupling (paper §7 obs. 2).
@@ -128,10 +109,6 @@ impl Default for ChronosConfig {
             epsilon: 1e-6,
             accelerated: true,
             debias: true,
-            peak_dominance: 0.15,
-            sidelobe_veto_ratio: 0.4,
-            atom_snr_min: 3.0,
-            use_24ghz_check: true,
             calibration_ns: 0.0,
         }
     }

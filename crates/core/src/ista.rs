@@ -47,19 +47,6 @@ impl Default for IstaConfig {
     }
 }
 
-/// Outcome of a solve.
-#[derive(Debug, Clone)]
-pub struct IstaSolution {
-    /// The sparse profile over the NDFT's delay grid.
-    pub p: Vec<Complex64>,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Whether the epsilon criterion was met before the cap.
-    pub converged: bool,
-    /// Final data-fit residual `||h - F p||_2`.
-    pub residual: f64,
-}
-
 /// Complex soft-threshold: shrinks magnitude by `t`, zeroing anything
 /// smaller (the paper's SPARSIFY function, generalized to complex values).
 pub fn sparsify(p: &mut [Complex64], t: f64) {
@@ -156,38 +143,30 @@ pub struct IstaStats {
     pub residual: f64,
 }
 
-/// Runs the sparse inversion of `h` under the operator `ndft`.
+/// Sparse inversion of `h` under a precomputed plan (see
+/// [`crate::plan::PlanCache`]), which supplies the operator and its
+/// spectral norm. Runs in a reusable scratch arena: zero heap
+/// allocations once the scratch has seen the problem size, and a dirty
+/// scratch gives the same bits as a fresh one (pinned by a proptest in
+/// `tests/alloc.rs`). The solution is read from
+/// [`IstaScratch::solution`].
 ///
-/// Computes the operator norm by power iteration on every call; when the
-/// same operator is inverted repeatedly (every sweep of every client),
-/// use [`solve_planned`] with a shared [`crate::plan::NdftPlan`] instead —
-/// it produces bit-identical solutions without the per-call norm.
-pub fn solve(ndft: &Ndft, h: &[Complex64], cfg: &IstaConfig) -> IstaSolution {
-    solve_with_norm(ndft, h, cfg, ndft.op_norm(crate::plan::OP_NORM_ITERS))
-}
-
-/// Sparse inversion reusing a precomputed plan (see
-/// [`crate::plan::PlanCache`]). Identical arithmetic to [`solve`]; the
-/// plan only supplies the already-computed spectral norm.
-pub fn solve_planned(
-    plan: &crate::plan::NdftPlan,
-    h: &[Complex64],
-    cfg: &IstaConfig,
-) -> IstaSolution {
-    solve_with_norm(&plan.ndft, h, cfg, plan.op_norm)
-}
-
-/// [`solve_planned`] into a reusable scratch arena: identical arithmetic
-/// (bit for bit — pinned by a proptest in `tests/alloc.rs`), zero heap
-/// allocations once the scratch has seen the problem size. The solution
-/// is read from [`IstaScratch::solution`].
+/// Dispatches on the `simd` feature: the lane-chunked structure-of-arrays
+/// body under `simd`, [`solve_planned_into_scalar`] otherwise.
 pub fn solve_planned_into(
     plan: &crate::plan::NdftPlan,
     h: &[Complex64],
     cfg: &IstaConfig,
     scratch: &mut IstaScratch,
 ) -> IstaStats {
-    solve_dispatch(&plan.ndft, h, cfg, plan.op_norm, scratch)
+    #[cfg(feature = "simd")]
+    {
+        solve_planned_into_simd(plan, h, cfg, scratch)
+    }
+    #[cfg(not(feature = "simd"))]
+    {
+        solve_planned_into_scalar(plan, h, cfg, scratch)
+    }
 }
 
 /// [`solve_planned_into`] pinned to the scalar reference body regardless
@@ -195,58 +174,19 @@ pub fn solve_planned_into(
 /// is measured against. Scalar builds dispatch here anyway; `simd`
 /// builds use it in the kernel-agreement proptests and wherever exact
 /// reproducibility across builds matters more than speed.
+///
+/// Proximal gradient with the step size derived from the plan's
+/// spectral norm. The FISTA extrapolation ping-pongs `p`/`next` (a
+/// pointer swap) instead of cloning the iterate every step; all
+/// arithmetic — order included — matches the historical
+/// per-iteration-allocating loop exactly.
 pub fn solve_planned_into_scalar(
     plan: &crate::plan::NdftPlan,
     h: &[Complex64],
     cfg: &IstaConfig,
     scratch: &mut IstaScratch,
 ) -> IstaStats {
-    solve_with_norm_into(&plan.ndft, h, cfg, plan.op_norm, scratch)
-}
-
-/// Feature dispatch: the lane-chunked structure-of-arrays body under
-/// `simd`, the scalar reference body otherwise.
-fn solve_dispatch(
-    ndft: &Ndft,
-    h: &[Complex64],
-    cfg: &IstaConfig,
-    op_norm: f64,
-    scratch: &mut IstaScratch,
-) -> IstaStats {
-    #[cfg(feature = "simd")]
-    {
-        solve_with_norm_into_simd(ndft, h, cfg, op_norm, scratch)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        solve_with_norm_into(ndft, h, cfg, op_norm, scratch)
-    }
-}
-
-/// The shared solver body: proximal gradient with the step size derived
-/// from the supplied spectral norm.
-fn solve_with_norm(ndft: &Ndft, h: &[Complex64], cfg: &IstaConfig, op_norm: f64) -> IstaSolution {
-    let mut scratch = IstaScratch::new();
-    let stats = solve_dispatch(ndft, h, cfg, op_norm, &mut scratch);
-    IstaSolution {
-        p: scratch.p,
-        iterations: stats.iterations,
-        converged: stats.converged,
-        residual: stats.residual,
-    }
-}
-
-/// The solver body over caller-provided buffers. The FISTA extrapolation
-/// ping-pongs `p`/`next` (a pointer swap) instead of cloning the iterate
-/// every step; all arithmetic — order included — matches the historical
-/// per-iteration-allocating loop exactly.
-fn solve_with_norm_into(
-    ndft: &Ndft,
-    h: &[Complex64],
-    cfg: &IstaConfig,
-    op_norm: f64,
-    scratch: &mut IstaScratch,
-) -> IstaStats {
+    let ndft = &plan.ndft;
     let m = ndft.n_taus();
     assert_eq!(
         h.len(),
@@ -256,7 +196,7 @@ fn solve_with_norm_into(
 
     // Step size: 1 / L with L = 2 ||F||^2 (gradient of ||h - Fp||^2 is
     // 2 F*(Fp - h)); power iteration gives ||F||.
-    let op_norm = op_norm.max(1e-12);
+    let op_norm = plan.op_norm.max(1e-12);
     let gamma = 1.0 / (2.0 * op_norm * op_norm);
 
     // Threshold from the adjoint image of the data: alpha_rel = 1 would
@@ -334,7 +274,7 @@ fn solve_with_norm_into(
 
 /// The lane-chunked structure-of-arrays solver body (the `simd` fast
 /// path): identical algorithm and iteration structure to
-/// [`solve_with_norm_into`], with every complex buffer split into re/im
+/// [`solve_planned_into_scalar`], with every complex buffer split into re/im
 /// planes so the gradient/momentum/threshold loops and the NDFT kernels
 /// vectorize. Reductions use the 4-accumulator lanes of
 /// [`chronos_math::lanes`], so iterates drift within the tolerance tier
@@ -342,15 +282,15 @@ fn solve_with_norm_into(
 /// scalar body bitwise; the final solution is published back to the
 /// interleaved [`IstaScratch::solution`] buffer.
 #[cfg(feature = "simd")]
-fn solve_with_norm_into_simd(
-    ndft: &Ndft,
+fn solve_planned_into_simd(
+    plan: &crate::plan::NdftPlan,
     h: &[Complex64],
     cfg: &IstaConfig,
-    op_norm: f64,
     scratch: &mut IstaScratch,
 ) -> IstaStats {
     use chronos_math::lanes;
 
+    let ndft = &plan.ndft;
     let m = ndft.n_taus();
     assert_eq!(
         h.len(),
@@ -358,7 +298,7 @@ fn solve_with_norm_into_simd(
         "solve: measurement length mismatch"
     );
 
-    let op_norm = op_norm.max(1e-12);
+    let op_norm = plan.op_norm.max(1e-12);
     let gamma = 1.0 / (2.0 * op_norm * op_norm);
 
     let SplitScratch {
@@ -497,6 +437,17 @@ fn solve_with_norm_into_simd(
     }
 }
 
+/// Reusable working storage for [`debias_into`]: support ranking, the
+/// atom matrix and the least-squares workspace.
+#[derive(Debug, Clone, Default)]
+pub struct DebiasScratch {
+    idx: Vec<usize>,
+    chosen: Vec<usize>,
+    atoms: CMat,
+    lstsq: chronos_math::cmatrix::CLstsqScratch,
+    w: Vec<Complex64>,
+}
+
 /// LASSO **debiasing**: refits the amplitudes of the detected support by
 /// unpenalized least squares, undoing the soft-threshold's shrinkage bias.
 ///
@@ -509,34 +460,9 @@ fn solve_with_norm_into_simd(
 /// At most `max_atoms` strongest support atoms are refit (the system must
 /// stay overdetermined: `max_atoms <= n_freqs / 2` is sensible), separated
 /// by at least `min_sep` grid bins to avoid near-collinear columns. The
-/// returned vector is zero off the refit support.
-pub fn debias(
-    ndft: &Ndft,
-    h: &[Complex64],
-    p: &[Complex64],
-    max_atoms: usize,
-    min_sep: usize,
-) -> Vec<Complex64> {
-    let mut ws = DebiasScratch::default();
-    let mut out = Vec::new();
-    debias_into(ndft, h, p, max_atoms, min_sep, &mut ws, &mut out);
-    out
-}
-
-/// Reusable working storage for [`debias_into`]: support ranking, the
-/// atom matrix and the least-squares workspace.
-#[derive(Debug, Clone, Default)]
-pub struct DebiasScratch {
-    idx: Vec<usize>,
-    chosen: Vec<usize>,
-    atoms: CMat,
-    lstsq: chronos_math::cmatrix::CLstsqScratch,
-    w: Vec<Complex64>,
-}
-
-/// [`debias`] into a reusable workspace and output buffer — identical
-/// results, zero heap allocations once the buffers have seen the problem
-/// size.
+/// output is zero off the refit support. Runs in a reusable workspace
+/// and output buffer: zero heap allocations once the buffers have seen
+/// the problem size.
 pub fn debias_into(
     ndft: &Ndft,
     h: &[Complex64],
@@ -619,11 +545,50 @@ pub fn debias_into(
 mod tests {
     use super::*;
     use crate::ndft::TauGrid;
+    use crate::plan::NdftPlan;
     use chronos_rf::bands::band_plan_5ghz;
     use std::f64::consts::PI;
 
     fn freqs() -> Vec<f64> {
         band_plan_5ghz().iter().map(|b| b.center_hz).collect()
+    }
+
+    /// The operator and its norm, which is all the solver reads of a
+    /// plan (a zero lobe span skips the lobe scan).
+    fn solver_plan(freqs: &[f64], grid: TauGrid) -> NdftPlan {
+        NdftPlan::new(freqs, grid, 0.0)
+    }
+
+    /// One solve on a fresh scratch: the profile and the stats.
+    fn solve_fresh(
+        plan: &NdftPlan,
+        h: &[Complex64],
+        cfg: &IstaConfig,
+    ) -> (Vec<Complex64>, IstaStats) {
+        let mut scratch = IstaScratch::new();
+        let stats = solve_planned_into(plan, h, cfg, &mut scratch);
+        (scratch.p, stats)
+    }
+
+    /// One refit on a fresh workspace.
+    fn debias_fresh(
+        ndft: &Ndft,
+        h: &[Complex64],
+        p: &[Complex64],
+        max_atoms: usize,
+        min_sep: usize,
+    ) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        debias_into(
+            ndft,
+            h,
+            p,
+            max_atoms,
+            min_sep,
+            &mut DebiasScratch::default(),
+            &mut out,
+        );
+        out
     }
 
     fn channel_for(paths: &[(f64, f64)], freqs: &[f64]) -> Vec<Complex64> {
@@ -661,18 +626,16 @@ mod tests {
     fn recovers_single_path_on_grid() {
         let f = freqs();
         let grid = TauGrid::span(50.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
         let h = channel_for(&[(10.0, 1.0)], &f);
-        let sol = solve(&ndft, &h, &IstaConfig::default());
+        let (p, stats) = solve_fresh(&solver_plan(&f, grid), &h, &IstaConfig::default());
         // The largest component must sit at tau = 10 ns (index 20).
-        let (idx, _) = sol
-            .p
+        let (idx, _) = p
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
             .unwrap();
         assert_eq!(idx, 20, "peak at {} ns", grid.tau_at(idx));
-        assert!(sol.residual < 0.3 * (f.len() as f64).sqrt());
+        assert!(stats.residual < 0.3 * (f.len() as f64).sqrt());
     }
 
     #[test]
@@ -680,17 +643,16 @@ mod tests {
         // The paper's Fig. 4 scenario: 5.2, 10, 16 ns with falling power.
         let f = freqs();
         let grid = TauGrid::span(40.0, 0.2);
-        let ndft = Ndft::new(&f, grid);
         let h = channel_for(&[(5.2, 1.0), (10.0, 0.7), (16.0, 0.4)], &f);
-        let sol = solve(
-            &ndft,
+        let (p, _) = solve_fresh(
+            &solver_plan(&f, grid),
             &h,
             &IstaConfig {
                 alpha_rel: 0.08,
                 ..Default::default()
             },
         );
-        let mags: Vec<f64> = sol.p.iter().map(|z| z.abs()).collect();
+        let mags: Vec<f64> = p.iter().map(|z| z.abs()).collect();
         let peaks = chronos_math::peaks::find_peaks(
             &mags,
             0.0,
@@ -711,10 +673,9 @@ mod tests {
     fn solution_is_sparse() {
         let f = freqs();
         let grid = TauGrid::span(100.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
         let h = channel_for(&[(7.0, 1.0), (22.0, 0.5)], &f);
-        let sol = solve(&ndft, &h, &IstaConfig::default());
-        let nonzero = sol.p.iter().filter(|z| z.abs() > 1e-9).count();
+        let (p, _) = solve_fresh(&solver_plan(&f, grid), &h, &IstaConfig::default());
+        let nonzero = p.iter().filter(|z| z.abs() > 1e-9).count();
         // 200 grid points, but only a handful alive.
         assert!(nonzero < 30, "nonzero {nonzero}");
         assert!(nonzero >= 2);
@@ -724,18 +685,18 @@ mod tests {
     fn larger_alpha_is_sparser() {
         let f = freqs();
         let grid = TauGrid::span(60.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
+        let plan = solver_plan(&f, grid);
         let h = channel_for(&[(5.0, 1.0), (9.0, 0.6), (14.0, 0.3), (20.0, 0.2)], &f);
         let count = |alpha: f64| {
-            let sol = solve(
-                &ndft,
+            let (p, _) = solve_fresh(
+                &plan,
                 &h,
                 &IstaConfig {
                     alpha_rel: alpha,
                     ..Default::default()
                 },
             );
-            sol.p.iter().filter(|z| z.abs() > 1e-9).count()
+            p.iter().filter(|z| z.abs() > 1e-9).count()
         };
         assert!(
             count(0.4) <= count(0.05),
@@ -749,10 +710,10 @@ mod tests {
     fn ista_and_fista_agree() {
         let f = freqs();
         let grid = TauGrid::span(50.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
+        let plan = solver_plan(&f, grid);
         let h = channel_for(&[(12.0, 1.0), (19.0, 0.5)], &f);
-        let plain = solve(
-            &ndft,
+        let (plain_p, plain) = solve_fresh(
+            &plan,
             &h,
             &IstaConfig {
                 accelerated: false,
@@ -761,8 +722,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let fast = solve(
-            &ndft,
+        let (fast_p, fast) = solve_fresh(
+            &plan,
             &h,
             &IstaConfig {
                 accelerated: true,
@@ -779,7 +740,7 @@ mod tests {
                 .unwrap()
                 .0
         };
-        assert_eq!(argmax(&plain.p), argmax(&fast.p));
+        assert_eq!(argmax(&plain_p), argmax(&fast_p));
         // FISTA converges in fewer iterations.
         assert!(
             fast.iterations <= plain.iterations,
@@ -793,14 +754,13 @@ mod tests {
     fn noise_does_not_create_spurious_dominant_peaks() {
         let f = freqs();
         let grid = TauGrid::span(60.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
         let mut h = channel_for(&[(8.0, 1.0)], &f);
         // Deterministic pseudo-noise at ~5% amplitude.
         for (i, z) in h.iter_mut().enumerate() {
             *z += Complex64::from_polar(0.05, (i as f64 * 2.399) % (2.0 * PI));
         }
-        let sol = solve(&ndft, &h, &IstaConfig::default());
-        let mags: Vec<f64> = sol.p.iter().map(|z| z.abs()).collect();
+        let (p, _) = solve_fresh(&solver_plan(&f, grid), &h, &IstaConfig::default());
+        let mags: Vec<f64> = p.iter().map(|z| z.abs()).collect();
         let peaks = chronos_math::peaks::find_peaks(
             &mags,
             0.0,
@@ -816,11 +776,11 @@ mod tests {
 
     #[test]
     fn empty_measurement_panics_cleanly() {
-        let ndft = Ndft::new(&[5e9], TauGrid::span(10.0, 1.0));
-        let sol = solve(&ndft, &[Complex64::ZERO], &IstaConfig::default());
+        let plan = solver_plan(&[5e9], TauGrid::span(10.0, 1.0));
+        let (p, stats) = solve_fresh(&plan, &[Complex64::ZERO], &IstaConfig::default());
         // All-zero input: all-zero output, converged.
-        assert!(sol.p.iter().all(|z| *z == Complex64::ZERO));
-        assert!(sol.converged);
+        assert!(p.iter().all(|z| *z == Complex64::ZERO));
+        assert!(stats.converged);
     }
 
     /// A literal transcription of the pre-refactor solver loop (fresh
@@ -831,7 +791,7 @@ mod tests {
         h: &[Complex64],
         cfg: &IstaConfig,
         op_norm: f64,
-    ) -> IstaSolution {
+    ) -> (Vec<Complex64>, IstaStats) {
         let m = ndft.n_taus();
         let op_norm = op_norm.max(1e-12);
         let gamma = 1.0 / (2.0 * op_norm * op_norm);
@@ -883,12 +843,14 @@ mod tests {
             *r -= *hi;
         }
         let residual = chronos_math::cvec::norm2(&resid);
-        IstaSolution {
+        (
             p,
-            iterations,
-            converged,
-            residual,
-        }
+            IstaStats {
+                iterations,
+                converged,
+                residual,
+            },
+        )
     }
 
     #[test]
@@ -903,7 +865,7 @@ mod tests {
         // `simd_solver_tracks_scalar_reference`).
         let f = freqs();
         let grid = TauGrid::span(60.0, 0.5);
-        let plan = crate::plan::NdftPlan::new(&f, grid, 60.0);
+        let plan = NdftPlan::new(&f, grid, 60.0);
         let mut scratch = IstaScratch::new();
         for accelerated in [true, false] {
             let cfg = IstaConfig {
@@ -915,13 +877,13 @@ mod tests {
                 vec![(5.5, 0.4), (21.0, 1.0), (33.0, 0.3)],
             ] {
                 let h = channel_for(&paths, &f);
-                let want = reference_solve(&plan.ndft, &h, &cfg, plan.op_norm);
+                let (want_p, want) = reference_solve(&plan.ndft, &h, &cfg, plan.op_norm);
                 let stats = solve_planned_into_scalar(&plan, &h, &cfg, &mut scratch);
                 assert_eq!(stats.iterations, want.iterations, "acc={accelerated}");
                 assert_eq!(stats.converged, want.converged);
                 assert_eq!(stats.residual.to_bits(), want.residual.to_bits());
-                assert_eq!(scratch.solution().len(), want.p.len());
-                for (a, b) in scratch.solution().iter().zip(want.p.iter()) {
+                assert_eq!(scratch.solution().len(), want_p.len());
+                for (a, b) in scratch.solution().iter().zip(want_p.iter()) {
                     assert_eq!(a.re.to_bits(), b.re.to_bits());
                     assert_eq!(a.im.to_bits(), b.im.to_bits());
                 }
@@ -938,7 +900,7 @@ mod tests {
     fn simd_solver_tracks_scalar_reference() {
         let f = freqs();
         let grid = TauGrid::span(60.0, 0.5);
-        let plan = crate::plan::NdftPlan::new(&f, grid, 60.0);
+        let plan = NdftPlan::new(&f, grid, 60.0);
         let mut scalar = IstaScratch::new();
         let mut simd = IstaScratch::new();
         for accelerated in [true, false] {
@@ -975,17 +937,18 @@ mod tests {
     }
 
     #[test]
-    fn debias_into_matches_debias_with_warm_scratch() {
+    fn debias_into_warm_scratch_matches_fresh() {
         let f = freqs();
         let grid = TauGrid::span(60.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
+        let plan = solver_plan(&f, grid);
+        let ndft = &plan.ndft;
         let h = channel_for(&[(10.0, 1.0), (20.0, 0.4)], &f);
-        let sol = solve(&ndft, &h, &IstaConfig::default());
-        let fresh = debias(&ndft, &h, &sol.p, 6, 3);
+        let (p, _) = solve_fresh(&plan, &h, &IstaConfig::default());
+        let fresh = debias_fresh(ndft, &h, &p, 6, 3);
         let mut ws = DebiasScratch::default();
         let mut out = Vec::new();
         for _ in 0..3 {
-            debias_into(&ndft, &h, &sol.p, 6, 3, &mut ws, &mut out);
+            debias_into(ndft, &h, &p, 6, 3, &mut ws, &mut out);
             assert_eq!(out.len(), fresh.len());
             for (a, b) in out.iter().zip(fresh.iter()) {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
@@ -1003,10 +966,11 @@ mod tests {
     fn debias_simd_tracks_scalar_reference() {
         let f = freqs();
         let grid = TauGrid::span(60.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
+        let plan = solver_plan(&f, grid);
+        let ndft = &plan.ndft;
         let h = channel_for(&[(10.0, 1.0), (20.0, 0.4), (31.0, 0.25)], &f);
-        let sol = solve(&ndft, &h, &IstaConfig::default());
-        let d = debias(&ndft, &h, &sol.p, 6, 3);
+        let (p, _) = solve_fresh(&plan, &h, &IstaConfig::default());
+        let d = debias_fresh(ndft, &h, &p, 6, 3);
         let chosen: Vec<usize> = (0..d.len()).filter(|k| d[*k] != Complex64::ZERO).collect();
         assert!(!chosen.is_empty());
         let mut atoms = CMat::zeros(ndft.n_freqs(), chosen.len());
@@ -1033,42 +997,25 @@ mod tests {
     }
 
     #[test]
-    fn planned_solve_is_bitwise_identical() {
-        let f = freqs();
-        let grid = TauGrid::span(60.0, 0.5);
-        let plan = crate::plan::NdftPlan::new(&f, grid, 60.0);
-        let h = channel_for(&[(9.0, 1.0), (14.0, 0.5)], &f);
-        let a = solve(&plan.ndft, &h, &IstaConfig::default());
-        let b = solve_planned(&plan, &h, &IstaConfig::default());
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.converged, b.converged);
-        assert_eq!(a.residual.to_bits(), b.residual.to_bits());
-        for (x, y) in a.p.iter().zip(b.p.iter()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-    }
-
-    #[test]
     fn debias_restores_shrunk_amplitudes() {
         // ISTA shrinks every survivor by ~the threshold; the refit must
         // recover the physical amplitudes.
         let f = freqs();
         let grid = TauGrid::span(60.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
+        let plan = solver_plan(&f, grid);
         let true_amps = [(10.0, 1.0), (20.0, 0.4)];
         let h = channel_for(&true_amps, &f);
-        let sol = solve(
-            &ndft,
+        let (p, _) = solve_fresh(
+            &plan,
             &h,
             &IstaConfig {
                 alpha_rel: 0.25,
                 ..Default::default()
             },
         );
-        let biased_max = sol.p.iter().map(|z| z.abs()).fold(0.0, f64::max);
+        let biased_max = p.iter().map(|z| z.abs()).fold(0.0, f64::max);
         assert!(biased_max < 1.0, "expected shrinkage, max {biased_max}");
-        let d = debias(&ndft, &h, &sol.p, 6, 3);
+        let d = debias_fresh(&plan.ndft, &h, &p, 6, 3);
         let at = |tau: f64| {
             let idx = (tau / 0.5).round() as usize;
             d[idx.saturating_sub(1)..=(idx + 1).min(d.len() - 1)]
@@ -1084,10 +1031,10 @@ mod tests {
     fn debias_zero_off_support() {
         let f = freqs();
         let grid = TauGrid::span(40.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
+        let plan = solver_plan(&f, grid);
         let h = channel_for(&[(12.0, 1.0)], &f);
-        let sol = solve(&ndft, &h, &IstaConfig::default());
-        let d = debias(&ndft, &h, &sol.p, 5, 3);
+        let (p, _) = solve_fresh(&plan, &h, &IstaConfig::default());
+        let d = debias_fresh(&plan.ndft, &h, &p, 5, 3);
         let nonzero = d.iter().filter(|z| z.abs() > 1e-12).count();
         assert!(nonzero <= 5, "nonzero {nonzero}");
     }
@@ -1096,17 +1043,17 @@ mod tests {
     fn debias_respects_max_atoms_and_separation() {
         let f = freqs();
         let grid = TauGrid::span(40.0, 0.5);
-        let ndft = Ndft::new(&f, grid);
+        let plan = solver_plan(&f, grid);
         let h = channel_for(&[(8.0, 1.0), (9.0, 0.9), (25.0, 0.5)], &f);
-        let sol = solve(
-            &ndft,
+        let (p, _) = solve_fresh(
+            &plan,
             &h,
             &IstaConfig {
                 alpha_rel: 0.05,
                 ..Default::default()
             },
         );
-        let d = debias(&ndft, &h, &sol.p, 2, 4);
+        let d = debias_fresh(&plan.ndft, &h, &p, 2, 4);
         let support: Vec<usize> = (0..d.len()).filter(|k| d[*k].abs() > 1e-12).collect();
         assert!(support.len() <= 2, "support {support:?}");
         for w in support.windows(2) {
@@ -1119,7 +1066,7 @@ mod tests {
         let ndft = Ndft::new(&freqs(), TauGrid::span(20.0, 1.0));
         let p = vec![Complex64::ZERO; 20];
         let h = vec![Complex64::ONE; ndft.n_freqs()];
-        let d = debias(&ndft, &h, &p, 5, 2);
+        let d = debias_fresh(&ndft, &h, &p, 5, 2);
         assert!(d.iter().all(|z| *z == Complex64::ZERO));
     }
 
@@ -1127,17 +1074,18 @@ mod tests {
     fn debias_improves_data_fit() {
         let f = freqs();
         let grid = TauGrid::span(60.0, 0.25);
-        let ndft = Ndft::new(&f, grid);
+        let plan = solver_plan(&f, grid);
+        let ndft = &plan.ndft;
         let h = channel_for(&[(7.3, 1.0), (15.1, 0.6)], &f);
-        let sol = solve(
-            &ndft,
+        let (p, _) = solve_fresh(
+            &plan,
             &h,
             &IstaConfig {
                 alpha_rel: 0.2,
                 ..Default::default()
             },
         );
-        let d = debias(&ndft, &h, &sol.p, 8, 3);
+        let d = debias_fresh(ndft, &h, &p, 8, 3);
         let resid = |p: &[Complex64]| {
             let fit = ndft.forward(p);
             fit.iter()
@@ -1147,10 +1095,10 @@ mod tests {
                 .sqrt()
         };
         assert!(
-            resid(&d) <= resid(&sol.p) + 1e-9,
+            resid(&d) <= resid(&p) + 1e-9,
             "debias worsened fit: {} vs {}",
             resid(&d),
-            resid(&sol.p)
+            resid(&p)
         );
     }
 }

@@ -30,14 +30,16 @@
 //! proximal-gradient Algorithm 1 (§6.2), plus FISTA acceleration and
 //! LASSO debiasing as documented extensions.
 //!
-//! [`profile`] extracts the time-of-flight from the recovered profile:
-//! the direct path is the **first dominant peak**, not the strongest
-//! (§6, observation 1), refined below the grid step by matched-filter
-//! maximization and defended against sidelobe/grating ghosts.
+//! [`profile`] holds the recovered multipath profile and refines the
+//! time-of-flight peak below the grid step by CLEANed matched-filter
+//! maximization. The direct path is the **first dominant peak**, not the
+//! strongest (§6, observation 1).
 //!
-//! [`tof`] fuses the per-group candidates (the widest aperture wins; the
-//! coarse 2.4 GHz group cross-checks), undoes delay scaling, and applies
-//! the one-time calibration constant (§7, observation 2).
+//! [`tof`] runs the per-group chain: it picks that first peak with its
+//! one first-path rule, which vetoes sidelobe and grating ghosts, then
+//! fuses the per-group candidates (the widest aperture wins; the coarse
+//! 2.4 GHz group cross-checks), undoes delay scaling, and applies the
+//! one-time calibration constant (§7, observation 2).
 //!
 //! [`ranging`] + [`localization`] turn per-antenna ToFs into distances
 //! and intersect the per-antenna circles into a position (§8).
@@ -79,11 +81,14 @@
 //! state and reports the airtime saved (see `docs/TRACKING.md`).
 //!
 //! [`pipeline`] is the zero-allocation hot path underneath all of it: a
-//! per-worker [`pipeline::EstimatorScratch`] arena (ISTA iterates, NDFT
-//! images, debias/Gauss–Newton workspaces, peak and group buffers) wrapped
-//! by a [`pipeline::SweepPipeline`], so steady-state TRACK estimation
-//! performs zero heap allocations while staying bitwise identical to the
-//! allocating path (see `docs/PIPELINE.md`).
+//! per-worker scratch arena (ISTA iterates, NDFT images, debias and
+//! Gauss–Newton workspaces, peak and group buffers) wrapped by a
+//! [`pipeline::SweepPipeline`]. Its two estimation calls are the public
+//! way to estimate: [`SweepPipeline::estimate_from_products`] returns
+//! the full [`TofEstimate`] with its profiles, and
+//! [`SweepPipeline::estimate_fix`] the compact [`TofFix`] with zero heap
+//! allocations once warm. A warm pipeline stays bitwise identical to a
+//! fresh one (see `docs/PIPELINE.md`).
 //!
 //! ## Support modules
 //!
@@ -129,7 +134,7 @@ pub const fn simd_enabled() -> bool {
 pub use config::{ChronosConfig, IngestionConfig, QuirkMode};
 pub use engine::{ServiceEngine, WindowReport};
 pub use error::ChronosError;
-pub use pipeline::{EstimatorScratch, SweepPipeline};
+pub use pipeline::SweepPipeline;
 pub use plan::{CacheStats, NdftPlan, PlanCache};
 pub use profile::MultipathProfile;
 pub use runtime::WorkerRuntime;

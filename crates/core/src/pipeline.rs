@@ -6,13 +6,16 @@
 //! call re-allocated its way through splice → NDFT/ISTA → profile →
 //! first-peak → localization (fresh `Vec`s per FISTA iteration, per-call
 //! buffers in `tof`/`profile`, a fresh Gauss–Newton workspace per fix).
-//! [`EstimatorScratch`] owns every one of those intermediates; a
-//! [`SweepPipeline`] wraps the scratch and is allocated **once per engine
-//! worker**, so steady-state TRACK estimation performs **zero heap
-//! allocations** (asserted by the counting-allocator test in
-//! `tests/alloc.rs`) and outputs stay **bitwise identical** to the
-//! allocating path (the golden capture in `tests/engine.rs` and a
-//! proptest pin this).
+//! The crate-private `EstimatorScratch` owns every one of those
+//! intermediates; a [`SweepPipeline`] wraps the scratch and is allocated
+//! **once per engine worker**. Its two estimation calls share one body:
+//! [`SweepPipeline::estimate_from_products`] returns the full
+//! [`TofEstimate`] and [`SweepPipeline::estimate_fix`] the compact
+//! [`TofFix`], which performs **zero heap allocations** once warm
+//! (asserted by the counting-allocator tests in `tests/alloc.rs`, which
+//! also pin the two calls' scalars bit for bit). A warm pipeline's
+//! outputs stay **bitwise identical** to a fresh one's (the golden
+//! capture in `tests/engine.rs` and a proptest pin this).
 //!
 //! The scratch also memoizes the `Arc`s of the shared NDFT/spline plans
 //! it has used, so the per-sweep [`crate::plan::PlanCache`] lookup (which
@@ -94,7 +97,7 @@ pub(crate) struct SelectScratch {
 /// and then stop allocating; TRACK-mode subset sweeps always fit inside
 /// warm ACQUIRE capacity.
 #[derive(Debug, Default)]
-pub struct EstimatorScratch {
+pub(crate) struct EstimatorScratch {
     pub(crate) ista: IstaScratch,
     pub(crate) debias: DebiasScratch,
     pub(crate) p_final: Vec<Complex64>,
@@ -115,7 +118,7 @@ pub struct EstimatorScratch {
 
 impl EstimatorScratch {
     /// Fresh, empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -138,8 +141,8 @@ pub struct BatchSweep<'a> {
 /// products → ToF → localization path.
 ///
 /// Allocate one per lane (the engine keeps one per thread) and
-/// feed it sweeps forever; results are bitwise identical to the
-/// allocating [`TofEstimator`]/[`crate::localization::locate_all`] path.
+/// feed it sweeps forever; results are bitwise identical to a fresh
+/// pipeline's, and localization to [`crate::localization::locate_all`].
 #[derive(Debug, Default)]
 pub struct SweepPipeline {
     scratch: EstimatorScratch,
@@ -151,38 +154,42 @@ impl SweepPipeline {
         Self::default()
     }
 
-    /// The underlying scratch arena (for direct use of the `_into`
-    /// estimator entry points).
-    pub fn scratch_mut(&mut self) -> &mut EstimatorScratch {
-        &mut self.scratch
-    }
-
-    /// Zero-allocation estimation: products in, a compact [`TofFix`] out.
-    ///
-    /// This is the steady-state TRACK entry point — after warm-up it
-    /// performs no heap allocations at all (pinned by `tests/alloc.rs`).
+    /// The allocation-free fix call: products in, a compact [`TofFix`]
+    /// out. After warm-up it performs no heap allocations at all (pinned
+    /// by `tests/alloc.rs`, for TRACK subsets and full ACQUIRE plans).
+    /// Its scalars agree bit for bit with
+    /// [`SweepPipeline::estimate_from_products`], which runs the same
+    /// body and also returns the profiles.
     pub fn estimate_fix(
         &mut self,
         estimator: &TofEstimator,
         products: &[BandProduct],
     ) -> Result<TofFix, ChronosError> {
-        estimator.estimate_fix_with(products, &mut self.scratch)
+        estimator.estimate_scaled(products, &mut self.scratch, false)
     }
 
-    /// Scratch-accelerated [`TofEstimator::estimate_from_products`]: the
-    /// solver runs allocation-free, only the returned [`TofEstimate`]
-    /// (profiles included) is freshly allocated.
+    /// The estimator's profile-returning call: products in, a full
+    /// [`TofEstimate`] out. Every engine and session sweep estimates
+    /// through it once its band samples are spliced into products. The
+    /// solver runs allocation-free; only the returned estimate
+    /// (per-group profiles included) is freshly allocated.
     pub fn estimate_from_products(
         &mut self,
         estimator: &TofEstimator,
         products: &[BandProduct],
     ) -> Result<TofEstimate, ChronosError> {
-        estimator.estimate_from_products_with(products, &mut self.scratch)
+        let fix = estimator.estimate_scaled(products, &mut self.scratch, true)?;
+        Ok(TofEstimate {
+            tof_ns: fix.tof_ns,
+            distance_m: fix.distance_m,
+            groups: std::mem::take(&mut self.scratch.profiles),
+            cross_check_ok: fix.cross_check_ok,
+        })
     }
 
-    /// Scratch-accelerated [`TofEstimator::estimate`] from raw band
-    /// samples (splice → products → inversion).
-    pub fn estimate(
+    /// Estimation from raw band samples (splice → products →
+    /// inversion), the session sweep's call.
+    pub(crate) fn estimate(
         &mut self,
         estimator: &TofEstimator,
         bands: &[BandSample],
@@ -190,7 +197,7 @@ impl SweepPipeline {
         let mut products = std::mem::take(&mut self.scratch.products);
         let combined = estimator.products_into(bands, &mut self.scratch, &mut products);
         let result = match combined {
-            Ok(()) => estimator.estimate_from_products_with(&products, &mut self.scratch),
+            Ok(()) => self.estimate_from_products(estimator, &products),
             Err(e) => Err(e),
         };
         self.scratch.products = products;

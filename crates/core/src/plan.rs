@@ -1,9 +1,10 @@
 //! Shared, immutable estimation plans — build the hot numeric machinery
 //! once, reuse it across every client and sweep.
 //!
-//! Profiling the estimator shows that a large slice of each call to
-//! [`crate::tof::TofEstimator::estimate`] is spent on work that depends
-//! only on the *band plan and grid*, not on the measurements:
+//! Profiling the estimator shows that a large slice of each estimate
+//! ([`crate::pipeline::SweepPipeline::estimate_from_products`]) is spent
+//! on work that depends only on the *band plan and grid*, not on the
+//! measurements:
 //!
 //! * materializing the NDFT matrix (`n_bands x n_taus` complex
 //!   exponentials, [`crate::ndft::Ndft::new`]);
@@ -44,8 +45,8 @@ use std::sync::{Arc, RwLock};
 pub struct NdftPlan {
     /// The materialized forward/adjoint operator.
     pub ndft: Ndft,
-    /// Spectral norm `||F||_2` from 40 power iterations — exactly what
-    /// [`crate::ista::solve`] computes per call when uncached.
+    /// Spectral norm `||F||_2` from 40 power iterations, which sets the
+    /// step size of [`crate::ista::solve_planned_into`].
     pub op_norm: f64,
     /// Strong grating-lobe offsets of the band plan's point response
     /// (threshold 0.5, scanned to the grid's span), consumed by the
@@ -53,9 +54,9 @@ pub struct NdftPlan {
     pub lobe_offsets: Vec<f64>,
 }
 
-/// Power-iteration count used for the cached operator norm. Must match
-/// what the uncached solver historically used so results are identical.
-pub(crate) const OP_NORM_ITERS: usize = 40;
+/// Power-iteration count of a plan's operator norm. The norm sets the
+/// solver's step size, so changing the count changes every answer.
+const OP_NORM_ITERS: usize = 40;
 
 /// Self-response threshold above which an offset counts as a strong lobe.
 pub(crate) const LOBE_THRESHOLD: f64 = 0.5;

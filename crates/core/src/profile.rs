@@ -1,19 +1,22 @@
-//! Multipath profiles and the first-peak time-of-flight rule (paper §6).
+//! Multipath profiles and the refinement half of the first-peak
+//! time-of-flight rule (paper §6).
 //!
 //! The sparse inversion yields a complex profile over the delay grid; its
 //! magnitude is the multipath profile of the paper's Fig. 4(b) and Fig.
 //! 7(b). Chronos's decision rule: the direct path is the *shortest* path,
 //! so the time-of-flight is the delay of the profile's **first dominant
-//! peak** — not its strongest.
+//! peak** — not its strongest. The estimator picks that peak with
+//! `tof::select_first_path`, which also vetoes sidelobe and grating
+//! ghosts.
 //!
 //! Because the sparse solution concentrates each physical path into one or
 //! two grid bins, sub-bin refinement via quadratic interpolation of the
-//! sparse spikes is meaningless; instead the profile refines its first
-//! peak by maximizing the **matched-filter response** of the raw band
-//! measurements in a window around the sparse peak (golden-section
-//! search). This is what delivers resolution beyond the grid step.
+//! sparse spikes is meaningless; instead [`refine_first_peak_clean_into`]
+//! refines the chosen peak by maximizing the **matched-filter response**
+//! of the CLEANed band measurements in a window around the sparse peak
+//! (golden-section search). This is what delivers resolution beyond the
+//! grid step.
 
-use crate::error::ChronosError;
 use crate::ndft::Ndft;
 use chronos_math::peaks::{find_peaks, Peak, PeakConfig};
 use chronos_math::Complex64;
@@ -33,25 +36,6 @@ pub struct MultipathProfile {
 }
 
 impl MultipathProfile {
-    /// Builds a profile from a sparse complex solution.
-    pub fn from_solution(p: &[Complex64], start_ns: f64, step_ns: f64, delay_scale: f64) -> Self {
-        MultipathProfile {
-            start_ns,
-            step_ns,
-            magnitudes: p.iter().map(|z| z.abs()).collect(),
-            delay_scale,
-        }
-    }
-
-    /// Converts a Rayleigh resolution width (in profile-domain ns, i.e.
-    /// `1 / aperture_bandwidth`) into a minimum peak separation in grid
-    /// bins. Peaks closer than a resolution width cannot be two physical
-    /// paths — they are the main lobe and its shoulder/sidelobe — so the
-    /// peak finder merges them into the stronger one.
-    pub fn min_sep_bins(&self, resolution_ns: f64) -> usize {
-        min_sep_bins(resolution_ns, self.step_ns)
-    }
-
     /// Dominant peaks in *profile-domain* delays (not descaled). Peaks
     /// closer than `min_sep_bins` grid bins are merged (strongest wins).
     pub fn dominant_peaks(&self, dominance: f64, min_sep_bins: usize) -> Vec<Peak> {
@@ -71,100 +55,6 @@ impl MultipathProfile {
     pub fn peak_count(&self, dominance: f64) -> usize {
         self.dominant_peaks(dominance, 3).len()
     }
-
-    /// First dominant peak in profile-domain delay, or an error if the
-    /// profile has no energy above the dominance threshold.
-    pub fn first_peak(&self, dominance: f64, min_sep_bins: usize) -> Result<Peak, ChronosError> {
-        self.dominant_peaks(dominance, min_sep_bins)
-            .into_iter()
-            .next()
-            .ok_or(ChronosError::NoDominantPath)
-    }
-
-    /// First *path* peak with sidelobe rejection.
-    ///
-    /// Wi-Fi's band plan is spectrally clustered (2.4 GHz and several 5 GHz
-    /// chunks), so the point response of the NDFT is a fringe comb: a
-    /// single physical path shows a strong main lobe flanked by weaker
-    /// fringes within one **cluster resolution** (`1 / largest_cluster_
-    /// span`). A weak "peak" that sits less than `veto_radius_ns` before a
-    /// much stronger one is therefore a sidelobe of that stronger path,
-    /// not an earlier direct path; accepting it causes the characteristic
-    /// one-fringe-early error. Candidates are vetoed when their magnitude
-    /// is below `veto_ratio` times a stronger peak within the radius.
-    ///
-    /// A genuinely attenuated direct path survives if it is either farther
-    /// than the veto radius ahead of the reflections or at least
-    /// `veto_ratio` of their strength — the same regime where the paper's
-    /// own first-peak rule is reliable (§6, observation 1).
-    pub fn first_path_peak(
-        &self,
-        dominance: f64,
-        min_sep_bins: usize,
-        veto_radius_ns: f64,
-        veto_ratio: f64,
-    ) -> Result<Peak, ChronosError> {
-        let peaks = self.dominant_peaks(dominance, min_sep_bins);
-        'candidates: for (i, cand) in peaks.iter().enumerate() {
-            for later in peaks.iter().skip(i + 1) {
-                if later.x - cand.x <= veto_radius_ns
-                    && cand.magnitude < veto_ratio * later.magnitude
-                {
-                    continue 'candidates; // sidelobe of `later`
-                }
-            }
-            return Ok(*cand);
-        }
-        Err(ChronosError::NoDominantPath)
-    }
-
-    /// First dominant peak, refined by maximizing the matched-filter
-    /// response of the raw measurements `h` under `ndft` within half a
-    /// resolution width around the sparse peak, then **descaled** into a
-    /// true time-of-flight in nanoseconds.
-    ///
-    /// `resolution_ns` is the aperture's Rayleigh width in profile-domain
-    /// nanoseconds (`1e9 / span_hz`); it controls both peak merging and
-    /// the refinement window.
-    pub fn tof_ns(
-        &self,
-        ndft: &Ndft,
-        h: &[Complex64],
-        dominance: f64,
-        resolution_ns: f64,
-    ) -> Result<f64, ChronosError> {
-        let min_sep = self.min_sep_bins(resolution_ns);
-        let peak = self.first_peak(dominance, min_sep)?;
-        let half_window = (0.5 * resolution_ns).max(self.step_ns);
-        let refined = golden_max(
-            |tau| ndft.matched_filter(h, tau),
-            peak.x - half_window,
-            peak.x + half_window,
-            1e-4,
-        );
-        Ok(refined / self.delay_scale)
-    }
-}
-
-/// CLEAN-style refinement of the first peak: subtracts the modeled
-/// contribution of every *other* detected atom from the raw measurement,
-/// then maximizes the matched filter of the residual in a half-resolution
-/// window around the sparse peak. Removing the interference of later
-/// (often stronger) paths is what keeps the refined delay unbiased.
-///
-/// `p` is the (debiased) complex solution on the NDFT grid; `peak` the
-/// first dominant peak; `min_sep_bins` the merge radius used to find it.
-/// Returns the refined **profile-domain** delay in ns.
-pub fn refine_first_peak_clean(
-    ndft: &Ndft,
-    h: &[Complex64],
-    p: &[Complex64],
-    peak: &Peak,
-    min_sep_bins: usize,
-    resolution_ns: f64,
-) -> f64 {
-    let mut ws = RefineScratch::default();
-    refine_first_peak_clean_into(ndft, h, p, peak, min_sep_bins, resolution_ns, &mut ws)
 }
 
 /// Reusable buffers for [`refine_first_peak_clean_into`]: the masked
@@ -176,8 +66,17 @@ pub struct RefineScratch {
     residual: Vec<Complex64>,
 }
 
-/// [`refine_first_peak_clean`] over a reusable workspace — identical
-/// result, zero heap allocations once the buffers have capacity.
+/// CLEAN-style refinement of the first peak: subtracts the modeled
+/// contribution of every *other* detected atom from the raw measurement,
+/// then maximizes the matched filter of the residual in a half-resolution
+/// window around the sparse peak. Removing the interference of later
+/// (often stronger) paths is what keeps the refined delay unbiased.
+///
+/// `p` is the (debiased) complex solution on the NDFT grid; `peak` the
+/// first dominant peak; `min_sep_bins` the merge radius used to find it.
+/// Returns the refined **profile-domain** delay in ns. Runs in a
+/// reusable workspace: zero heap allocations once the buffers have
+/// capacity.
 pub fn refine_first_peak_clean_into(
     ndft: &Ndft,
     h: &[Complex64],
@@ -210,9 +109,10 @@ pub fn refine_first_peak_clean_into(
 }
 
 /// The minimum peak separation (grid bins) for a Rayleigh resolution
-/// width over a grid step — the single implementation behind
-/// [`MultipathProfile::min_sep_bins`] and the scratch pipeline's inlined
-/// profile handling (they must agree bit for bit).
+/// width (profile-domain ns, `1 / aperture_bandwidth`) over a grid step.
+/// Peaks closer than a resolution width cannot be two physical paths —
+/// they are the main lobe and its shoulder/sidelobe — so the peak finder
+/// merges them into the stronger one.
 pub fn min_sep_bins(resolution_ns: f64, step_ns: f64) -> usize {
     ((resolution_ns / step_ns).ceil() as usize).max(3)
 }
@@ -308,13 +208,31 @@ fn golden_max(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ista::{solve, IstaConfig};
+    use crate::ista::{solve_planned_into, IstaConfig, IstaScratch};
     use crate::ndft::TauGrid;
+    use crate::plan::NdftPlan;
     use chronos_rf::bands::band_plan_5ghz;
     use std::f64::consts::PI;
 
     fn freqs() -> Vec<f64> {
         band_plan_5ghz().iter().map(|b| b.center_hz).collect()
+    }
+
+    /// The sparse solution of `h` on `plan`, from a fresh scratch.
+    fn solve_fresh(plan: &NdftPlan, h: &[Complex64], cfg: &IstaConfig) -> Vec<Complex64> {
+        let mut scratch = IstaScratch::new();
+        solve_planned_into(plan, h, cfg, &mut scratch);
+        scratch.solution().to_vec()
+    }
+
+    /// The squared-channel (scale 2) magnitude profile of `p` on `grid`.
+    fn profile(p: &[Complex64], grid: TauGrid) -> MultipathProfile {
+        MultipathProfile {
+            start_ns: grid.start_ns,
+            step_ns: grid.step_ns,
+            magnitudes: p.iter().map(|z| z.abs()).collect(),
+            delay_scale: 2.0,
+        }
     }
 
     fn squared_channel(paths: &[(f64, f64)], freqs: &[f64]) -> Vec<Complex64> {
@@ -332,56 +250,29 @@ mod tests {
     }
 
     #[test]
-    fn profile_from_solution_magnitudes() {
-        let p = vec![
-            Complex64::from_polar(2.0, 1.0),
-            Complex64::ZERO,
-            Complex64::from_polar(0.5, -2.0),
-        ];
-        let prof = MultipathProfile::from_solution(&p, 0.0, 0.5, 2.0);
-        assert_eq!(prof.magnitudes.len(), 3);
-        assert!((prof.magnitudes[0] - 2.0).abs() < 1e-12);
-        assert_eq!(prof.magnitudes[1], 0.0);
-    }
-
-    #[test]
-    fn end_to_end_single_path_tof_subnanosecond() {
-        // Squared channel of a single 10.3 ns path: profile peak at 20.6,
-        // descaled ToF at 10.3 — sub-grid via matched filter.
-        let f = freqs();
-        let grid = TauGrid::span(100.0, 0.25);
-        let ndft = Ndft::new(&f, grid);
-        let h = squared_channel(&[(10.3, 1.0)], &f);
-        let sol = solve(&ndft, &h, &IstaConfig::default());
-        let prof = MultipathProfile::from_solution(&sol.p, 0.0, 0.25, 2.0);
-        let res = resolution_ns(&f);
-        let tof = prof.tof_ns(&ndft, &h, 0.2, res).unwrap();
-        assert!((tof - 10.3).abs() < 0.05, "tof {tof}");
-    }
-
-    #[test]
     fn first_peak_rule_direct_weaker_than_reflection() {
         // Direct at 8 ns (amp 0.5), reflection at 15 ns (amp 1.0): first
         // peak must still win.
         let f = freqs();
         let grid = TauGrid::span(100.0, 0.25);
-        let ndft = Ndft::new(&f, grid);
+        let plan = NdftPlan::new(&f, grid, 100.0);
         let h = squared_channel(&[(8.0, 0.5), (15.0, 1.0)], &f);
-        let sol = solve(
-            &ndft,
+        let p = solve_fresh(
+            &plan,
             &h,
             &IstaConfig {
                 alpha_rel: 0.06,
                 ..Default::default()
             },
         );
-        let prof = MultipathProfile::from_solution(&sol.p, 0.0, 0.25, 2.0);
         // The estimator's flow: detect, then CLEAN-refine so the stronger
         // reflection does not bias the direct path's vertex.
         let res = resolution_ns(&f);
-        let min_sep = prof.min_sep_bins(res);
-        let peak = prof.first_peak(0.1, min_sep).unwrap();
-        let refined = refine_first_peak_clean(&ndft, &h, &sol.p, &peak, min_sep, res);
+        let min_sep = min_sep_bins(res, grid.step_ns);
+        let peak = profile(&p, grid).dominant_peaks(0.1, min_sep)[0];
+        let mut ws = RefineScratch::default();
+        let refined =
+            refine_first_peak_clean_into(&plan.ndft, &h, &p, &peak, min_sep, res, &mut ws);
         let tof = refined / 2.0;
         assert!((tof - 8.0).abs() < 0.3, "tof {tof}");
     }
@@ -392,20 +283,17 @@ mod tests {
         // remains 2*tau_min.
         let f = freqs();
         let grid = TauGrid::span(100.0, 0.25);
-        let ndft = Ndft::new(&f, grid);
         let h = squared_channel(&[(6.0, 1.0), (9.0, 0.8), (14.0, 0.5)], &f);
-        let sol = solve(
-            &ndft,
+        let p = solve_fresh(
+            &NdftPlan::new(&f, grid, 100.0),
             &h,
             &IstaConfig {
                 alpha_rel: 0.08,
                 ..Default::default()
             },
         );
-        let prof = MultipathProfile::from_solution(&sol.p, 0.0, 0.25, 2.0);
-        let first = prof
-            .first_peak(0.15, prof.min_sep_bins(resolution_ns(&f)))
-            .unwrap();
+        let first = profile(&p, grid)
+            .dominant_peaks(0.15, min_sep_bins(resolution_ns(&f), grid.step_ns))[0];
         assert!(first.x >= 2.0 * 6.0 - 0.5, "premature peak at {}", first.x);
         assert!(first.x <= 2.0 * 6.0 + 0.5, "first peak late at {}", first.x);
     }
@@ -414,34 +302,18 @@ mod tests {
     fn peak_count_reflects_sparsity() {
         let f = freqs();
         let grid = TauGrid::span(100.0, 0.25);
-        let ndft = Ndft::new(&f, grid);
         let h = squared_channel(&[(5.0, 1.0), (9.0, 0.7), (13.0, 0.5)], &f);
-        let sol = solve(
-            &ndft,
+        let p = solve_fresh(
+            &NdftPlan::new(&f, grid, 100.0),
             &h,
             &IstaConfig {
                 alpha_rel: 0.08,
                 ..Default::default()
             },
         );
-        let prof = MultipathProfile::from_solution(&sol.p, 0.0, 0.25, 2.0);
-        let count = prof.peak_count(0.15);
+        let count = profile(&p, grid).peak_count(0.15);
         // 3 paths -> up to 6 squared-channel terms, at least 3 visible.
         assert!((3..=8).contains(&count), "count {count}");
-    }
-
-    #[test]
-    fn empty_profile_errors() {
-        let prof = MultipathProfile {
-            start_ns: 0.0,
-            step_ns: 0.5,
-            magnitudes: vec![0.0; 100],
-            delay_scale: 2.0,
-        };
-        assert_eq!(
-            prof.first_peak(0.1, 3).unwrap_err(),
-            ChronosError::NoDominantPath
-        );
     }
 
     #[test]
@@ -483,51 +355,5 @@ mod tests {
         let f = [5.18e9, 5.253e9, 5.419e9, 5.622e9, 5.801e9];
         let lobes = strong_lobe_offsets(&f, 0.9, 50.0);
         assert!(lobes.is_empty(), "{lobes:?}");
-    }
-
-    #[test]
-    fn first_path_peak_vetoes_weak_preceding_sidelobe() {
-        // A weak bump one cluster-resolution before a strong peak is a
-        // sidelobe; first_path_peak must skip it.
-        let mut mags = vec![0.0; 200];
-        mags[40] = 0.3; // candidate sidelobe at x = 10 (step 0.25)
-        mags[56] = 1.0; // strong peak at x = 14
-        let prof = MultipathProfile {
-            start_ns: 0.0,
-            step_ns: 0.25,
-            magnitudes: mags,
-            delay_scale: 2.0,
-        };
-        let p = prof.first_path_peak(0.1, 3, 5.0, 0.5).unwrap();
-        assert_eq!(p.index, 56);
-        // But a strong-enough early peak survives.
-        let mut mags2 = vec![0.0; 200];
-        mags2[40] = 0.7;
-        mags2[56] = 1.0;
-        let prof2 = MultipathProfile {
-            start_ns: 0.0,
-            step_ns: 0.25,
-            magnitudes: mags2,
-            delay_scale: 2.0,
-        };
-        let p2 = prof2.first_path_peak(0.1, 3, 5.0, 0.5).unwrap();
-        assert_eq!(p2.index, 40);
-    }
-
-    #[test]
-    fn descaling_uses_delay_scale() {
-        let f = freqs();
-        let grid = TauGrid::span(100.0, 0.25);
-        let ndft = Ndft::new(&f, grid);
-        // Same measurement, but declared at scale 8 (quirked group):
-        // reported ToF must be 1/4 of the scale-2 answer.
-        let h = squared_channel(&[(10.0, 1.0)], &f);
-        let sol = solve(&ndft, &h, &IstaConfig::default());
-        let p2 = MultipathProfile::from_solution(&sol.p, 0.0, 0.25, 2.0);
-        let p8 = MultipathProfile::from_solution(&sol.p, 0.0, 0.25, 8.0);
-        let res = resolution_ns(&f);
-        let t2 = p2.tof_ns(&ndft, &h, 0.2, res).unwrap();
-        let t8 = p8.tof_ns(&ndft, &h, 0.2, res).unwrap();
-        assert!((t2 / t8 - 4.0).abs() < 1e-9);
     }
 }

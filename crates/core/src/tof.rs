@@ -9,8 +9,9 @@
 //! 1. combine each band's exchanges into a CFO-free [`BandProduct`]
 //!    ([`crate::reciprocity`]);
 //! 2. split products into delay-scale groups ([`crate::quirk`]);
-//! 3. per group: sparse inverse-NDFT ([`crate::ista`]), first-peak rule
-//!    with matched-filter refinement ([`crate::profile`]);
+//! 3. per group: sparse inverse-NDFT ([`crate::ista`]), the first-path
+//!    rule (`select_first_path`, the one first-peak rule in the crate),
+//!    then matched-filter refinement ([`crate::profile`]);
 //! 4. fuse group candidates: the widest (finest-resolution) group wins,
 //!    and the coarse 2.4 GHz group, when present and unaliased, must agree
 //!    within tolerance or the sample is flagged.
@@ -30,6 +31,25 @@ use chronos_math::spline::SplinePlan;
 use chronos_math::Complex64;
 use chronos_rf::csi::Measurement;
 use std::sync::Arc;
+
+/// Peak dominance threshold: a profile peak counts as a path candidate
+/// when it reaches this fraction of the strongest peak.
+const PEAK_DOMINANCE: f64 = 0.15;
+
+/// Strength of the sidelobe/ghost model-comparison veto: a candidate
+/// with a stronger peak after it is accepted only if the best
+/// alternative model (the support without the candidate, alone or plus
+/// one seeded ghost-source atom per grating-lobe cluster) leaves at least
+/// `1 + SIDELOBE_VETO_RATIO` times the baseline residual energy.
+const SIDELOBE_VETO_RATIO: f64 = 0.4;
+
+/// Quiet-zone significance floor: the CLEANed matched-filter response at
+/// a candidate (the measurement minus every other atom's model) must
+/// reach `ATOM_SNR_MIN` times the median of that response sampled over
+/// the quiet zone before the candidate. Suppresses the low-amplitude
+/// "garbage collector" atoms the sparse solver places to absorb noise,
+/// aliases and unmodeled content.
+const ATOM_SNR_MIN: f64 = 3.0;
 
 /// All measurements of one band (the exchanges of one dwell).
 #[derive(Debug, Clone)]
@@ -240,61 +260,16 @@ impl TofEstimator {
         Ok(())
     }
 
-    /// Runs the full estimation pipeline.
-    pub fn estimate(&self, bands: &[BandSample]) -> Result<TofEstimate, ChronosError> {
-        let products = self.products(bands)?;
-        self.estimate_from_products(&products)
-    }
-
-    /// Estimation from precomputed products (used by ablations that
-    /// synthesize products directly).
-    pub fn estimate_from_products(
-        &self,
-        products: &[BandProduct],
-    ) -> Result<TofEstimate, ChronosError> {
-        let mut scratch = EstimatorScratch::new();
-        self.estimate_from_products_with(products, &mut scratch)
-    }
-
-    /// [`TofEstimator::estimate_from_products`] over a reusable scratch
-    /// arena: the whole solver path (ISTA, debias, peak selection, CLEAN
-    /// refinement) runs allocation-free; only the returned
-    /// [`TofEstimate`] — profiles included — is freshly allocated.
-    /// Results are bitwise identical to the scratch-free path.
-    pub fn estimate_from_products_with(
-        &self,
-        products: &[BandProduct],
-        scratch: &mut EstimatorScratch,
-    ) -> Result<TofEstimate, ChronosError> {
-        let fix = self.estimate_scaled(products, scratch, true)?;
-        Ok(TofEstimate {
-            tof_ns: fix.tof_ns,
-            distance_m: fix.distance_m,
-            groups: std::mem::take(&mut scratch.profiles),
-            cross_check_ok: fix.cross_check_ok,
-        })
-    }
-
-    /// The zero-allocation estimation entry point: products in, a compact
-    /// [`TofFix`] out, every intermediate borrowed from the scratch.
-    /// Scalars agree bit for bit with
-    /// [`TofEstimator::estimate_from_products`].
-    pub fn estimate_fix_with(
-        &self,
-        products: &[BandProduct],
-        scratch: &mut EstimatorScratch,
-    ) -> Result<TofFix, ChronosError> {
-        self.estimate_scaled(products, scratch, false)
-    }
-
-    /// The shared estimation body behind both the allocating and the
-    /// zero-alloc entry points. Groups products by delay scale, inverts
-    /// each group through the scratch solver, selects and refines the
-    /// first physical path, and fuses the group candidates. When
+    /// The one estimation body, behind both
+    /// [`crate::pipeline::SweepPipeline`] estimation calls. Groups
+    /// products by delay scale, inverts each group through the scratch
+    /// solver, selects and refines the first physical path, and fuses
+    /// the group candidates; every intermediate is borrowed from the
+    /// scratch, so the body itself is allocation-free once warm. When
     /// `want_profiles` is set, `scratch.profiles` additionally receives
     /// the per-group [`GroupEstimate`]s (primary first) for
     /// [`TofEstimate`] assembly.
-    fn estimate_scaled(
+    pub(crate) fn estimate_scaled(
         &self,
         products: &[BandProduct],
         scratch: &mut EstimatorScratch,
@@ -387,11 +362,8 @@ impl TofEstimator {
                 &g.values,
                 &scratch.p_final,
                 &scratch.mags,
-                self.config.peak_dominance,
                 min_sep,
-                self.config.sidelobe_veto_ratio,
                 min_profile_x,
-                self.config.atom_snr_min,
                 lobes,
                 &mut scratch.select,
                 &mut scratch.debias,
@@ -450,7 +422,7 @@ impl TofEstimator {
         }
         let primary = scratch.fixes[0];
         let mut cross_check_ok = true;
-        if self.config.use_24ghz_check && scratch.fixes.len() > 1 {
+        if scratch.fixes.len() > 1 {
             // The coarse group agrees if some alias of its estimate is
             // within tolerance of the primary.
             let coarse = scratch.fixes[1];
@@ -471,19 +443,6 @@ impl TofEstimator {
     }
 }
 
-/// Chooses the first *physical path* peak, distinguishing a genuine weak
-/// direct path from a sidelobe artifact by **model comparison**.
-///
-/// The Wi-Fi band plan's clustered spectrum gives the NDFT a fringed point
-/// response, so the sparse solution sometimes carries a small artifact atom
-/// shortly before a strong peak. Magnitude ratios cannot tell that artifact
-/// apart from a genuinely attenuated direct path (the paper's NLOS regime),
-/// but a refit can: remove the candidate atom from the support, least-
-/// squares refit the rest, and compare residuals. A *real* path leaves
-/// `~n * |a|^2` of unexplained energy when dropped; an artifact's energy is
-/// re-absorbed by the neighboring atoms. `energy_factor` (0..1) scales the
-/// acceptance threshold — higher demands more unexplained energy, i.e.
-/// vetoes more aggressively.
 /// Whether `CHRONOS_DEBUG_PEAKS` diagnostics are enabled. Read once: an
 /// environment lookup allocates on most platforms, which would break the
 /// hot path's zero-alloc contract if checked per candidate.
@@ -501,17 +460,49 @@ fn resid_sq(ndft: &Ndft, h: &[Complex64], p: &[Complex64], fit: &mut Vec<Complex
         .sum::<f64>()
 }
 
+/// The first-path rule: chooses the first *physical path* among the
+/// dominant peaks of one group's profile (`mags`, the magnitudes of the
+/// debiased solution `p_final`).
+///
+/// The Wi-Fi band plan's clustered spectrum gives the NDFT a fringed
+/// point response, and its 20 MHz raster gives it grating lobes, so the
+/// sparse solution sometimes carries a small artifact atom before a
+/// strong peak. Candidates are the peaks reaching [`PEAK_DOMINANCE`] of
+/// the strongest, merged within `min_sep` bins, at or after
+/// `min_profile_x_ns` (a path cannot descale below the calibration
+/// constant). In delay order, each candidate faces two tests, and the
+/// first to pass both is returned:
+///
+/// 1. **Quiet-zone significance.** Every genuine squared-channel term
+///    lies at or after the direct term, so the profile before the first
+///    real path holds only noise, aliases and solver leakage. The
+///    CLEANed matched-filter response at the candidate (the measurement
+///    minus the model of every atom outside its neighbourhood) must reach
+///    [`ATOM_SNR_MIN`] times the median response sampled over the zone
+///    before it. The test is skipped when that zone is too short to
+///    sample.
+/// 2. **Relative model comparison**, only for a candidate with a
+///    stronger peak after it (the strongest peak is always physical).
+///    `r_a` is the residual energy of a debiased refit (at most 18
+///    atoms) of the whole support. The alternatives drop the candidate's
+///    neighbourhood and refit either the rest alone or the rest plus one
+///    seeded source atom at a single grating-lobe offset after the
+///    candidate, one hypothesis per lobe cluster (`lobe_offsets_ns`
+///    merged within 4 ns). With `r_b_best` the smallest alternative
+///    residual, the candidate is accepted only if `r_a > 0` and
+///    `r_b_best ≥ (1 + SIDELOBE_VETO_RATIO) · r_a`:
+///    removing a real path hurts the fit, while an artifact's energy is
+///    re-absorbed by the rest of the support or by its ghost source.
+///
+/// When every candidate is vetoed the strongest peak is returned.
 #[allow(clippy::too_many_arguments)]
 fn select_first_path(
     ndft: &Ndft,
     h: &[Complex64],
     p_final: &[Complex64],
     mags: &[f64],
-    dominance: f64,
     min_sep: usize,
-    energy_factor: f64,
     min_profile_x_ns: f64,
-    atom_snr_min: f64,
     lobe_offsets_ns: &[f64],
     sel: &mut SelectScratch,
     debias_ws: &mut DebiasScratch,
@@ -527,7 +518,7 @@ fn select_first_path(
         grid.start_ns,
         grid.step_ns,
         &PeakConfig {
-            dominance,
+            dominance: PEAK_DOMINANCE,
             min_separation: min_sep.max(1),
         },
         &mut sel.peak_cands,
@@ -561,11 +552,7 @@ fn select_first_path(
             .extend(h.iter().zip(sel.fit.iter()).map(|(a, b)| *a - *b));
         let mf_at = ndft.matched_filter(&sel.residual, cand.x);
 
-        // Quiet-zone significance test: every genuine squared-channel term
-        // lies at/after the direct term, so the profile *before* the first
-        // real path holds only noise, aliases and solver leakage. The
-        // candidate's cleaned matched-filter response must stand well above
-        // the median response of the region before it.
+        // Test 1: quiet-zone significance.
         let zone_hi = cand.x - 2.0 * grid.step_ns * min_sep as f64;
         if zone_hi > 4.0 * grid.step_ns {
             let step = (zone_hi / 24.0).max(grid.step_ns);
@@ -583,37 +570,28 @@ fn select_first_path(
                         cand.x, cand.magnitude, mf_at, floor
                     );
                 }
-                if mf_at < atom_snr_min * floor {
+                if mf_at < ATOM_SNR_MIN * floor {
                     continue 'candidates; // not significant above leakage
                 }
             }
         }
 
-        // Sidelobe/ghost model-comparison test: refit without the
-        // candidate; an artifact's (sidelobe fringe, grating ghost,
-        // garbage-collector atom) energy is re-absorbed by the remaining
-        // support, while a real path leaves ~n*|a|^2 unexplained. Run it
-        // for every candidate that is not the strongest peak — the
-        // strongest peak is always physical.
-        //
-        // A grating ghost's true source may be *absent* from the sparse
-        // support (the ghost atom stole its energy), so the refit is
-        // seeded with candidate-image atoms at every grating-lobe offset
-        // after the candidate: if one of those explains the data, the
-        // candidate was the ghost.
+        // Test 2: relative model comparison, for a candidate with a
+        // stronger peak after it. A grating ghost's true source may be
+        // *absent* from the sparse support (the ghost atom stole its
+        // energy), hence the seeded source hypotheses.
         let suspicious = sel
             .peaks
             .iter()
             .skip(i + 1)
             .any(|later| later.magnitude > cand.magnitude);
         if suspicious {
-            // Ghost-source hypotheses: a grating ghost has exactly ONE
-            // source, one lobe offset away. Each hypothesis gets the
-            // existing support minus the candidate, plus a single seeded
-            // source atom; the baseline keeps the candidate (same refit
-            // budget everywhere, so the comparison is fair). Seeding all
-            // offsets at once would hand the alternative an overcomplete
-            // basis that can explain *any* atom — hence one at a time.
+            // A grating ghost has exactly ONE source, one lobe offset away,
+            // so each hypothesis seeds a single atom: seeding all offsets
+            // at once would hand the alternative an overcomplete basis
+            // that can explain *any* atom. The baseline keeps the
+            // candidate (same refit budget everywhere, so the comparison
+            // is fair).
             debias_into(ndft, h, p_final, 18, 3, debias_ws, &mut sel.debias_out);
             let r_a = resid_sq(ndft, h, &sel.debias_out, &mut sel.fit);
 
@@ -653,14 +631,12 @@ fn select_first_path(
                 let r = resid_sq(ndft, h, &sel.debias_out, &mut sel.fit);
                 r_b_best = r_b_best.min(r);
             }
-            // Accept only when removing the candidate hurts the fit in
-            // *relative* terms: the best alternative's residual energy must
-            // exceed the baseline's by the configured factor. Absolute
-            // (n*|a|^2-scaled) thresholds fail both ways — too strict in
-            // dense multipath where neighbors legitimately absorb part of
-            // any atom's footprint, too lax against noise atoms whose
-            // removal always costs their own (noise) energy.
-            let relative_ok = r_a > 0.0 && r_b_best >= (1.0 + energy_factor) * r_a;
+            // Relative, not absolute: an n*|a|^2-scaled threshold fails
+            // both ways — too strict in dense multipath where neighbors
+            // legitimately absorb part of any atom's footprint, too lax
+            // against noise atoms whose removal always costs their own
+            // (noise) energy.
+            let relative_ok = r_a > 0.0 && r_b_best >= (1.0 + SIDELOBE_VETO_RATIO) * r_a;
             if debug_peaks() {
                 eprintln!(
                     "[veto] cand x={:.2} mag={:.4} r_a={:.4} r_b={:.4} rel={}",
@@ -706,7 +682,13 @@ pub fn genie_product(freq_hz: f64, paths: &[(f64, f64)], delay_scale: f64) -> Ba
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::SweepPipeline;
     use chronos_rf::bands::{band_plan, band_plan_5ghz};
+
+    /// One estimate on a fresh pipeline.
+    fn estimate(est: &TofEstimator, products: &[BandProduct]) -> Result<TofEstimate, ChronosError> {
+        SweepPipeline::new().estimate_from_products(est, products)
+    }
 
     fn genie_products_5g(paths: &[(f64, f64)]) -> Vec<BandProduct> {
         band_plan_5ghz()
@@ -719,9 +701,7 @@ mod tests {
     fn single_path_estimate_subnanosecond() {
         let est = TofEstimator::new(ChronosConfig::ideal());
         let tau = 17.3;
-        let r = est
-            .estimate_from_products(&genie_products_5g(&[(tau, 1.0)]))
-            .unwrap();
+        let r = estimate(&est, &genie_products_5g(&[(tau, 1.0)])).unwrap();
         assert!((r.tof_ns - tau).abs() < 0.05, "tof {}", r.tof_ns);
         assert!((r.distance_m - chronos_math::constants::ns_to_m(tau)).abs() < 0.02);
     }
@@ -730,9 +710,7 @@ mod tests {
     fn multipath_first_peak_wins() {
         let est = TofEstimator::new(ChronosConfig::ideal());
         let paths = [(10.0, 0.8), (14.0, 1.0), (21.0, 0.6)];
-        let r = est
-            .estimate_from_products(&genie_products_5g(&paths))
-            .unwrap();
+        let r = estimate(&est, &genie_products_5g(&paths)).unwrap();
         assert!((r.tof_ns - 10.0).abs() < 0.25, "tof {}", r.tof_ns);
     }
 
@@ -741,9 +719,7 @@ mod tests {
         let mut cfg = ChronosConfig::ideal();
         cfg.calibration_ns = 6.0;
         let est = TofEstimator::new(cfg);
-        let r = est
-            .estimate_from_products(&genie_products_5g(&[(16.0, 1.0)]))
-            .unwrap();
+        let r = estimate(&est, &genie_products_5g(&[(16.0, 1.0)])).unwrap();
         assert!((r.tof_ns - 10.0).abs() < 0.05, "tof {}", r.tof_ns);
     }
 
@@ -756,7 +732,7 @@ mod tests {
             products.push(genie_product(b.center_hz, &[(tau, 1.0)], 8.0));
         }
         let est = TofEstimator::new(ChronosConfig::default());
-        let r = est.estimate_from_products(&products).unwrap();
+        let r = estimate(&est, &products).unwrap();
         assert!((r.tof_ns - tau).abs() < 0.1, "tof {}", r.tof_ns);
         assert!(r.cross_check_ok);
         assert_eq!(r.groups.len(), 2);
@@ -771,7 +747,7 @@ mod tests {
             products.push(genie_product(b.center_hz, &[(18.0, 1.0)], 8.0));
         }
         let est = TofEstimator::new(ChronosConfig::default());
-        let r = est.estimate_from_products(&products).unwrap();
+        let r = estimate(&est, &products).unwrap();
         assert!(
             (r.tof_ns - 9.4).abs() < 0.2,
             "primary unaffected: {}",
@@ -789,7 +765,7 @@ mod tests {
             .map(|b| genie_product(b.center_hz, &[(5.0, 1.0)], 2.0))
             .collect();
         assert!(matches!(
-            est.estimate_from_products(&products),
+            estimate(&est, &products),
             Err(ChronosError::TooFewBands { got: 3, need: 5 })
         ));
     }
@@ -798,9 +774,7 @@ mod tests {
     fn profile_has_sparse_dominant_peaks() {
         let est = TofEstimator::new(ChronosConfig::ideal());
         let paths = [(8.0, 1.0), (12.5, 0.7), (18.0, 0.5), (26.0, 0.35)];
-        let r = est
-            .estimate_from_products(&genie_products_5g(&paths))
-            .unwrap();
+        let r = estimate(&est, &genie_products_5g(&paths)).unwrap();
         let count = r.groups[0].profile.peak_count(0.15);
         // 4 paths -> up to 10 squared-channel terms; a split atom may add
         // one more. Must stay sparse regardless.
@@ -812,16 +786,27 @@ mod tests {
         // The paper's running example: 0.6 m, tau = 2 ns.
         let est = TofEstimator::new(ChronosConfig::ideal());
         let tau = chronos_math::constants::m_to_ns(0.6);
-        let r = est
-            .estimate_from_products(&genie_products_5g(&[(tau, 1.0)]))
-            .unwrap();
+        let r = estimate(&est, &genie_products_5g(&[(tau, 1.0)])).unwrap();
         assert!((r.tof_ns - tau).abs() < 0.05, "tof {}", r.tof_ns);
     }
 
     #[test]
     fn empty_input_is_error() {
         let est = TofEstimator::new(ChronosConfig::ideal());
-        assert!(est.estimate_from_products(&[]).is_err());
-        assert!(est.estimate(&[]).is_err());
+        assert!(estimate(&est, &[]).is_err());
+        assert!(SweepPipeline::new().estimate(&est, &[]).is_err());
+    }
+
+    #[test]
+    fn all_zero_products_have_no_dominant_path() {
+        // A full band set with no energy: the solve, the refit and the
+        // profile are all zero, so the first-path rule finds no peak.
+        let est = TofEstimator::new(ChronosConfig::ideal());
+        let products = genie_products_5g(&[]);
+        assert!(products.iter().all(|p| p.value == Complex64::ZERO));
+        assert_eq!(
+            estimate(&est, &products).unwrap_err(),
+            ChronosError::NoDominantPath
+        );
     }
 }

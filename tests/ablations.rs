@@ -3,7 +3,8 @@
 
 use chronos_suite::core::config::ChronosConfig;
 use chronos_suite::core::phase::{interpolate_h0, Interpolation};
-use chronos_suite::core::tof::{genie_product, TofEstimator};
+use chronos_suite::core::tof::{genie_product, TofEstimate, TofEstimator};
+use chronos_suite::core::{ChronosError, SweepPipeline};
 use chronos_suite::rf::bands::band_plan_5ghz;
 use chronos_suite::rf::csi::MeasurementContext;
 use chronos_suite::rf::environment::Environment;
@@ -12,6 +13,14 @@ use chronos_suite::rf::hardware::{ideal_device, AntennaArray};
 use chronos_suite::rf::ofdm::SubcarrierLayout;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One estimate from genie products on a fresh pipeline.
+fn estimate(
+    est: &TofEstimator,
+    products: &[chronos_suite::core::reciprocity::BandProduct],
+) -> Result<TofEstimate, ChronosError> {
+    SweepPipeline::new().estimate_from_products(est, products)
+}
 
 /// DESIGN.md §4.3: cubic spline vs. linear interpolation at the
 /// zero-subcarrier. With a *curved* phase profile (multipath), the spline
@@ -82,7 +91,7 @@ fn ablation_alpha_sweep_on_genie_products() {
         let mut cfg = ChronosConfig::ideal();
         cfg.alpha_rel = alpha;
         let est = TofEstimator::new(cfg);
-        let r = est.estimate_from_products(&products).unwrap();
+        let r = estimate(&est, &products).unwrap();
         assert!(
             (r.tof_ns - 12.0).abs() < 0.3,
             "alpha {alpha}: tof {}",
@@ -94,7 +103,7 @@ fn ablation_alpha_sweep_on_genie_products() {
     let mut cfg = ChronosConfig::ideal();
     cfg.alpha_rel = 0.95;
     let est = TofEstimator::new(cfg);
-    let _ = est.estimate_from_products(&products);
+    let _ = estimate(&est, &products);
 }
 
 /// DESIGN.md §4.4: matched-filter refinement beats raw grid quantization.
@@ -110,7 +119,7 @@ fn ablation_refinement_beats_grid_step() {
     let mut cfg = ChronosConfig::ideal();
     cfg.grid_step_ns = 1.0;
     let est = TofEstimator::new(cfg);
-    let r = est.estimate_from_products(&products).unwrap();
+    let r = estimate(&est, &products).unwrap();
     // Grid quantization alone would allow up to 0.25 ns of ToF error
     // (half a 1 ns profile bin, descaled); refinement must do much better.
     assert!(
@@ -175,9 +184,7 @@ fn ablation_quirk_mode_consistency() {
         .iter()
         .map(|b| genie_product(b.center_hz, &paths, 2.0))
         .collect();
-    let r_ideal = TofEstimator::new(ChronosConfig::ideal())
-        .estimate_from_products(&ideal_products)
-        .unwrap();
+    let r_ideal = estimate(&TofEstimator::new(ChronosConfig::ideal()), &ideal_products).unwrap();
     // Intel: 5 GHz at scale 2 + 2.4 GHz at scale 8.
     let mut intel_products: Vec<_> = band_plan_5ghz()
         .iter()
@@ -186,9 +193,11 @@ fn ablation_quirk_mode_consistency() {
     for b in chronos_suite::rf::bands::band_plan_24ghz() {
         intel_products.push(genie_product(b.center_hz, &paths, 8.0));
     }
-    let r_intel = TofEstimator::new(ChronosConfig::default())
-        .estimate_from_products(&intel_products)
-        .unwrap();
+    let r_intel = estimate(
+        &TofEstimator::new(ChronosConfig::default()),
+        &intel_products,
+    )
+    .unwrap();
     // The two modes agree to a fraction of a nanosecond; the ideal mode
     // carries a slightly larger refinement bias from the 2.4/5 GHz fringe
     // structure of its single 35-band inversion.

@@ -1,7 +1,8 @@
 //! Allocation-budget tests for the sweep pipeline: the zero-alloc
 //! contract of `docs/PIPELINE.md`, enforced with a counting global
-//! allocator, plus the bitwise-equivalence proptest between the scratch
-//! solver and the allocating solver.
+//! allocator, plus two bitwise pins: a dirty solver scratch against a
+//! fresh one, and the pipeline's two estimation calls against each
+//! other.
 //!
 //! The contract under test: once a [`SweepPipeline`]'s scratch arena is
 //! warm, the estimation path — products → NDFT/ISTA → profile →
@@ -12,7 +13,7 @@
 
 use chronos_bench::alloc_count::{thread_allocations, CountingAlloc};
 use chronos_suite::core::config::ChronosConfig;
-use chronos_suite::core::ista::{solve_planned, solve_planned_into, IstaConfig, IstaScratch};
+use chronos_suite::core::ista::{solve_planned_into, IstaConfig, IstaScratch};
 use chronos_suite::core::localization::{AntennaRange, LocalizerConfig, Position};
 use chronos_suite::core::ndft::TauGrid;
 use chronos_suite::core::plan::{NdftPlan, PlanCache};
@@ -175,6 +176,46 @@ fn alternating_subset_and_full_plans_stay_allocation_free() {
     );
 }
 
+/// The pipeline's two estimation calls run one body. On one warm
+/// pipeline, interleaved over TRACK subsets and full ACQUIRE plans (and
+/// alternating which call goes first), the allocation-free fix must
+/// agree bit for bit with the full estimate that engine and session
+/// sweeps use, and its group counters must describe that estimate's
+/// groups.
+#[test]
+fn estimate_fix_matches_estimate_from_products_bitwise() {
+    let estimator = TofEstimator::with_cache(ChronosConfig::default(), Arc::new(PlanCache::new()));
+    let track: Vec<Vec<BandProduct>> = (0..4).map(track_products).collect();
+    let acquire: Vec<Vec<BandProduct>> = (0..4).map(acquire_products).collect();
+    let mut pipeline = SweepPipeline::new();
+    let mut cross_checked = 0;
+    for round in 0..2 {
+        for products in track.iter().zip(acquire.iter()).flat_map(|(t, a)| [t, a]) {
+            let (fix, est) = if round == 0 {
+                let fix = pipeline.estimate_fix(&estimator, products).expect("fix");
+                let est = pipeline
+                    .estimate_from_products(&estimator, products)
+                    .expect("estimate");
+                (fix, est)
+            } else {
+                let est = pipeline
+                    .estimate_from_products(&estimator, products)
+                    .expect("estimate");
+                let fix = pipeline.estimate_fix(&estimator, products).expect("fix");
+                (fix, est)
+            };
+            assert_eq!(fix.tof_ns.to_bits(), est.tof_ns.to_bits());
+            assert_eq!(fix.distance_m.to_bits(), est.distance_m.to_bits());
+            assert_eq!(fix.cross_check_ok, est.cross_check_ok);
+            assert_eq!(fix.n_groups, est.groups.len());
+            assert_eq!(fix.primary_bands, est.groups[0].n_bands);
+            cross_checked += (fix.n_groups > 1) as usize;
+        }
+    }
+    // Every ACQUIRE sweep inverts both delay-scale groups.
+    assert_eq!(cross_checked, 2 * acquire.len());
+}
+
 /// A warm pipeline's localization (the Gauss–Newton circle fit) is
 /// allocation-free into a reused candidate buffer.
 #[test]
@@ -255,12 +296,12 @@ fn engine_window_allocations_per_sweep_bounded() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `solve_planned_into` must equal `solve_planned` bit for bit —
-    /// solution, iteration count, convergence flag and residual — across
-    /// random band plans, grids and channels, including a *reused*
-    /// (dirty) scratch.
+    /// `solve_planned_into` on a *reused* (dirty) scratch must equal a
+    /// solve on a fresh scratch bit for bit — solution, iteration count,
+    /// convergence flag and residual — across random band plans, grids
+    /// and channels.
     #[test]
-    fn solve_planned_into_is_bitwise_solve_planned(
+    fn solve_planned_into_dirty_scratch_is_bitwise_fresh(
         n_freqs in 5usize..12,
         span_ns in 20.0f64..60.0,
         step_x2 in 1usize..3,
@@ -294,7 +335,8 @@ proptest! {
             .collect();
         let cfg = IstaConfig { accelerated, max_iters: 150, ..IstaConfig::default() };
 
-        let reference = solve_planned(&plan, &h, &cfg);
+        let mut fresh = IstaScratch::new();
+        let reference = solve_planned_into(&plan, &h, &cfg, &mut fresh);
         let mut scratch = IstaScratch::new();
         // Dirty the scratch with a different problem first: reuse must
         // not leak state.
@@ -306,8 +348,8 @@ proptest! {
         prop_assert_eq!(stats.iterations, reference.iterations);
         prop_assert_eq!(stats.converged, reference.converged);
         prop_assert_eq!(stats.residual.to_bits(), reference.residual.to_bits());
-        prop_assert_eq!(scratch.solution().len(), reference.p.len());
-        for (a, b) in scratch.solution().iter().zip(reference.p.iter()) {
+        prop_assert_eq!(scratch.solution().len(), fresh.solution().len());
+        for (a, b) in scratch.solution().iter().zip(fresh.solution().iter()) {
             prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
             prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
         }

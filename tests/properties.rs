@@ -2,9 +2,10 @@
 //! that hold across crates.
 
 use chronos_suite::core::crt::{tof_from_channels, CrtConfig};
-use chronos_suite::core::ista::{solve, sparsify, IstaConfig};
+use chronos_suite::core::ista::{solve_planned_into, sparsify, IstaConfig, IstaScratch};
 use chronos_suite::core::localization::{locate, locate_all, AntennaRange, LocalizerConfig};
-use chronos_suite::core::ndft::{Ndft, TauGrid};
+use chronos_suite::core::ndft::TauGrid;
+use chronos_suite::core::plan::NdftPlan;
 use chronos_suite::core::tracker::{ClientTracker, PositionTracker, TrackMode, TrackerConfig};
 use chronos_suite::link::time::{Duration, Instant};
 use chronos_suite::math::crt::Congruence;
@@ -122,15 +123,16 @@ proptest! {
             .map(|b| b.center_hz)
             .collect();
         let grid = TauGrid::span(100.0, 1.0);
-        let ndft = Ndft::new(&freqs, grid);
+        let plan = NdftPlan::new(&freqs, grid, 100.0);
         let tau = grid.tau_at(idx);
         let h: Vec<Complex64> = freqs
             .iter()
             .map(|f| Complex64::from_polar(1.0, -2.0 * PI * f * tau * 1e-9))
             .collect();
-        let sol = solve(&ndft, &h, &IstaConfig::default());
-        let (best, _) = sol
-            .p
+        let mut scratch = IstaScratch::new();
+        solve_planned_into(&plan, &h, &IstaConfig::default(), &mut scratch);
+        let (best, _) = scratch
+            .solution()
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
@@ -636,6 +638,7 @@ proptest! {
 fn golden_capture_fix_distance_drift_below_nanometer() {
     use chronos_suite::core::config::ChronosConfig;
     use chronos_suite::core::tof::{genie_product, TofEstimator};
+    use chronos_suite::core::SweepPipeline;
     use chronos_suite::math::constants::m_to_ns;
     use chronos_suite::rf::bands::band_plan_5ghz;
     use chronos_suite::rf::subset::select_subset;
@@ -662,8 +665,8 @@ fn golden_capture_fix_distance_drift_below_nanometer() {
             .iter()
             .map(|b| genie_product(b.center_hz, &paths, 2.0))
             .collect();
-        let est = estimator
-            .estimate_from_products(&products)
+        let est = SweepPipeline::new()
+            .estimate_from_products(&estimator, &products)
             .expect("golden capture fix");
         let drift = (est.distance_m - golden).abs();
         assert!(
@@ -678,8 +681,8 @@ fn golden_capture_fix_distance_drift_below_nanometer() {
 #[cfg(feature = "simd")]
 mod simd_tolerance {
     use super::*;
-    use chronos_suite::core::ista::{solve_planned_into, solve_planned_into_scalar, IstaScratch};
-    use chronos_suite::core::plan::NdftPlan;
+    use chronos_suite::core::ista::solve_planned_into_scalar;
+    use chronos_suite::core::ndft::Ndft;
 
     /// A random small NDFT problem: `n` measurement tones between 2 and
     /// 7 GHz over a grid whose size exercises both the lane-tiled main

@@ -8,6 +8,7 @@ use chronos_suite::core::plan::PlanCache;
 use chronos_suite::core::service::ServiceConfig;
 use chronos_suite::core::session::ChronosSession;
 use chronos_suite::core::tof::{genie_product, TofEstimator};
+use chronos_suite::core::SweepPipeline;
 use chronos_suite::link::time::Instant;
 use chronos_suite::rf::bands::band_plan_5ghz;
 use chronos_suite::rf::csi::MeasurementContext;
@@ -101,16 +102,18 @@ fn plan_cache_estimates_are_equivalent() {
     let cache = Arc::new(PlanCache::new());
     let cached = TofEstimator::with_cache(ChronosConfig::ideal(), Arc::clone(&cache));
 
-    let a = cold
-        .estimate_from_products(&products)
+    // A fresh pipeline per call, so every plan lookup reaches the cache
+    // (a warm pipeline would serve it from its own memo).
+    let a = SweepPipeline::new()
+        .estimate_from_products(&cold, &products)
         .expect("cold estimate");
     // Run the cached estimator twice: the second call exercises the
     // cache-hit path.
-    let b1 = cached
-        .estimate_from_products(&products)
+    let b1 = SweepPipeline::new()
+        .estimate_from_products(&cached, &products)
         .expect("cached estimate");
-    let b2 = cached
-        .estimate_from_products(&products)
+    let b2 = SweepPipeline::new()
+        .estimate_from_products(&cached, &products)
         .expect("cached estimate (hit)");
 
     for b in [&b1, &b2] {
