@@ -894,8 +894,23 @@ fn cmac_tile(
     }
 }
 
+/// The mutable twin of [`lane_tile`].
+#[cfg(feature = "simd")]
+#[inline(always)]
+fn lane_tile_mut(plane: &mut [f64]) -> &mut [f64; TILE] {
+    (&mut plane[..TILE])
+        .try_into()
+        .expect("lane tile in bounds")
+}
+
 /// Passes A and B of [`Ndft::fused_prox_step_split`] over any gradient
 /// source; returns `(|next - p|_2^2, |p|_2^2)`.
+///
+/// Pass A walks the seven grid planes in lockstep as fixed-size lane
+/// tiles (`chunks_exact(TILE)` viewed as `[f64; TILE]`), so every lane
+/// index is in bounds by construction and the tile body compiles to
+/// packed arithmetic with no per-lane bounds checks. Pass B walks the
+/// planes as zipped iterators.
 #[cfg(feature = "simd")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -925,20 +940,29 @@ fn prox_pass<G: GradSource>(
     // threshold) and the |p|^2 reduction. Candidate magnitudes land
     // in `sq`, surviving candidates stay un-shrunk in `next` for
     // pass B.
-    for c in (0..main).step_by(TILE) {
+    let tiles = p_re[..main]
+        .chunks_exact(TILE)
+        .zip(p_im[..main].chunks_exact(TILE))
+        .zip(prev_re[..main].chunks_exact(TILE))
+        .zip(prev_im[..main].chunks_exact(TILE))
+        .zip(next_re[..main].chunks_exact_mut(TILE))
+        .zip(next_im[..main].chunks_exact_mut(TILE))
+        .zip(sq[..main].chunks_exact_mut(TILE));
+    for (c, ((((((pr, pi), qr), qi), nr), ni), sqt)) in (0..main).step_by(TILE).zip(tiles) {
         let (gr, gi) = grad.tile(c);
+        let (pr, pi, qr, qi) = (lane_tile(pr), lane_tile(pi), lane_tile(qr), lane_tile(qi));
+        let (nr, ni, sqt) = (lane_tile_mut(nr), lane_tile_mut(ni), lane_tile_mut(sqt));
         for l in 0..TILE {
-            let k = c + l;
-            let yr = fmadd(beta, p_re[k] - prev_re[k], p_re[k]);
-            let yi = fmadd(beta, p_im[k] - prev_im[k], p_im[k]);
+            let yr = fmadd(beta, pr[l] - qr[l], pr[l]);
+            let yi = fmadd(beta, pi[l] - qi[l], pi[l]);
             let cr = yr - g2 * gr[l];
             let ci = yi - g2 * gi[l];
             let sq_v = fmadd(cr, cr, ci * ci);
-            sq[k] = sq_v;
+            sqt[l] = sq_v;
             let keep = sq_v > t2;
-            next_re[k] = if keep { cr } else { 0.0 };
-            next_im[k] = if keep { ci } else { 0.0 };
-            pnorm[l] = fmadd(p_re[k], p_re[k], fmadd(p_im[k], p_im[k], pnorm[l]));
+            nr[l] = if keep { cr } else { 0.0 };
+            ni[l] = if keep { ci } else { 0.0 };
+            pnorm[l] = fmadd(pr[l], pr[l], fmadd(pi[l], pi[l], pnorm[l]));
         }
     }
     let mut pnorm_tail = 0.0f64;
@@ -964,21 +988,23 @@ fn prox_pass<G: GradSource>(
     // |next - p|^2 exactly, so only surviving bins need their
     // |next_k - p_k|^2 - |p_k|^2 adjustment.
     let mut delta2 = pnorm2;
-    for k in 0..m {
-        let sq_v = sq[k];
+    let bins = sq
+        .iter()
+        .zip(next_re.iter_mut())
+        .zip(next_im.iter_mut())
+        .zip(p_re.iter().zip(p_im.iter()));
+    for (k, (((&sq_v, nr), ni), (&pr, &pi))) in bins.enumerate() {
         if sq_v <= t2 {
             continue;
         }
         supp_next.push(k as u32);
         let mag = sq_v.sqrt();
         let s = ((mag - thresh) / mag).max(0.0);
-        let nr = next_re[k] * s;
-        let ni = next_im[k] * s;
-        next_re[k] = nr;
-        next_im[k] = ni;
-        let dr = nr - p_re[k];
-        let di = ni - p_im[k];
-        delta2 += fmadd(dr, dr, di * di) - fmadd(p_re[k], p_re[k], p_im[k] * p_im[k]);
+        *nr *= s;
+        *ni *= s;
+        let dr = *nr - pr;
+        let di = *ni - pi;
+        delta2 += fmadd(dr, dr, di * di) - fmadd(pr, pr, pi * pi);
     }
     // Cancellation in the correction can drive a tiny positive sum
     // fractionally negative; clamp so the caller's sqrt stays real.
@@ -1293,5 +1319,161 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The fused step as a per-bin reference: the gradient from
+    /// [`Ndft::adjoint_split_into`], then pass A as an index loop with
+    /// the same `TILE` lanes of `|p|^2` and pass B over the cached
+    /// squared magnitudes. Returns `(next_re, next_im, sq, support,
+    /// delta2, pnorm2)`.
+    #[cfg(feature = "simd")]
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    fn prox_step_per_bin(
+        ndft: &Ndft,
+        fy_re: &[f64],
+        fy_im: &[f64],
+        p_re: &[f64],
+        p_im: &[f64],
+        prev_re: &[f64],
+        prev_im: &[f64],
+        beta: f64,
+        g2: f64,
+        thresh: f64,
+    ) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<u32>, f64, f64) {
+        use chronos_math::lanes::fmadd;
+        let (mut g_re, mut g_im) = (Vec::new(), Vec::new());
+        ndft.adjoint_split_into(fy_re, fy_im, &mut Vec::new(), &mut g_re, &mut g_im);
+        let m = p_re.len();
+        let (mut next_re, mut next_im, mut sq) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+        let t2 = thresh * thresh;
+        let mut pnorm = [0.0f64; TILE];
+        let mut pnorm_tail = 0.0f64;
+        let main = m - m % TILE;
+        for k in 0..m {
+            let yr = fmadd(beta, p_re[k] - prev_re[k], p_re[k]);
+            let yi = fmadd(beta, p_im[k] - prev_im[k], p_im[k]);
+            let cr = yr - g2 * g_re[k];
+            let ci = yi - g2 * g_im[k];
+            let sq_v = fmadd(cr, cr, ci * ci);
+            sq[k] = sq_v;
+            let keep = sq_v > t2;
+            next_re[k] = if keep { cr } else { 0.0 };
+            next_im[k] = if keep { ci } else { 0.0 };
+            let acc = if k < main {
+                &mut pnorm[k % TILE]
+            } else {
+                &mut pnorm_tail
+            };
+            *acc = fmadd(p_re[k], p_re[k], fmadd(p_im[k], p_im[k], *acc));
+        }
+        let pnorm2 = pnorm.iter().sum::<f64>() + pnorm_tail;
+        let mut delta2 = pnorm2;
+        let mut support = Vec::new();
+        for k in 0..m {
+            let sq_v = sq[k];
+            if sq_v <= t2 {
+                continue;
+            }
+            support.push(k as u32);
+            let mag = sq_v.sqrt();
+            let s = ((mag - thresh) / mag).max(0.0);
+            let nr = next_re[k] * s;
+            let ni = next_im[k] * s;
+            next_re[k] = nr;
+            next_im[k] = ni;
+            let dr = nr - p_re[k];
+            let di = ni - p_im[k];
+            delta2 += fmadd(dr, dr, di * di) - fmadd(p_re[k], p_re[k], p_im[k] * p_im[k]);
+        }
+        (next_re, next_im, sq, support, delta2.max(0.0), pnorm2)
+    }
+
+    /// The tiled prox step is the per-bin one, bit for bit: every plane,
+    /// the support and both sums, with nonzero iterates, momentum and a
+    /// threshold that keeps some bins and zeroes others — on the raster
+    /// plans (5 GHz, 2.4 GHz, the 12-band subset), a dense off-raster
+    /// plan, and grid lengths that are not a multiple of the lane tile.
+    #[cfg(feature = "simd")]
+    #[test]
+    fn tiled_prox_step_matches_per_bin_reference() {
+        let (g5, g24) = intel_groups();
+        let all: Vec<f64> = chronos_rf::bands::band_plan()
+            .iter()
+            .map(|b| b.center_hz)
+            .collect();
+        let plans = [
+            (g5.clone(), TauGrid::span(200.0, 0.25)),
+            (g24, TauGrid::span(200.0, 0.25)),
+            (subset_12(), TauGrid::span(200.0, 0.25)),
+            (g5, TauGrid::span(200.0, 2.0)),
+            (all.clone(), TauGrid::span(200.0, 0.25)),
+            (all, TauGrid::span(61.0, 0.25)),
+        ];
+        let mut covered = (0, 0, 0);
+        for (freqs, grid) in &plans {
+            let ndft = Ndft::new(freqs, *grid);
+            let (n, m) = (ndft.n_freqs(), ndft.n_taus());
+            covered.0 += ndft.polyphase_shape().is_some() as usize;
+            covered.1 += ndft.polyphase_shape().is_none() as usize;
+            covered.2 += (m % TILE != 0) as usize;
+            let fy_re: Vec<f64> = (0..n).map(|i| (0.7 * i as f64).cos()).collect();
+            let fy_im: Vec<f64> = (0..n).map(|i| (1.3 * i as f64 + 0.2).sin()).collect();
+            // Sparse-ish iterates: most bins zero, a few dozen live.
+            let plane = |phase: f64| -> Vec<f64> {
+                (0..m)
+                    .map(|k| {
+                        if k % 13 == 0 || k % 29 == 3 {
+                            (phase + 0.37 * k as f64).sin()
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            };
+            let (p_re, p_im, prev_re, prev_im) = (plane(0.1), plane(1.1), plane(2.3), plane(0.7));
+            let (beta, g2) = (0.62, 0.031);
+            // A threshold at the median candidate magnitude.
+            let (_, _, sq0, ..) = prox_step_per_bin(
+                &ndft, &fy_re, &fy_im, &p_re, &p_im, &prev_re, &prev_im, beta, g2, 0.0,
+            );
+            let mut mags: Vec<f64> = sq0.iter().map(|v| v.sqrt()).collect();
+            mags.sort_by(|a, b| a.total_cmp(b));
+            let thresh = mags[m / 2];
+            let (want_re, want_im, want_sq, want_supp, want_delta2, want_pnorm2) =
+                prox_step_per_bin(
+                    &ndft, &fy_re, &fy_im, &p_re, &p_im, &prev_re, &prev_im, beta, g2, thresh,
+                );
+            assert!(!want_supp.is_empty() && want_supp.len() < m);
+            let (mut next_re, mut next_im, mut sq) = (vec![9.0; m], vec![9.0; m], vec![9.0; m]);
+            let (mut sums, mut supp) = (Vec::new(), vec![7u32]);
+            let (delta2, pnorm2) = ndft.fused_prox_step_split(
+                &fy_re,
+                &fy_im,
+                &p_re,
+                &p_im,
+                &prev_re,
+                &prev_im,
+                beta,
+                g2,
+                thresh,
+                &mut next_re,
+                &mut next_im,
+                &mut sq,
+                &mut sums,
+                &mut supp,
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let what = format!("{n} bands, {m} bins");
+            assert_eq!(bits(&next_re), bits(&want_re), "{what}");
+            assert_eq!(bits(&next_im), bits(&want_im), "{what}");
+            assert_eq!(bits(&sq), bits(&want_sq), "{what}");
+            assert_eq!(supp, want_supp, "{what}");
+            assert_eq!(delta2.to_bits(), want_delta2.to_bits(), "{what}");
+            assert_eq!(pnorm2.to_bits(), want_pnorm2.to_bits(), "{what}");
+        }
+        assert!(
+            covered.0 >= 4 && covered.1 >= 2 && covered.2 >= 2,
+            "{covered:?}"
+        );
     }
 }

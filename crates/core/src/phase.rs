@@ -20,7 +20,7 @@
 //! fourth power (see [`crate::quirk`]).
 
 use crate::error::ChronosError;
-use chronos_math::spline::{linear_interp, CubicSpline, SplinePlan};
+use chronos_math::spline::{linear_interp, CubicSpline, SplinePlan, SplineScratch};
 use chronos_math::unwrap::unwrap_in_place;
 use chronos_math::Complex64;
 use chronos_rf::csi::CsiCapture;
@@ -54,11 +54,45 @@ pub fn interpolate_h0(
 /// skipped; [`SplinePlan::fit`] is bitwise-identical to a fresh
 /// [`CubicSpline::fit`], so the result is unchanged. A plan for different
 /// knots is ignored (correctness over reuse).
+///
+/// Allocates its working buffers per call; the estimator splices through
+/// the same body on buffers its scratch keeps.
 pub fn interpolate_h0_planned(
     capture: &CsiCapture,
     interpolation: Interpolation,
     quirk_aware: bool,
     plan: Option<&SplinePlan>,
+) -> Result<Complex64, ChronosError> {
+    interpolate_h0_into(
+        capture,
+        interpolation,
+        quirk_aware,
+        plan,
+        &mut SpliceScratch::default(),
+    )
+}
+
+/// Working buffers of the zero-subcarrier splice: the subcarrier
+/// abscissae, the phase and magnitude tracks, and the fitted spline.
+#[derive(Debug, Default)]
+pub(crate) struct SpliceScratch {
+    xs: Vec<f64>,
+    phases: Vec<f64>,
+    mags: Vec<f64>,
+    spline: CubicSpline,
+    fit: SplineScratch,
+}
+
+/// [`interpolate_h0_planned`] on reused buffers: no allocation once
+/// `scratch` has seen the layout, when `plan` matches it (without a
+/// matching plan each spline fit factorizes afresh, as
+/// [`CubicSpline::fit`] does). Same arithmetic, same result.
+pub(crate) fn interpolate_h0_into(
+    capture: &CsiCapture,
+    interpolation: Interpolation,
+    quirk_aware: bool,
+    plan: Option<&SplinePlan>,
+    scratch: &mut SpliceScratch,
 ) -> Result<Complex64, ChronosError> {
     let n = capture.csi.len();
     if n != capture.layout.len() {
@@ -71,38 +105,59 @@ pub fn interpolate_h0_planned(
         return Err(ChronosError::BadCapture("non-finite CSI values"));
     }
 
-    let xs: Vec<f64> = capture.layout.indices().iter().map(|k| *k as f64).collect();
+    let SpliceScratch {
+        xs,
+        phases,
+        mags,
+        spline,
+        fit,
+    } = scratch;
+    xs.clear();
+    xs.extend(capture.layout.indices().iter().map(|k| *k as f64));
     let plan = plan.filter(|p| p.xs() == xs.as_slice());
-    let fit_spline = |ys: &[f64]| -> Result<CubicSpline, ChronosError> {
-        match plan {
-            Some(p) => p.fit(ys),
-            None => CubicSpline::fit(&xs, ys),
-        }
-        .map_err(|_| ChronosError::BadCapture("spline fit failed"))
-    };
 
     // Phase track: unwrap (possibly at 4x scale), then interpolate.
     let scale = if quirk_aware { 4.0 } else { 1.0 };
-    let mut phases: Vec<f64> = capture
-        .csi
-        .iter()
-        .map(|z| chronos_math::unwrap::wrap_to_pi(z.arg() * scale))
-        .collect();
-    unwrap_in_place(&mut phases);
+    phases.clear();
+    phases.extend(
+        capture
+            .csi
+            .iter()
+            .map(|z| chronos_math::unwrap::wrap_to_pi(z.arg() * scale)),
+    );
+    unwrap_in_place(phases);
     let phase0 = match interpolation {
-        Interpolation::CubicSpline => fit_spline(&phases)?.eval(0.0),
-        Interpolation::Linear => linear_interp(&xs, &phases, 0.0),
+        Interpolation::CubicSpline => spline_at_zero(xs, phases, plan, fit, spline)?,
+        Interpolation::Linear => linear_interp(xs, phases, 0.0),
     } / scale;
 
     // Magnitude track.
-    let mags: Vec<f64> = capture.csi.iter().map(|z| z.abs()).collect();
+    mags.clear();
+    mags.extend(capture.csi.iter().map(|z| z.abs()));
     let mag0 = match interpolation {
-        Interpolation::CubicSpline => fit_spline(&mags)?.eval(0.0),
-        Interpolation::Linear => linear_interp(&xs, &mags, 0.0),
+        Interpolation::CubicSpline => spline_at_zero(xs, mags, plan, fit, spline)?,
+        Interpolation::Linear => linear_interp(xs, mags, 0.0),
     }
     .max(0.0);
 
     Ok(Complex64::from_polar(mag0, phase0))
+}
+
+/// The natural cubic spline through `(xs, ys)`, fitted into `spline`,
+/// at subcarrier zero. `plan`, when given, was built for `xs`.
+fn spline_at_zero(
+    xs: &[f64],
+    ys: &[f64],
+    plan: Option<&SplinePlan>,
+    fit: &mut SplineScratch,
+    spline: &mut CubicSpline,
+) -> Result<f64, ChronosError> {
+    match plan {
+        Some(p) => p.fit_into(ys, fit, spline),
+        None => SplinePlan::new(xs).and_then(|p| p.fit_into(ys, fit, spline)),
+    }
+    .map_err(|_| ChronosError::BadCapture("spline fit failed"))?;
+    Ok(spline.eval(0.0))
 }
 
 #[cfg(test)]

@@ -17,6 +17,13 @@
 //! outputs stay **bitwise identical** to a fresh one's (the golden
 //! capture in `tests/engine.rs` and a proptest pin this).
 //!
+//! The session sweep's CSI synthesis runs on the pipeline too: the
+//! crate-private `SweepSlots` hold each receive antenna's path set and one
+//! measurement slot per (antenna, band), whose captures are recycled
+//! rather than freed, and the splice reuses the scratch's buffers. A warm
+//! session sweep over a plan cache therefore allocates only in its link
+//! simulation and for the output it returns (`tests/alloc.rs`).
+//!
 //! The scratch also memoizes the `Arc`s of the shared NDFT/spline plans
 //! it has used, so the per-sweep [`crate::plan::PlanCache`] lookup (which
 //! must build a hashing key) is amortized away entirely: a worker
@@ -29,6 +36,7 @@ use crate::error::ChronosError;
 use crate::ista::{DebiasScratch, IstaScratch};
 use crate::localization::{AntennaRange, LocalizerConfig, LocateScratch, Position};
 use crate::ndft::TauGrid;
+use crate::phase::SpliceScratch;
 use crate::plan::NdftPlan;
 use crate::profile::RefineScratch;
 use crate::quirk::BandGroupSamples;
@@ -40,6 +48,7 @@ use chronos_link::time::Instant;
 use chronos_math::peaks::Peak;
 use chronos_math::spline::SplinePlan;
 use chronos_math::Complex64;
+use chronos_rf::csi::{LinkPaths, Measurement};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -110,6 +119,7 @@ pub(crate) struct EstimatorScratch {
     pub(crate) fixes: Vec<GroupFix>,
     pub(crate) profiles: Vec<GroupEstimate>,
     pub(crate) products: Vec<BandProduct>,
+    pub(crate) splice: SpliceScratch,
     pub(crate) xs: Vec<f64>,
     pub(crate) plan_memo: Vec<PlanMemo>,
     pub(crate) spline_memo: Vec<(Vec<f64>, Arc<SplinePlan>)>,
@@ -120,6 +130,58 @@ impl EstimatorScratch {
     /// Fresh, empty scratch; buffers grow on first use.
     pub(crate) fn new() -> Self {
         Self::default()
+    }
+}
+
+/// The session sweep's measurement state, reused sweep after sweep: the
+/// path sets of each receive antenna's link, and one measurement slot per
+/// (antenna, band) whose captures are recycled rather than freed.
+#[derive(Debug, Default)]
+pub(crate) struct SweepSlots {
+    /// One link per receive antenna; the first `n_rx` are in use.
+    pub(crate) links: Vec<LinkPaths>,
+    /// Antenna-major `(antenna, band)` slots; the first `n_rx * n_bands`
+    /// are in use, and every slot is empty between sweeps.
+    slots: Vec<BandSample>,
+    /// Emptied measurements, refilled by the next sweep's exchanges.
+    pub(crate) spare: Vec<Measurement>,
+    /// Exchanges so far per band: the ACK-antenna rotation.
+    pub(crate) exchanges: Vec<usize>,
+    /// The usable per-antenna ranges handed to localization.
+    pub(crate) ranges: Vec<AntennaRange>,
+    n_bands: usize,
+}
+
+impl SweepSlots {
+    /// Empties every slot into the spare pool and sizes the state for
+    /// `n_rx` antennas over `n_bands` bands. No allocation once the
+    /// largest sweep shape has been seen.
+    pub(crate) fn reset(&mut self, n_rx: usize, n_bands: usize) {
+        for slot in &mut self.slots {
+            self.spare.append(&mut slot.measurements);
+        }
+        if self.slots.len() < n_rx * n_bands {
+            self.slots.resize_with(n_rx * n_bands, BandSample::default);
+        }
+        if self.links.len() < n_rx {
+            self.links.resize_with(n_rx, LinkPaths::default);
+        }
+        self.exchanges.clear();
+        self.exchanges.resize(n_bands, 0);
+        self.n_bands = n_bands;
+    }
+
+    /// Files one exchange's measurement under `(antenna, band)`.
+    pub(crate) fn push(&mut self, antenna: usize, band: usize, m: Measurement) {
+        self.slots[antenna * self.n_bands + band]
+            .measurements
+            .push(m);
+    }
+
+    /// Antenna `antenna`'s band slots, in plan order (unmeasured bands
+    /// are empty).
+    pub(crate) fn bands(&self, antenna: usize) -> &[BandSample] {
+        &self.slots[antenna * self.n_bands..(antenna + 1) * self.n_bands]
     }
 }
 
@@ -146,6 +208,7 @@ pub struct BatchSweep<'a> {
 #[derive(Debug, Default)]
 pub struct SweepPipeline {
     scratch: EstimatorScratch,
+    pub(crate) slots: SweepSlots,
 }
 
 impl SweepPipeline {
@@ -178,29 +241,26 @@ impl SweepPipeline {
         estimator: &TofEstimator,
         products: &[BandProduct],
     ) -> Result<TofEstimate, ChronosError> {
-        let fix = estimator.estimate_scaled(products, &mut self.scratch, true)?;
-        Ok(TofEstimate {
-            tof_ns: fix.tof_ns,
-            distance_m: fix.distance_m,
-            groups: std::mem::take(&mut self.scratch.profiles),
-            cross_check_ok: fix.cross_check_ok,
-        })
+        estimate_products(&mut self.scratch, estimator, products)
     }
 
-    /// Estimation from raw band samples (splice → products →
-    /// inversion), the session sweep's call.
-    pub(crate) fn estimate(
+    /// Estimation for one receive antenna from the band samples the
+    /// session sweep synthesized into its slots (splice → products →
+    /// inversion), the session sweep's call. Unmeasured bands are
+    /// skipped, as [`TofEstimator::products`] skips empty samples.
+    pub(crate) fn estimate_antenna(
         &mut self,
         estimator: &TofEstimator,
-        bands: &[BandSample],
+        antenna: usize,
     ) -> Result<TofEstimate, ChronosError> {
-        let mut products = std::mem::take(&mut self.scratch.products);
-        let combined = estimator.products_into(bands, &mut self.scratch, &mut products);
+        let scratch = &mut self.scratch;
+        let mut products = std::mem::take(&mut scratch.products);
+        let combined = estimator.products_into(self.slots.bands(antenna), scratch, &mut products);
         let result = match combined {
-            Ok(()) => self.estimate_from_products(estimator, &products),
+            Ok(()) => estimate_products(scratch, estimator, &products),
             Err(e) => Err(e),
         };
-        self.scratch.products = products;
+        scratch.products = products;
         result
     }
 
@@ -227,4 +287,20 @@ impl SweepPipeline {
         job.session
             .sweep_with_pipeline(job.sweep_cfg, &mut rng, job.start, self)
     }
+}
+
+/// [`SweepPipeline::estimate_from_products`] over a scratch: the full
+/// estimate, profiles included.
+fn estimate_products(
+    scratch: &mut EstimatorScratch,
+    estimator: &TofEstimator,
+    products: &[BandProduct],
+) -> Result<TofEstimate, ChronosError> {
+    let fix = estimator.estimate_scaled(products, scratch, true)?;
+    Ok(TofEstimate {
+        tof_ns: fix.tof_ns,
+        distance_m: fix.distance_m,
+        groups: std::mem::take(&mut scratch.profiles),
+        cross_check_ok: fix.cross_check_ok,
+    })
 }

@@ -16,7 +16,7 @@
 
 use crate::config::QuirkMode;
 use crate::error::ChronosError;
-use crate::phase::{interpolate_h0_planned, Interpolation};
+use crate::phase::{interpolate_h0_into, Interpolation, SpliceScratch};
 use chronos_math::spline::SplinePlan;
 use chronos_math::Complex64;
 use chronos_rf::csi::Measurement;
@@ -50,18 +50,26 @@ pub fn combine_band(
     interpolation: Interpolation,
     mode: QuirkMode,
 ) -> Result<BandProduct, ChronosError> {
-    combine_band_planned(measurements, interpolation, mode, None)
+    combine_band_into(
+        measurements,
+        interpolation,
+        mode,
+        None,
+        &mut SpliceScratch::default(),
+    )
 }
 
 /// [`combine_band`] with an optional shared spline factorization for the
 /// zero-subcarrier interpolation (see
-/// [`crate::phase::interpolate_h0_planned`]). Identical results; the plan
-/// only skips redundant per-capture refactorization.
-pub fn combine_band_planned(
+/// [`crate::phase::interpolate_h0_planned`]), splicing on reused buffers.
+/// Identical results; the plan only skips redundant per-capture
+/// refactorization, and the scratch the per-capture allocation.
+pub(crate) fn combine_band_into(
     measurements: &[Measurement],
     interpolation: Interpolation,
     mode: QuirkMode,
     spline_plan: Option<&SplinePlan>,
+    splice: &mut SpliceScratch,
 ) -> Result<BandProduct, ChronosError> {
     let first = measurements
         .first()
@@ -73,8 +81,8 @@ pub fn combine_band_planned(
     let mut n = 0usize;
     for m in measurements {
         debug_assert_eq!(m.forward.band.channel, band.channel, "mixed bands");
-        let h_f = interpolate_h0_planned(&m.forward, interpolation, quirked, spline_plan)?;
-        let h_r = interpolate_h0_planned(&m.reverse, interpolation, quirked, spline_plan)?;
+        let h_f = interpolate_h0_into(&m.forward, interpolation, quirked, spline_plan, splice)?;
+        let h_r = interpolate_h0_into(&m.reverse, interpolation, quirked, spline_plan, splice)?;
         let p = h_f * h_r;
         let contribution = if quirked { p.powi(4) } else { p };
         acc += contribution;

@@ -11,12 +11,23 @@
 //!
 //! The ACK antenna rotates across the exchanges of a band so every receive
 //! antenna collects reciprocal (forward *and* reverse) measurements.
+//!
+//! Neither device moves while a sweep runs, and the sweep always
+//! transmits from antenna 0, so it enumerates **one path set per receive
+//! antenna** (and one line-of-sight flag), not one per exchange. Each
+//! exchange then sums its **true channel once** for both captures (see
+//! [`chronos_rf::csi`]). The exchanges are synthesized straight into the
+//! pipeline's per-(antenna, band) measurement slots, whose captures are
+//! recycled from sweep to sweep, and each antenna is estimated from its
+//! slots. The answers are the ones the per-exchange public calls give
+//! (`MeasurementContext::measure_pair_at`, `TofEstimator::products`,
+//! `SweepPipeline::estimate_from_products`), bit for bit.
 
 use crate::config::ChronosConfig;
 use crate::error::ChronosError;
 use crate::localization::{AntennaRange, LocalizerConfig, Position};
 use crate::plan::PlanCache;
-use crate::tof::{BandSample, TofEstimate, TofEstimator};
+use crate::tof::{TofEstimate, TofEstimator};
 use chronos_link::sweep::{run_sweep, SweepConfig, SweepResult};
 use chronos_link::time::Instant;
 use chronos_rf::csi::MeasurementContext;
@@ -139,13 +150,16 @@ impl ChronosSession {
 
     /// [`ChronosSession::sweep_with`] over a reusable
     /// [`SweepPipeline`](crate::pipeline::SweepPipeline):
-    /// the estimation hot path (splice → NDFT/ISTA → profile → first
-    /// path → localization) borrows every intermediate from the
-    /// pipeline's scratch arena instead of allocating per sweep. Results
-    /// are bitwise identical to the scratch-free path — this *is* the
-    /// implementation behind [`ChronosSession::sweep_with`], which merely
-    /// hands in a throwaway pipeline. The engine keeps one pipeline per
-    /// worker and feeds it every sweep (see [`crate::pipeline`]).
+    /// CSI synthesis (path sets, measurement slots) and the estimation
+    /// hot path (splice → NDFT/ISTA → profile → first path →
+    /// localization) borrow every intermediate from the pipeline's
+    /// scratch instead of allocating per sweep; once warm, a sweep of a
+    /// session with a plan cache allocates only in the link simulation
+    /// and for the returned [`SweepOutput`]. Results are bitwise
+    /// identical to the scratch-free path — this *is* the implementation
+    /// behind [`ChronosSession::sweep_with`], which merely hands in a
+    /// throwaway pipeline. The engine keeps one pipeline per worker and
+    /// feeds it every sweep (see [`crate::pipeline`]).
     pub fn sweep_with_pipeline<R: Rng + ?Sized>(
         &self,
         sweep_cfg: &SweepConfig,
@@ -157,74 +171,72 @@ impl ChronosSession {
         let n_rx = self.ctx.responder.antennas.len();
         let plan = &sweep_cfg.plan;
 
-        // Collect per-antenna, per-band measurement sets. The ACK antenna
-        // rotates per exchange within each band.
-        let mut per_antenna: Vec<Vec<BandSample>> = (0..n_rx)
-            .map(|_| {
-                (0..plan.len())
-                    .map(|_| BandSample {
-                        measurements: Vec::new(),
-                    })
-                    .collect()
-            })
-            .collect();
+        // The sweep transmits from antenna 0 and neither device moves
+        // while it runs: one path set per receive antenna, one
+        // line-of-sight flag.
+        let slots = &mut pipeline.slots;
+        slots.reset(n_rx, plan.len());
+        for (antenna, paths) in slots.links[..n_rx].iter_mut().enumerate() {
+            self.ctx.link_paths_into(0, antenna, paths);
+        }
+        let truth_los = self.ctx.is_los();
 
-        let mut exchange_idx_per_band = vec![0usize; plan.len()];
+        // Synthesize each exchange into its (antenna, band) slot. The ACK
+        // antenna rotates per exchange within each band.
         for op in &link.measurements {
-            let band = &plan[op.band_index];
-            let k = exchange_idx_per_band[op.band_index];
-            exchange_idx_per_band[op.band_index] += 1;
+            let k = slots.exchanges[op.band_index];
+            slots.exchanges[op.band_index] += 1;
             let antenna = k % n_rx;
-            let m = self.ctx.measure_pair_at(
+            let m = self.ctx.measure_link(
                 rng,
-                band,
+                &plan[op.band_index],
                 &self.layout,
-                0,
-                antenna,
+                &slots.links[antenna],
+                truth_los,
                 op.t_forward.as_secs_f64(),
                 op.t_reverse.as_secs_f64(),
+                slots.spare.pop(),
             );
-            per_antenna[antenna][op.band_index].measurements.push(m);
+            slots.push(antenna, op.band_index, m);
         }
 
         // Estimate per antenna, over the pipeline's scratch arena.
         let estimator = self.estimator();
-        let tofs: Vec<Result<TofEstimate, ChronosError>> = per_antenna
-            .iter()
-            .map(|bands| {
-                let non_empty: Vec<BandSample> = bands
+        let tofs: Vec<Result<TofEstimate, ChronosError>> = (0..n_rx)
+            .map(|antenna| {
+                let measured = pipeline
+                    .slots
+                    .bands(antenna)
                     .iter()
                     .filter(|b| !b.measurements.is_empty())
-                    .cloned()
-                    .collect();
-                if !link.complete && non_empty.len() < 5 {
+                    .count();
+                if !link.complete && measured < 5 {
                     return Err(ChronosError::SweepIncomplete {
-                        measured: non_empty.len(),
+                        measured,
                         planned: plan.len(),
                     });
                 }
-                pipeline.estimate(&estimator, &non_empty)
+                pipeline.estimate_antenna(&estimator, antenna)
             })
             .collect();
 
         // Localize from per-antenna distances.
         let antenna_positions = self.ctx.responder.antennas.positions();
-        let ranges: Vec<AntennaRange> = tofs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                r.as_ref().ok().map(|t| AntennaRange {
-                    antenna: antenna_positions[i],
-                    distance_m: t.distance_m,
-                })
+        let mut ranges = std::mem::take(&mut pipeline.slots.ranges);
+        ranges.clear();
+        ranges.extend(tofs.iter().enumerate().filter_map(|(i, r)| {
+            r.as_ref().ok().map(|t| AntennaRange {
+                antenna: antenna_positions[i],
+                distance_m: t.distance_m,
             })
-            .collect();
+        }));
         let mut position_candidates = Vec::new();
         let located = if ranges.len() >= 2 {
             pipeline.locate_all(&ranges, &self.localizer, &mut position_candidates)
         } else {
             Err(ChronosError::NoConsistentPosition)
         };
+        pipeline.slots.ranges = ranges;
         let position = match located {
             Ok(()) => Ok(position_candidates[0]),
             Err(e) => {

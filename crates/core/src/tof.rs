@@ -25,7 +25,7 @@ use crate::pipeline::{EstimatorScratch, PlanMemo, SelectScratch};
 use crate::plan::{NdftPlan, PlanCache};
 use crate::profile::MultipathProfile;
 use crate::quirk::{group_by_scale_into, BandGroupSamples};
-use crate::reciprocity::{combine_band_planned, BandProduct};
+use crate::reciprocity::{combine_band_into, BandProduct};
 use chronos_math::peaks::PeakConfig;
 use chronos_math::spline::SplinePlan;
 use chronos_math::Complex64;
@@ -52,7 +52,7 @@ const SIDELOBE_VETO_RATIO: f64 = 0.4;
 const ATOM_SNR_MIN: f64 = 3.0;
 
 /// All measurements of one band (the exchanges of one dwell).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BandSample {
     /// The exchanges captured while dwelling on this band.
     pub measurements: Vec<Measurement>,
@@ -250,11 +250,12 @@ impl TofEstimator {
         let spline_plan = self.spline_plan_memo(bands, scratch);
         out.clear();
         for b in bands.iter().filter(|b| !b.measurements.is_empty()) {
-            out.push(combine_band_planned(
+            out.push(combine_band_into(
                 &b.measurements,
                 self.interpolation,
                 self.config.mode,
                 spline_plan.as_deref(),
+                &mut scratch.splice,
             )?);
         }
         Ok(())
@@ -794,7 +795,7 @@ mod tests {
     fn empty_input_is_error() {
         let est = TofEstimator::new(ChronosConfig::ideal());
         assert!(estimate(&est, &[]).is_err());
-        assert!(SweepPipeline::new().estimate(&est, &[]).is_err());
+        assert!(estimate(&est, &est.products(&[BandSample::default()]).unwrap()).is_err());
     }
 
     #[test]

@@ -18,6 +18,23 @@
 //! the receiver, for the transmitter's packet) and the reverse capture (at
 //! the transmitter, for the receiver's ACK) that Chronos's reciprocity
 //! trick (§7) needs.
+//!
+//! Step 1 is the expensive one, and most of it repeats. The multipath
+//! set of an antenna pair depends only on where the devices stand, so a
+//! sweep enumerates one [`LinkPaths`] per receive antenna
+//! ([`MeasurementContext::link_paths_into`]) and synthesizes every
+//! exchange of that antenna from it ([`MeasurementContext::measure_link`]).
+//! Within an exchange, the forward and reverse captures see the same
+//! paths, band, layout and hardware delay, so the true channel is summed
+//! once and both captures apply their own detection delay, rotation,
+//! `kappa`, noise and quirk to it. The sum draws no randomness, so the
+//! random stream, and every value, is what per-capture synthesis gives.
+//! [`MeasurementContext::measure_pair_at`] is the one-exchange form: it
+//! enumerates the pair's paths and runs the same synthesis.
+//!
+//! A device position with a non-finite coordinate has no path set. Its
+//! captures come out non-finite, which the estimator rejects as a bad
+//! capture, so such a link yields an error, never a range.
 
 use crate::bands::Band;
 use crate::cfo::CfoPair;
@@ -25,7 +42,7 @@ use crate::environment::{Attacker, Environment, PathEnumConfig};
 use crate::geometry::Point;
 use crate::hardware::{apply_quirk, DeviceModel};
 use crate::noise::{complex_gaussian, SnrModel};
-use crate::ofdm::SubcarrierLayout;
+use crate::ofdm::{SubcarrierLayout, SUBCARRIER_SPACING_HZ};
 use crate::propagation::PathSet;
 use chronos_math::Complex64;
 use rand::Rng;
@@ -123,10 +140,22 @@ impl MeasurementContext {
         CfoPair::new(self.initiator.oscillator_ppm, self.responder.oscillator_ppm)
     }
 
-    /// Propagation paths between a specific antenna pair.
+    /// World positions of the initiator's `tx_antenna` and the
+    /// responder's `rx_antenna`.
+    fn endpoints(&self, tx_antenna: usize, rx_antenna: usize) -> (Point, Point) {
+        let tx = self
+            .initiator_pos
+            .add(self.initiator.antennas.positions()[tx_antenna]);
+        let rx = self
+            .responder_pos
+            .add(self.responder.antennas.positions()[rx_antenna]);
+        (tx, rx)
+    }
+
+    /// Propagation paths between a specific antenna pair (empty when an
+    /// endpoint is not finite).
     pub fn paths_between(&self, tx_antenna: usize, rx_antenna: usize) -> PathSet {
-        let tx = self.initiator.antennas.world_positions(self.initiator_pos)[tx_antenna];
-        let rx = self.responder.antennas.world_positions(self.responder_pos)[rx_antenna];
+        let (tx, rx) = self.endpoints(tx_antenna, rx_antenna);
         self.environment.paths(tx, rx, &self.path_cfg)
     }
 
@@ -134,6 +163,26 @@ impl MeasurementContext {
     pub fn is_los(&self) -> bool {
         self.environment
             .is_los(self.initiator_pos, self.responder_pos)
+    }
+
+    /// Enumerates the paths of one antenna pair into `link`: the clean
+    /// set and, when the attacker corrupts paths, the set the receivers
+    /// measure. No allocation once `link` has held as many paths. The
+    /// result holds until either device moves.
+    pub fn link_paths_into(&self, tx_antenna: usize, rx_antenna: usize, link: &mut LinkPaths) {
+        let (tx, rx) = self.endpoints(tx_antenna, rx_antenna);
+        link.tx_antenna = tx_antenna;
+        link.rx_antenna = rx_antenna;
+        link.finite = tx.is_finite() && rx.is_finite();
+        self.environment
+            .paths_into(tx, rx, &self.path_cfg, &mut link.clean);
+        // Ground truth always comes from the clean geometry; an attacker
+        // corrupts only what the receivers *measure*.
+        link.attacked = link.finite
+            && self
+                .attacker
+                .as_ref()
+                .is_some_and(|a| a.corrupt_paths_into(&link.clean, &mut link.corrupted));
     }
 
     /// Synthesizes the forward/reverse CSI pair for one packet exchange on
@@ -160,6 +209,8 @@ impl MeasurementContext {
     /// Like [`measure_pair`](Self::measure_pair) but with explicit capture
     /// timestamps for the forward and reverse directions — used when the
     /// link-layer simulation supplies the exact protocol timing.
+    /// Enumerates the pair's paths, then runs
+    /// [`measure_link`](Self::measure_link).
     #[allow(clippy::too_many_arguments)]
     pub fn measure_pair_at<R: Rng + ?Sized>(
         &self,
@@ -171,16 +222,47 @@ impl MeasurementContext {
         t_forward_s: f64,
         t_reverse_s: f64,
     ) -> Measurement {
+        let mut link = LinkPaths::default();
+        self.link_paths_into(tx_antenna, rx_antenna, &mut link);
+        self.measure_link(
+            rng,
+            band,
+            layout,
+            &link,
+            self.is_los(),
+            t_forward_s,
+            t_reverse_s,
+            None,
+        )
+    }
+
+    /// Synthesizes one exchange on a link enumerated by
+    /// [`link_paths_into`](Self::link_paths_into), with explicit capture
+    /// timestamps and the link's line-of-sight flag (`truth_los`, ground
+    /// truth for the harness). `recycled`, when given, is an earlier
+    /// measurement whose buffers are overwritten instead of allocated;
+    /// every field of the result is rewritten either way.
+    #[allow(clippy::too_many_arguments)]
+    pub fn measure_link<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        band: &Band,
+        layout: &SubcarrierLayout,
+        link: &LinkPaths,
+        truth_los: bool,
+        t_forward_s: f64,
+        t_reverse_s: f64,
+        recycled: Option<Measurement>,
+    ) -> Measurement {
+        let mut m = recycled.unwrap_or_else(|| Measurement {
+            tx_antenna: link.tx_antenna,
+            rx_antenna: link.rx_antenna,
+            forward: CsiCapture::blank(band, layout),
+            reverse: CsiCapture::blank(band, layout),
+            truth_tof_ns: f64::NAN,
+            truth_los,
+        });
         let t_s = t_forward_s;
-        let clean_paths = self.paths_between(tx_antenna, rx_antenna);
-        // Ground truth always comes from the clean geometry; an attacker
-        // corrupts only what the receivers *measure*.
-        let truth_tof_ns = clean_paths.true_tof_ns().unwrap_or(f64::NAN);
-        let corrupted = self
-            .attacker
-            .as_ref()
-            .and_then(|a| a.corrupt_paths(&clean_paths));
-        let paths = corrupted.as_ref().unwrap_or(&clean_paths);
         // Jamming floors the effective SNR on targeted channels.
         let mut noise_sigma = self.snr.floor_sigma();
         if let Some(jam) = self
@@ -192,104 +274,166 @@ impl MeasurementContext {
         }
         let cfo = self.cfo();
 
-        // Hardware group delay: both chains contribute on both directions.
+        // The true channel, once for both directions (reciprocity: same
+        // path set). Hardware group delay: both chains contribute on both
+        // directions.
         let hw_delay_ns = self.initiator.hw_delay_ns + self.responder.hw_delay_ns;
+        true_channel_into(
+            link.measured(),
+            band,
+            layout,
+            hw_delay_ns,
+            &mut m.forward.csi,
+        );
+        m.reverse.csi.clone_from(&m.forward.csi);
 
         // Forward capture: measured at the responder (acting as receiver).
         let delta_fwd = self.responder.detection_delay.sample(rng);
-        let quirk_fwd = self.responder.quirk_for(band);
-        let kappa_fwd = self.responder.kappa;
-        let forward = synthesize_capture(
+        impair_capture(
             rng,
+            &mut m.forward,
             band,
             layout,
-            paths,
-            hw_delay_ns,
             delta_fwd,
             cfo.rotation_at_rx(band.center_hz, t_s),
-            kappa_fwd,
+            self.responder.kappa,
             noise_sigma,
-            quirk_fwd,
+            self.responder.quirk_for(band),
             t_s,
         );
 
         // Reverse capture: measured at the initiator for the ACK.
-        // Reciprocity: same path set.
         let t_rev = t_reverse_s.max(t_s);
         let delta_rev = self.initiator.detection_delay.sample(rng);
-        let quirk_rev = self.initiator.quirk_for(band);
-        let kappa_rev = self.initiator.kappa;
-        let reverse = synthesize_capture(
+        impair_capture(
             rng,
+            &mut m.reverse,
             band,
             layout,
-            paths,
-            hw_delay_ns,
             delta_rev,
             cfo.rotation_at_tx(band.center_hz, t_rev),
-            kappa_rev,
+            self.initiator.kappa,
             noise_sigma,
-            quirk_rev,
+            self.initiator.quirk_for(band),
             t_rev,
         );
 
-        Measurement {
-            tx_antenna,
-            rx_antenna,
-            forward,
-            reverse,
-            truth_tof_ns,
-            truth_los: self.is_los(),
+        m.tx_antenna = link.tx_antenna;
+        m.rx_antenna = link.rx_antenna;
+        m.truth_tof_ns = link.truth_tof_ns();
+        m.truth_los = truth_los;
+        m
+    }
+}
+
+/// The propagation paths of one antenna pair while both devices hold
+/// still: the clean set ground truth comes from, and the set the
+/// receivers measure. Filled by [`MeasurementContext::link_paths_into`];
+/// reusable, since a refill overwrites everything.
+#[derive(Debug, Clone, Default)]
+pub struct LinkPaths {
+    tx_antenna: usize,
+    rx_antenna: usize,
+    /// Whether both endpoints were finite; no path set exists otherwise.
+    finite: bool,
+    clean: PathSet,
+    /// Whether the attacker corrupted the paths into `corrupted`.
+    attacked: bool,
+    corrupted: PathSet,
+}
+
+impl LinkPaths {
+    /// The path set the receivers measure: the attacker's corrupted set
+    /// when the attack corrupts paths, the clean set otherwise, and
+    /// `None` when an endpoint is not finite.
+    fn measured(&self) -> Option<&PathSet> {
+        match (self.finite, self.attacked) {
+            (false, _) => None,
+            (true, true) => Some(&self.corrupted),
+            (true, false) => Some(&self.clean),
+        }
+    }
+
+    /// True time-of-flight of the direct path, ns, from the clean set
+    /// (NaN when there is no path).
+    fn truth_tof_ns(&self) -> f64 {
+        self.clean.true_tof_ns().unwrap_or(f64::NAN)
+    }
+}
+
+impl CsiCapture {
+    /// An empty capture on `band` with room for `layout`, for synthesis
+    /// to fill.
+    fn blank(band: &Band, layout: &SubcarrierLayout) -> Self {
+        CsiCapture {
+            band: *band,
+            layout: layout.clone(),
+            csi: Vec::with_capacity(layout.len()),
+            timestamp_s: 0.0,
+            truth_detection_delay_ns: 0.0,
         }
     }
 }
 
-/// Synthesizes one capture: true channel + detection delay + CFO + kappa +
-/// noise + quirk.
-#[allow(clippy::too_many_arguments)]
-fn synthesize_capture<R: Rng + ?Sized>(
-    rng: &mut R,
+/// The true channel per subcarrier into `out` (paper Eq. 7), including the
+/// hardware group delay, which behaves exactly like extra distance. With
+/// no path set (a non-finite endpoint) every value is NaN.
+fn true_channel_into(
+    paths: Option<&PathSet>,
     band: &Band,
     layout: &SubcarrierLayout,
-    paths: &PathSet,
     hw_delay_ns: f64,
+    out: &mut Vec<Complex64>,
+) {
+    out.clear();
+    let Some(paths) = paths else {
+        out.resize(layout.len(), Complex64::new(f64::NAN, f64::NAN));
+        return;
+    };
+    for &idx in layout.indices() {
+        let f_k = layout.freq_of(band.center_hz, idx);
+        let mut h = Complex64::ZERO;
+        for p in paths.paths() {
+            let tau_s = (p.delay_ns + hw_delay_ns) * 1e-9;
+            h += Complex64::from_polar(p.amplitude, -2.0 * PI * f_k * tau_s);
+        }
+        out.push(h);
+    }
+}
+
+/// Turns `capture.csi`, holding the true channel, into what the device
+/// reports: detection delay + CFO + kappa + noise + quirk, in place. Sets
+/// the capture's band, layout, timestamp and detection-delay truth.
+#[allow(clippy::too_many_arguments)]
+fn impair_capture<R: Rng + ?Sized>(
+    rng: &mut R,
+    capture: &mut CsiCapture,
+    band: &Band,
+    layout: &SubcarrierLayout,
     detection_delay_ns: f64,
     cfo_rotation: Complex64,
     kappa: Complex64,
     noise_sigma: f64,
     quirk: crate::hardware::PhaseQuirk,
     timestamp_s: f64,
-) -> CsiCapture {
-    let n = layout.len();
-    let mut csi = Vec::with_capacity(n);
-    let offsets = layout.baseband_offsets();
-    for (k_idx, &idx) in layout.indices().iter().enumerate() {
-        let f_k = layout.freq_of(band.center_hz, idx);
-        // True channel at the passband frequency, including the hardware
-        // group delay (which behaves exactly like extra distance).
-        let mut h = Complex64::ZERO;
-        for p in paths.paths() {
-            let tau_s = (p.delay_ns + hw_delay_ns) * 1e-9;
-            h += Complex64::from_polar(p.amplitude, -2.0 * PI * f_k * tau_s);
-        }
+) {
+    for (v_out, &idx) in capture.csi.iter_mut().zip(layout.indices()) {
         // Detection delay rotates baseband frequencies (paper Eq. 6): the
         // term vanishes at subcarrier 0 by construction.
-        let delta_phase = -2.0 * PI * offsets[k_idx] * (detection_delay_ns * 1e-9);
-        let mut v = h * Complex64::cis(delta_phase);
+        let offset_hz = idx as f64 * SUBCARRIER_SPACING_HZ;
+        let delta_phase = -2.0 * PI * offset_hz * (detection_delay_ns * 1e-9);
+        let mut v = *v_out * Complex64::cis(delta_phase);
         // CFO rotation and device constant.
         v = v * cfo_rotation * kappa;
         // Receiver noise.
         v += complex_gaussian(rng, noise_sigma);
         // Firmware phase quirk on the reported value.
-        csi.push(apply_quirk(v, quirk));
+        *v_out = apply_quirk(v, quirk);
     }
-    CsiCapture {
-        band: *band,
-        layout: layout.clone(),
-        csi,
-        timestamp_s,
-        truth_detection_delay_ns: detection_delay_ns,
-    }
+    capture.band = *band;
+    capture.layout.clone_from(layout);
+    capture.timestamp_s = timestamp_s;
+    capture.truth_detection_delay_ns = detection_delay_ns;
 }
 
 #[cfg(test)]
@@ -299,7 +443,40 @@ mod tests {
     use crate::hardware::{ideal_device, AntennaArray, Intel5300};
     use chronos_math::constants::m_to_ns;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One capture synthesized from scratch: the true channel of `paths`,
+    /// then the impairments.
+    #[allow(clippy::too_many_arguments)]
+    fn synthesize_capture(
+        rng: &mut StdRng,
+        band: &Band,
+        layout: &SubcarrierLayout,
+        paths: &PathSet,
+        hw_delay_ns: f64,
+        detection_delay_ns: f64,
+        cfo_rotation: Complex64,
+        kappa: Complex64,
+        noise_sigma: f64,
+        quirk: crate::hardware::PhaseQuirk,
+        timestamp_s: f64,
+    ) -> CsiCapture {
+        let mut capture = CsiCapture::blank(band, layout);
+        true_channel_into(Some(paths), band, layout, hw_delay_ns, &mut capture.csi);
+        impair_capture(
+            rng,
+            &mut capture,
+            band,
+            layout,
+            detection_delay_ns,
+            cfo_rotation,
+            kappa,
+            noise_sigma,
+            quirk,
+            timestamp_s,
+        );
+        capture
+    }
 
     fn ideal_ctx(d: f64) -> MeasurementContext {
         let mut ctx = MeasurementContext::new(
@@ -665,5 +842,116 @@ mod tests {
             (tau_apparent_ns - expected).abs() < 0.2,
             "{tau_apparent_ns} vs {expected}"
         );
+    }
+
+    fn bits(m: &Measurement) -> Vec<u64> {
+        let mut out = vec![
+            m.tx_antenna as u64,
+            m.rx_antenna as u64,
+            m.truth_tof_ns.to_bits(),
+            m.truth_los as u64,
+        ];
+        for c in [&m.forward, &m.reverse] {
+            out.extend([
+                c.band.channel as u64,
+                c.timestamp_s.to_bits(),
+                c.truth_detection_delay_ns.to_bits(),
+            ]);
+            out.extend(c.layout.indices().iter().map(|k| *k as u64));
+            out.extend(c.csi.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]));
+        }
+        out
+    }
+
+    /// A sweep's reuse — one `LinkPaths` per antenna pair, measurements
+    /// recycled across bands and layouts — gives the bits (and leaves the
+    /// random stream where) the one-exchange call does, on a multipath
+    /// floor, honest and under every attacker.
+    #[test]
+    fn reused_link_and_recycled_measurement_match_measure_pair_at() {
+        let floor = crate::testbed::Testbed::office(3);
+        let attackers = [
+            None,
+            Some(crate::environment::Attacker::ReplayOffset {
+                extra_delay_ns: 7.5,
+            }),
+            Some(crate::environment::Attacker::CsiInject {
+                forged_profile: PathSet::new(vec![
+                    crate::propagation::Path::new(4.0, 0.3),
+                    crate::propagation::Path::new(9.0, 0.2),
+                ]),
+            }),
+            Some(crate::environment::Attacker::BandJam {
+                bands: vec![36, 6],
+                snr_floor_db: 8.0,
+            }),
+        ];
+        let mut dev_rng = StdRng::seed_from_u64(21);
+        let mut ctx = MeasurementContext::new(
+            floor.environment.clone(),
+            Intel5300::mobile(&mut dev_rng),
+            floor.locations[0],
+            Intel5300::laptop(&mut dev_rng),
+            floor.locations[7],
+        );
+        let layouts = [SubcarrierLayout::intel5300(), SubcarrierLayout::full()];
+        for attacker in attackers {
+            ctx.attacker = attacker;
+            let mut links = vec![LinkPaths::default(); 3];
+            let mut recycled: Option<Measurement> = None;
+            let mut rng_a = StdRng::seed_from_u64(5);
+            let mut rng_b = StdRng::seed_from_u64(5);
+            for (i, band) in band_plan().iter().enumerate() {
+                let antenna = i % 3;
+                let layout = &layouts[i % 2];
+                let (t_f, t_r) = (0.01 * i as f64, 0.01 * i as f64 + 4e-5);
+                ctx.link_paths_into(0, antenna, &mut links[antenna]);
+                let want = ctx.measure_pair_at(&mut rng_a, band, layout, 0, antenna, t_f, t_r);
+                let got = ctx.measure_link(
+                    &mut rng_b,
+                    band,
+                    layout,
+                    &links[antenna],
+                    ctx.is_los(),
+                    t_f,
+                    t_r,
+                    recycled.take(),
+                );
+                assert_eq!(bits(&got), bits(&want), "band {}", band.channel);
+                assert!(got.forward.csi.iter().all(|z| z.is_finite()));
+                recycled = Some(got);
+            }
+            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+        }
+    }
+
+    /// A non-finite device position has no path set: every CSI value is
+    /// non-finite (which the estimator rejects), the truth is NaN, and
+    /// nothing panics.
+    #[test]
+    fn non_finite_endpoint_yields_non_finite_csi() {
+        let band = band_by_channel(40).unwrap();
+        let layout = SubcarrierLayout::intel5300();
+        let mut env = Environment::free_space();
+        env.add_room(-5.0, -5.0, 5.0, 5.0, crate::environment::Material::Concrete);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for initiator in [true, false] {
+                let mut ctx = ideal_ctx(2.0);
+                ctx.environment = env.clone();
+                if initiator {
+                    ctx.initiator_pos.x = bad;
+                } else {
+                    ctx.responder_pos.y = bad;
+                }
+                assert!(ctx.paths_between(0, 0).is_empty());
+                let mut rng = StdRng::seed_from_u64(9);
+                let m = ctx.measure_pair(&mut rng, &band, &layout, 0, 0, 0.0);
+                assert!(m.truth_tof_ns.is_nan());
+                for c in [&m.forward, &m.reverse] {
+                    assert_eq!(c.csi.len(), layout.len());
+                    assert!(c.csi.iter().all(|z| !z.is_finite()), "{bad} {initiator}");
+                }
+            }
+        }
     }
 }

@@ -164,19 +164,59 @@ impl Environment {
     ///
     /// Amplitudes follow a free-space 1/d law scaled by reflection and
     /// through-wall coefficients, normalized so a 1 m unobstructed path has
-    /// amplitude 1. Paths are returned sorted by ascending delay.
+    /// amplitude 1. Paths are returned sorted by ascending delay. Points
+    /// with a non-finite coordinate have no paths: the set is empty.
     pub fn paths(&self, tx: Point, rx: Point, cfg: &PathEnumConfig) -> PathSet {
-        let mut paths: Vec<Path> = Vec::new();
+        let mut out = PathSet::default();
+        self.paths_into(tx, rx, cfg, &mut out);
+        out
+    }
+
+    /// [`Environment::paths`] into a reused set: no allocation once `out`
+    /// has held `cfg.max_paths` paths.
+    ///
+    /// The direct path is kept when it clears the amplitude floor; of the
+    /// reflections that clear it, the strongest `max_paths - 1` are kept,
+    /// the first enumerated winning a tie (the order a stable sort by
+    /// amplitude gives). They are selected into `out` as they are
+    /// enumerated, with no candidate list, and the set is then sorted by
+    /// delay.
+    pub fn paths_into(&self, tx: Point, rx: Point, cfg: &PathEnumConfig, out: &mut PathSet) {
+        let all = out.paths_mut();
+        all.clear();
+        if !(tx.is_finite() && rx.is_finite()) {
+            return;
+        }
+        all.reserve(cfg.max_paths.max(1));
 
         // Direct path (always geometrically present; may be attenuated).
         let d_direct = tx.dist(rx).max(1e-6);
         let amp_direct = self.through_loss(tx, rx) / d_direct;
-        paths.push(Path::from_length(d_direct, amp_direct));
+        let direct = Path::from_length(d_direct, amp_direct);
+        if direct.amplitude >= cfg.amplitude_floor {
+            all.push(direct);
+        }
+        let first = all.len();
+        let keep = cfg.max_paths.saturating_sub(1);
+        // Cull as we go: drop sub-floor reflections and keep the `keep`
+        // strongest, strongest first, a newcomer going after every kept
+        // path at least as strong.
+        let mut offer = |p: Path| {
+            if p.amplitude >= cfg.amplitude_floor {
+                let rank = all[first..].partition_point(|q| q.amplitude >= p.amplitude);
+                if rank < keep {
+                    if all.len() - first == keep {
+                        all.pop();
+                    }
+                    all.insert(first + rank, p);
+                }
+            }
+        };
 
         // First-order reflections.
         for (wi, w) in self.walls.iter().enumerate() {
             if let Some(p) = self.first_order_path(tx, rx, w) {
-                paths.push(p);
+                offer(p);
             }
             // Second-order: mirror tx across wall wi, then across wall wj.
             if cfg.second_order {
@@ -186,29 +226,12 @@ impl Environment {
                     }
                     if let Some(mut p) = self.second_order_path(tx, rx, w, w2) {
                         p.amplitude *= cfg.second_order_loss;
-                        paths.push(p);
+                        offer(p);
                     }
                 }
             }
         }
-
-        // Cull: drop sub-floor paths, keep strongest `max_paths` (direct
-        // path always retained), then sort by delay.
-        let direct = paths[0];
-        let mut rest: Vec<Path> = paths
-            .into_iter()
-            .skip(1)
-            .filter(|p| p.amplitude >= cfg.amplitude_floor)
-            .collect();
-        rest.sort_by(|a, b| b.amplitude.partial_cmp(&a.amplitude).unwrap());
-        rest.truncate(cfg.max_paths.saturating_sub(1));
-        let mut all = Vec::with_capacity(rest.len() + 1);
-        if direct.amplitude >= cfg.amplitude_floor {
-            all.push(direct);
-        }
-        all.extend(rest);
-        all.sort_by(|a, b| a.delay_ns.partial_cmp(&b.delay_ns).unwrap());
-        PathSet::new(all)
+        out.sort_by_delay();
     }
 
     /// Single-bounce path off wall `w`, if the reflection point lies on the
@@ -321,27 +344,34 @@ pub enum Attacker {
 }
 
 impl Attacker {
-    /// The path set the *measurement* sees under this attack, or `None`
-    /// when the attack leaves paths untouched (jamming corrupts noise and
-    /// frames, not geometry). Ground truth must always be computed from
-    /// the clean set before calling this.
-    pub fn corrupt_paths(&self, clean: &PathSet) -> Option<PathSet> {
+    /// Writes the path set the *measurement* sees under this attack into
+    /// `out` and returns `true`, or returns `false` and leaves `out` as it
+    /// was when the attack leaves paths untouched (jamming corrupts noise
+    /// and frames, not geometry). Ground truth must always be computed
+    /// from the clean set. No allocation once `out` has held as many
+    /// paths.
+    pub fn corrupt_paths_into(&self, clean: &PathSet, out: &mut PathSet) -> bool {
         match self {
             Attacker::ReplayOffset { extra_delay_ns } => {
-                let shifted: Vec<Path> = clean
-                    .paths()
-                    .iter()
-                    .map(|p| Path::new(p.delay_ns + extra_delay_ns, p.amplitude))
-                    .collect();
-                Some(PathSet::new(shifted))
+                let all = out.paths_mut();
+                all.clear();
+                all.extend(
+                    clean
+                        .paths()
+                        .iter()
+                        .map(|p| Path::new(p.delay_ns + extra_delay_ns, p.amplitude)),
+                );
             }
             Attacker::CsiInject { forged_profile } => {
-                let mut all: Vec<Path> = clean.paths().to_vec();
+                let all = out.paths_mut();
+                all.clear();
+                all.extend_from_slice(clean.paths());
                 all.extend_from_slice(forged_profile.paths());
-                Some(PathSet::new(all))
             }
-            Attacker::BandJam { .. } => None,
+            Attacker::BandJam { .. } => return false,
         }
+        out.sort_by_delay();
+        true
     }
 
     /// Whether this attack jams the given channel.
@@ -590,7 +620,8 @@ mod tests {
         let atk = Attacker::ReplayOffset {
             extra_delay_ns: 7.5,
         };
-        let dirty = atk.corrupt_paths(&clean).unwrap();
+        let mut dirty = PathSet::default();
+        assert!(atk.corrupt_paths_into(&clean, &mut dirty));
         assert_eq!(dirty.len(), clean.len());
         for (c, d) in clean.paths().iter().zip(dirty.paths()) {
             assert!((d.delay_ns - c.delay_ns - 7.5).abs() < 1e-12);
@@ -606,7 +637,8 @@ mod tests {
         let atk = Attacker::CsiInject {
             forged_profile: PathSet::new(vec![Path::new(4.0, 2.0), Path::new(30.0, 0.5)]),
         };
-        let dirty = atk.corrupt_paths(&clean).unwrap();
+        let mut dirty = PathSet::single(99.0, 1.0);
+        assert!(atk.corrupt_paths_into(&clean, &mut dirty));
         let delays: Vec<f64> = dirty.paths().iter().map(|p| p.delay_ns).collect();
         assert_eq!(delays, vec![4.0, 10.0, 30.0]);
         // A strong forged early path hijacks the apparent direct path.
@@ -624,7 +656,9 @@ mod tests {
         assert!(!atk.jams(44) && !atk.jams(1));
         assert!(atk.jam_sigma(36).unwrap() > 0.0);
         assert!(atk.jam_sigma(44).is_none());
-        assert!(atk.corrupt_paths(&PathSet::single(5.0, 1.0)).is_none());
+        let mut untouched = PathSet::default();
+        assert!(!atk.corrupt_paths_into(&PathSet::single(5.0, 1.0), &mut untouched));
+        assert!(untouched.is_empty());
         // Replay/inject never jam.
         let replay = Attacker::ReplayOffset {
             extra_delay_ns: 3.0,
@@ -670,5 +704,92 @@ mod tests {
             snr_floor_db: -5.0,
         };
         assert!(off_plan.band_loss(&plan).is_none());
+    }
+
+    /// The enumeration as a candidate list: every path, then a stable
+    /// sort by amplitude, truncation and a sort by delay.
+    fn paths_by_sorting(
+        env: &Environment,
+        tx: Point,
+        rx: Point,
+        cfg: &PathEnumConfig,
+    ) -> Vec<Path> {
+        let d_direct = tx.dist(rx).max(1e-6);
+        let direct = Path::from_length(d_direct, env.through_loss(tx, rx) / d_direct);
+        let mut rest = Vec::new();
+        for (wi, w) in env.walls.iter().enumerate() {
+            rest.extend(env.first_order_path(tx, rx, w));
+            if cfg.second_order {
+                for (wj, w2) in env.walls.iter().enumerate() {
+                    if wi != wj {
+                        if let Some(mut p) = env.second_order_path(tx, rx, w, w2) {
+                            p.amplitude *= cfg.second_order_loss;
+                            rest.push(p);
+                        }
+                    }
+                }
+            }
+        }
+        rest.retain(|p| p.amplitude >= cfg.amplitude_floor);
+        rest.sort_by(|a, b| b.amplitude.partial_cmp(&a.amplitude).unwrap());
+        rest.truncate(cfg.max_paths.saturating_sub(1));
+        let mut all = Vec::new();
+        if direct.amplitude >= cfg.amplitude_floor {
+            all.push(direct);
+        }
+        all.extend(rest);
+        all.sort_by(|a, b| a.delay_ns.partial_cmp(&b.delay_ns).unwrap());
+        all
+    }
+
+    /// Selecting paths as they are enumerated keeps exactly the paths, in
+    /// exactly the order, that sorting the full candidate list does —
+    /// ties included (the mirror-symmetric corridor gives equal-amplitude
+    /// reflections) — into a reused set.
+    #[test]
+    fn paths_into_matches_sorting_the_candidates() {
+        let office = crate::testbed::Testbed::office(42);
+        let mut corridor = Environment::free_space();
+        corridor.add_wall(
+            Segment::new(Point::new(-10.0, 2.0), Point::new(10.0, 2.0)),
+            Material::Concrete,
+        );
+        corridor.add_wall(
+            Segment::new(Point::new(-10.0, -2.0), Point::new(10.0, -2.0)),
+            Material::Concrete,
+        );
+        let mut out = PathSet::default();
+        let mut cases = 0;
+        for max_paths in [0, 1, 2, 3, 5, 12, 40] {
+            let cfg = PathEnumConfig {
+                max_paths,
+                ..PathEnumConfig::default()
+            };
+            let symmetric = (Point::new(-1.5, 0.0), Point::new(2.5, 0.0));
+            let pairs = office
+                .locations
+                .iter()
+                .zip(office.locations.iter().skip(1))
+                .map(|(a, b)| (&office.environment, *a, *b))
+                .chain(std::iter::once((&corridor, symmetric.0, symmetric.1)));
+            for (env, tx, rx) in pairs {
+                env.paths_into(tx, rx, &cfg, &mut out);
+                let want = paths_by_sorting(env, tx, rx, &cfg);
+                assert_eq!(out.paths(), want.as_slice(), "max_paths {max_paths}");
+                assert_eq!(env.paths(tx, rx, &cfg).paths(), want.as_slice());
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 7 * 30);
+        // The corridor's two first-order reflections tie.
+        let ties = paths_by_sorting(
+            &corridor,
+            Point::new(-1.5, 0.0),
+            Point::new(2.5, 0.0),
+            &PathEnumConfig::default(),
+        );
+        assert!(ties
+            .windows(2)
+            .any(|w| w[0].amplitude == w[1].amplitude && w[0].delay_ns == w[1].delay_ns));
     }
 }

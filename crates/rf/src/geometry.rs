@@ -83,6 +83,11 @@ impl Point {
     pub fn lerp(self, other: Point, t: f64) -> Point {
         self.add(other.sub(self).scale(t))
     }
+
+    /// Whether both coordinates are finite (neither NaN nor infinite).
+    pub fn is_finite(self) -> bool {
+        self.x.is_finite() && self.y.is_finite()
+    }
 }
 
 /// A line segment between two points — a wall face or reflector.

@@ -27,9 +27,23 @@ pub fn populated_subcarriers() -> Vec<i32> {
 
 /// A subcarrier grid: which indices are measured, around which center
 /// frequency.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct SubcarrierLayout {
     indices: Vec<i32>,
+}
+
+impl Clone for SubcarrierLayout {
+    fn clone(&self) -> Self {
+        SubcarrierLayout {
+            indices: self.indices.clone(),
+        }
+    }
+
+    /// Reuses this layout's buffer: recycled captures take on a layout
+    /// without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.indices.clone_from(&source.indices);
+    }
 }
 
 impl SubcarrierLayout {

@@ -56,9 +56,24 @@ pub struct PathSet {
 
 impl PathSet {
     /// Creates a path set; paths are sorted by ascending delay.
-    pub fn new(mut paths: Vec<Path>) -> Self {
-        paths.sort_by(|a, b| a.delay_ns.partial_cmp(&b.delay_ns).unwrap());
-        PathSet { paths }
+    pub fn new(paths: Vec<Path>) -> Self {
+        let mut set = PathSet { paths };
+        set.sort_by_delay();
+        set
+    }
+
+    /// The path list, for this crate's in-place rebuilds
+    /// ([`crate::environment::Environment::paths_into`]); the rebuild
+    /// ends with [`PathSet::sort_by_delay`].
+    pub(crate) fn paths_mut(&mut self) -> &mut Vec<Path> {
+        &mut self.paths
+    }
+
+    /// Restores the ascending-delay order (a stable sort: equal delays
+    /// keep their order).
+    pub(crate) fn sort_by_delay(&mut self) {
+        self.paths
+            .sort_by(|a, b| a.delay_ns.partial_cmp(&b.delay_ns).unwrap());
     }
 
     /// A single-path (pure line-of-sight) set — the §4 idealization.

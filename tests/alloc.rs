@@ -293,6 +293,77 @@ fn engine_window_allocations_per_sweep_bounded() {
     );
 }
 
+/// A warm session sweep allocates only what its link simulation does,
+/// plus its returned `SweepOutput`: path enumeration, CSI synthesis into
+/// the measurement slots, the splice and the estimation run on the
+/// pipeline's reused buffers. Measured on the walled office floor, with
+/// each sweep replayed after a warm-up pass over the same placements and
+/// seeds (buffers sized by the data are warm per client shape).
+#[test]
+fn warm_session_sweep_allocates_only_link_and_output() {
+    use chronos_suite::core::session::ChronosSession;
+    use chronos_suite::link::sweep::run_sweep;
+    use chronos_suite::link::time::Instant;
+    use chronos_suite::rf::csi::MeasurementContext;
+    use chronos_suite::rf::hardware::Intel5300;
+    use chronos_suite::rf::testbed::Testbed;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    // The returned output: the `tofs` vector, per antenna one profiles
+    // vector and one magnitude plane per delay-scale group (two in the
+    // Intel 5300 mode), and the candidates vector.
+    const N_RX: u64 = 3;
+    const OUTPUT_ALLOCS: u64 = 1 + N_RX * (1 + 2) + 1;
+
+    let testbed = Testbed::office(1);
+    let mut rng = StdRng::seed_from_u64(1);
+    let ctx = MeasurementContext::new(
+        testbed.environment.clone(),
+        Intel5300::mobile(&mut rng),
+        Point::new(0.0, 0.0),
+        Intel5300::device(&mut rng, AntennaArray::laptop()),
+        Point::new(2.0, 0.0),
+    );
+    let mut session =
+        ChronosSession::with_cache(ctx, ChronosConfig::default(), Arc::new(PlanCache::new()));
+    let pairs: Vec<_> = testbed.pairs_within(15.0).into_iter().take(12).collect();
+    let mut pipeline = SweepPipeline::new();
+    let mut fixes = 0;
+    for pass in 0..2 {
+        for (i, pair) in pairs.iter().enumerate() {
+            session.ctx.initiator_pos = pair.a;
+            session.ctx.responder_pos = pair.b;
+            let seed = 500 + i as u64;
+            let before = thread_allocations();
+            let link = run_sweep(
+                &session.sweep_cfg,
+                Instant::ZERO,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let link_allocs = thread_allocations() - before;
+            drop(link);
+            let before = thread_allocations();
+            let out = session.sweep_with_pipeline(
+                &session.sweep_cfg,
+                &mut StdRng::seed_from_u64(seed),
+                Instant::ZERO,
+                &mut pipeline,
+            );
+            let sweep_allocs = thread_allocations() - before;
+            if pass == 1 {
+                assert!(
+                    sweep_allocs <= link_allocs + OUTPUT_ALLOCS,
+                    "placement {i}: the sweep allocated {sweep_allocs} times, its link \
+                     simulation {link_allocs}"
+                );
+                fixes += out.position.is_ok() as usize;
+            }
+        }
+    }
+    assert!(fixes > 0, "no sweep produced a fix");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

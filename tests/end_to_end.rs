@@ -192,3 +192,229 @@ fn nlos_degrades_but_does_not_break() {
     let d = out.mean_distance_m().expect("NLOS estimate");
     assert!((d - 6.0).abs() < 1.5, "NLOS distance {d}");
 }
+
+/// An Intel 5300 pair (single-antenna mobile, 3-antenna laptop) on the
+/// walled office floor of `seed`, sharing one plan cache, placed at the
+/// floor's first `n` pairs within 15 m.
+fn office_sessions(seed: u64, n: usize) -> (Vec<ChronosSession>, Testbed) {
+    use chronos_suite::core::PlanCache;
+    use chronos_suite::rf::hardware::AntennaArray;
+    let testbed = Testbed::office(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ctx = MeasurementContext::new(
+        testbed.environment.clone(),
+        Intel5300::mobile(&mut rng),
+        Point::new(0.0, 0.0),
+        Intel5300::device(&mut rng, AntennaArray::laptop()),
+        Point::new(2.0, 0.0),
+    );
+    ctx.snr.snr_at_1m_db = 50.0;
+    let cache = std::sync::Arc::new(PlanCache::new());
+    let sessions = testbed
+        .pairs_within(15.0)
+        .iter()
+        .take(n)
+        .map(|pair| {
+            let mut ctx = ctx.clone();
+            ctx.initiator_pos = pair.a;
+            ctx.responder_pos = pair.b;
+            ChronosSession::with_cache(ctx, ChronosConfig::default(), cache.clone())
+        })
+        .collect();
+    (sessions, testbed)
+}
+
+/// Every bit of a sweep's output: estimates with their profiles, errors,
+/// candidates, the fix and the link counters.
+fn output_bits(out: &chronos_suite::core::SweepOutput) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for tof in &out.tofs {
+        match tof {
+            Ok(t) => {
+                bits.extend([t.tof_ns.to_bits(), t.distance_m.to_bits()]);
+                bits.push(t.cross_check_ok as u64);
+                for g in &t.groups {
+                    bits.extend([g.delay_scale.to_bits(), g.n_bands as u64]);
+                    bits.push(g.raw_tof_ns.to_bits());
+                    bits.extend(g.profile.magnitudes.iter().map(|v| v.to_bits()));
+                }
+            }
+            Err(e) => bits.extend(format!("{e:?}").bytes().map(u64::from)),
+        }
+    }
+    for p in &out.position_candidates {
+        bits.extend([p.point.x.to_bits(), p.point.y.to_bits()]);
+        bits.push(p.residual_m.to_bits());
+    }
+    bits.push(out.position.is_ok() as u64);
+    bits.extend([out.link.frames_sent as u64, out.link.frames_lost as u64]);
+    bits.extend([out.link.complete as u64, out.link.finished.as_nanos()]);
+    bits
+}
+
+/// `sweep_with_pipeline` spelled out as its public calls, the way the
+/// end-to-end benchmark's traced step replays it: `run_sweep`,
+/// `measure_pair_at` per exchange, `TofEstimator::products`,
+/// `estimate_from_products`, `locate_all`.
+fn replay_sweep(
+    session: &ChronosSession,
+    pipeline: &mut chronos_suite::core::SweepPipeline,
+    rng: &mut StdRng,
+) -> chronos_suite::core::SweepOutput {
+    use chronos_suite::core::localization::AntennaRange;
+    use chronos_suite::core::{BandSample, ChronosError, TofEstimator};
+    let estimator = TofEstimator::with_cache(
+        session.config.clone(),
+        session.plans.clone().expect("cached session"),
+    );
+    let link = chronos_suite::link::sweep::run_sweep(&session.sweep_cfg, Instant::ZERO, rng);
+    let n_rx = session.ctx.responder.antennas.len();
+    let plan = &session.sweep_cfg.plan;
+    let mut per_antenna = vec![vec![BandSample::default(); plan.len()]; n_rx];
+    let mut exchanges = vec![0usize; plan.len()];
+    for op in &link.measurements {
+        let antenna = exchanges[op.band_index] % n_rx;
+        exchanges[op.band_index] += 1;
+        let m = session.ctx.measure_pair_at(
+            rng,
+            &plan[op.band_index],
+            &session.layout,
+            0,
+            antenna,
+            op.t_forward.as_secs_f64(),
+            op.t_reverse.as_secs_f64(),
+        );
+        per_antenna[antenna][op.band_index].measurements.push(m);
+    }
+    let tofs: Vec<_> = per_antenna
+        .iter()
+        .map(|bands| {
+            let measured: Vec<BandSample> = bands
+                .iter()
+                .filter(|b| !b.measurements.is_empty())
+                .cloned()
+                .collect();
+            if !link.complete && measured.len() < 5 {
+                return Err(ChronosError::SweepIncomplete {
+                    measured: measured.len(),
+                    planned: plan.len(),
+                });
+            }
+            let products = estimator.products(&measured)?;
+            pipeline.estimate_from_products(&estimator, &products)
+        })
+        .collect();
+    let antennas = session.ctx.responder.antennas.positions();
+    let ranges: Vec<AntennaRange> = tofs
+        .iter()
+        .zip(antennas)
+        .filter_map(|(r, a)| {
+            r.as_ref().ok().map(|t| AntennaRange {
+                antenna: *a,
+                distance_m: t.distance_m,
+            })
+        })
+        .collect();
+    let mut position_candidates = Vec::new();
+    let located = if ranges.len() >= 2 {
+        pipeline.locate_all(&ranges, &session.localizer, &mut position_candidates)
+    } else {
+        Err(ChronosError::NoConsistentPosition)
+    };
+    let position = match located {
+        Ok(()) => Ok(position_candidates[0]),
+        Err(e) => {
+            position_candidates.clear();
+            Err(e)
+        }
+    };
+    chronos_suite::core::SweepOutput {
+        tofs,
+        position,
+        position_candidates,
+        link,
+    }
+}
+
+/// The session sweep synthesizes one path set per antenna and one true
+/// channel per exchange into recycled slots; the answers must be the
+/// ones the per-exchange public calls give, bit for bit, on a multipath
+/// floor, honest and under every attacker (the jammer also costs frames,
+/// so some sweeps come back incomplete).
+#[test]
+fn session_sweep_matches_public_replay_bitwise() {
+    use chronos_suite::rf::environment::Attacker;
+    use chronos_suite::rf::propagation::PathSet;
+    let (sessions, _) = office_sessions(1, 2);
+    let plan = chronos_suite::rf::bands::band_plan();
+    let attackers = [
+        None,
+        Some(Attacker::ReplayOffset {
+            extra_delay_ns: 8.0,
+        }),
+        Some(Attacker::CsiInject {
+            forged_profile: PathSet::single(4.0, 0.5),
+        }),
+        Some(Attacker::BandJam {
+            bands: plan.iter().skip(3).map(|b| b.channel).collect(),
+            snr_floor_db: -5.0,
+        }),
+    ];
+    let mut sweep_pipeline = chronos_suite::core::SweepPipeline::new();
+    let mut replay_pipeline = chronos_suite::core::SweepPipeline::new();
+    let mut incomplete = 0;
+    for (a, attacker) in attackers.iter().enumerate() {
+        for (i, session) in sessions.iter().enumerate() {
+            let mut session = session.clone();
+            session.ctx.attacker = attacker.clone();
+            if let Some(loss) = attacker.as_ref().and_then(|a| a.band_loss(&plan)) {
+                session.sweep_cfg.band_loss = loss;
+            }
+            let seed = 1000 + 10 * a as u64 + i as u64;
+            let mut rng_a = StdRng::seed_from_u64(seed);
+            let mut rng_b = StdRng::seed_from_u64(seed);
+            let swept = session.sweep_with_pipeline(
+                &session.sweep_cfg,
+                &mut rng_a,
+                Instant::ZERO,
+                &mut sweep_pipeline,
+            );
+            let replayed = replay_sweep(&session, &mut replay_pipeline, &mut rng_b);
+            assert_eq!(
+                output_bits(&swept),
+                output_bits(&replayed),
+                "attacker {a}, placement {i}"
+            );
+            incomplete += !swept.link.complete as usize;
+        }
+    }
+    assert!(incomplete > 0, "the jammer never cost a band");
+}
+
+/// A non-finite device position must never turn into a range: every
+/// antenna's estimate is an error, so is the position, and nothing
+/// panics — in free space and on the office floor.
+#[test]
+fn non_finite_positions_give_errors_not_fixes() {
+    let (sessions, testbed) = office_sessions(1, 1);
+    for env in [Environment::free_space(), testbed.environment] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for initiator in [true, false] {
+                let mut session = sessions[0].clone();
+                session.ctx.environment = env.clone();
+                if initiator {
+                    session.ctx.initiator_pos.x = bad;
+                } else {
+                    session.ctx.responder_pos.y = bad;
+                }
+                let out = session.sweep(&mut StdRng::seed_from_u64(7), Instant::ZERO);
+                assert_eq!(out.tofs.len(), 3);
+                for tof in &out.tofs {
+                    assert!(tof.is_err(), "{bad} initiator={initiator}: {tof:?}");
+                }
+                assert!(out.position.is_err());
+                assert!(out.position_candidates.is_empty());
+            }
+        }
+    }
+}
