@@ -1,4 +1,4 @@
-//! Algorithm 1 performance and the ISTA-vs-FISTA ablation (DESIGN.md §4).
+//! Algorithm 1 performance and the ISTA-vs-FISTA ablation (paper §6.2).
 //!
 //! Every solve runs on a prebuilt `NdftPlan` into one reused scratch, as
 //! the estimator does, so the plan's operator norm (40 power-iteration

@@ -24,7 +24,6 @@
 
 use chronos_bench::cli::BenchArgs;
 use chronos_bench::position::check_regression;
-use chronos_bench::report::{write_json, Table};
 use chronos_bench::soak::soak_table;
 use std::process::ExitCode;
 
@@ -41,44 +40,5 @@ fn main() -> ExitCode {
 
     let (windows, window_ms) = if args.quick { (4, 250) } else { (8, 250) };
     let table = soak_table(SEED, windows, window_ms);
-    println!("{}", table.render());
-
-    let tolerance = args.tolerance;
-    match args.check {
-        None => {
-            let out = args.out;
-            write_json(&table, &out).expect("write BENCH_soak.json");
-            println!("wrote {}", out.display());
-            ExitCode::SUCCESS
-        }
-        Some(baseline_path) => {
-            let baseline_src = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-                panic!("cannot read baseline {}: {e}", baseline_path.display())
-            });
-            let baseline = Table::from_json(&baseline_src)
-                .unwrap_or_else(|e| panic!("malformed baseline: {e}"));
-            match check_regression(&table, &baseline, tolerance) {
-                Ok(()) => {
-                    println!(
-                        "bench-regression gate: OK (within {:.0}% of {})",
-                        tolerance * 100.0,
-                        baseline_path.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(failures) => {
-                    eprintln!("bench-regression gate: FAILED");
-                    for f in &failures {
-                        eprintln!("  {f}");
-                    }
-                    eprintln!(
-                        "(baseline {}; intentional changes: re-run without --check and \
-                         commit the new baseline)",
-                        baseline_path.display()
-                    );
-                    ExitCode::FAILURE
-                }
-            }
-        }
-    }
+    args.write_or_check(&table, check_regression)
 }

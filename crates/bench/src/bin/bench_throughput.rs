@@ -23,7 +23,6 @@
 
 use chronos_bench::alloc_count::CountingAlloc;
 use chronos_bench::cli::BenchArgs;
-use chronos_bench::report::{write_json, Table};
 use chronos_bench::throughput::{check_throughput_regression, throughput_table};
 use std::process::ExitCode;
 
@@ -48,42 +47,5 @@ fn main() -> ExitCode {
 
     let rounds = if args.quick { 4 } else { 12 };
     let table = throughput_table(rounds);
-    println!("{}", table.render());
-
-    match args.check {
-        None => {
-            write_json(&table, &args.out).expect("write BENCH_throughput.json");
-            println!("wrote {}", args.out.display());
-            ExitCode::SUCCESS
-        }
-        Some(baseline_path) => {
-            let baseline_src = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-                panic!("cannot read baseline {}: {e}", baseline_path.display())
-            });
-            let baseline = Table::from_json(&baseline_src)
-                .unwrap_or_else(|e| panic!("malformed baseline: {e}"));
-            match check_throughput_regression(&table, &baseline, args.tolerance) {
-                Ok(()) => {
-                    println!(
-                        "bench-regression gate: OK (within {:.0}% of {})",
-                        args.tolerance * 100.0,
-                        baseline_path.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(failures) => {
-                    eprintln!("bench-regression gate: FAILED");
-                    for f in &failures {
-                        eprintln!("  {f}");
-                    }
-                    eprintln!(
-                        "(baseline {}; intentional changes: re-run without --check and \
-                         commit the new baseline)",
-                        baseline_path.display()
-                    );
-                    ExitCode::FAILURE
-                }
-            }
-        }
-    }
+    args.write_or_check(&table, check_throughput_regression)
 }

@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run --release -p chronos-bench --bin run_all [pairs]`
 //! where `pairs` scales the Monte-Carlo effort of the testbed experiments
-//! (default 60; the EXPERIMENTS.md numbers use 80).
+//! (default 60; the measurements quoted in ROADMAP.md use 80).
 
 use chronos_bench::figures;
 use chronos_bench::report::{data_dir, write_csv, Table};

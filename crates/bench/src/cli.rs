@@ -1,7 +1,9 @@
-//! Shared flag parsing for the benchmark binaries.
+//! Shared flag parsing and baseline handling for the gated benchmark
+//! binaries.
 //!
-//! Every gated bench binary (`bench_position`, `bench_throughput`)
-//! understands the same four flags:
+//! Every gated bench binary (`bench_position`, `bench_throughput`,
+//! `bench_adversarial`, `bench_soak`, `bench_fleet`) understands the
+//! same four flags:
 //!
 //! * `--quick` — fewer epochs/rounds (the CI setting; baselines must be
 //!   generated with the same flag CI checks with);
@@ -11,9 +13,14 @@
 //!   instead of overwriting it (exit 1 on regression);
 //! * `--tolerance <frac>` — relative regression tolerance (default 0.20).
 //!
-//! Parsing lives here so the binaries cannot drift apart.
+//! Each binary builds its table with its own seed and sizes, then hands
+//! it to [`BenchArgs::write_or_check`] with its own regression check.
+//! Parsing and the write/check step live here so the binaries cannot
+//! drift apart.
 
+use crate::report::{write_json, Table};
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 /// The parsed common flags.
 #[derive(Debug, Clone)]
@@ -70,6 +77,52 @@ impl BenchArgs {
             }
         }
         Ok(parsed)
+    }
+
+    /// Prints `table`, then either writes it to `--out` or, under
+    /// `--check`, gates it against the baseline with `check` (current,
+    /// baseline, tolerance → the list of failures) and reports OK or
+    /// FAILED. Returns the process exit code: failure only when the gate
+    /// fails. Panics when the output cannot be written or the baseline
+    /// cannot be read or parsed.
+    pub fn write_or_check(
+        &self,
+        table: &Table,
+        check: impl FnOnce(&Table, &Table, f64) -> Result<(), Vec<String>>,
+    ) -> ExitCode {
+        println!("{}", table.render());
+        let Some(baseline_path) = &self.check else {
+            write_json(table, &self.out)
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", self.out.display()));
+            println!("wrote {}", self.out.display());
+            return ExitCode::SUCCESS;
+        };
+        let baseline_src = std::fs::read_to_string(baseline_path)
+            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", baseline_path.display()));
+        let baseline =
+            Table::from_json(&baseline_src).unwrap_or_else(|e| panic!("malformed baseline: {e}"));
+        match check(table, &baseline, self.tolerance) {
+            Ok(()) => {
+                println!(
+                    "bench-regression gate: OK (within {:.0}% of {})",
+                    self.tolerance * 100.0,
+                    baseline_path.display()
+                );
+                ExitCode::SUCCESS
+            }
+            Err(failures) => {
+                eprintln!("bench-regression gate: FAILED");
+                for f in &failures {
+                    eprintln!("  {f}");
+                }
+                eprintln!(
+                    "(baseline {}; intentional changes: re-run without --check and \
+                     commit the new baseline)",
+                    baseline_path.display()
+                );
+                ExitCode::FAILURE
+            }
+        }
     }
 }
 

@@ -183,8 +183,8 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 pub struct FleetModeRun {
     /// Folded per-window metrics.
     pub stats: FleetRunStats,
-    /// Host wall clock over the window loop (construction, population
-    /// and plan prewarm excluded).
+    /// Host wall clock over the window loop (construction and
+    /// population excluded; the first window builds the NDFT plans).
     pub wall_s: f64,
     /// Allocation events of counted runtime items after the first
     /// window — the counter the gate pins at 0 (0 also when the fleet
@@ -257,9 +257,6 @@ pub fn run_fleet_mode(
     for i in 0..FLEET_CLIENTS {
         fleet.add_client(walker_at(i, 0, cfg.window_s));
     }
-    // One warm pass over the deduplicated plan set for the whole fleet
-    // (not once per shard), so the timed loop starts plan-resident.
-    fleet.prewarm_plans();
     let pool_allocs = |fleet: &FleetEngine| {
         fleet
             .runtime()

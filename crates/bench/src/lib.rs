@@ -1,8 +1,9 @@
 //! # chronos-bench
 //!
 //! The experiment harness: scenario builders and Monte-Carlo runners that
-//! regenerate every figure of the paper's evaluation (see DESIGN.md §3 for
-//! the experiment index), plus CSV/console reporting helpers.
+//! regenerate every figure of the paper's evaluation (the README's
+//! "Paper Map" is the experiment index), plus CSV/console reporting
+//! helpers.
 //!
 //! Each figure has a binary in `src/bin/`; `run_all` executes everything
 //! and writes `EXPERIMENTS-data/*.csv`. Criterion performance benches live

@@ -2,7 +2,7 @@
 //!
 //! Every experiment binary prints a table (the paper's "rows/series") and
 //! optionally writes it to `EXPERIMENTS-data/<name>.csv` so the results can
-//! be diffed across runs and quoted in EXPERIMENTS.md. Benchmark gates
+//! be diffed across runs. Benchmark gates
 //! additionally serialize tables as machine-readable JSON
 //! ([`Table::to_json`] / [`write_json`]) so CI can diff a run against a
 //! checked-in baseline (`scripts/check-bench-regression.sh`).

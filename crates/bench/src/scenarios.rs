@@ -1,6 +1,7 @@
 //! Scenario builders and Monte-Carlo runners for the paper's evaluation.
 //!
-//! Every figure of §12 maps to one function here (see DESIGN.md §3). The
+//! Every figure of §12 maps to one function here (the README's "Paper
+//! Map" indexes them). The
 //! runners are deterministic given a seed and parallelized across links
 //! with std scoped threads.
 

@@ -174,7 +174,8 @@ pub fn run_tracking(cfg: &TrackingConfig) -> TrackingRun {
     TrackingRun { reports }
 }
 
-/// One row of the adaptive-vs-full capacity table (README, TRACKING.md).
+/// One row of the adaptive-vs-full capacity table (README,
+/// `docs/TRACKING.md`).
 #[derive(Debug, Clone)]
 pub struct CapacityRow {
     /// Client count.

@@ -69,7 +69,6 @@
 //!   pre-engine outcomes bit for bit.
 
 use crate::config::{ChronosConfig, IngestionConfig};
-use crate::ndft::TauGrid;
 use crate::pipeline::{BatchSweep, SweepPipeline};
 use crate::plan::{CacheStats, PlanCache};
 use crate::runtime::WorkerRuntime;
@@ -1026,46 +1025,9 @@ impl ServiceEngine {
     }
 
     /// The engine's [`WorkerRuntime`], once a multi-sweep batch of a
-    /// multi-threaded engine (or [`ServiceEngine::prewarm_plans`]) has
-    /// created it.
+    /// multi-threaded engine has created it.
     pub fn runtime(&self) -> Option<&Arc<WorkerRuntime>> {
         self.runtime.as_ref()
-    }
-
-    /// Pre-builds the NDFT plans every client's ACQUIRE (full-plan)
-    /// sweep will request. The expensive constructions — matrix
-    /// materialization plus the operator-norm power iteration — spread
-    /// over the engine's threads so distinct plans build in parallel.
-    /// With at most one distinct plan, or on a single-threaded engine,
-    /// the builds run inline.
-    ///
-    /// Purely an opt-in warm-up: the plan cache double-checks under its
-    /// write lock either way, so estimation results and steady-state
-    /// behavior are identical whether or not this runs. Returns the
-    /// number of distinct plans built or found resident.
-    pub fn prewarm_plans(&mut self) -> usize {
-        let threads = self.thread_count();
-        let mut jobs: Vec<PlanPrewarmJob<'_>> = Vec::new();
-        collect_plan_jobs(&self.slots, &self.plans, &mut jobs);
-        if jobs.len() <= 1 || threads == 1 {
-            jobs.iter().for_each(PlanPrewarmJob::build);
-        } else {
-            let runtime = self
-                .runtime
-                .get_or_insert_with(|| Arc::new(WorkerRuntime::new(threads - 1)));
-            runtime.run(&jobs, &mut vec![(); runtime.workers() + 1], |_, job| {
-                job.build()
-            });
-        }
-        jobs.len()
-    }
-
-    /// Appends this engine's distinct plan-construction jobs to `jobs`,
-    /// deduplicating against entries already present — so a fleet can
-    /// collect one job list across all shards (which share a plan
-    /// cache) and build each distinct plan exactly once, on one runtime.
-    pub(crate) fn plan_prewarm_jobs<'a>(&'a self, jobs: &mut Vec<PlanPrewarmJob<'a>>) {
-        collect_plan_jobs(&self.slots, &self.plans, jobs);
     }
 
     /// Processes one `SweepComplete`: feed the actual finish back, fuse
@@ -1102,11 +1064,7 @@ impl ServiceEngine {
                 let upd = tracker.observe(out.link.started, distance_m, out.link.complete);
                 next_mode = upd.next_mode;
                 anomaly_score = Some(upd.anomaly_score);
-                (
-                    upd.predicted_m,
-                    upd.fused_m,
-                    upd.innovation.map(|i| i.sigmas()),
-                )
+                (upd.predicted, upd.fused, upd.innovation.map(|i| i.sigmas()))
             }
             None => (None, None, None),
         };
@@ -1586,72 +1544,6 @@ pub(crate) fn thread_count(threads: usize) -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
-    }
-}
-
-/// One distinct NDFT plan construction (matrix materialization plus the
-/// operator-norm power iteration), collected up front so prewarm can
-/// build distinct plans in parallel. See
-/// [`ServiceEngine::plan_prewarm_jobs`].
-pub(crate) struct PlanPrewarmJob<'a> {
-    plans: &'a PlanCache,
-    freqs: Vec<f64>,
-    grid: TauGrid,
-    lobe_span_ns: f64,
-}
-
-impl PlanPrewarmJob<'_> {
-    /// Builds the plan into the shared cache (or finds it resident).
-    pub(crate) fn build(&self) {
-        let _ = self
-            .plans
-            .ndft_plan(&self.freqs, self.grid, self.lobe_span_ns);
-    }
-}
-
-/// The field-level body of [`ServiceEngine::plan_prewarm_jobs`]: a free
-/// function so `prewarm_plans` can keep disjoint `&mut self` field
-/// borrows alive around it.
-///
-/// One key per (delay-scale group, client config) the estimator will
-/// derive: group frequencies ascending, exactly as
-/// `quirk::group_by_scale` orders them.
-fn collect_plan_jobs<'a>(
-    slots: &'a [Slot],
-    plans: &'a PlanCache,
-    jobs: &mut Vec<PlanPrewarmJob<'a>>,
-) {
-    for slot in slots {
-        let cfg = &slot.session.config;
-        let grid = TauGrid::span(cfg.grid_span_ns, cfg.grid_step_ns);
-        for quirked in [false, true] {
-            let mut freqs: Vec<f64> = slot
-                .session
-                .sweep_cfg
-                .plan
-                .iter()
-                .filter(|b| {
-                    (cfg.mode == crate::config::QuirkMode::Intel5300 && b.group.is_2g4()) == quirked
-                })
-                .map(|b| b.center_hz)
-                .collect();
-            if freqs.len() < 5 {
-                continue; // the estimator skips groups this small
-            }
-            freqs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            if jobs
-                .iter()
-                .any(|j| j.freqs == freqs && j.grid == grid && j.lobe_span_ns == cfg.grid_span_ns)
-            {
-                continue;
-            }
-            jobs.push(PlanPrewarmJob {
-                plans,
-                freqs,
-                grid,
-                lobe_span_ns: cfg.grid_span_ns,
-            });
-        }
     }
 }
 

@@ -41,7 +41,7 @@
 //! and the TDoA vs. round-trip trade-off table.
 
 use crate::config::ChronosConfig;
-use crate::engine::{mix_seed, thread_count, PlanPrewarmJob, ServiceEngine, WindowReport};
+use crate::engine::{mix_seed, thread_count, ServiceEngine, WindowReport};
 use crate::localization::tdoa::{solve_tdoa, RangeDiff, TdoaSolverConfig};
 use crate::runtime::WorkerRuntime;
 use crate::service::ServiceConfig;
@@ -515,9 +515,9 @@ pub struct FleetEngine {
     blast_anchors: Vec<(usize, f64, f64)>,
     /// ...and their range differences against the reference.
     blast_diffs: Vec<RangeDiff>,
-    /// Spreads shard windows (and plan prewarm) over the driver plus
-    /// `workers` scoped threads; `None` runs the serial shard loop —
-    /// see [`FleetConfig::workers`].
+    /// Spreads shard windows over the driver plus `workers` scoped
+    /// threads; `None` runs the serial shard loop — see
+    /// [`FleetConfig::workers`].
     runtime: Option<WorkerRuntime>,
 }
 
@@ -602,29 +602,6 @@ impl FleetEngine {
     /// [`FleetEngine::run_window`] runs its shard loop serially.
     pub fn shard_workers(&self) -> usize {
         self.runtime.as_ref().map_or(0, WorkerRuntime::workers)
-    }
-
-    /// Pre-builds every distinct NDFT plan the fleet's clients will
-    /// request, **once across the whole fleet**: shards share one plan
-    /// cache, so the job list is deduplicated across shards and each
-    /// distinct plan is built exactly once (in parallel on the fleet's
-    /// runtime when there is one) instead of once per shard. Purely an
-    /// opt-in warm-up with identical steady-state results — see
-    /// [`ServiceEngine::prewarm_plans`], which this supersedes for
-    /// fleets. Call after the population is added. Returns the number
-    /// of distinct plans built or found resident.
-    pub fn prewarm_plans(&mut self) -> usize {
-        let mut jobs = Vec::new();
-        for shard in &self.shards {
-            shard.plan_prewarm_jobs(&mut jobs);
-        }
-        match &self.runtime {
-            Some(rt) => {
-                rt.run(&jobs, &mut vec![(); rt.workers() + 1], |_, job| job.build());
-            }
-            None => jobs.iter().for_each(PlanPrewarmJob::build),
-        }
-        jobs.len()
     }
 
     /// A client's current serving AP.

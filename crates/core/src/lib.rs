@@ -73,12 +73,16 @@
 //! return a [`WindowReport`] (see `docs/SCHEDULING.md`).
 //!
 //! [`tracker`] closes the loop *across* epochs: a per-client
-//! constant-velocity Kalman filter ([`tracker::DistanceFilter`]) fuses
-//! each fix, and a mode machine ([`tracker::ClientTracker`]) switches
-//! clients between full ACQUIRE sweeps and cheap TRACK-mode band-subset
-//! sweeps ([`chronos_rf::subset`]), re-acquiring on innovation spikes or
-//! repeated misses. The service schedules per-client plans from tracker
-//! state and reports the airtime saved (see `docs/TRACKING.md`).
+//! constant-velocity Kalman filter fuses each fix, and one mode machine
+//! ([`tracker::Tracker`]) switches clients between full ACQUIRE sweeps
+//! and cheap TRACK-mode band-subset sweeps ([`chronos_rf::subset`]),
+//! re-acquiring on innovation spikes or repeated misses. The machine is
+//! generic over its filter ([`tracker::TrackFilter`]): a
+//! [`tracker::ClientTracker`] tracks a distance
+//! ([`tracker::DistanceFilter`]), a [`tracker::PositionTracker`] a 2-D
+//! position ([`tracker::PositionFilter`]). The service schedules
+//! per-client plans from tracker state and reports the airtime saved
+//! (see `docs/TRACKING.md`).
 //!
 //! [`pipeline`] is the zero-allocation hot path underneath all of it: a
 //! per-worker scratch arena (ISTA iterates, NDFT images, debias and
@@ -142,5 +146,6 @@ pub use service::{QuarantineConfig, ServiceConfig};
 pub use session::{ChronosSession, SweepOutput};
 pub use tof::{BandSample, TofEstimate, TofEstimator, TofFix};
 pub use tracker::{
-    AnomalyConfig, AnomalyScore, ClientTracker, DistanceFilter, TrackMode, TrackerConfig,
+    AnomalyConfig, AnomalyScore, ClientTracker, DistanceFilter, TrackFilter, TrackMode,
+    TrackerConfig,
 };

@@ -1,5 +1,6 @@
 //! Band-group handling for the Intel 5300's 2.4 GHz phase quirk
-//! (paper §11, footnote 5; DESIGN.md §4.2).
+//! (paper §11, footnote 5; ablated in
+//! `tests/ablations.rs::ablation_quirk_mode_consistency`).
 //!
 //! The 5300 reports 2.4 GHz channel phase modulo pi/2. Chronos's fix —
 //! running the algorithm on the fourth power of the channel — removes the

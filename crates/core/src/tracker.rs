@@ -1,5 +1,4 @@
-//! Online per-client distance tracking and the adaptive sweep mode
-//! machine.
+//! Online per-client tracking and the adaptive sweep mode machine.
 //!
 //! A full Chronos fix sweeps all 35 bands; at service scale that per-fix
 //! airtime — not compute — caps how many clients one access point can
@@ -15,16 +14,22 @@
 //!
 //! The module has two layers:
 //!
-//! * [`DistanceFilter`] — a 2-state (distance, radial velocity) Kalman
-//!   filter with a white-acceleration process model. It exposes the
-//!   predicted distance, the innovation of each measurement, and the
-//!   innovation variance, so callers can gate outliers in sigma units.
-//! * [`ClientTracker`] — the per-client mode machine driving the
-//!   scheduler: **ACQUIRE** (full sweep every epoch, converging the
-//!   filter) ⇄ **TRACK** (subset sweeps, filter-fused output), with
-//!   transitions on good-fix streaks, innovation spikes (client moved in
-//!   a way the model cannot explain — e.g. picked up and carried), and
-//!   repeated incomplete sweeps.
+//! * Two constant-velocity Kalman filters with a white-acceleration
+//!   process model, both implementing [`TrackFilter`]:
+//!   [`DistanceFilter`] (2-state: distance, radial velocity) for a
+//!   client's range, and [`PositionFilter`] (4-state: x, y, vx, vy) for
+//!   its 2-D position (paper §8). Each exposes the predicted estimate,
+//!   the innovation of a measurement, and that innovation in sigma
+//!   units, so the caller can gate outliers.
+//! * [`Tracker`] — the one per-client mode machine driving the
+//!   scheduler, generic over its filter: **ACQUIRE** (full sweep every
+//!   epoch, converging the filter) ⇄ **TRACK** (subset sweeps,
+//!   filter-fused output), with transitions on good-fix streaks,
+//!   innovation spikes (client moved in a way the model cannot explain
+//!   — e.g. picked up and carried), and repeated incomplete sweeps.
+//!   [`ClientTracker`] tracks a distance and [`PositionTracker`] a
+//!   position; the latter also resolves mirror candidates against its
+//!   motion prior and re-frames its track on handoff.
 //!
 //! Tuning guidance — what the knobs trade off and how to pick them —
 //! lives in `docs/TRACKING.md`.
@@ -175,6 +180,48 @@ impl AnomalyScore {
     }
 }
 
+/// The Kalman filter a [`Tracker`] drives: [`DistanceFilter`] over a
+/// distance, [`PositionFilter`] over a 2-D position. The tracker is
+/// generic over it (static dispatch), so both share one mode machine.
+pub trait TrackFilter {
+    /// One measurement, and the filter's estimate: meters, or a point.
+    type Fix: Copy;
+    /// One measurement's innovation statistics.
+    type Innovation: Copy;
+
+    /// Creates an empty filter with the given noise standard deviations
+    /// (process noise in m/s², measurement noise in meters; per axis for
+    /// a position).
+    fn new(process_noise_mps2: f64, measurement_noise_m: f64) -> Self;
+
+    /// Propagates the state `dt_s` seconds forward under the constant-
+    /// velocity model, inflating covariance by the white-acceleration
+    /// process noise. No-op before initialization.
+    fn predict(&mut self, dt_s: f64);
+
+    /// The innovation a measurement `z` *would* produce right now,
+    /// without fusing it — the outlier gate reads this before deciding
+    /// whether to call [`TrackFilter::update`]. `None` before
+    /// initialization.
+    fn innovation(&self, z: Self::Fix) -> Option<Self::Innovation>;
+
+    /// Fuses a measurement. The first call seeds the state at the
+    /// measurement with zero velocity and a large velocity variance;
+    /// later calls run the standard Kalman update. Returns the
+    /// innovation (zero for the seeding fix).
+    fn update(&mut self, z: Self::Fix) -> Self::Innovation;
+
+    /// Drops the state (track break): the next update re-seeds.
+    fn reset(&mut self);
+
+    /// Current (post-predict) estimate; `None` before initialization.
+    fn estimate(&self) -> Option<Self::Fix>;
+
+    /// An innovation's size in standard deviations — what the gate and
+    /// the anomaly score read.
+    fn sigmas(innovation: &Self::Innovation) -> f64;
+}
+
 /// A 2-state constant-velocity Kalman filter over distance.
 ///
 /// State `x = [d, v]` (meters, meters/second), white-acceleration
@@ -182,7 +229,7 @@ impl AnomalyScore {
 /// noise `r²`. Uninitialized until the first measurement seeds it.
 ///
 /// ```
-/// use chronos_core::tracker::DistanceFilter;
+/// use chronos_core::tracker::{DistanceFilter, TrackFilter};
 ///
 /// let mut f = DistanceFilter::new(2.0, 0.15);
 /// f.update(5.0);                      // seed at the first fix
@@ -222,9 +269,11 @@ impl Innovation {
     }
 }
 
-impl DistanceFilter {
-    /// Creates an empty filter with the given noise standard deviations.
-    pub fn new(process_noise_mps2: f64, measurement_noise_m: f64) -> Self {
+impl TrackFilter for DistanceFilter {
+    type Fix = f64;
+    type Innovation = Innovation;
+
+    fn new(process_noise_mps2: f64, measurement_noise_m: f64) -> Self {
         DistanceFilter {
             q: process_noise_mps2,
             r: measurement_noise_m,
@@ -233,15 +282,7 @@ impl DistanceFilter {
         }
     }
 
-    /// Whether the filter holds a state (a first fix has been fused).
-    pub fn is_initialized(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Propagates the state `dt_s` seconds forward under the constant-
-    /// velocity model, inflating covariance by the white-acceleration
-    /// process noise. No-op before initialization.
-    pub fn predict(&mut self, dt_s: f64) {
+    fn predict(&mut self, dt_s: f64) {
         let Some(x) = self.state.as_mut() else { return };
         let dt = dt_s.max(0.0);
         x[0] += x[1] * dt;
@@ -255,10 +296,7 @@ impl DistanceFilter {
         self.p = [n00, n01, n11];
     }
 
-    /// The innovation a measurement `z_m` *would* produce right now,
-    /// without fusing it — the outlier gate reads this before deciding
-    /// whether to call [`DistanceFilter::update`].
-    pub fn innovation(&self, z_m: f64) -> Option<Innovation> {
+    fn innovation(&self, z_m: f64) -> Option<Innovation> {
         let x = self.state.as_ref()?;
         Some(Innovation {
             nu_m: z_m - x[0],
@@ -266,11 +304,7 @@ impl DistanceFilter {
         })
     }
 
-    /// Fuses a distance measurement. The first call seeds the state at
-    /// the measurement with zero velocity and a large velocity variance;
-    /// later calls run the standard scalar Kalman update. Returns the
-    /// innovation (zero for the seeding fix).
-    pub fn update(&mut self, z_m: f64) -> Innovation {
+    fn update(&mut self, z_m: f64) -> Innovation {
         match self.state.as_mut() {
             None => {
                 self.state = Some([z_m, 0.0]);
@@ -296,6 +330,26 @@ impl DistanceFilter {
         }
     }
 
+    fn reset(&mut self) {
+        self.state = None;
+        self.p = [0.0; 3];
+    }
+
+    fn estimate(&self) -> Option<f64> {
+        self.predicted_distance()
+    }
+
+    fn sigmas(innovation: &Innovation) -> f64 {
+        innovation.sigmas()
+    }
+}
+
+impl DistanceFilter {
+    /// Whether the filter holds a state (a first fix has been fused).
+    pub fn is_initialized(&self) -> bool {
+        self.state.is_some()
+    }
+
     /// Current (post-predict) distance estimate, meters.
     pub fn predicted_distance(&self) -> Option<f64> {
         self.state.map(|x| x[0])
@@ -311,12 +365,6 @@ impl DistanceFilter {
         self.state.map(|_| self.p[0].max(0.0).sqrt())
     }
 
-    /// Drops the state (track break): the next update re-seeds.
-    pub fn reset(&mut self) {
-        self.state = None;
-        self.p = [0.0; 3];
-    }
-
     /// Shifts the distance estimate by `delta_m` without touching
     /// velocity or covariance — a coordinate-frame change, not new
     /// information. No-op before initialization. Used by fleet handoff
@@ -328,47 +376,196 @@ impl DistanceFilter {
     }
 }
 
-/// What one epoch's fix did to a client's track.
+/// One 2-D position measurement's innovation statistics.
 #[derive(Debug, Clone, Copy)]
-pub struct TrackUpdate {
+pub struct PositionInnovation {
+    /// Measurement minus predicted position, meters.
+    pub nu: Point,
+    /// Innovation variance of the x axis, meters².
+    pub s_x_m2: f64,
+    /// Innovation variance of the y axis, meters².
+    pub s_y_m2: f64,
+}
+
+impl PositionInnovation {
+    /// The innovation's Mahalanobis distance in standard deviations,
+    /// `√(νₓ²/Sₓ + ν_y²/S_y)` — the position-space generalization of
+    /// [`Innovation::sigmas`].
+    pub fn sigmas(&self) -> f64 {
+        let sx = self.s_x_m2.max(1e-12);
+        let sy = self.s_y_m2.max(1e-12);
+        (self.nu.x * self.nu.x / sx + self.nu.y * self.nu.y / sy).sqrt()
+    }
+}
+
+/// A 4-state (x, y, vx, vy) constant-velocity Kalman filter over 2-D
+/// position — the planar generalization of [`DistanceFilter`].
+///
+/// Under a white-acceleration process model with isotropic noise and
+/// per-axis position measurements, the 4×4 covariance stays block
+/// diagonal per axis, so the filter decomposes exactly into two
+/// independent [`DistanceFilter`]s sharing their scalar update math.
+///
+/// ```
+/// use chronos_core::tracker::{PositionFilter, TrackFilter};
+/// use chronos_rf::geometry::Point;
+///
+/// let mut f = PositionFilter::new(2.0, 0.2);
+/// f.update(Point::new(3.0, 4.0));          // seed at the first fix
+/// for _ in 0..20 {
+///     f.predict(0.1);                      // 100 ms between fixes...
+///     f.update(Point::new(3.0, 4.05));     // ...all near (3, 4.05)
+/// }
+/// let p = f.predicted_position().unwrap();
+/// assert!(p.dist(Point::new(3.0, 4.05)) < 0.05, "converged to {p:?}");
+/// assert!(f.velocity().unwrap().norm() < 0.3, "static client");
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct PositionFilter {
+    x: DistanceFilter,
+    y: DistanceFilter,
+}
+
+impl TrackFilter for PositionFilter {
+    type Fix = Point;
+    type Innovation = PositionInnovation;
+
+    fn new(process_noise_mps2: f64, measurement_noise_m: f64) -> Self {
+        PositionFilter {
+            x: DistanceFilter::new(process_noise_mps2, measurement_noise_m),
+            y: DistanceFilter::new(process_noise_mps2, measurement_noise_m),
+        }
+    }
+
+    fn predict(&mut self, dt_s: f64) {
+        self.x.predict(dt_s);
+        self.y.predict(dt_s);
+    }
+
+    fn innovation(&self, z: Point) -> Option<PositionInnovation> {
+        let ix = self.x.innovation(z.x)?;
+        let iy = self.y.innovation(z.y)?;
+        Some(PositionInnovation {
+            nu: Point::new(ix.nu_m, iy.nu_m),
+            s_x_m2: ix.s_m2,
+            s_y_m2: iy.s_m2,
+        })
+    }
+
+    fn update(&mut self, z: Point) -> PositionInnovation {
+        let ix = self.x.update(z.x);
+        let iy = self.y.update(z.y);
+        PositionInnovation {
+            nu: Point::new(ix.nu_m, iy.nu_m),
+            s_x_m2: ix.s_m2,
+            s_y_m2: iy.s_m2,
+        }
+    }
+
+    fn reset(&mut self) {
+        self.x.reset();
+        self.y.reset();
+    }
+
+    fn estimate(&self) -> Option<Point> {
+        self.predicted_position()
+    }
+
+    fn sigmas(innovation: &PositionInnovation) -> f64 {
+        innovation.sigmas()
+    }
+}
+
+impl PositionFilter {
+    /// Whether the filter holds a state (a first fix has been fused).
+    pub fn is_initialized(&self) -> bool {
+        self.x.is_initialized()
+    }
+
+    /// Current (post-predict) position estimate, meters.
+    pub fn predicted_position(&self) -> Option<Point> {
+        Some(Point::new(
+            self.x.predicted_distance()?,
+            self.y.predicted_distance()?,
+        ))
+    }
+
+    /// Current velocity estimate, m/s.
+    pub fn velocity(&self) -> Option<Point> {
+        Some(Point::new(self.x.velocity()?, self.y.velocity()?))
+    }
+
+    /// Position-estimate standard deviation, meters (RSS of the two axis
+    /// sigmas).
+    pub fn sigma_m(&self) -> Option<f64> {
+        let sx = self.x.sigma_m()?;
+        let sy = self.y.sigma_m()?;
+        Some(sx.hypot(sy))
+    }
+
+    /// Translates the position estimate by `delta` without touching
+    /// velocity or covariance — a pure coordinate-frame change (the
+    /// client did not move; the origin did). No-op before
+    /// initialization.
+    pub fn translate(&mut self, delta: Point) {
+        self.x.shift(delta.x);
+        self.y.shift(delta.y);
+    }
+}
+
+/// What one sweep's fix did to a client's track.
+#[derive(Debug, Clone, Copy)]
+pub struct TrackUpdate<F: TrackFilter> {
     /// Mode the sweep was issued under.
     pub mode: TrackMode,
-    /// Mode for the *next* epoch, after this fix was absorbed.
+    /// Mode for the *next* sweep, after this fix was absorbed.
     pub next_mode: TrackMode,
-    /// Filter prediction for this epoch, before fusing the fix, meters.
-    pub predicted_m: Option<f64>,
-    /// Fused (post-update) distance, meters — the tracker's output.
-    pub fused_m: Option<f64>,
+    /// Filter prediction for this sweep, before fusing the fix (meters,
+    /// or a point).
+    pub predicted: Option<F::Fix>,
+    /// Fused (post-update) estimate — the tracker's output.
+    pub fused: Option<F::Fix>,
     /// Innovation of the fix, when one was fused or gated.
-    pub innovation: Option<Innovation>,
+    pub innovation: Option<F::Innovation>,
     /// Whether the fix was rejected by the innovation gate (track break).
     pub gated: bool,
     /// The client's anomaly score after absorbing this sweep.
     pub anomaly_score: f64,
 }
 
-/// Per-client tracking state machine: a [`DistanceFilter`] plus the
-/// ACQUIRE ⇄ TRACK mode logic the adaptive scheduler consults.
+/// Per-client tracking state machine: a [`TrackFilter`] plus the
+/// ACQUIRE ⇄ TRACK mode logic the adaptive scheduler consults. The
+/// [`TrackerConfig`] noise knobs are interpreted per axis for a
+/// position, and `gate_sigma` gates [`TrackFilter::sigmas`] — the 2-D
+/// Mahalanobis distance for a position.
 #[derive(Debug, Clone)]
-pub struct ClientTracker {
+pub struct Tracker<F> {
     cfg: TrackerConfig,
-    filter: DistanceFilter,
+    filter: F,
     mode: TrackMode,
     /// Consecutive successful fixes in the current ACQUIRE stint.
     good_streak: usize,
     /// Consecutive missed fixes in the current TRACK stint.
     missed: usize,
-    /// Simulated time of the last absorbed epoch.
+    /// Simulated time of the last absorbed sweep.
     last_t: Option<Instant>,
     /// Accumulated anomaly evidence (survives re-ACQUIRE by design).
     anomaly: AnomalyScore,
 }
 
-impl ClientTracker {
+/// A [`Tracker`] over a client's distance.
+pub type ClientTracker = Tracker<DistanceFilter>;
+
+/// A [`Tracker`] over a client's 2-D position, gating in position space
+/// and resolving mirror candidates against the motion prior (paper §8's
+/// mobility heuristic, [`PositionTracker::resolve`]).
+pub type PositionTracker = Tracker<PositionFilter>;
+
+impl<F: TrackFilter> Tracker<F> {
     /// A fresh tracker in ACQUIRE mode.
     pub fn new(cfg: TrackerConfig) -> Self {
-        ClientTracker {
-            filter: DistanceFilter::new(cfg.process_noise_mps2, cfg.measurement_noise_m),
+        Tracker {
+            filter: F::new(cfg.process_noise_mps2, cfg.measurement_noise_m),
             cfg,
             mode: TrackMode::Acquire,
             good_streak: 0,
@@ -423,18 +620,24 @@ impl ClientTracker {
     }
 
     /// Read access to the underlying filter.
-    pub fn filter(&self) -> &DistanceFilter {
+    pub fn filter(&self) -> &F {
         &self.filter
     }
 
-    /// Absorbs one epoch's fix at simulated time `t`: advances the filter
-    /// by the elapsed time, applies the innovation gate, fuses or rejects
-    /// the measurement, and steps the mode machine.
+    /// Absorbs one sweep's fix at simulated time `t`: advances the
+    /// filter by the elapsed time, applies the innovation gate, fuses or
+    /// rejects the measurement, and steps the mode machine.
     ///
-    /// `fix_m` is the sweep's distance estimate (`None` when the sweep
-    /// produced no usable estimate); `link_complete` is whether the
-    /// link-layer sweep covered its whole plan.
-    pub fn observe(&mut self, t: Instant, fix_m: Option<f64>, link_complete: bool) -> TrackUpdate {
+    /// `fix` is the sweep's estimate (`None` when the sweep produced no
+    /// usable one — no distance, or a localization that failed);
+    /// `link_complete` is whether the link-layer sweep covered its whole
+    /// plan.
+    pub fn observe(
+        &mut self,
+        t: Instant,
+        fix: Option<F::Fix>,
+        link_complete: bool,
+    ) -> TrackUpdate<F> {
         let mode = self.mode;
         let dt_s = self
             .last_t
@@ -442,21 +645,21 @@ impl ClientTracker {
             .unwrap_or(0.0);
         self.last_t = Some(t);
         self.filter.predict(dt_s);
-        let predicted_m = self.filter.predicted_distance();
+        let predicted = self.filter.estimate();
 
         let mut gated = false;
         let mut innovation = None;
-        match fix_m {
+        match fix {
             Some(z) if link_complete => {
-                let pre = self.filter.innovation(z);
-                if let Some(inn) = pre {
-                    if inn.sigmas() > self.cfg.gate_sigma {
+                if let Some(inn) = self.filter.innovation(z) {
+                    let sigmas = F::sigmas(&inn);
+                    if sigmas > self.cfg.gate_sigma {
                         // Track break: the world moved in a way the model
                         // cannot explain. Re-seed at the new fix so the
                         // next ACQUIRE stint converges there.
                         gated = true;
                         innovation = Some(inn);
-                        self.anomaly.observe_gated(&self.cfg.anomaly, inn.sigmas());
+                        self.anomaly.observe_gated(&self.cfg.anomaly, sigmas);
                         self.filter.reset();
                         self.filter.update(z);
                         self.reacquire();
@@ -464,7 +667,8 @@ impl ClientTracker {
                 }
                 if !gated {
                     let inn = self.filter.update(z);
-                    self.anomaly.observe_fused(&self.cfg.anomaly, inn.sigmas());
+                    self.anomaly
+                        .observe_fused(&self.cfg.anomaly, F::sigmas(&inn));
                     innovation = Some(inn);
                     self.missed = 0;
                     self.good_streak += 1;
@@ -476,11 +680,11 @@ impl ClientTracker {
                 }
             }
             _ => {
-                // No estimate, or an incomplete sweep: a miss. An
-                // incomplete subset sweep can still estimate from the
-                // bands that survived, but those degraded fixes carry
-                // elevated ghost-peak risk, so they are not fused —
-                // repeated incomplete sweeps re-ACQUIRE instead.
+                // No fix, or an incomplete sweep: a miss. An incomplete
+                // subset sweep can still estimate from the bands that
+                // survived, but those degraded fixes carry elevated
+                // ghost-peak risk, so they are not fused — repeated
+                // incomplete sweeps re-ACQUIRE instead.
                 self.anomaly.observe_miss();
                 self.good_streak = 0;
                 self.missed += 1;
@@ -493,8 +697,8 @@ impl ClientTracker {
         TrackUpdate {
             mode,
             next_mode: self.mode,
-            predicted_m,
-            fused_m: self.filter.predicted_distance(),
+            predicted,
+            fused: self.filter.estimate(),
             innovation,
             gated,
             anomaly_score: self.anomaly_score(),
@@ -502,239 +706,7 @@ impl ClientTracker {
     }
 }
 
-/// One 2-D position measurement's innovation statistics.
-#[derive(Debug, Clone, Copy)]
-pub struct PositionInnovation {
-    /// Measurement minus predicted position, meters.
-    pub nu: Point,
-    /// Innovation variance of the x axis, meters².
-    pub s_x_m2: f64,
-    /// Innovation variance of the y axis, meters².
-    pub s_y_m2: f64,
-}
-
-impl PositionInnovation {
-    /// The innovation's Mahalanobis distance in standard deviations,
-    /// `√(νₓ²/Sₓ + ν_y²/S_y)` — the position-space generalization of
-    /// [`Innovation::sigmas`].
-    pub fn sigmas(&self) -> f64 {
-        let sx = self.s_x_m2.max(1e-12);
-        let sy = self.s_y_m2.max(1e-12);
-        (self.nu.x * self.nu.x / sx + self.nu.y * self.nu.y / sy).sqrt()
-    }
-}
-
-/// A 4-state (x, y, vx, vy) constant-velocity Kalman filter over 2-D
-/// position — the planar generalization of [`DistanceFilter`].
-///
-/// Under a white-acceleration process model with isotropic noise and
-/// per-axis position measurements, the 4×4 covariance stays block
-/// diagonal per axis, so the filter decomposes exactly into two
-/// independent [`DistanceFilter`]s sharing their scalar update math.
-///
-/// ```
-/// use chronos_core::tracker::PositionFilter;
-/// use chronos_rf::geometry::Point;
-///
-/// let mut f = PositionFilter::new(2.0, 0.2);
-/// f.update(Point::new(3.0, 4.0));          // seed at the first fix
-/// for _ in 0..20 {
-///     f.predict(0.1);                      // 100 ms between fixes...
-///     f.update(Point::new(3.0, 4.05));     // ...all near (3, 4.05)
-/// }
-/// let p = f.predicted_position().unwrap();
-/// assert!(p.dist(Point::new(3.0, 4.05)) < 0.05, "converged to {p:?}");
-/// assert!(f.velocity().unwrap().norm() < 0.3, "static client");
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct PositionFilter {
-    x: DistanceFilter,
-    y: DistanceFilter,
-}
-
-impl PositionFilter {
-    /// Creates an empty filter with the given noise standard deviations
-    /// (process noise in m/s² per axis, measurement noise in meters per
-    /// axis).
-    pub fn new(process_noise_mps2: f64, measurement_noise_m: f64) -> Self {
-        PositionFilter {
-            x: DistanceFilter::new(process_noise_mps2, measurement_noise_m),
-            y: DistanceFilter::new(process_noise_mps2, measurement_noise_m),
-        }
-    }
-
-    /// Whether the filter holds a state (a first fix has been fused).
-    pub fn is_initialized(&self) -> bool {
-        self.x.is_initialized()
-    }
-
-    /// Propagates the state `dt_s` seconds forward under the constant-
-    /// velocity model. No-op before initialization.
-    pub fn predict(&mut self, dt_s: f64) {
-        self.x.predict(dt_s);
-        self.y.predict(dt_s);
-    }
-
-    /// The innovation a position measurement *would* produce right now,
-    /// without fusing it — the outlier gate reads this first.
-    pub fn innovation(&self, z: Point) -> Option<PositionInnovation> {
-        let ix = self.x.innovation(z.x)?;
-        let iy = self.y.innovation(z.y)?;
-        Some(PositionInnovation {
-            nu: Point::new(ix.nu_m, iy.nu_m),
-            s_x_m2: ix.s_m2,
-            s_y_m2: iy.s_m2,
-        })
-    }
-
-    /// Fuses a position measurement; the first call seeds the state at
-    /// the measurement with zero velocity. Returns the innovation.
-    pub fn update(&mut self, z: Point) -> PositionInnovation {
-        let ix = self.x.update(z.x);
-        let iy = self.y.update(z.y);
-        PositionInnovation {
-            nu: Point::new(ix.nu_m, iy.nu_m),
-            s_x_m2: ix.s_m2,
-            s_y_m2: iy.s_m2,
-        }
-    }
-
-    /// Current (post-predict) position estimate, meters.
-    pub fn predicted_position(&self) -> Option<Point> {
-        Some(Point::new(
-            self.x.predicted_distance()?,
-            self.y.predicted_distance()?,
-        ))
-    }
-
-    /// Current velocity estimate, m/s.
-    pub fn velocity(&self) -> Option<Point> {
-        Some(Point::new(self.x.velocity()?, self.y.velocity()?))
-    }
-
-    /// Position-estimate standard deviation, meters (RSS of the two axis
-    /// sigmas).
-    pub fn sigma_m(&self) -> Option<f64> {
-        let sx = self.x.sigma_m()?;
-        let sy = self.y.sigma_m()?;
-        Some(sx.hypot(sy))
-    }
-
-    /// Drops the state (track break): the next update re-seeds.
-    pub fn reset(&mut self) {
-        self.x.reset();
-        self.y.reset();
-    }
-
-    /// Translates the position estimate by `delta` without touching
-    /// velocity or covariance — a pure coordinate-frame change (the
-    /// client did not move; the origin did). No-op before
-    /// initialization.
-    pub fn translate(&mut self, delta: Point) {
-        self.x.shift(delta.x);
-        self.y.shift(delta.y);
-    }
-}
-
-/// What one epoch's position fix did to a client's track.
-#[derive(Debug, Clone, Copy)]
-pub struct PositionTrackUpdate {
-    /// Mode the sweep was issued under.
-    pub mode: TrackMode,
-    /// Mode for the *next* epoch, after this fix was absorbed.
-    pub next_mode: TrackMode,
-    /// Filter prediction for this epoch, before fusing the fix.
-    pub predicted: Option<Point>,
-    /// Fused (post-update) position — the tracker's output.
-    pub fused: Option<Point>,
-    /// Innovation of the fix, when one was fused or gated.
-    pub innovation: Option<PositionInnovation>,
-    /// Whether the fix was rejected by the innovation gate (track break).
-    pub gated: bool,
-    /// The client's anomaly score after absorbing this sweep.
-    pub anomaly_score: f64,
-}
-
-/// Per-client 2-D position tracking state machine: a [`PositionFilter`]
-/// plus the same ACQUIRE ⇄ TRACK mode logic as [`ClientTracker`], with
-/// innovation gating in position space and mirror-ambiguity resolution
-/// against the motion prior (paper §8's mobility heuristic).
-#[derive(Debug, Clone)]
-pub struct PositionTracker {
-    cfg: TrackerConfig,
-    filter: PositionFilter,
-    mode: TrackMode,
-    good_streak: usize,
-    missed: usize,
-    last_t: Option<Instant>,
-    /// Accumulated anomaly evidence (survives re-ACQUIRE by design).
-    anomaly: AnomalyScore,
-}
-
 impl PositionTracker {
-    /// A fresh tracker in ACQUIRE mode. The [`TrackerConfig`] noise knobs
-    /// are interpreted per axis; `gate_sigma` gates the 2-D Mahalanobis
-    /// innovation distance.
-    pub fn new(cfg: TrackerConfig) -> Self {
-        PositionTracker {
-            filter: PositionFilter::new(cfg.process_noise_mps2, cfg.measurement_noise_m),
-            cfg,
-            mode: TrackMode::Acquire,
-            good_streak: 0,
-            missed: 0,
-            last_t: None,
-            anomaly: AnomalyScore::fresh(),
-        }
-    }
-
-    /// The mode the next sweep should be issued under.
-    pub fn mode(&self) -> TrackMode {
-        self.mode
-    }
-
-    /// Consecutive missed fixes in the current TRACK stint.
-    pub fn missed(&self) -> usize {
-        self.missed
-    }
-
-    /// Consecutive successful fixes in the current ACQUIRE stint.
-    pub fn good_streak(&self) -> usize {
-        self.good_streak
-    }
-
-    /// The accumulated anomaly evidence.
-    pub fn anomaly(&self) -> AnomalyScore {
-        self.anomaly
-    }
-
-    /// The scalar anomaly score the quarantine policy thresholds.
-    pub fn anomaly_score(&self) -> f64 {
-        self.anomaly.value(&self.cfg.anomaly)
-    }
-
-    /// Drops back to ACQUIRE, explicitly clearing the mode machine's
-    /// transient counters — see [`ClientTracker::reacquire`]; the anomaly
-    /// evidence survives.
-    fn reacquire(&mut self) {
-        self.mode = TrackMode::Acquire;
-        self.good_streak = 0;
-        self.missed = 0;
-    }
-
-    /// Bands the next sweep should cover: `None` = the full plan
-    /// (ACQUIRE), `Some(k)` = a k-band subset (TRACK).
-    pub fn requested_bands(&self) -> Option<usize> {
-        match self.mode {
-            TrackMode::Acquire => None,
-            TrackMode::Track => Some(self.cfg.track_bands),
-        }
-    }
-
-    /// Read access to the underlying filter.
-    pub fn filter(&self) -> &PositionFilter {
-        &self.filter
-    }
-
     /// Re-expresses the track in a new local frame: `delta` is
     /// `old_origin − new_origin` in world coordinates and is added to
     /// the position estimate. Velocity, covariance, mode machine, and
@@ -770,79 +742,6 @@ impl PositionTracker {
                 .copied(),
         }
     }
-
-    /// Absorbs one epoch's position fix at simulated time `t`: advances
-    /// the filter by the elapsed time, applies the innovation gate in
-    /// position space, fuses or rejects the measurement, and steps the
-    /// mode machine. Semantics mirror [`ClientTracker::observe`].
-    pub fn observe(
-        &mut self,
-        t: Instant,
-        fix: Option<Point>,
-        link_complete: bool,
-    ) -> PositionTrackUpdate {
-        let mode = self.mode;
-        let dt_s = self
-            .last_t
-            .map(|prev| t.saturating_since(prev).as_secs_f64())
-            .unwrap_or(0.0);
-        self.last_t = Some(t);
-        self.filter.predict(dt_s);
-        let predicted = self.filter.predicted_position();
-
-        let mut gated = false;
-        let mut innovation = None;
-        match fix {
-            Some(z) if link_complete => {
-                let pre = self.filter.innovation(z);
-                if let Some(inn) = pre {
-                    if inn.sigmas() > self.cfg.gate_sigma {
-                        // Track break: re-seed at the new fix so the next
-                        // ACQUIRE stint converges there.
-                        gated = true;
-                        innovation = Some(inn);
-                        self.anomaly.observe_gated(&self.cfg.anomaly, inn.sigmas());
-                        self.filter.reset();
-                        self.filter.update(z);
-                        self.reacquire();
-                    }
-                }
-                if !gated {
-                    let inn = self.filter.update(z);
-                    self.anomaly.observe_fused(&self.cfg.anomaly, inn.sigmas());
-                    innovation = Some(inn);
-                    self.missed = 0;
-                    self.good_streak += 1;
-                    if self.mode == TrackMode::Acquire && self.good_streak >= self.cfg.acquire_fixes
-                    {
-                        self.mode = TrackMode::Track;
-                        self.missed = 0;
-                    }
-                }
-            }
-            _ => {
-                // No fix (localization failed, e.g. NLOS antennas
-                // rejected below the two-range floor) or an incomplete
-                // sweep: a miss. Degraded fixes are not fused.
-                self.anomaly.observe_miss();
-                self.good_streak = 0;
-                self.missed += 1;
-                if self.mode == TrackMode::Track && self.missed >= self.cfg.max_missed {
-                    self.reacquire();
-                }
-            }
-        }
-
-        PositionTrackUpdate {
-            mode,
-            next_mode: self.mode,
-            predicted,
-            fused: self.filter.predicted_position(),
-            innovation,
-            gated,
-            anomaly_score: self.anomaly_score(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -852,6 +751,32 @@ mod tests {
 
     fn at(epoch: u64) -> Instant {
         Instant::ZERO + Duration::from_millis(100 * epoch)
+    }
+
+    /// Fixes on a line: `d` meters as a distance, or as the point
+    /// `(d, 0)`, so one generic test body runs on both trackers.
+    trait OnLine: TrackFilter {
+        fn fix(d_m: f64) -> Self::Fix;
+        /// The estimate's coordinate along the line.
+        fn along(fix: Self::Fix) -> f64;
+    }
+
+    impl OnLine for DistanceFilter {
+        fn fix(d_m: f64) -> f64 {
+            d_m
+        }
+        fn along(fix: f64) -> f64 {
+            fix
+        }
+    }
+
+    impl OnLine for PositionFilter {
+        fn fix(d_m: f64) -> Point {
+            Point::new(d_m, 0.0)
+        }
+        fn along(fix: Point) -> f64 {
+            fix.x
+        }
     }
 
     #[test]
@@ -953,39 +878,47 @@ mod tests {
         // A chronically lossy medium: subset sweeps keep producing
         // estimates from partial band coverage. Those degraded fixes
         // must not be fused, and repeated incomplete sweeps re-ACQUIRE.
-        let cfg = TrackerConfig {
-            max_missed: 2,
-            ..Default::default()
-        };
-        let mut t = ClientTracker::new(cfg);
-        t.observe(at(0), Some(6.0), true);
-        t.observe(at(1), Some(6.0), true);
-        assert_eq!(t.mode(), TrackMode::Track);
-        let before = t.filter().predicted_distance().unwrap();
-        let u = t.observe(at(2), Some(6.4), false);
-        assert!(u.innovation.is_none(), "degraded fix must not be fused");
-        assert_eq!(
-            t.filter().predicted_distance().unwrap().to_bits(),
-            before.to_bits()
-        );
-        let u = t.observe(at(3), Some(6.4), false);
-        assert_eq!(
-            u.next_mode,
-            TrackMode::Acquire,
-            "repeated incomplete sweeps re-acquire"
-        );
+        fn check<F: OnLine>() {
+            let cfg = TrackerConfig {
+                max_missed: 2,
+                ..Default::default()
+            };
+            let mut t = Tracker::<F>::new(cfg);
+            t.observe(at(0), Some(F::fix(6.0)), true);
+            t.observe(at(1), Some(F::fix(6.0)), true);
+            assert_eq!(t.mode(), TrackMode::Track);
+            let before = F::along(t.filter().estimate().unwrap());
+            let u = t.observe(at(2), Some(F::fix(6.4)), false);
+            assert!(u.innovation.is_none(), "degraded fix must not be fused");
+            assert_eq!(
+                F::along(t.filter().estimate().unwrap()).to_bits(),
+                before.to_bits()
+            );
+            let u = t.observe(at(3), Some(F::fix(6.4)), false);
+            assert_eq!(
+                u.next_mode,
+                TrackMode::Acquire,
+                "repeated incomplete sweeps re-acquire"
+            );
+        }
+        check::<DistanceFilter>();
+        check::<PositionFilter>();
     }
 
     #[test]
     fn incomplete_acquire_sweep_does_not_count_toward_streak() {
-        let mut t = ClientTracker::new(TrackerConfig::default());
-        t.observe(at(0), Some(5.0), true);
-        // Incomplete sweep in ACQUIRE: estimate (if any) is not trusted.
-        let u = t.observe(at(1), Some(5.0), false);
-        assert_eq!(u.next_mode, TrackMode::Acquire);
-        t.observe(at(2), Some(5.0), true);
-        let u = t.observe(at(3), Some(5.0), true);
-        assert_eq!(u.next_mode, TrackMode::Track);
+        fn check<F: OnLine>() {
+            let mut t = Tracker::<F>::new(TrackerConfig::default());
+            t.observe(at(0), Some(F::fix(5.0)), true);
+            // Incomplete sweep in ACQUIRE: estimate (if any) is not trusted.
+            let u = t.observe(at(1), Some(F::fix(5.0)), false);
+            assert_eq!(u.next_mode, TrackMode::Acquire);
+            t.observe(at(2), Some(F::fix(5.0)), true);
+            let u = t.observe(at(3), Some(F::fix(5.0)), true);
+            assert_eq!(u.next_mode, TrackMode::Track);
+        }
+        check::<DistanceFilter>();
+        check::<PositionFilter>();
     }
 
     #[test]
@@ -1079,27 +1012,32 @@ mod tests {
 
     #[test]
     fn reacquire_clears_transient_counters_on_gate() {
-        // Satellite: the gated path's counter reset is explicit
-        // (`reacquire`) and observable — no stale miss/streak state can
-        // leak into the next ACQUIRE stint.
-        let mut t = ClientTracker::new(TrackerConfig::default());
-        for i in 0..4 {
-            t.observe(at(i), Some(4.0), true);
+        // The gated path's counter reset is explicit (`reacquire`) and
+        // observable — no stale miss/streak state can leak into the next
+        // ACQUIRE stint.
+        fn check<F: OnLine>() {
+            let mut t = Tracker::<F>::new(TrackerConfig::default());
+            for i in 0..4 {
+                t.observe(at(i), Some(F::fix(4.0)), true);
+            }
+            assert_eq!(t.mode(), TrackMode::Track);
+            t.observe(at(4), None, false); // bank one miss in TRACK
+            assert_eq!(t.missed(), 1);
+            let u = t.observe(at(5), Some(F::fix(12.0)), true); // gate trips
+            assert!(u.gated);
+            assert_eq!(t.missed(), 0, "gate must clear the miss counter");
+            assert_eq!(t.good_streak(), 0, "gate must clear the streak");
+            // The cleared miss counter means a single TRACK-stint miss
+            // from a past life cannot combine with one fresh miss to
+            // demote early.
+            t.observe(at(6), Some(F::fix(12.0)), true);
+            t.observe(at(7), Some(F::fix(12.0)), true);
+            assert_eq!(t.mode(), TrackMode::Track);
+            let u = t.observe(at(8), None, false);
+            assert_eq!(u.next_mode, TrackMode::Track, "fresh stint, fresh budget");
         }
-        assert_eq!(t.mode(), TrackMode::Track);
-        t.observe(at(4), None, false); // bank one miss in TRACK
-        assert_eq!(t.missed(), 1);
-        let u = t.observe(at(5), Some(12.0), true); // gate trips
-        assert!(u.gated);
-        assert_eq!(t.missed(), 0, "gate must clear the miss counter");
-        assert_eq!(t.good_streak(), 0, "gate must clear the streak");
-        // The cleared miss counter means a single TRACK-stint miss from a
-        // past life cannot combine with one fresh miss to demote early.
-        t.observe(at(6), Some(12.0), true);
-        t.observe(at(7), Some(12.0), true);
-        assert_eq!(t.mode(), TrackMode::Track);
-        let u = t.observe(at(8), None, false);
-        assert_eq!(u.next_mode, TrackMode::Track, "fresh stint, fresh budget");
+        check::<DistanceFilter>();
+        check::<PositionFilter>();
     }
 
     #[test]
@@ -1118,7 +1056,7 @@ mod tests {
         assert_eq!(t.missed(), 0, "demotion must reset the miss counter");
         assert_eq!(t.good_streak(), 0);
 
-        // Position tracker mirrors the contract.
+        // The same machine on a position track.
         let mut p = PositionTracker::new(cfg);
         p.observe(at(0), Some(Point::new(1.0, 1.0)), true);
         p.observe(at(1), Some(Point::new(1.0, 1.0)), true);
@@ -1160,18 +1098,22 @@ mod tests {
 
     #[test]
     fn anomaly_run_accumulates_misses() {
-        let cfg = TrackerConfig::default();
-        let mut t = ClientTracker::new(cfg);
-        t.observe(at(0), Some(5.0), true);
-        for i in 1..=4 {
-            t.observe(at(i), None, false);
-            assert_eq!(t.anomaly().run, i as usize);
+        fn check<F: OnLine>() {
+            let cfg = TrackerConfig::default();
+            let mut t = Tracker::<F>::new(cfg);
+            t.observe(at(0), Some(F::fix(5.0)), true);
+            for i in 1..=4 {
+                t.observe(at(i), None, false);
+                assert_eq!(t.anomaly().run, i as usize);
+            }
+            // Each miss adds miss_weight to the score.
+            assert!(t.anomaly_score() >= 4.0 * cfg.anomaly.miss_weight);
+            // One clean fix breaks the run.
+            t.observe(at(5), Some(F::fix(5.0)), true);
+            assert_eq!(t.anomaly().run, 0);
         }
-        // Each miss adds miss_weight to the score.
-        assert!(t.anomaly_score() >= 4.0 * cfg.anomaly.miss_weight);
-        // One clean fix breaks the run.
-        t.observe(at(5), Some(5.0), true);
-        assert_eq!(t.anomaly().run, 0);
+        check::<DistanceFilter>();
+        check::<PositionFilter>();
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl FollowSim {
                             measured,
                             out.link.complete,
                         );
-                        tracked = upd.fused_m;
+                        tracked = upd.fused;
                     }
                     FollowSource::Position => {
                         // The user's position in the drone's frame:

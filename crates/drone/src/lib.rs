@@ -6,8 +6,8 @@
 //! loop.
 //!
 //! * [`dynamics`] — planar quadrotor kinematics with actuation noise and
-//!   speed limits (the AscTec Hummingbird stand-in; see DESIGN.md §1 for
-//!   the substitution argument).
+//!   speed limits (the stand-in for the AscTec Hummingbird of paper
+//!   §12.4).
 //! * [`trajectory`] — waypoint walking-user model inside the 6 m x 5 m
 //!   motion-capture room of §12.4.
 //! * [`controller`] — the negative-feedback distance controller with the

@@ -252,7 +252,8 @@ pub struct SplineScratch {
 
 /// Piecewise-linear interpolation at `x` over strictly-increasing knots.
 ///
-/// Used as the ablation baseline against the cubic spline (DESIGN.md §4.3).
+/// Used as the ablation baseline against the cubic spline
+/// (`tests/ablations.rs::ablation_spline_vs_linear_under_multipath`).
 /// Extrapolates linearly beyond the boundary knots.
 pub fn linear_interp(xs: &[f64], ys: &[f64], x: f64) -> f64 {
     assert_eq!(xs.len(), ys.len(), "linear_interp: length mismatch");

@@ -1,7 +1,8 @@
 //! # chronos-rf
 //!
 //! The RF substrate the paper's hardware provided and this reproduction
-//! simulates (see DESIGN.md §1 for the substitution rationale):
+//! simulates (`docs/ARCHITECTURE.md`, "Crate Map", lists what each
+//! simulated part stands in for):
 //!
 //! * [`bands`] — the U.S. Wi-Fi band plan the paper sweeps (Fig. 2): 11
 //!   channels at 2.4 GHz plus 24 at 5 GHz, 35 center frequencies total.

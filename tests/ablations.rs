@@ -1,5 +1,6 @@
-//! Ablation tests for the design choices DESIGN.md §4 calls out: each test
-//! verifies that a documented design decision actually earns its keep.
+//! Ablation tests for the estimator's design choices (the stages of
+//! `docs/ARCHITECTURE.md`, "Data Flow: CSI to ToF"): each test verifies
+//! that a documented design decision actually earns its keep.
 
 use chronos_suite::core::config::ChronosConfig;
 use chronos_suite::core::phase::{interpolate_h0, Interpolation};
@@ -22,7 +23,7 @@ fn estimate(
     SweepPipeline::new().estimate_from_products(est, products)
 }
 
-/// DESIGN.md §4.3: cubic spline vs. linear interpolation at the
+/// Paper §5: cubic spline vs. linear interpolation at the
 /// zero-subcarrier. With a *curved* phase profile (multipath), the spline
 /// must be at least as accurate on average.
 #[test]
@@ -77,7 +78,7 @@ fn ablation_spline_vs_linear_under_multipath() {
     );
 }
 
-/// DESIGN.md §4.1: the sparsity weight trades resolution against noise
+/// Paper §6.2: the sparsity weight trades resolution against noise
 /// rejection; at reasonable settings the estimate stays sub-ns, and an
 /// absurdly large alpha degrades or kills it.
 #[test]
@@ -106,7 +107,7 @@ fn ablation_alpha_sweep_on_genie_products() {
     let _ = estimate(&est, &products);
 }
 
-/// DESIGN.md §4.4: matched-filter refinement beats raw grid quantization.
+/// Paper §6: matched-filter refinement beats raw grid quantization.
 /// With a coarse 1 ns grid the estimate must still land within ~0.1 ns of
 /// an off-grid truth.
 #[test]
@@ -129,7 +130,7 @@ fn ablation_refinement_beats_grid_step() {
     );
 }
 
-/// DESIGN.md §4.5: averaging over more packet exchanges per band reduces
+/// Averaging over more packet exchanges per band reduces
 /// the spread of the band product's phase (paper §7 obs. 1).
 #[test]
 fn ablation_packets_per_band_averaging() {
@@ -173,7 +174,7 @@ fn ablation_packets_per_band_averaging() {
     );
 }
 
-/// The 2.4 GHz quirk handling (DESIGN.md §4.2): an estimator in ideal mode
+/// The 2.4 GHz quirk handling (paper §11): an estimator in ideal mode
 /// on quirk-free data and one in Intel mode on quirked data must agree.
 #[test]
 fn ablation_quirk_mode_consistency() {

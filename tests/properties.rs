@@ -288,13 +288,13 @@ proptest! {
         // exact sigma offset from the prediction.
         let mut probe = tracker.clone();
         let probe_upd = probe.observe(t, Some(d0), true);
-        let predicted = probe_upd.predicted_m.expect("warmed-up filter has a state");
+        let predicted = probe_upd.predicted.expect("warmed-up filter has a state");
         let sigma = probe_upd.innovation.expect("probe fix has an innovation").s_m2.sqrt();
         let z = predicted + if sign == 0 { -1.0 } else { 1.0 } * offset_sigmas * sigma;
 
         let pre_score = tracker.anomaly_score();
         let upd = tracker.observe(t, Some(z), true);
-        let fused = upd.fused_m.expect("fix always leaves a state");
+        let fused = upd.fused.expect("fix always leaves a state");
         if offset_sigmas > gate + 1e-6 {
             // Outlier: explicit track break, never a silent nudge.
             prop_assert!(upd.gated, "outlier at {offset_sigmas:.2} sigmas not gated");
