@@ -70,6 +70,12 @@ const SHARD_SALT: u64 = 0x5ee0_1f1e_e7a9_c0de;
 const SYNC_SALT: u64 = 0xc10c_0ffe_7d21_f7aa;
 const BLAST_SALT: u64 = 0xb1a5_7b1a_57b1_a570;
 
+/// Clients per item of a window's blast batch: a 1000-client window
+/// splits into a few dozen items that balance over the lanes, and each
+/// item solves enough blasts that pulling it costs nothing by
+/// comparison.
+const BLAST_ITEM_CLIENTS: usize = 32;
+
 /// How the fleet localizes its clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetRangingMode {
@@ -113,9 +119,10 @@ impl Default for ClockSyncConfig {
 /// the advertised residual bound that gates TDoA eligibility.
 ///
 /// Only the latest round's state is kept: every query comes from the
-/// fleet's event pump at or after the latest round (events run in time
-/// order and rounds win ties), so older rounds are never read again and
-/// each round refills the per-AP buffers in place.
+/// fleet's event pump, or from its blast solves, which run before the
+/// next round, at or after the latest round (events run in time order
+/// and rounds win ties), so older rounds are never read again and each
+/// round refills the per-AP buffers in place.
 #[derive(Debug, Clone)]
 pub struct ClockSync {
     cfg: ClockSyncConfig,
@@ -279,18 +286,20 @@ pub struct FleetConfig {
     /// SNR model anchor shared by every client context (see
     /// [`client_context`]).
     pub snr_at_1m_db: f64,
-    /// Threads [`FleetEngine::run_window`] adds to the fleet driver to
-    /// run shard windows in parallel. Shard windows are the fleet's one
-    /// level of parallelism: every shard runs its own sweeps inline, so
-    /// [`ServiceConfig::threads`] never starts threads inside a fleet.
+    /// Threads [`FleetEngine::run_window`] adds to the fleet driver for
+    /// its two batches: the window's TDoA blast solves, then the shard
+    /// windows. Each batch is one level deep: every shard runs its own
+    /// sweeps inline, so [`ServiceConfig::threads`] never starts threads
+    /// inside a fleet.
     ///
     /// - `None` (default): auto — `ServiceConfig::threads - 1`, or one
     ///   per available core but the driver's when `threads` is 0. Only
     ///   this setting reads the host's core count.
-    /// - `Some(0)`: the strictly serial shard loop (the reference the
-    ///   parallel widths are compared against). No runtime exists and
-    ///   no thread is ever started.
-    /// - `Some(n)`: up to `n + 1`-way shard windows.
+    /// - `Some(0)`: the strictly serial fleet (the reference the
+    ///   parallel widths are compared against): each blast is solved as
+    ///   it fires and the shard windows run one after another. No
+    ///   runtime exists and no thread is ever started.
+    /// - `Some(n)`: up to `n + 1` lanes per batch.
     ///
     /// A single-AP fleet always runs serially. Every strategy produces
     /// bitwise-identical [`FleetWindowReport`]s — see the `run_window`
@@ -394,6 +403,146 @@ pub struct TdoaOutcome {
     pub mode: TrackMode,
     /// Anomaly score after absorbing this blast.
     pub anomaly_score: f64,
+}
+
+impl TdoaOutcome {
+    /// A fired blast's outcome before its solve: who blasted and when,
+    /// no anchors, no fix.
+    fn fired(p: &PendingBlast) -> Self {
+        TdoaOutcome {
+            client: p.client,
+            blast: p.blast,
+            at: p.at,
+            n_anchors: 0,
+            fix: None,
+            residual_m: None,
+            truth_pos: Point::default(),
+            pos_error_m: None,
+            tracked_pos: None,
+            tracked_pos_error_m: None,
+            mode: TrackMode::Acquire,
+            anomaly_score: 0.0,
+        }
+    }
+}
+
+/// A blast the boundary pump has fired and booked but not yet solved.
+#[derive(Debug, Clone, Copy)]
+struct PendingBlast {
+    /// Blast time on the fleet clock.
+    at: Instant,
+    /// Fleet client index.
+    client: usize,
+    /// The client's blast ordinal.
+    blast: u64,
+    /// Index in blast order among the blasts pending since the last
+    /// solve pass.
+    seq: usize,
+}
+
+/// Scratch a lane reuses across blast solves: the APs that heard the
+/// current blast, as (AP, distance to the client in m, timestamp error
+/// in m), and their range differences against the reference.
+#[derive(Debug, Default)]
+struct BlastScratch {
+    anchors: Vec<(usize, f64, f64)>,
+    diffs: Vec<RangeDiff>,
+}
+
+/// Everything a blast solve reads besides its own client: the window
+/// seed, the blast parameters, the AP geometry and the clock epoch the
+/// blast fired in. Lanes share it read-only.
+struct BlastSolver<'a> {
+    seed: u64,
+    cfg: &'a TdoaConfig,
+    aps: &'a [Point],
+    sync: Option<&'a ClockSync>,
+}
+
+impl<'a> BlastSolver<'a> {
+    /// The APs that timestamp a blast fired from `pos` at `t`, with their
+    /// distances to the client, in AP-index order: every AP in range
+    /// that is the serving AP (the TDoA reference) or passes the sync
+    /// gate. Geometry and the clock epoch only, no RNG, so the pump books
+    /// airtime on this set before the solve draws its noise over it.
+    fn listeners(
+        &self,
+        t: Instant,
+        pos: Point,
+        serving: usize,
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let bound_ns = self
+            .sync
+            .map(|s| s.pair_residual_bound_ns(t))
+            .unwrap_or(f64::INFINITY);
+        let gate_open = bound_ns <= self.cfg.residual_threshold_ns;
+        let max_range_m = self.cfg.max_range_m;
+        self.aps
+            .iter()
+            .enumerate()
+            .filter_map(move |(ap, &ap_pos)| {
+                let dist_m = pos.dist(ap_pos);
+                (dist_m <= max_range_m && (ap == serving || gate_open)).then_some((ap, dist_m))
+            })
+    }
+
+    /// Solves one fired blast into `out`, writing no state but the
+    /// client's own tracker. Every listener timestamps the arrival with
+    /// error = truth clock offset (hidden) + detection noise drawn from
+    /// the blast's own (seed, blast, client) stream; the serving AP is
+    /// the TDoA reference.
+    fn solve(&self, out: &mut TdoaOutcome, c: &mut FleetClient, s: &mut BlastScratch) {
+        let cfg = self.cfg;
+        let (t, client, blast) = (out.at, out.client, out.blast);
+        let (pos, serving) = (c.pos, c.serving);
+        out.truth_pos = pos;
+        out.mode = c.tracker.mode();
+        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed ^ BLAST_SALT, blast + 1, client));
+        // Anchors in AP-index order: the RNG draw sequence is a pure
+        // function of geometry, so results are schedule-invariant.
+        s.anchors.clear();
+        let mut d_ref = None;
+        for (ap, dist_m) in self.listeners(t, pos, serving) {
+            let noise_ns = cfg.timestamp_noise_ns * complex_gaussian(&mut rng, 1.0).re;
+            let offset_ns = self
+                .sync
+                .map(|s| s.offset_ns(ap, t))
+                .unwrap_or(f64::INFINITY);
+            let err_m = C_M_PER_NS * (offset_ns + noise_ns);
+            if ap == serving {
+                d_ref = Some((dist_m, err_m));
+            }
+            s.anchors.push((ap, dist_m, err_m));
+        }
+        let Some((d_ref, err_ref)) = d_ref.filter(|_| s.anchors.len() >= cfg.min_anchors) else {
+            // Not enough fleet to solve (or the serving AP missed the
+            // blast): no fix, but the tracker still sees the miss (mode
+            // machine + anomaly accounting).
+            let upd = c.tracker.observe(t, None, false);
+            out.anomaly_score = upd.anomaly_score;
+            return;
+        };
+        out.n_anchors = s.anchors.len();
+        let reference = self.aps[serving];
+        s.diffs.clear();
+        for &(ap, dist_m, err_m) in s.anchors.iter().filter(|a| a.0 != serving) {
+            s.diffs.push(RangeDiff {
+                anchor: self.aps[ap],
+                diff_m: (dist_m - d_ref) + (err_m - err_ref),
+            });
+        }
+        let prior = c.tracker.filter().predicted_position().unwrap_or(reference);
+        let fix = solve_tdoa(reference, &s.diffs, prior, &cfg.solver).ok();
+        let upd = c.tracker.observe(t, fix.map(|f| f.point), true);
+        out.anomaly_score = upd.anomaly_score;
+        if let Some(f) = fix {
+            out.fix = Some(f.point);
+            out.residual_m = Some(f.residual_m);
+            out.pos_error_m = Some(f.point.dist(pos));
+        }
+        out.tracked_pos = upd.fused;
+        out.tracked_pos_error_m = upd.fused.map(|p| p.dist(pos));
+    }
 }
 
 /// One fleet window's result: per-shard [`WindowReport`]s (round-trip
@@ -506,17 +655,18 @@ pub struct FleetEngine {
     slot_owner: Vec<Vec<usize>>,
     clients: Vec<FleetClient>,
     sync: Option<ClockSync>,
-    /// Pending blasts (TDoA mode), keyed by fleet client index.
+    /// Scheduled blasts (TDoA mode), keyed by fleet client index.
     blasts: EventQueue<usize>,
     clock: Instant,
-    /// Blast scratch reused across blasts so the blast loop does not
-    /// allocate: the APs that heard the current blast, as (AP, distance
-    /// to the client in m, timestamp error in m)...
-    blast_anchors: Vec<(usize, f64, f64)>,
-    /// ...and their range differences against the reference.
-    blast_diffs: Vec<RangeDiff>,
-    /// Spreads shard windows over the driver plus `workers` scoped
-    /// threads; `None` runs the serial shard loop — see
+    /// Blasts fired but not yet solved, in blast order (with a runtime
+    /// only; the serial fleet solves each blast as it fires).
+    pending: Vec<PendingBlast>,
+    /// The APs that heard the blast being fired, reused across blasts.
+    heard: Vec<usize>,
+    /// One blast scratch per lane, kept warm across windows.
+    blast_lanes: Vec<BlastScratch>,
+    /// Spreads blast solves and shard windows over the driver plus
+    /// `workers` scoped threads; `None` runs the serial fleet — see
     /// [`FleetConfig::workers`].
     runtime: Option<WorkerRuntime>,
 }
@@ -550,6 +700,12 @@ impl FleetEngine {
         };
         let runtime = (workers > 0).then(|| WorkerRuntime::new(workers));
         let sync = cfg.clock.map(|c| ClockSync::new(c, aps.len()));
+        let blast_lanes = (0..=workers)
+            .map(|_| BlastScratch {
+                anchors: Vec::with_capacity(aps.len()),
+                diffs: Vec::with_capacity(aps.len()),
+            })
+            .collect();
         FleetEngine {
             shards,
             slot_owner: vec![Vec::new(); aps.len()],
@@ -557,8 +713,9 @@ impl FleetEngine {
             sync,
             blasts: EventQueue::new(),
             clock: Instant::ZERO,
-            blast_anchors: Vec::with_capacity(aps.len()),
-            blast_diffs: Vec::with_capacity(aps.len()),
+            pending: Vec::new(),
+            heard: Vec::with_capacity(aps.len()),
+            blast_lanes,
             runtime,
             cfg,
             env,
@@ -591,15 +748,15 @@ impl FleetEngine {
         self.sync.as_ref()
     }
 
-    /// The runtime that spreads shard windows, when the fleet runs them
-    /// in parallel (see [`FleetConfig::workers`]). Benches read its
-    /// counters.
+    /// The runtime that spreads blast solves and shard windows, when the
+    /// fleet runs them in parallel (see [`FleetConfig::workers`]).
+    /// Benches read its counters.
     pub fn runtime(&self) -> Option<&WorkerRuntime> {
         self.runtime.as_ref()
     }
 
-    /// Threads added to the driver for shard windows; 0 means
-    /// [`FleetEngine::run_window`] runs its shard loop serially.
+    /// Threads added to the driver for blast solves and shard windows;
+    /// 0 means [`FleetEngine::run_window`] runs serially.
     pub fn shard_workers(&self) -> usize {
         self.runtime.as_ref().map_or(0, WorkerRuntime::workers)
     }
@@ -625,13 +782,11 @@ impl FleetEngine {
         &self.clients[client].tracker
     }
 
+    /// The AP nearest `pos`; AP 0 for a non-finite `pos`, which is
+    /// equally far from every AP.
     fn nearest_ap(&self, pos: Point) -> usize {
         (0..self.aps.len())
-            .min_by(|&a, &b| {
-                pos.dist(self.aps[a])
-                    .partial_cmp(&pos.dist(self.aps[b]))
-                    .unwrap()
-            })
+            .min_by(|&a, &b| pos.dist(self.aps[a]).total_cmp(&pos.dist(self.aps[b])))
             .expect("non-empty fleet")
     }
 
@@ -684,11 +839,15 @@ impl FleetEngine {
 
     /// Runs the association policy over every client: hand off to the
     /// nearest AP when it beats the serving AP by more than the
-    /// hysteresis margin. Returns the number of handoffs.
+    /// hysteresis margin. A client at a non-finite position keeps its
+    /// serving AP. Returns the number of handoffs.
     fn run_handoffs(&mut self) -> usize {
         let mut handoffs = 0;
         for id in 0..self.clients.len() {
             let (pos, serving) = (self.clients[id].pos, self.clients[id].serving);
+            if !pos.is_finite() {
+                continue;
+            }
             let nearest = self.nearest_ap(pos);
             if nearest == serving
                 || pos.dist(self.aps[serving]) - pos.dist(self.aps[nearest])
@@ -734,6 +893,11 @@ impl FleetEngine {
     /// charged to shard arbiters *before* the shards run their window,
     /// so it lands in their utilization and contends with round-trip
     /// admissions.
+    ///
+    /// This is the schedule pass: everything that touches shared state
+    /// runs here, serially. With a runtime, the blasts it fires are
+    /// solved in batches ([`FleetEngine::solve_pending`]) before each
+    /// round replaces the clock epoch they read, and at the end.
     fn pump_fleet_events(
         &mut self,
         seed: u64,
@@ -749,12 +913,16 @@ impl FleetEngine {
                 .filter(|&t| t < ended);
             let t_blast = self.blasts.peek_time().filter(|&t| t < ended);
             let sync_first = match (t_sync, t_blast) {
-                (None, None) => return rounds,
+                (None, None) => {
+                    self.solve_pending(seed, outcomes);
+                    return rounds;
+                }
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (Some(ts), Some(tb)) => ts <= tb,
             };
             if sync_first {
+                self.solve_pending(seed, outcomes);
                 let ts = t_sync.expect("sync_first implies a due round");
                 let sync = self.sync.as_mut().expect("t_sync implies sync");
                 sync.run_round(seed, ts);
@@ -765,111 +933,127 @@ impl FleetEngine {
                 }
             } else {
                 let (t, client) = self.blasts.pop().expect("peeked");
-                outcomes.push(self.run_blast(seed, t, client));
+                self.fire_blast(seed, t, client, outcomes);
                 self.blasts.schedule(t + self.cfg.tdoa.cadence, client);
             }
         }
     }
 
-    /// Executes one blast: the client transmits once; every in-range,
-    /// sync-eligible AP timestamps the arrival; the serving AP is the
-    /// TDoA reference. Timestamp error per AP = truth clock offset
-    /// (hidden) + detection noise. The blast charges
-    /// [`TdoaConfig::blast_airtime`] on every listening shard.
-    fn run_blast(&mut self, seed: u64, t: Instant, client: usize) -> TdoaOutcome {
+    /// Fires one blast: hands out the client's blast ordinal and, when
+    /// the blast will reach the solver, charges
+    /// [`TdoaConfig::blast_airtime`] on every AP that hears it. With a
+    /// runtime the solve waits for the next batch; the serial fleet
+    /// solves the blast right here.
+    fn fire_blast(
+        &mut self,
+        seed: u64,
+        t: Instant,
+        client: usize,
+        outcomes: &mut Vec<TdoaOutcome>,
+    ) {
         let cfg = self.cfg.tdoa;
         let c = &mut self.clients[client];
-        let blast = c.blasts;
+        let fired = PendingBlast {
+            at: t,
+            client,
+            blast: c.blasts,
+            seq: self.pending.len(),
+        };
         c.blasts += 1;
         let (pos, serving) = (c.pos, c.serving);
-        let mode = c.tracker.mode();
-        let mut rng = StdRng::seed_from_u64(mix_seed(seed ^ BLAST_SALT, blast + 1, client));
-        let bound_ns = self
-            .sync
-            .as_ref()
-            .map(|s| s.pair_residual_bound_ns(t))
-            .unwrap_or(f64::INFINITY);
-        // Anchors in AP-index order: the RNG draw sequence is a pure
-        // function of geometry, so results are schedule-invariant.
-        let anchors = &mut self.blast_anchors;
-        anchors.clear();
-        let mut d_ref = None;
-        for (ap, &ap_pos) in self.aps.iter().enumerate() {
-            let dist_m = pos.dist(ap_pos);
-            let in_range = dist_m <= cfg.max_range_m;
-            let eligible = ap == serving || bound_ns <= cfg.residual_threshold_ns;
-            if !(in_range && eligible) {
-                continue;
-            }
-            let noise_ns = cfg.timestamp_noise_ns * complex_gaussian(&mut rng, 1.0).re;
-            let offset_ns = self
-                .sync
-                .as_ref()
-                .map(|s| s.offset_ns(ap, t))
-                .unwrap_or(f64::INFINITY);
-            let err_m = C_M_PER_NS * (offset_ns + noise_ns);
-            if ap == serving {
-                d_ref = Some((dist_m, err_m));
-            }
-            anchors.push((ap, dist_m, err_m));
-        }
-        let mut out = TdoaOutcome {
-            client,
-            blast,
-            at: t,
-            n_anchors: 0,
-            fix: None,
-            residual_m: None,
-            truth_pos: pos,
-            pos_error_m: None,
-            tracked_pos: None,
-            tracked_pos_error_m: None,
-            mode,
-            anomaly_score: 0.0,
+        let solver = BlastSolver {
+            seed,
+            cfg: &self.cfg.tdoa,
+            aps: &self.aps,
+            sync: self.sync.as_ref(),
         };
-        let Some((d_ref, err_ref)) = d_ref.filter(|_| anchors.len() >= cfg.min_anchors) else {
-            // Not enough fleet to solve (or the serving AP missed the
-            // blast): no fix, but the tracker still sees the miss (mode
-            // machine + anomaly accounting).
-            let upd = self.clients[client].tracker.observe(t, None, false);
-            out.anomaly_score = upd.anomaly_score;
-            return out;
+        self.heard.clear();
+        self.heard
+            .extend(solver.listeners(t, pos, serving).map(|(ap, _)| ap));
+        if self.heard.contains(&serving) && self.heard.len() >= cfg.min_anchors {
+            for &ap in &self.heard {
+                // A blast is overheard, not scheduled: it happens at `t`
+                // on the client's cadence no matter what this AP's
+                // arbiter thinks, so it books the air at its true instant
+                // (O(1)) instead of competing for an admission grant it
+                // would ignore anyway.
+                self.shards[ap].charge_airtime_at(t, cfg.blast_airtime);
+            }
+        }
+        if self.runtime.is_some() {
+            self.pending.push(fired);
+        } else {
+            let mut out = TdoaOutcome::fired(&fired);
+            solver.solve(
+                &mut out,
+                &mut self.clients[client],
+                &mut self.blast_lanes[0],
+            );
+            outcomes.push(out);
+        }
+    }
+
+    /// The solve pass: solves every pending blast on the runtime's lanes
+    /// and appends the outcomes in blast order.
+    ///
+    /// A solve writes no state but its own client's tracker, and the
+    /// clock epoch it reads holds until the next round, so only each
+    /// client's blasts must stay in time order. The batch lays out one
+    /// outcome slot per blast, client-major and in time order within a
+    /// client; an item is a run of [`BLAST_ITEM_CLIENTS`] clients with
+    /// their slots, and one in-place permutation puts the slots back in
+    /// blast order.
+    fn solve_pending(&mut self, seed: u64, outcomes: &mut Vec<TdoaOutcome>) {
+        let Some(rt) = &self.runtime else { return };
+        if self.pending.is_empty() {
+            return;
+        }
+        let pending = &mut self.pending;
+        pending.sort_unstable_by_key(|p| (p.client, p.seq));
+        let base = outcomes.len();
+        outcomes.extend(pending.iter().map(TdoaOutcome::fired));
+        let solver = BlastSolver {
+            seed,
+            cfg: &self.cfg.tdoa,
+            aps: &self.aps,
+            sync: self.sync.as_ref(),
         };
-        for &(ap, _, _) in anchors.iter() {
-            // A blast is overheard, not scheduled: it happens at `t` on
-            // the client's cadence no matter what this AP's arbiter
-            // thinks, so it books the air at its true instant (O(1))
-            // instead of competing for an admission grant it would
-            // ignore anyway.
-            self.shards[ap].charge_airtime_at(t, cfg.blast_airtime);
+        let mut slots = &mut outcomes[base..];
+        let items =
+            self.clients
+                .chunks_mut(BLAST_ITEM_CLIENTS)
+                .enumerate()
+                .map(move |(i, clients)| {
+                    let first = i * BLAST_ITEM_CLIENTS;
+                    let n = slots.partition_point(|o| o.client < first + clients.len());
+                    let (item, rest) = std::mem::take(&mut slots).split_at_mut(n);
+                    slots = rest;
+                    (first, clients, item)
+                });
+        rt.run_uncounted(
+            items,
+            &mut self.blast_lanes,
+            |lane, (first, clients, slots)| {
+                // The lanes' scratch sits side by side in one `Vec`; moving
+                // this lane's onto its stack for the item keeps two threads
+                // from writing one cache line.
+                let mut scratch = std::mem::take(lane);
+                for out in slots {
+                    solver.solve(out, &mut clients[out.client - first], &mut scratch);
+                }
+                *lane = scratch;
+            },
+        );
+        // Slot k holds blast `pending[k].seq`: walk each cycle of the
+        // permutation, swapping every outcome into its blast-order slot.
+        for k in 0..pending.len() {
+            while pending[k].seq != k {
+                let to = pending[k].seq;
+                outcomes.swap(base + k, base + to);
+                pending.swap(k, to);
+            }
         }
-        out.n_anchors = anchors.len();
-        let reference = self.aps[serving];
-        self.blast_diffs.clear();
-        for &(ap, dist_m, err_m) in anchors.iter().filter(|a| a.0 != serving) {
-            self.blast_diffs.push(RangeDiff {
-                anchor: self.aps[ap],
-                diff_m: (dist_m - d_ref) + (err_m - err_ref),
-            });
-        }
-        let prior = self.clients[client]
-            .tracker
-            .filter()
-            .predicted_position()
-            .unwrap_or(reference);
-        let fix = solve_tdoa(reference, &self.blast_diffs, prior, &cfg.solver).ok();
-        let upd = self.clients[client]
-            .tracker
-            .observe(t, fix.map(|f| f.point), true);
-        out.anomaly_score = upd.anomaly_score;
-        if let Some(f) = fix {
-            out.fix = Some(f.point);
-            out.residual_m = Some(f.residual_m);
-            out.pos_error_m = Some(f.point.dist(pos));
-        }
-        out.tracked_pos = upd.fused;
-        out.tracked_pos_error_m = upd.fused.map(|p| p.dist(pos));
-        out
+        pending.clear();
     }
 
     /// Advances the whole fleet by `window`: handoffs at the boundary,
@@ -880,18 +1064,28 @@ impl FleetEngine {
     /// ap)`, so a `sync_disabled` round-trip fleet is bit-identical to
     /// standalone engines run with those seeds.
     ///
-    /// ## One level of parallelism
+    /// ## One level of parallelism, two batches
     ///
-    /// Everything fleet-wide — handoffs, sync rounds, TDoA blasts,
-    /// airtime pre-charges — runs serially here at the window boundary;
-    /// the shard windows between boundaries share no mutable state
-    /// (each shard owns its clients, events, pipeline and RNG stream;
-    /// the plan cache is content-addressed), so with a runtime
-    /// ([`FleetConfig::workers`]) they spread over the driver plus
-    /// scoped threads, each shard running its own sweeps inline.
-    /// Reports come back in shard order and each shard is seeded
-    /// independently, so every [`FleetWindowReport`] field is bitwise
-    /// identical across worker counts and vs. the serial loop, except
+    /// Everything that touches fleet-wide state — handoffs, sync rounds,
+    /// blast ordinals and rescheduling, airtime pre-charges — runs
+    /// serially here at the window boundary, in time order. With a
+    /// runtime ([`FleetConfig::workers`]) two kinds of batch spread over
+    /// the driver plus scoped threads, one level deep each:
+    ///
+    /// 1. the blasts fired since the last sync round, solved before the
+    ///    next round and at the end of the pump: a solve writes only its
+    ///    own client's tracker, draws from its own (seed, blast, client)
+    ///    stream and reads a clock epoch that only a round changes, and
+    ///    each client's blasts stay in time order, so the outcomes —
+    ///    put back in blast order — match the serial fleet's, which
+    ///    solves each blast as it fires;
+    /// 2. the shard windows, which share no mutable state (each shard
+    ///    owns its clients, events, pipeline and RNG stream; the plan
+    ///    cache is content-addressed) and run their own sweeps inline.
+    ///    Reports come back in shard order.
+    ///
+    /// So every [`FleetWindowReport`] field is bitwise identical across
+    /// worker counts and vs. the serial fleet, except
     /// `shard_reports[..].wall` (host wall clock) and
     /// `shard_reports[..].cache.hits`, a shared-cache *lookup* count
     /// that tests leave out as execution metadata. `cache.misses` and

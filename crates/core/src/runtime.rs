@@ -10,9 +10,11 @@
 //! scratch stays warm without a persistent pool.
 //!
 //! Each run is exactly one level deep: a `ServiceEngine` spreads its
-//! same-instant sweeps, a `FleetEngine` spreads its shard windows and
-//! each shard runs its own sweeps inline. No item waits on another
-//! batch, so there is no queue, no nesting and nothing to deadlock.
+//! same-instant sweeps; a `FleetEngine` runs two batches per window,
+//! its TDoA blast solves (grouped per client) and then its shard
+//! windows, and each shard runs its own sweeps inline. No item waits on
+//! another batch, so there is no queue, no nesting and nothing to
+//! deadlock.
 //!
 //! See `docs/SCHEDULING.md` for how the engine and the fleet use it.
 
@@ -101,6 +103,7 @@ impl WorkerRuntime {
     /// [`WorkerRuntime::run`] without the allocation probe, for items
     /// that allocate by design: a fleet shard's whole window builds
     /// event queues and its report, the same in serial and parallel.
+    /// A fleet's blast solves run here too.
     pub fn run_uncounted<I, L, R, F>(&self, items: I, lanes: &mut [L], f: F) -> Vec<R>
     where
         I: IntoIterator,

@@ -220,6 +220,10 @@ pub trait TrackFilter {
     /// An innovation's size in standard deviations — what the gate and
     /// the anomaly score read.
     fn sigmas(innovation: &Self::Innovation) -> f64;
+
+    /// Whether a measurement is finite (every coordinate of a point).
+    /// [`Tracker::observe`] counts a non-finite fix as a miss.
+    fn is_finite(z: Self::Fix) -> bool;
 }
 
 /// A 2-state constant-velocity Kalman filter over distance.
@@ -341,6 +345,10 @@ impl TrackFilter for DistanceFilter {
 
     fn sigmas(innovation: &Innovation) -> f64 {
         innovation.sigmas()
+    }
+
+    fn is_finite(z_m: f64) -> bool {
+        z_m.is_finite()
     }
 }
 
@@ -473,6 +481,10 @@ impl TrackFilter for PositionFilter {
 
     fn sigmas(innovation: &PositionInnovation) -> f64 {
         innovation.sigmas()
+    }
+
+    fn is_finite(z: Point) -> bool {
+        z.is_finite()
     }
 }
 
@@ -631,7 +643,8 @@ impl<F: TrackFilter> Tracker<F> {
     /// `fix` is the sweep's estimate (`None` when the sweep produced no
     /// usable one — no distance, or a localization that failed);
     /// `link_complete` is whether the link-layer sweep covered its whole
-    /// plan.
+    /// plan. A non-finite fix counts as a miss: it is never fused and
+    /// never seeds the filter.
     pub fn observe(
         &mut self,
         t: Instant,
@@ -650,7 +663,7 @@ impl<F: TrackFilter> Tracker<F> {
         let mut gated = false;
         let mut innovation = None;
         match fix {
-            Some(z) if link_complete => {
+            Some(z) if link_complete && F::is_finite(z) => {
                 if let Some(inn) = self.filter.innovation(z) {
                     let sigmas = F::sigmas(&inn);
                     if sigmas > self.cfg.gate_sigma {
@@ -680,7 +693,9 @@ impl<F: TrackFilter> Tracker<F> {
                 }
             }
             _ => {
-                // No fix, or an incomplete sweep: a miss. An incomplete
+                // No fix, a non-finite one (the gate cannot weigh NaN,
+                // and one fused NaN would poison every later estimate),
+                // or an incomplete sweep: a miss. An incomplete
                 // subset sweep can still estimate from the bands that
                 // survived, but those degraded fixes carry elevated
                 // ghost-peak risk, so they are not fused — repeated
@@ -919,6 +934,40 @@ mod tests {
         }
         check::<DistanceFilter>();
         check::<PositionFilter>();
+    }
+
+    #[test]
+    fn non_finite_fix_is_a_miss_and_never_reaches_the_filter() {
+        fn check<F: OnLine>() {
+            let mut t = Tracker::<F>::new(TrackerConfig::default());
+            for i in 0..4 {
+                t.observe(at(i), Some(F::fix(4.0)), true);
+            }
+            assert_eq!(t.mode(), TrackMode::Track);
+            let u = t.observe(at(4), Some(F::fix(f64::NAN)), true);
+            assert!(!u.gated && u.innovation.is_none(), "NaN must not be fused");
+            assert_eq!(t.missed(), 1, "NaN counts as a miss");
+            assert_eq!(t.anomaly().run, 1);
+            assert!(u.anomaly_score.is_finite());
+            for i in 5..9 {
+                let u = t.observe(at(i), Some(F::fix(4.0)), true);
+                let fused = F::along(u.fused.expect("the track survives"));
+                assert!((fused - 4.0).abs() < 1e-6, "fused {fused}");
+            }
+            assert_eq!(t.mode(), TrackMode::Track);
+            assert_eq!(t.missed(), 0);
+            // A cold tracker is not seeded by one either.
+            let mut cold = Tracker::<F>::new(TrackerConfig::default());
+            let u = cold.observe(at(0), Some(F::fix(f64::INFINITY)), true);
+            assert!(u.fused.is_none() && cold.filter().estimate().is_none());
+            assert_eq!(cold.anomaly().run, 1);
+        }
+        check::<DistanceFilter>();
+        check::<PositionFilter>();
+        // One non-finite coordinate is enough.
+        let mut t = PositionTracker::new(TrackerConfig::default());
+        let u = t.observe(at(0), Some(Point::new(1.0, f64::NAN)), true);
+        assert!(u.fused.is_none() && !t.filter().is_initialized());
     }
 
     #[test]

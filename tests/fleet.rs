@@ -210,14 +210,24 @@ fn report_fingerprint(r: &FleetWindowReport) -> String {
             write!(s, " {:?}", outcome_key(o)).unwrap();
         }
     }
+    let bits = |x: Option<f64>| x.map(f64::to_bits);
+    let point_bits = |p: Point| (p.x.to_bits(), p.y.to_bits());
     for o in &r.tdoa_outcomes {
         write!(
             s,
-            "!{} {} {} {:x}",
+            "!{} {} {} {} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:x}",
             o.client,
             o.blast,
             o.at.as_nanos(),
-            o.pos_error_m.unwrap_or(f64::NAN).to_bits()
+            o.n_anchors,
+            o.fix.map(point_bits),
+            bits(o.residual_m),
+            point_bits(o.truth_pos),
+            bits(o.pos_error_m),
+            o.tracked_pos.map(point_bits),
+            bits(o.tracked_pos_error_m),
+            o.mode,
+            o.anomaly_score.to_bits()
         )
         .unwrap();
     }
@@ -225,11 +235,14 @@ fn report_fingerprint(r: &FleetWindowReport) -> String {
 }
 
 /// A roaming run with churn landing mid-sequence: a client joins before
-/// window 1 while the walkers keep crossing cell boundaries, so the
-/// windows exercise handoffs and population growth under whatever shard
-/// execution strategy `workers` selects.
+/// window 1 while `walkers` walkers keep crossing cell boundaries, so the
+/// windows exercise handoffs and population growth under whatever
+/// execution strategy `workers` selects. Windows are longer than the
+/// 100 ms sync interval, so a TDoA window also solves blasts at
+/// mid-window rounds.
 fn run_walkers_with_churn(
     mode: FleetRangingMode,
+    walkers: usize,
     workers: Option<usize>,
     windows: usize,
 ) -> (Vec<FleetWindowReport>, usize) {
@@ -237,7 +250,7 @@ fn run_walkers_with_churn(
     cfg.service.threads = 4;
     cfg.workers = workers;
     let mut fleet = FleetEngine::new(cfg, Environment::free_space(), ap_grid(9, 20.0));
-    for i in 0..6 {
+    for i in 0..walkers {
         fleet.add_client(walker(i, 0));
     }
     let shard_workers = fleet.shard_workers();
@@ -246,7 +259,7 @@ fn run_walkers_with_churn(
             if w == 1 {
                 fleet.add_client(Point::new(1.0, 39.0));
             }
-            for i in 0..6 {
+            for i in 0..walkers {
                 fleet.set_client_pos(i, walker(i, w));
             }
             fleet.run_window(9, Duration::from_millis(250))
@@ -257,28 +270,49 @@ fn run_walkers_with_churn(
 
 #[test]
 fn fleet_reports_bitwise_identical_across_worker_counts() {
-    for mode in [FleetRangingMode::RoundTrip, FleetRangingMode::Tdoa] {
-        // Some(0) pins the strictly serial shard loop (the pre-parallel
-        // reference); every pool size must reproduce it bit for bit.
-        let (serial, sw) = run_walkers_with_churn(mode, Some(0), 2);
-        assert_eq!(sw, 0, "Some(0) must run the serial shard loop");
+    // Some(0) is the strictly serial fleet: shard windows one after
+    // another, each blast solved as it fires. The parallel widths solve
+    // a TDoA window's blasts in client-major batches of 32-client items
+    // and must put each outcome back in its blast-order slot, every
+    // tracker having seen its own blasts in time order; 240 walkers give
+    // several items per lane.
+    for (mode, walkers) in [
+        (FleetRangingMode::RoundTrip, 6),
+        (FleetRangingMode::Tdoa, 240),
+    ] {
+        let (serial, sw) = run_walkers_with_churn(mode, walkers, Some(0), 2);
+        assert_eq!(sw, 0, "Some(0) must run the serial fleet");
         assert!(
             serial.iter().map(|r| r.handoffs).sum::<usize>() >= 1,
             "scenario must exercise handoffs mid-sequence"
         );
-        assert_eq!(serial.last().unwrap().n_clients, 7, "churn client joined");
+        assert!(
+            serial.iter().all(|r| r.sync_rounds >= 2),
+            "windows must span mid-window sync rounds"
+        );
+        assert_eq!(
+            serial.last().unwrap().n_clients,
+            walkers + 1,
+            "churn client joined"
+        );
         let reference: Vec<String> = serial.iter().map(report_fingerprint).collect();
         for workers in [1usize, 2, 8] {
-            let (parallel, sw) = run_walkers_with_churn(mode, Some(workers), 2);
+            let (parallel, sw) = run_walkers_with_churn(mode, walkers, Some(workers), 2);
             assert_eq!(sw, workers, "explicit worker count honored");
             let got: Vec<String> = parallel.iter().map(report_fingerprint).collect();
-            assert_eq!(got, reference, "workers={workers} diverged from serial");
+            assert!(
+                got == reference,
+                "{mode:?} workers={workers} diverged from serial"
+            );
         }
         // The default (auto) strategy must also match, whatever width
         // this host picks.
-        let (auto, _) = run_walkers_with_churn(mode, None, 2);
+        let (auto, _) = run_walkers_with_churn(mode, walkers, None, 2);
         let got: Vec<String> = auto.iter().map(report_fingerprint).collect();
-        assert_eq!(got, reference, "auto worker count diverged from serial");
+        assert!(
+            got == reference,
+            "{mode:?} auto worker count diverged from serial"
+        );
     }
     // Some(0) is strictly serial even over a multi-threaded service: no
     // fleet runtime, and no shard ever builds one for its sweeps.
@@ -426,6 +460,61 @@ fn sync_disabled_fleet_is_bitwise_n_independent_engines() {
                 assert_eq!(f.mode, c.mode);
                 assert_eq!(f.bands_planned, c.bands_planned);
             }
+        }
+    }
+}
+
+#[test]
+fn non_finite_client_position_is_a_miss_not_a_panic() {
+    for mode in [FleetRangingMode::RoundTrip, FleetRangingMode::Tdoa] {
+        let mut fleet =
+            FleetEngine::new(fleet_cfg(mode), Environment::free_space(), ap_grid(4, 20.0));
+        let lost = fleet.add_client(Point::new(f64::NAN, 5.0));
+        let walker = fleet.add_client(Point::new(6.0, 5.0));
+        let r1 = fleet.run_window(4, Duration::from_millis(250));
+        // The walker fixes while it is finite, then goes non-finite far
+        // from its serving AP: it keeps that AP, and nothing hands off.
+        assert!(r1.fixes() > 0, "{mode:?}: the finite walker fixes");
+        fleet.set_client_pos(walker, Point::new(f64::INFINITY, f64::NAN));
+        let r2 = fleet.run_window(4, Duration::from_millis(250));
+        assert_eq!(r2.handoffs, 0, "{mode:?}");
+        assert_eq!(fleet.serving_ap(walker), 0, "{mode:?}");
+        // Every blast fired, and every sweep admitted, at a non-finite
+        // position is a miss (a sweep admitted before the move may still
+        // finish in this window with the old geometry).
+        let non_finite = |client: usize, at| client == lost || at >= r2.started;
+        let finite = |p: Option<Point>| p.is_none_or(|p| p.is_finite());
+        for r in [&r1, &r2] {
+            for o in &r.tdoa_outcomes {
+                if non_finite(o.client, o.at) {
+                    assert_eq!(o.n_anchors, 0, "{o:?}");
+                    assert!(o.fix.is_none(), "{o:?}");
+                }
+                assert!(
+                    finite(o.tracked_pos) && o.anomaly_score.is_finite(),
+                    "{o:?}"
+                );
+            }
+            for (ap, sr) in r.shard_reports.iter().enumerate() {
+                for o in &sr.outcomes {
+                    if non_finite(fleet.client_of_slot(ap, o.client), o.started) {
+                        assert!(o.position.is_none() && o.distance_m.is_none(), "{o:?}");
+                    }
+                    assert!(
+                        finite(o.tracked_pos) && o.tracked_m.is_none_or(f64::is_finite),
+                        "{o:?}"
+                    );
+                }
+            }
+        }
+        if mode == FleetRangingMode::Tdoa {
+            assert!(!r2.tdoa_outcomes.is_empty(), "blasts still fire");
+            assert!(!fleet.tdoa_tracker(lost).filter().is_initialized());
+            assert!(finite(
+                fleet.tdoa_tracker(walker).filter().predicted_position()
+            ));
+        } else {
+            assert!(!r2.shard_reports[0].outcomes.is_empty(), "sweeps still run");
         }
     }
 }
