@@ -1,15 +1,13 @@
 //! The sweep-pipeline throughput benchmark and its CI regression gate.
 //!
 //! ```sh
-//! # Regenerate the checked-in baseline (CI gates a --quick run with the
-//! # simd feature, so the baseline must match both — parameter
-//! # mismatches fail the gate explicitly):
-//! cargo run --release -p chronos-bench --bin bench_throughput \
-//!     --features chronos-core/simd -- --quick
+//! # Regenerate the checked-in baseline (CI gates a --quick run, so the
+//! # baseline must be one too — parameter mismatches fail the gate
+//! # explicitly):
+//! cargo run --release -p chronos-bench --bin bench_throughput -- --quick
 //!
 //! # Gate mode (what scripts/check-bench-regression.sh runs in CI):
-//! cargo run --release -p chronos-bench --bin bench_throughput \
-//!     --features chronos-core/simd -- \
+//! cargo run --release -p chronos-bench --bin bench_throughput -- \
 //!     --quick --check BENCH_throughput.json --tolerance 0.20
 //! ```
 //!

@@ -10,9 +10,9 @@
 //!   iteration. This is the recorded pre-refactor baseline the pipeline
 //!   must beat.
 //! * `solver_pipeline` — [`chronos_core::ista::solve_planned_into`] over
-//!   a warm scratch (sparse-aware forward, ping-pong buffers; the
-//!   lane-chunked SoA kernels when the `simd` feature is on). Its
-//!   `speedup_x` against the reference is the headline acceptance
+//!   a warm scratch (the lane-chunked SoA kernels: support-restricted
+//!   forward, fused prox step, the polyphase adjoint on raster plans).
+//!   Its `speedup_x` against the reference is the headline acceptance
 //!   metric (must stay ≥ 3.0×).
 //! * `fix_estimate` / `fix_pipeline` — the end-to-end products → ToF
 //!   path through a fresh [`chronos_core::pipeline::SweepPipeline`] per
@@ -61,9 +61,7 @@ pub const SUBSET_BANDS: usize = 12;
 
 /// The headline acceptance floor: the scratch solver must deliver at
 /// least this many times the pre-refactor reference's sweeps/s.
-/// Re-baselined from 1.2× when the lane-chunked SoA kernels landed
-/// (the gate runs with `--features simd`; the scalar tier keeps the
-/// exact bitwise contract instead of the throughput floor).
+/// Re-baselined from 1.2× when the lane-chunked SoA kernels landed.
 pub const MIN_SOLVER_SPEEDUP: f64 = 3.0;
 
 /// Headers of the `BENCH_throughput` table, in column order.
@@ -95,7 +93,8 @@ fn products_for(freqs: &[chronos_rf::bands::Band], i: usize) -> Vec<BandProduct>
 /// locally materialized operator matrix, a fresh `Vec` per intermediate
 /// per iteration, `clone()`-based FISTA extrapolation. Kept in the bench
 /// crate as the recorded baseline the pipeline is gated against; its
-/// solutions are asserted value-identical to the pipeline's.
+/// solutions are asserted to match the pipeline's within the solver's
+/// tolerance contract.
 struct DenseReference {
     n: usize,
     m: usize,
@@ -251,28 +250,20 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
 
     // The reference must agree with the pipeline solver on every client
     // channel — the baseline is only meaningful if it computes the same
-    // solution. On the scalar tier this is value equality (the
-    // sparse-aware forward skips exact zeros, which can flip a zero's
-    // sign but never a value); the SIMD tier reassociates lane sums, so
-    // it is held to the tolerance contract instead (see docs/PIPELINE.md).
+    // solution. The lane kernels reassociate their sums, so agreement
+    // is the solver's tolerance contract (docs/PIPELINE.md): within
+    // 1e-6 of the profile peak.
     for h in &track_channels {
         let want = reference.solve(h, &ista_cfg, plan.op_norm);
         solve_planned_into(&plan, h, &ista_cfg, &mut scratch);
         assert_eq!(want.len(), scratch.solution().len());
         let peak = want.iter().map(|c| c.abs()).fold(0.0f64, f64::max);
         for (a, b) in want.iter().zip(scratch.solution().iter()) {
-            if chronos_core::simd_enabled() {
-                let drift = (*a - *b).abs();
-                assert!(
-                    drift <= 1e-6 * peak.max(1e-12),
-                    "simd solver drifted from reference: {a} vs {b} (drift {drift:.3e})"
-                );
-            } else {
-                assert!(
-                    a.re == b.re && a.im == b.im,
-                    "reference diverged from pipeline solver: {a} vs {b}"
-                );
-            }
+            let drift = (*a - *b).abs();
+            assert!(
+                drift <= 1e-6 * peak.max(1e-12),
+                "pipeline solver drifted from reference: {a} vs {b} (drift {drift:.3e})"
+            );
         }
     }
 

@@ -63,8 +63,10 @@ pub fn sparsify(p: &mut [Complex64], t: f64) {
     }
 }
 
-/// Reusable solver buffers: the iterates, extrapolation point and
-/// forward/adjoint images [`solve_planned_into`] ping-pongs between.
+/// Reusable solver buffers: the split planes [`solve_planned_into`]
+/// iterates in, and the interleaved iterates, extrapolation point and
+/// forward/adjoint images of the scalar reference
+/// [`solve_planned_into_scalar`] (untouched by the lane-chunked body).
 ///
 /// Allocated once (typically per engine worker, inside a
 /// [`crate::pipeline::SweepPipeline`]); every later solve of any size up
@@ -72,7 +74,8 @@ pub fn sparsify(p: &mut [Complex64], t: f64) {
 /// perform **zero heap allocations**.
 #[derive(Debug, Clone, Default)]
 pub struct IstaScratch {
-    /// Current iterate; holds the solution after a solve.
+    /// Current iterate of the scalar reference; holds the solution after
+    /// either solve.
     p: Vec<Complex64>,
     /// FISTA extrapolation point.
     y: Vec<Complex64>,
@@ -83,17 +86,15 @@ pub struct IstaScratch {
     /// Adjoint image / gradient buffer (grid length).
     grad: Vec<Complex64>,
     /// Structure-of-arrays mirrors of the iterates for the lane-chunked
-    /// solver of the `simd` feature.
-    #[cfg(feature = "simd")]
+    /// solver body.
     split: SplitScratch,
 }
 
-/// Split re/im planes of every solver buffer (the `simd` fast path).
-/// The FISTA extrapolation point `y` is never materialized — the fused
+/// Split re/im planes of every buffer of [`solve_planned_into`]. The
+/// FISTA extrapolation point `y` is never materialized — the fused
 /// kernel recomputes it in registers from the current and previous
 /// iterates — so the scratch holds the two iterates plus their nonzero
 /// index lists instead.
-#[cfg(feature = "simd")]
 #[derive(Debug, Clone, Default)]
 struct SplitScratch {
     p_re: Vec<f64>,
@@ -126,7 +127,7 @@ impl IstaScratch {
     }
 
     /// The sparse profile produced by the most recent
-    /// [`solve_planned_into`] call.
+    /// [`solve_planned_into`] (or [`solve_planned_into_scalar`]) call.
     pub fn solution(&self) -> &[Complex64] {
         &self.p
     }
@@ -143,37 +144,12 @@ pub struct IstaStats {
     pub residual: f64,
 }
 
-/// Sparse inversion of `h` under a precomputed plan (see
-/// [`crate::plan::PlanCache`]), which supplies the operator and its
-/// spectral norm. Runs in a reusable scratch arena: zero heap
-/// allocations once the scratch has seen the problem size, and a dirty
-/// scratch gives the same bits as a fresh one (pinned by a proptest in
-/// `tests/alloc.rs`). The solution is read from
-/// [`IstaScratch::solution`].
-///
-/// Dispatches on the `simd` feature: the lane-chunked structure-of-arrays
-/// body under `simd`, [`solve_planned_into_scalar`] otherwise.
-pub fn solve_planned_into(
-    plan: &crate::plan::NdftPlan,
-    h: &[Complex64],
-    cfg: &IstaConfig,
-    scratch: &mut IstaScratch,
-) -> IstaStats {
-    #[cfg(feature = "simd")]
-    {
-        solve_planned_into_simd(plan, h, cfg, scratch)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        solve_planned_into_scalar(plan, h, cfg, scratch)
-    }
-}
-
-/// [`solve_planned_into`] pinned to the scalar reference body regardless
-/// of the `simd` feature — the single source of truth the tolerance tier
-/// is measured against. Scalar builds dispatch here anyway; `simd`
-/// builds use it in the kernel-agreement proptests and wherever exact
-/// reproducibility across builds matters more than speed.
+/// The scalar reference for [`solve_planned_into`]: the same algorithm
+/// over interleaved complex buffers and the dense scalar
+/// [`Ndft::forward_into`]/[`Ndft::adjoint_into`]. No estimate runs it;
+/// the solver tests measure the lane-chunked body against it, and
+/// `ista::tests::ping_pong_buffers_pin_reference_convergence` pins it
+/// bit for bit to the historical per-iteration-allocating loop.
 ///
 /// Proximal gradient with the step size derived from the plan's
 /// spectral norm. The FISTA extrapolation ping-pongs `p`/`next` (a
@@ -272,17 +248,25 @@ pub fn solve_planned_into_scalar(
     }
 }
 
-/// The lane-chunked structure-of-arrays solver body (the `simd` fast
-/// path): identical algorithm and iteration structure to
-/// [`solve_planned_into_scalar`], with every complex buffer split into re/im
-/// planes so the gradient/momentum/threshold loops and the NDFT kernels
-/// vectorize. Reductions use the 4-accumulator lanes of
-/// [`chronos_math::lanes`], so iterates drift within the tolerance tier
-/// (≤ 1e-12 relative per kernel application) rather than matching the
-/// scalar body bitwise; the final solution is published back to the
+/// Sparse inversion of `h` under a precomputed plan (see
+/// [`crate::plan::PlanCache`]), which supplies the operator and its
+/// spectral norm. Runs in a reusable scratch arena: zero heap
+/// allocations once the scratch has seen the problem size, and a dirty
+/// scratch gives the same bits as a fresh one (pinned by a proptest in
+/// `tests/alloc.rs`). The solution is read from
+/// [`IstaScratch::solution`].
+///
+/// The lane-chunked structure-of-arrays body: the algorithm and
+/// iteration structure of [`solve_planned_into_scalar`], with every
+/// complex buffer split into re/im planes so the
+/// gradient/momentum/threshold loops and the NDFT kernels vectorize, and
+/// the polyphase adjoint on raster plans. Reductions use the
+/// 4-accumulator lanes of [`chronos_math::lanes`], so the iterates
+/// follow the scalar reference within a tolerance (≤ 1e-12 relative per
+/// kernel application, the whole solve within 1e-6 of the profile peak)
+/// rather than bit for bit; the final solution is published back to the
 /// interleaved [`IstaScratch::solution`] buffer.
-#[cfg(feature = "simd")]
-fn solve_planned_into_simd(
+pub fn solve_planned_into(
     plan: &crate::plan::NdftPlan,
     h: &[Complex64],
     cfg: &IstaConfig,
@@ -515,16 +499,11 @@ pub fn debias_into(
             );
         }
     }
-    // Under `simd` the normal-equations build (`A^H A`, `A^H b`) is
-    // lane-chunked; the scalar build stays the exact-tier source of
-    // truth (refit weights agree to ≤ 1e-12 relative — pinned by
-    // `debias_simd_tracks_scalar_reference` and the kernel proptest in
-    // `tests/properties.rs`).
-    #[cfg(feature = "simd")]
-    let refit = ws.atoms.lstsq_into_lanes(h, &mut ws.lstsq, &mut ws.w);
-    #[cfg(not(feature = "simd"))]
-    let refit = ws.atoms.lstsq_into(h, &mut ws.lstsq, &mut ws.w);
-    match refit {
+    // The normal-equations build (`A^H A`, `A^H b`) is lane-chunked;
+    // the scalar `lstsq_into` is its reference (refit weights agree to
+    // ≤ 1e-12 relative — pinned by `debias_simd_tracks_scalar_reference`
+    // and the kernel proptest in `tests/properties.rs`).
+    match ws.atoms.lstsq_into_lanes(h, &mut ws.lstsq, &mut ws.w) {
         Ok(()) => {
             out.clear();
             out.resize(p.len(), Complex64::ZERO);
@@ -855,14 +834,13 @@ mod tests {
 
     #[test]
     fn ping_pong_buffers_pin_reference_convergence() {
-        // Exact-tier contract: the two-buffer FISTA extrapolation must
-        // reproduce the clone-per-iteration reference exactly — same
+        // The two-buffer FISTA extrapolation of the scalar reference
+        // must reproduce the clone-per-iteration loop exactly — same
         // iterates, same iteration count, same residual — for both the
         // accelerated and plain solvers, including a reused scratch.
-        // Pinned on the scalar entry point, which stays the source of
-        // truth in every build (under `simd`, `solve_planned_into`
-        // dispatches to the tolerance tier instead and is covered by
-        // `simd_solver_tracks_scalar_reference`).
+        // (`solve_planned_into` runs the lane kernels and is measured
+        // against this reference by
+        // `simd_solver_tracks_scalar_reference`.)
         let f = freqs();
         let grid = TauGrid::span(60.0, 0.5);
         let plan = NdftPlan::new(&f, grid, 60.0);
@@ -891,11 +869,10 @@ mod tests {
         }
     }
 
-    /// Tolerance-tier contract: the lane-chunked solver follows the
-    /// scalar reference closely enough that the downstream support-based
-    /// debias refit erases the difference — same iterate shape, relative
-    /// solution drift bounded far below the profile peak scale.
-    #[cfg(feature = "simd")]
+    /// The lane-chunked solver follows the scalar reference closely
+    /// enough that the downstream support-based debias refit erases the
+    /// difference — same iterate shape, relative solution drift bounded
+    /// far below the profile peak scale.
     #[test]
     fn simd_solver_tracks_scalar_reference() {
         let f = freqs();
@@ -957,11 +934,10 @@ mod tests {
         }
     }
 
-    /// Under `simd`, `debias_into` lane-chunks the normal-equations
-    /// build. Re-deriving the support from the lanes output and refitting
-    /// it with the scalar `lstsq_into` must reproduce the same weights to
-    /// the tolerance tier (≤ 1e-12 relative).
-    #[cfg(feature = "simd")]
+    /// `debias_into` lane-chunks the normal-equations build.
+    /// Re-deriving the support from the lanes output and refitting it
+    /// with the scalar `lstsq_into` must reproduce the same weights
+    /// within 1e-12 relative.
     #[test]
     fn debias_simd_tracks_scalar_reference() {
         let f = freqs();

@@ -127,14 +127,6 @@ pub mod session;
 pub mod tof;
 pub mod tracker;
 
-/// Whether this build vectorizes the NDFT/FISTA hot path (the `simd`
-/// cargo feature, tolerance tier). `false` means the scalar exact tier:
-/// bitwise-reproducible against the PR-5 contract. Benches and tests
-/// branch on this instead of re-plumbing the feature flag.
-pub const fn simd_enabled() -> bool {
-    cfg!(feature = "simd")
-}
-
 pub use config::{ChronosConfig, IngestionConfig, QuirkMode};
 pub use engine::{ServiceEngine, WindowReport};
 pub use error::ChronosError;

@@ -9,17 +9,23 @@
 //! spectral norm by power iteration — the step size the proximal-gradient
 //! solver needs.
 //!
-//! # The Wi-Fi raster (tolerance tier)
+//! Two sets of kernels apply `F`. The lane-chunked split-plane kernels
+//! ([`Ndft::forward_extrapolated_split`], [`Ndft::fused_prox_step_split`],
+//! [`Ndft::adjoint_split_into`]) are the solver's. The scalar
+//! [`Ndft::forward_into`]/[`Ndft::adjoint_into`] are the dense reference
+//! they are tested against, and serve the off-hot-path callers (profile
+//! refinement, first-path selection, [`Ndft::op_norm`]).
 //!
-//! §6.1 treats `F` as a general non-uniform DFT, and the scalar exact tier
+//! # The Wi-Fi raster
+//!
+//! §6.1 treats `F` as a general non-uniform DFT, and the scalar reference
 //! keeps it that way. The band centers are not arbitrary, though: every
 //! Wi-Fi channel sits on the 5 MHz channel raster, and the default 200 ns
 //! grid spans exactly `1 / 5 MHz`. Whenever every offset
 //! `m_i = (f_i - f_0) * N * step` is an exact integer (`N` grid points,
 //! `f_0` the first band), `F` is a modulated, decimated length-`N` DFT.
-//! Under the `simd` feature [`Ndft`] then factors its adjoint in
-//! polyphase form. With `rho_i = m_i mod D`, `P = N / D` and
-//! `k = j P + k'`:
+//! [`Ndft`] then factors the solver's adjoint in polyphase form. With
+//! `rho_i = m_i mod D`, `P = N / D` and `k = j P + k'`:
 //!
 //! ```text
 //! (F* r)_k  = sum_rho T_rho[k] * S_rho[k']
@@ -94,14 +100,12 @@ pub struct Ndft {
     /// `mat`, copied at construction.
     mat_t: Vec<Complex64>,
     /// Structure-of-arrays copies of `mat`/`mat_t` (split re/im planes)
-    /// for the lane-chunked kernels of the `simd` feature. Same entries,
-    /// copied at construction.
-    #[cfg(feature = "simd")]
+    /// for the solver's lane-chunked kernels. Same entries, copied at
+    /// construction.
     split: SplitMats,
 }
 
-/// Split re/im planes of the operator for the `simd` lane kernels.
-#[cfg(feature = "simd")]
+/// Split re/im planes of the operator for the lane kernels.
 #[derive(Debug, Clone, Default)]
 struct SplitMats {
     /// Row-major real parts of `mat`; empty on raster plans, whose
@@ -120,7 +124,6 @@ struct SplitMats {
 /// The polyphase factorization of a raster plan's adjoint (module docs):
 /// `(F* r)_k = sum_c T_c[k] * S_c[k mod P]`, where the partial sums `S_c`
 /// are rebuilt from the measurements on every application.
-#[cfg(feature = "simd")]
 #[derive(Debug, Clone)]
 struct Polyphase {
     /// Decimation factor `D`, a divisor of the grid length.
@@ -148,7 +151,6 @@ struct Polyphase {
     t_im: Vec<f64>,
 }
 
-#[cfg(feature = "simd")]
 impl Polyphase {
     /// The factorization of `freqs_hz` over `grid`: `None` when a band
     /// center is off the grid's DFT raster, or when no decimation makes
@@ -281,7 +283,6 @@ impl Polyphase {
 }
 
 /// The distinct values of `offsets mod d`, ascending, into `out`.
-#[cfg(feature = "simd")]
 fn distinct_residues(offsets: &[i64], d: usize, out: &mut Vec<i64>) {
     out.clear();
     out.extend(offsets.iter().map(|m| m.rem_euclid(d as i64)));
@@ -315,30 +316,26 @@ impl Ndft {
         }
         // Raster plans skip the row-major split planes: their adjoint is
         // the polyphase factorization, and nothing else reads them.
-        #[cfg(feature = "simd")]
-        let split = {
-            let poly = Polyphase::new(freqs_hz, grid);
-            let (mat_re, mat_im) = match poly {
-                Some(_) => (Vec::new(), Vec::new()),
-                None => (
-                    mat.iter().map(|z| z.re).collect(),
-                    mat.iter().map(|z| z.im).collect(),
-                ),
-            };
-            SplitMats {
-                mat_re,
-                mat_im,
-                mat_t_re: mat_t.iter().map(|z| z.re).collect(),
-                mat_t_im: mat_t.iter().map(|z| z.im).collect(),
-                poly,
-            }
+        let poly = Polyphase::new(freqs_hz, grid);
+        let (mat_re, mat_im) = match poly {
+            Some(_) => (Vec::new(), Vec::new()),
+            None => (
+                mat.iter().map(|z| z.re).collect(),
+                mat.iter().map(|z| z.im).collect(),
+            ),
+        };
+        let split = SplitMats {
+            mat_re,
+            mat_im,
+            mat_t_re: mat_t.iter().map(|z| z.re).collect(),
+            mat_t_im: mat_t.iter().map(|z| z.im).collect(),
+            poly,
         };
         Ndft {
             freqs_hz: freqs_hz.to_vec(),
             grid,
             mat,
             mat_t,
-            #[cfg(feature = "simd")]
             split,
         }
     }
@@ -465,63 +462,26 @@ impl Ndft {
     }
 }
 
-/// The lane-chunked structure-of-arrays kernels of the `simd` feature:
-/// the same forward/adjoint operators over split re/im planes, written
-/// so LLVM vectorizes them into packed f64 arithmetic. The scalar
-/// [`Ndft::forward_into`]/[`Ndft::adjoint_into`] above remain the single
-/// source of truth; these belong to the tolerance tier (agreement within
-/// 1e-12 relative, pinned by proptests in `tests/properties.rs`).
-#[cfg(feature = "simd")]
+/// The solver's lane-chunked structure-of-arrays kernels: the same
+/// forward/adjoint operators over split re/im planes, written so LLVM
+/// vectorizes them into packed f64 arithmetic. The scalar
+/// [`Ndft::forward_into`]/[`Ndft::adjoint_into`] above are their
+/// reference: agreement within 1e-12 relative (1e-11 of `max|F* h|` for
+/// the polyphase adjoint), pinned by the tests below and the proptests in
+/// `tests/properties.rs` (see `docs/PIPELINE.md`).
 impl Ndft {
-    /// [`Ndft::forward_into`] over split re/im slices: `h = F p` with
-    /// the same zero-column skipping (an entry is skipped only when both
-    /// planes are exactly zero, matching the scalar predicate).
-    ///
-    /// The output rows are few (`n` = band count, ~12) but every
-    /// surviving column update is an independent 4-lane axpy, so the
-    /// whole pass is `n_nnz` packed complex multiply-accumulates.
-    pub fn forward_split_into(
-        &self,
-        p_re: &[f64],
-        p_im: &[f64],
-        out_re: &mut Vec<f64>,
-        out_im: &mut Vec<f64>,
-    ) {
-        assert_eq!(
-            p_re.len(),
-            self.grid.len,
-            "forward: profile length mismatch"
-        );
-        assert_eq!(
-            p_im.len(),
-            self.grid.len,
-            "forward: profile length mismatch"
-        );
-        let n = self.freqs_hz.len();
-        out_re.clear();
-        out_re.resize(n, 0.0);
-        out_im.clear();
-        out_im.resize(n, 0.0);
-        for (k, (br, bi)) in p_re.iter().zip(p_im.iter()).enumerate() {
-            if *br == 0.0 && *bi == 0.0 {
-                continue;
-            }
-            let col_re = &self.split.mat_t_re[k * n..(k + 1) * n];
-            let col_im = &self.split.mat_t_im[k * n..(k + 1) * n];
-            axpy_complex_split(col_re, col_im, *br, *bi, out_re, out_im);
-        }
-    }
-
-    /// Support-restricted forward transform with on-the-fly FISTA
-    /// extrapolation: `h = F y` where
-    /// `y = p + beta * (p - prev)` is never materialized.
+    /// [`Ndft::forward_into`] over split re/im planes, restricted to the
+    /// support and with on-the-fly FISTA extrapolation: `h = F y` where
+    /// `y = p + beta * (p - prev)` is never materialized (`beta = 0`
+    /// gives a plain `F p`).
     ///
     /// `supp_p`/`supp_prev` are the ascending nonzero index lists of the
     /// two iterates (collected for free by
     /// [`Ndft::fused_prox_step_split`]); `y` can only be nonzero on
-    /// their merge, so the full-grid zero scan of
-    /// [`Ndft::forward_split_into`] disappears — the pass is
-    /// `nnz` contiguous 12-wide axpys and nothing else.
+    /// their merge, so there is no full-grid zero scan — the pass is
+    /// `nnz` contiguous 12-wide axpys and nothing else. A column is
+    /// skipped only when both planes of `y` are exactly zero, the scalar
+    /// kernel's predicate.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_extrapolated_split(
         &self,
@@ -615,8 +575,9 @@ impl Ndft {
     /// twiddles. Both passes are otherwise shared with the dense kernel.
     ///
     /// Reductions are lane-reassociated and the shrink magnitude uses
-    /// `sqrt` instead of the scalar tier's `hypot`, so this kernel
-    /// belongs to the tolerance tier (see `docs/PIPELINE.md`).
+    /// `sqrt` instead of the scalar reference's `hypot`, so this kernel
+    /// agrees with the reference within a tolerance, not bitwise (see
+    /// `docs/PIPELINE.md`).
     #[allow(clippy::too_many_arguments)]
     pub fn fused_prox_step_split(
         &self,
@@ -737,12 +698,10 @@ impl Ndft {
 }
 
 /// Grid tile of the fused prox step: two lane chunks per pass-A step.
-#[cfg(feature = "simd")]
 const TILE: usize = 2 * chronos_math::lanes::LANES;
 
 /// The source of the fused prox step's gradient `F* r`: the dense
 /// row-major planes or a raster plan's polyphase factorization.
-#[cfg(feature = "simd")]
 trait GradSource {
     /// `(F* r)_k` for the grid points `k` in `c..c + TILE`.
     fn tile(&self, c: usize) -> ([f64; TILE], [f64; TILE]);
@@ -752,7 +711,6 @@ trait GradSource {
 
 /// The dense adjoint: `sum_i conj(F[i][k]) r_i`, accumulated in
 /// registers across all measurement rows.
-#[cfg(feature = "simd")]
 struct DenseAdjoint<'a> {
     mat_re: &'a [f64],
     mat_im: &'a [f64],
@@ -761,7 +719,6 @@ struct DenseAdjoint<'a> {
     m: usize,
 }
 
-#[cfg(feature = "simd")]
 impl GradSource for DenseAdjoint<'_> {
     #[inline(always)]
     fn tile(&self, c: usize) -> ([f64; TILE], [f64; TILE]) {
@@ -798,7 +755,6 @@ impl GradSource for DenseAdjoint<'_> {
 
 /// The polyphase adjoint: `sum_c T_c[k] S_c[k mod P]` over partial sums
 /// already built by [`Polyphase::partial_sums`].
-#[cfg(feature = "simd")]
 struct PolyAdjoint<'a> {
     poly: &'a Polyphase,
     s_re: &'a [f64],
@@ -806,7 +762,6 @@ struct PolyAdjoint<'a> {
     m: usize,
 }
 
-#[cfg(feature = "simd")]
 impl<'a> PolyAdjoint<'a> {
     /// Reads the partial sums [`Polyphase::partial_sums`] left in `sums`.
     fn new(poly: &'a Polyphase, sums: &'a [f64], m: usize) -> Self {
@@ -820,7 +775,6 @@ impl<'a> PolyAdjoint<'a> {
     }
 }
 
-#[cfg(feature = "simd")]
 impl<'a> GradSource for PolyAdjoint<'a> {
     #[inline(always)]
     fn tile(&self, c: usize) -> ([f64; TILE], [f64; TILE]) {
@@ -870,14 +824,12 @@ impl<'a> GradSource for PolyAdjoint<'a> {
 }
 
 /// The first [`TILE`] entries of `plane`.
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn lane_tile(plane: &[f64]) -> &[f64; TILE] {
     plane[..TILE].try_into().expect("lane tile in bounds")
 }
 
 /// `g += t * s` over one lane tile of split complex planes.
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn cmac_tile(
     t_re: &[f64; TILE],
@@ -895,7 +847,6 @@ fn cmac_tile(
 }
 
 /// The mutable twin of [`lane_tile`].
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn lane_tile_mut(plane: &mut [f64]) -> &mut [f64; TILE] {
     (&mut plane[..TILE])
@@ -911,7 +862,6 @@ fn lane_tile_mut(plane: &mut [f64]) -> &mut [f64; TILE] {
 /// index is in bounds by construction and the tile body compiles to
 /// packed arithmetic with no per-lane bounds checks. Pass B walks the
 /// planes as zipped iterators.
-#[cfg(feature = "simd")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn prox_pass<G: GradSource>(
@@ -1013,7 +963,6 @@ fn prox_pass<G: GradSource>(
 
 /// `out += a * b` over split planes for a complex scalar `b`
 /// (`(br, bi)`), 4 lanes at a time.
-#[cfg(feature = "simd")]
 fn axpy_complex_split(
     a_re: &[f64],
     a_im: &[f64],
@@ -1043,7 +992,6 @@ fn axpy_complex_split(
 
 /// `out += conj(a) * h` over split planes for a complex scalar `h`
 /// (`(hr, hi)`), 4 lanes at a time.
-#[cfg(feature = "simd")]
 fn axpy_conj_split(
     a_re: &[f64],
     a_im: &[f64],
@@ -1204,7 +1152,6 @@ mod tests {
     }
 
     /// The Intel 5300 delay-scale groups: 24 bands at 5 GHz, 11 at 2.4 GHz.
-    #[cfg(feature = "simd")]
     fn intel_groups() -> (Vec<f64>, Vec<f64>) {
         let plan = chronos_rf::bands::band_plan();
         let centers = |want_2g4: bool| {
@@ -1216,7 +1163,6 @@ mod tests {
         (centers(false), centers(true))
     }
 
-    #[cfg(feature = "simd")]
     fn subset_12() -> Vec<f64> {
         chronos_rf::subset::select_subset(&band_plan_5ghz(), 12, 100.0)
             .iter()
@@ -1224,7 +1170,6 @@ mod tests {
             .collect()
     }
 
-    #[cfg(feature = "simd")]
     #[test]
     fn wifi_groups_factor_on_the_200ns_raster() {
         let grid = TauGrid::span(200.0, 0.25);
@@ -1235,7 +1180,6 @@ mod tests {
         assert!(Ndft::new(&subset_12(), grid).polyphase_shape().is_some());
     }
 
-    #[cfg(feature = "simd")]
     #[test]
     fn off_raster_plans_stay_dense() {
         let grid = TauGrid::span(200.0, 0.25);
@@ -1271,7 +1215,6 @@ mod tests {
     /// agrees with the scalar dense adjoint within 1e-11 of `max|F* h|`,
     /// at every step over the 200 ns raster (including phase lengths
     /// that are not a multiple of the lane tile).
-    #[cfg(feature = "simd")]
     #[test]
     fn raster_adjoint_matches_dense_adjoint() {
         let (g5, g24) = intel_groups();
@@ -1326,7 +1269,6 @@ mod tests {
     /// the same `TILE` lanes of `|p|^2` and pass B over the cached
     /// squared magnitudes. Returns `(next_re, next_im, sq, support,
     /// delta2, pnorm2)`.
-    #[cfg(feature = "simd")]
     #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn prox_step_per_bin(
         ndft: &Ndft,
@@ -1393,7 +1335,6 @@ mod tests {
     /// threshold that keeps some bins and zeroes others — on the raster
     /// plans (5 GHz, 2.4 GHz, the 12-band subset), a dense off-raster
     /// plan, and grid lengths that are not a multiple of the lane tile.
-    #[cfg(feature = "simd")]
     #[test]
     fn tiled_prox_step_matches_per_bin_reference() {
         let (g5, g24) = intel_groups();

@@ -222,7 +222,9 @@ impl SweepPipeline {
     /// by `tests/alloc.rs`, for TRACK subsets and full ACQUIRE plans).
     /// Its scalars agree bit for bit with
     /// [`SweepPipeline::estimate_from_products`], which runs the same
-    /// body and also returns the profiles.
+    /// body and also returns the profiles. Both calls reject a product
+    /// with a non-finite frequency, value or delay scale as
+    /// [`ChronosError::BadCapture`].
     pub fn estimate_fix(
         &mut self,
         estimator: &TofEstimator,

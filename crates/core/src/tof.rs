@@ -289,6 +289,15 @@ impl TofEstimator {
         scratch: &mut EstimatorScratch,
         want_profiles: bool,
     ) -> Result<TofFix, ChronosError> {
+        // `BandProduct`'s fields are public, so a caller can hand in what
+        // no finite capture produces. The grouping sort and the solver
+        // assume finite numbers.
+        let finite = |p: &BandProduct| {
+            p.freq_hz.is_finite() && p.value.is_finite() && p.delay_scale.is_finite()
+        };
+        if !products.iter().all(finite) {
+            return Err(ChronosError::BadCapture("non-finite band product"));
+        }
         group_by_scale_into(
             products,
             groups,

@@ -267,11 +267,12 @@ impl CMat {
     /// `A^H b`) lane-chunked over split re/im planes
     /// ([`crate::lanes::dot_conj_split`]).
     ///
-    /// Tolerance tier: the four-accumulator reductions reassociate the
-    /// Gram/RHS sums relative to [`CMat::lstsq_into`], so results agree
-    /// to ≤ 1e-12 relative rather than bitwise; ridge and triangular
-    /// solve are the identical scalar code. The split column copies
-    /// live in the workspace, so a warm workspace allocates nothing.
+    /// The debias refit's solve. [`CMat::lstsq_into`] is its reference:
+    /// the four-accumulator reductions reassociate the Gram/RHS sums, so
+    /// results agree to ≤ 1e-12 relative rather than bitwise; ridge and
+    /// triangular solve are the identical scalar code. The split column
+    /// copies live in the workspace, so a warm workspace allocates
+    /// nothing.
     pub fn lstsq_into_lanes(
         &self,
         b: &[Complex64],

@@ -1,5 +1,5 @@
 //! Explicit 4-wide f64 lane helpers for the structure-of-arrays hot
-//! loops (the `simd` feature of `chronos-core`).
+//! loops of `chronos-core`'s sparse solver and debias refit.
 //!
 //! The workspace targets stable Rust with no SIMD crates, so "SIMD" here
 //! means *auto-vectorizer-friendly* code: split re/im slices walked in
@@ -11,10 +11,9 @@
 //!
 //! **Numerical contract:** the reductions here use four independent
 //! accumulators folded at the end, which *reassociates* the IEEE-754 sum
-//! relative to the sequential loops in [`crate::cvec`]. Callers that need
-//! the exact tier (bitwise reproducibility against the scalar pipeline)
-//! must keep using `cvec`; these lanes belong to the tolerance tier (see
-//! `docs/PIPELINE.md`).
+//! relative to the sequential loops in [`crate::cvec`]. The sequential
+//! loops stay the reference: a lane result agrees with them within a
+//! tolerance, not bitwise (see `docs/PIPELINE.md`).
 
 /// Lane width every chunked loop in this module uses.
 pub const LANES: usize = 4;
@@ -88,9 +87,10 @@ pub fn dist2_split(a_re: &[f64], a_im: &[f64], b_re: &[f64], b_im: &[f64]) -> f6
 ///
 /// This is the kernel of a Gram-matrix entry `(A^H A)[j,k]` and of the
 /// normal-equations right-hand side `A^H b`:
-/// `re = Σ ar·br + ai·bi`, `im = Σ ar·bi − ai·br`. Tolerance tier —
-/// the four-accumulator fold reassociates the sum relative to the
-/// sequential loop in [`crate::cmatrix::CMat::gram_into`].
+/// `re = Σ ar·br + ai·bi`, `im = Σ ar·bi − ai·br`. The four-accumulator
+/// fold reassociates the sum relative to the sequential loop in
+/// [`crate::cmatrix::CMat::gram_into`], so the two agree within a
+/// tolerance, not bitwise.
 pub fn dot_conj_split(a_re: &[f64], a_im: &[f64], b_re: &[f64], b_im: &[f64]) -> (f64, f64) {
     assert_eq!(a_re.len(), a_im.len(), "lanes: split length mismatch");
     assert_eq!(b_re.len(), b_im.len(), "lanes: split length mismatch");

@@ -5,9 +5,8 @@
 #     any metric regresses >20% against the checked-in
 #     BENCH_position.json baseline. Fully deterministic (seeded).
 #  2. Sweep-pipeline throughput: rerun the quick N=8 estimation
-#     benchmark — with the `simd` feature, the configuration the
-#     baseline is recorded under — and fail when the pipeline's speedup
-#     over the pre-refactor reference solver regresses >20% (or drops
+#     benchmark and fail when the pipeline's speedup over the
+#     pre-refactor reference solver regresses >20% (or drops
 #     below the absolute 3.0x floor; re-baselined from 1.2x when the
 #     lane-chunked SoA solver kernels landed), or when allocs/sweep
 #     increases AT ALL — the zero-allocation contract gates exactly,
@@ -53,8 +52,7 @@
 # On an *intentional* change, regenerate and commit the baselines:
 #
 #   cargo run --release -p chronos-bench --bin bench_position -- --quick
-#   cargo run --release -p chronos-bench --bin bench_throughput \
-#       --features chronos-core/simd -- --quick
+#   cargo run --release -p chronos-bench --bin bench_throughput -- --quick
 #   cargo run --release -p chronos-bench --bin bench_adversarial -- --quick
 #   cargo run --release -p chronos-bench --bin bench_soak -- --quick
 #   cargo run --release -p chronos-bench --bin bench_fleet -- --quick
@@ -83,8 +81,7 @@ done
 cargo run --release -p chronos-bench --bin bench_position -- \
     --quick --check "$position_baseline" --tolerance 0.20
 
-cargo run --release -p chronos-bench --bin bench_throughput \
-    --features chronos-core/simd -- \
+cargo run --release -p chronos-bench --bin bench_throughput -- \
     --quick --check "$throughput_baseline" --tolerance 0.20
 
 cargo run --release -p chronos-bench --bin bench_adversarial -- \

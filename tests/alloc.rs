@@ -112,11 +112,11 @@ fn acquire_estimation_is_allocation_free_after_warmup() {
 }
 
 /// One warm pipeline alternating between plans of different shape stays
-/// allocation-free. Under `simd` the 12-band TRACK subset and the full
-/// ACQUIRE plan's 2.4 GHz group factor their adjoints with different
-/// numbers of polyphase partial sums (`C P`). Those planes live in the
-/// solver scratch, reserved to the grid length, so a scratch warmed on
-/// the smaller shape serves the larger one without growing.
+/// allocation-free. The 12-band TRACK subset and the full ACQUIRE plan's
+/// 2.4 GHz group factor their adjoints with different numbers of
+/// polyphase partial sums (`C P`). Those planes live in the solver
+/// scratch, reserved to the grid length, so a scratch warmed on the
+/// smaller shape serves the larger one without growing.
 #[test]
 fn alternating_subset_and_full_plans_stay_allocation_free() {
     let estimator = TofEstimator::with_cache(ChronosConfig::default(), Arc::new(PlanCache::new()));
@@ -135,14 +135,11 @@ fn alternating_subset_and_full_plans_stay_allocation_free() {
     };
     let (subset_plan, subset_h) = group(&track[0], 2.0);
     let (coarse_plan, coarse_h) = group(&acquire[0], 8.0);
-    #[cfg(feature = "simd")]
-    {
-        let partial_sums = |plan: &NdftPlan| {
-            let (d, c) = plan.ndft.polyphase_shape().expect("on the 200 ns raster");
-            c * grid.len / d
-        };
-        assert!(partial_sums(&subset_plan) < partial_sums(&coarse_plan));
-    }
+    let partial_sums = |plan: &NdftPlan| {
+        let (d, c) = plan.ndft.polyphase_shape().expect("on the 200 ns raster");
+        c * grid.len / d
+    };
+    assert!(partial_sums(&subset_plan) < partial_sums(&coarse_plan));
     let cfg = IstaConfig::default();
     let mut scratch = IstaScratch::new();
     solve_planned_into(&subset_plan, &subset_h, &cfg, &mut scratch);

@@ -342,6 +342,63 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A band product with a non-finite frequency, value or delay scale
+    /// is a typed `BadCapture` from both pipeline estimation calls, never
+    /// a panic or a fix: every field, NaN and both infinities, at every
+    /// position of a 24-band 5 GHz sweep, under the ideal and the default
+    /// estimator. The same sweep without the bad number estimates fine.
+    #[test]
+    fn non_finite_band_product_is_bad_capture(
+        tau in 5.0f64..60.0,
+        amp2 in 0.1f64..0.9,
+    ) {
+        use chronos_suite::core::config::ChronosConfig;
+        use chronos_suite::core::reciprocity::BandProduct;
+        use chronos_suite::core::tof::{genie_product, TofEstimator};
+        use chronos_suite::core::{ChronosError, SweepPipeline};
+        use chronos_suite::rf::bands::band_plan_5ghz;
+
+        let paths = [(tau, 1.0), (tau + 4.0, amp2)];
+        let clean: Vec<BandProduct> = band_plan_5ghz()
+            .iter()
+            .map(|b| genie_product(b.center_hz, &paths, 2.0))
+            .collect();
+        let corrupt: [fn(&mut BandProduct, f64); 4] = [
+            |p, v| p.freq_hz = v,
+            |p, v| p.value.re = v,
+            |p, v| p.value.im = v,
+            |p, v| p.delay_scale = v,
+        ];
+        for config in [ChronosConfig::ideal(), ChronosConfig::default()] {
+            let estimator = TofEstimator::new(config);
+            let mut pipeline = SweepPipeline::new();
+            prop_assert!(pipeline.estimate_fix(&estimator, &clean).is_ok());
+            for index in 0..clean.len() {
+                for (field, set) in corrupt.iter().enumerate() {
+                    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                        let mut products = clean.clone();
+                        set(&mut products[index], bad);
+                        let what = format!("product {index}, field {field} = {bad}");
+                        let fix = pipeline.estimate_fix(&estimator, &products);
+                        prop_assert!(
+                            matches!(fix, Err(ChronosError::BadCapture(_))),
+                            "estimate_fix, {}: {:?}", what, fix
+                        );
+                        let est = pipeline.estimate_from_products(&estimator, &products);
+                        prop_assert!(
+                            matches!(est, Err(ChronosError::BadCapture(_))),
+                            "estimate_from_products, {}: {:?}", what, est.map(|e| e.tof_ns)
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Admission-queue properties (PR 7): a reference model of the bounded
 // multi-class queue is replayed against the real `AdmissionQueue` over
@@ -557,10 +614,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Tolerance tier (PR 10): the lane-chunked conjugated-dot kernel behind
-// the debias refit's normal equations (`CMat::lstsq_into_lanes`). The
-// helpers are always compiled in `chronos_math`, so this pin runs in
-// every tier; only `debias_into`'s dispatch is `simd`-gated.
+// The lane-chunked conjugated-dot kernel behind the debias refit's normal
+// equations (`CMat::lstsq_into_lanes`) against the scalar `lstsq_into`
+// reference (docs/PIPELINE.md).
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -621,19 +677,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Tolerance tier (PR 9): the lane-chunked SoA kernels of the `simd`
-// feature against the scalar source of truth. See docs/PIPELINE.md for
-// the exact-vs-tolerance contract boundary.
+// The solver's lane-chunked SoA kernels against the scalar references
+// (`Ndft::{forward_into, adjoint_into}`, `solve_planned_into_scalar`).
+// See docs/PIPELINE.md for which test pins what.
 // ---------------------------------------------------------------------------
 
 /// Full-sweep golden capture: end-to-end fix distances for the bench
 /// population (12-band 5 GHz subset, two-path genie channels, clients at
-/// `2.0 + 0.75 i` meters), recorded under the scalar (exact-tier) build.
-/// Scalar builds must reproduce the capture bitwise; `simd` builds must
-/// drift less than 1e-9 m. (In practice the tiers agree bitwise here:
-/// the solver tiers differ within 1e-6 relative, but every discrete
-/// downstream choice — support, peak bin — lands identically, and the
-/// sub-grid refinement re-derives the delay from the measurements.)
+/// `2.0 + 0.75 i` meters), recorded when the scalar kernels still ran
+/// the estimate. The lane-chunked estimator must stay within 1e-9 m of
+/// it. (In practice it reproduces the capture bitwise: the solvers
+/// differ within 1e-6 relative, but every discrete downstream choice —
+/// support, peak bin — lands identically, and the sub-grid refinement
+/// re-derives the delay from the measurements.)
 #[test]
 fn golden_capture_fix_distance_drift_below_nanometer() {
     use chronos_suite::core::config::ChronosConfig;
@@ -671,14 +727,13 @@ fn golden_capture_fix_distance_drift_below_nanometer() {
         let drift = (est.distance_m - golden).abs();
         assert!(
             drift < 1e-9,
-            "client {i}: fix drifted {drift:.3e} m from the scalar golden capture \
+            "client {i}: fix drifted {drift:.3e} m from the golden capture \
              ({:.17e} vs {golden:.17e})",
             est.distance_m
         );
     }
 }
 
-#[cfg(feature = "simd")]
 mod simd_tolerance {
     use super::*;
     use chronos_suite::core::ista::solve_planned_into_scalar;
@@ -699,29 +754,48 @@ mod simd_tolerance {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The split-plane forward kernel agrees with the scalar
-        /// forward within 1e-12 relative on random plans and random
-        /// (partially sparse) profiles.
+        /// The solver's split-plane forward kernel — support-restricted,
+        /// extrapolating `y = p + beta (p - prev)` on the fly — agrees
+        /// with the scalar forward of the materialized `y` within 1e-12
+        /// relative on random plans and random sparse iterates (`beta`
+        /// = 0 is the plain `F p` of the final residual).
         #[test]
         fn split_forward_matches_scalar_within_1e12(
             inputs in plan_inputs(),
             coeffs in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0, 0u8..4), 1..8),
+            beta in prop_oneof![Just(0.0f64), 0.0f64..1.0],
         ) {
             let (freqs, span, step) = inputs;
             let grid = TauGrid::span(span, step);
             let ndft = Ndft::new(&freqs, grid);
             let m = ndft.n_taus();
+            // Two iterates on overlapping supports.
             let mut p = vec![Complex64::ZERO; m];
+            let mut prev = vec![Complex64::ZERO; m];
             for (j, (re, im, stride)) in coeffs.iter().enumerate() {
                 let k = (j * (*stride as usize + 1) * 7) % m;
                 p[k] = Complex64::new(*re, *im);
+                prev[(k + 3 * j) % m] = Complex64::new(*im, -*re);
             }
-            let p_re: Vec<f64> = p.iter().map(|z| z.re).collect();
-            let p_im: Vec<f64> = p.iter().map(|z| z.im).collect();
+            let y: Vec<Complex64> = p
+                .iter()
+                .zip(prev.iter())
+                .map(|(a, b)| *a + (*a - *b).scale(beta))
+                .collect();
+            let planes = |v: &[Complex64]| -> (Vec<f64>, Vec<f64>) {
+                (v.iter().map(|z| z.re).collect(), v.iter().map(|z| z.im).collect())
+            };
+            let support = |v: &[Complex64]| -> Vec<u32> {
+                (0..m as u32).filter(|k| v[*k as usize] != Complex64::ZERO).collect()
+            };
+            let ((p_re, p_im), (prev_re, prev_im)) = (planes(&p), planes(&prev));
             let mut want = Vec::new();
-            ndft.forward_into(&p, &mut want);
+            ndft.forward_into(&y, &mut want);
             let (mut out_re, mut out_im) = (Vec::new(), Vec::new());
-            ndft.forward_split_into(&p_re, &p_im, &mut out_re, &mut out_im);
+            ndft.forward_extrapolated_split(
+                &p_re, &p_im, &prev_re, &prev_im, beta, &support(&p), &support(&prev),
+                &mut out_re, &mut out_im,
+            );
             let peak = want.iter().map(|z| z.abs()).fold(1e-30f64, f64::max);
             for (w, (r, i)) in want.iter().zip(out_re.iter().zip(out_im.iter())) {
                 prop_assert!((w.re - r).abs() <= 1e-12 * peak, "{} vs {}", w.re, r);
@@ -794,7 +868,7 @@ mod simd_tolerance {
             for (a, b) in scalar.solution().iter().zip(simd.solution().iter()) {
                 prop_assert!(
                     (*a - *b).abs() <= 1e-6 * peak,
-                    "solver tiers diverged: {} vs {}",
+                    "lane solver left the scalar reference: {} vs {}",
                     a, b
                 );
             }
@@ -802,7 +876,7 @@ mod simd_tolerance {
 
         /// Raster plans: random subsets of at least five bands from
         /// either Wi-Fi group, at 0.25, 0.5 or 1 ns over a 200 ns span,
-        /// always take the polyphase adjoint under `simd`. The solver
+        /// always take the polyphase adjoint. The solver
         /// must still track the scalar reference: the same convergence
         /// flag and drift within 1e-6 of the profile peak.
         #[test]
