@@ -15,9 +15,11 @@
 //! [`chronos_bench::cli::BenchArgs`]. The gate covers the portable
 //! metrics only: `speedup_x` (pipeline vs the transcribed pre-refactor
 //! solver; >20% regression or falling below the absolute 3.0× floor
-//! fails) and `allocs_per_sweep` (any increase fails — including the
-//! per-item counters on the `fix_pool` rows). Absolute sweeps/s
-//! columns are informational — they depend on the host.
+//! fails), `allocs_per_sweep` (any increase fails — including the
+//! per-item counters on the `fix_pool` rows) and `tiles_per_solve`
+//! (the gradient tiles a solve evaluates; any increase fails).
+//! Absolute sweeps/s columns are informational — they depend on the
+//! host.
 
 use chronos_bench::alloc_count::CountingAlloc;
 use chronos_bench::cli::BenchArgs;

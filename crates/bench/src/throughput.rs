@@ -11,9 +11,12 @@
 //!   must beat.
 //! * `solver_pipeline` — [`chronos_core::ista::solve_planned_into`] over
 //!   a warm scratch (the lane-chunked SoA kernels: support-restricted
-//!   forward, fused prox step, the polyphase adjoint on raster plans).
-//!   Its `speedup_x` against the reference is the headline acceptance
-//!   metric (must stay ≥ 3.0×).
+//!   forward, fused prox step with its tile screen, the polyphase adjoint
+//!   on raster plans). Its `speedup_x` against the reference is the
+//!   headline acceptance metric (must stay ≥ 3.0×), and its
+//!   `tiles_per_solve` — the gradient tiles the prox steps evaluated,
+//!   per solve ([`chronos_core::ista::IstaStats::tiles_evaluated`]) — is
+//!   the host-independent measure of the work the screen left.
 //! * `fix_estimate` / `fix_pipeline` — the end-to-end products → ToF
 //!   path through a fresh [`chronos_core::pipeline::SweepPipeline`] per
 //!   call vs a warm one; the warm row must report **0 allocs/sweep**.
@@ -27,8 +30,8 @@
 //!
 //! Wall-clock rates are hardware-dependent, so the regression gate
 //! ([`check_throughput_regression`]) gates the *ratios* (`speedup_x`)
-//! and the deterministic `allocs_per_sweep` counters; absolute
-//! `sweeps_per_sec` columns are informational.
+//! and the deterministic `allocs_per_sweep` and `tiles_per_solve`
+//! counters; absolute `sweeps_per_sec` columns are informational.
 //!
 //! Allocation counters only advance when the running binary installs
 //! [`crate::alloc_count::CountingAlloc`] as its global allocator (the
@@ -65,7 +68,7 @@ pub const SUBSET_BANDS: usize = 12;
 pub const MIN_SOLVER_SPEEDUP: f64 = 3.0;
 
 /// Headers of the `BENCH_throughput` table, in column order.
-pub const THROUGHPUT_HEADERS: [&str; 7] = [
+pub const THROUGHPUT_HEADERS: [&str; 8] = [
     "case",
     "rounds",
     "clients",
@@ -73,6 +76,7 @@ pub const THROUGHPUT_HEADERS: [&str; 7] = [
     "sweeps_per_sec",
     "allocs_per_sweep",
     "speedup_x",
+    "tiles_per_solve",
 ];
 
 /// One client's deterministic path set: direct path at the engine
@@ -202,6 +206,9 @@ pub struct ThroughputCase {
     pub allocs_per_sweep: f64,
     /// Rate relative to this case's baseline counterpart, if any.
     pub speedup_x: Option<f64>,
+    /// Gradient tiles evaluated per solve, on the solver rows that
+    /// count them.
+    pub tiles_per_solve: Option<f64>,
 }
 
 /// Times `sweeps` invocations of `body`, returning (sweeps/s,
@@ -284,6 +291,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
     let mut t_ref_min = [f64::INFINITY; N_CLIENTS];
     let mut t_pipe_min = [f64::INFINITY; N_CLIENTS];
     let mut ref_alloc_events = 0u64;
+    let mut pipe_tiles = 0usize;
     let paired_a0 = thread_allocations();
     for i in 0..sweeps {
         let c = i % N_CLIENTS;
@@ -294,8 +302,9 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         t_ref_min[c] = t_ref_min[c].min(t0.elapsed().as_secs_f64());
         ref_alloc_events += thread_allocations() - a0;
         let t1 = Instant::now();
-        std::hint::black_box(solve_planned_into(&plan, h, &ista_cfg, &mut scratch));
+        let stats = std::hint::black_box(solve_planned_into(&plan, h, &ista_cfg, &mut scratch));
         t_pipe_min[c] = t_pipe_min[c].min(t1.elapsed().as_secs_f64());
+        pipe_tiles += stats.tiles_evaluated;
     }
     let pipe_alloc_events = thread_allocations() - paired_a0 - ref_alloc_events;
     let ref_rate = N_CLIENTS as f64 / t_ref_min.iter().sum::<f64>().max(1e-9);
@@ -306,6 +315,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         sweeps_per_sec: ref_rate,
         allocs_per_sweep: ref_alloc_events as f64 / sweeps as f64,
         speedup_x: None,
+        tiles_per_solve: None,
     });
     cases.push(ThroughputCase {
         name: "solver_pipeline",
@@ -313,6 +323,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         sweeps_per_sec: pipe_rate,
         allocs_per_sweep: pipe_alloc_events as f64 / sweeps as f64,
         speedup_x: Some(pipe_rate / ref_rate),
+        tiles_per_solve: Some(pipe_tiles as f64 / sweeps as f64),
     });
 
     // 3. End-to-end products → estimate through a fresh pipeline per
@@ -332,6 +343,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         sweeps_per_sec: est_rate,
         allocs_per_sweep: est_allocs,
         speedup_x: None,
+        tiles_per_solve: None,
     });
 
     // 4. End-to-end products → fix through a warm pipeline's
@@ -354,6 +366,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         sweeps_per_sec: fix_rate,
         allocs_per_sweep: fix_allocs,
         speedup_x: None,
+        tiles_per_solve: None,
     });
 
     // 5. ACQUIRE full-plan sweeps through the same warm pipeline (the
@@ -372,6 +385,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         sweeps_per_sec: acq_rate,
         allocs_per_sweep: acq_allocs,
         speedup_x: None,
+        tiles_per_solve: None,
     });
 
     // 6. Steady-state fix sweeps spread over 1/2/4 lanes (the
@@ -423,6 +437,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
             sweeps_per_sec: rate,
             allocs_per_sweep: allocs,
             speedup_x: None,
+            tiles_per_solve: None,
         });
     }
 
@@ -444,6 +459,9 @@ pub fn throughput_table(rounds: usize) -> Table {
             case.speedup_x
                 .map(|s| format!("{s:.3}"))
                 .unwrap_or_default(),
+            case.tiles_per_solve
+                .map(|t| format!("{t:.1}"))
+                .unwrap_or_default(),
         ]);
     }
     table
@@ -455,9 +473,9 @@ pub fn throughput_table(rounds: usize) -> Table {
 /// Wall-clock columns are hardware-dependent, so the gate covers the
 /// portable metrics: `speedup_x` must not regress by more than `tol`
 /// (and `solver_pipeline`'s must stay above the absolute
-/// [`MIN_SOLVER_SPEEDUP`] floor), **any** `allocs_per_sweep` increase
-/// fails, and scenario parameters must match exactly. Returns every
-/// violated metric.
+/// [`MIN_SOLVER_SPEEDUP`] floor), **any** `allocs_per_sweep` or
+/// `tiles_per_solve` increase fails, and scenario parameters must match
+/// exactly. Returns every violated metric.
 pub fn check_throughput_regression(
     current: &Table,
     baseline: &Table,
@@ -480,15 +498,21 @@ pub fn check_throughput_regression(
                 ));
             }
         }
-        if let (Some(base), Some(cur)) = (
-            baseline.cell_f64(bi, "allocs_per_sweep"),
-            current.cell_f64(ci, "allocs_per_sweep"),
-        ) {
-            if cur > base + 1e-9 {
-                failures.push(format!(
-                    "{key}/allocs_per_sweep: {cur:.1} exceeds baseline {base:.1} — \
-                     the zero-allocation contract regressed"
-                ));
+        for (metric, what) in [
+            ("allocs_per_sweep", "the zero-allocation contract regressed"),
+            (
+                "tiles_per_solve",
+                "the solver's tile screen skips less work",
+            ),
+        ] {
+            if let (Some(base), Some(cur)) =
+                (baseline.cell_f64(bi, metric), current.cell_f64(ci, metric))
+            {
+                if cur > base + 1e-9 {
+                    failures.push(format!(
+                        "{key}/{metric}: {cur:.1} exceeds baseline {base:.1} — {what}"
+                    ));
+                }
             }
         }
         if let (Some(base), Some(cur)) = (
@@ -521,6 +545,10 @@ mod tests {
     use super::*;
 
     fn sample_table(speedup: f64, allocs: f64) -> Table {
+        sample_table_tiles(speedup, allocs, 1000.0)
+    }
+
+    fn sample_table_tiles(speedup: f64, allocs: f64, tiles: f64) -> Table {
         let mut t = Table::new("BENCH_throughput", &THROUGHPUT_HEADERS);
         t.row(&[
             "solver_reference".into(),
@@ -529,6 +557,7 @@ mod tests {
             "1".into(),
             "100.0".into(),
             "1600.0".into(),
+            String::new(),
             String::new(),
         ]);
         t.row(&[
@@ -539,6 +568,7 @@ mod tests {
             "340.0".into(),
             format!("{allocs:.1}"),
             format!("{speedup:.3}"),
+            format!("{tiles:.1}"),
         ]);
         t
     }
@@ -557,6 +587,15 @@ mod tests {
             errs.iter().any(|e| e.contains("allocs_per_sweep")),
             "{errs:?}"
         );
+        // Any increase in the tiles a solve evaluates fails; fewer pass.
+        let looser = sample_table_tiles(3.4, 0.0, 1000.5);
+        let errs = check_throughput_regression(&looser, &base, 0.2).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.contains("tiles_per_solve")),
+            "{errs:?}"
+        );
+        let tighter = sample_table_tiles(3.4, 0.0, 900.0);
+        assert!(check_throughput_regression(&tighter, &base, 0.2).is_ok());
         // Below the absolute floor fails even within relative tolerance.
         let lenient = sample_table(3.05, 0.0);
         let errs = check_throughput_regression(&sample_table(2.9, 0.0), &lenient, 0.2).unwrap_err();
@@ -587,6 +626,7 @@ mod tests {
         assert_eq!(cases.len(), 8);
         let solver = cases.iter().find(|c| c.name == "solver_pipeline").unwrap();
         assert!(solver.speedup_x.unwrap() > 1.0, "{:?}", solver);
+        assert!(solver.tiles_per_solve.unwrap() > 0.0, "{:?}", solver);
         // The worker-scaling rows cover 1/2/4-way concurrency.
         let pool_workers: Vec<usize> = cases
             .iter()

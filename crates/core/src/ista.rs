@@ -15,8 +15,14 @@
 //! becomes exactly zero. We also provide FISTA acceleration (Nesterov
 //! momentum) as a documented extension — same fixed points, fewer
 //! iterations — selectable via [`IstaConfig::accelerated`].
+//!
+//! [`solve_planned_into`] screens the gradient: each prox step skips the
+//! grid tiles a drift bound proves stay zero in the next iterate
+//! (`ndft::TileScreen`), and the iterates are bit for bit those
+//! of a solve that evaluates every tile. [`IstaStats::tiles_evaluated`]
+//! counts the tiles left; `bench_throughput` gates it.
 
-use crate::ndft::Ndft;
+use crate::ndft::{Ndft, TileScreen};
 use chronos_math::cmatrix::CMat;
 use chronos_math::cvec;
 use chronos_math::Complex64;
@@ -108,12 +114,17 @@ struct SplitScratch {
     /// Squared candidate magnitudes of the fused step's shrink pass.
     sq: Vec<f64>,
     /// Polyphase partial sums `S` of a raster plan's adjoint
-    /// ([`Ndft::fused_prox_step_split`]), real plane then imaginary:
+    /// (`Ndft::fused_prox_step_split`), real plane then imaginary:
     /// `2 C P` entries, at most twice the grid length, which every solve
     /// reserves up front.
     sums: Vec<f64>,
-    h_re: Vec<f64>,
-    h_im: Vec<f64>,
+    /// The measurements, real plane then imaginary (one allocation).
+    h: Vec<f64>,
+    /// The [`TileScreen`]'s state: a bound and a drift mark per lane
+    /// tile, then the previous residual. The per-tile part depends only
+    /// on the grid length, so it is the same size for every plan on a
+    /// grid.
+    screen: Vec<f64>,
     /// Ascending nonzero indices of `p` / `prev` / `next`.
     supp_p: Vec<u32>,
     supp_prev: Vec<u32>,
@@ -142,6 +153,10 @@ pub struct IstaStats {
     pub converged: bool,
     /// Final data-fit residual `||h - F p||_2`.
     pub residual: f64,
+    /// Gradient lane tiles the prox steps evaluated, summed over the
+    /// iterations: the work the tile screen left. Every iteration of the
+    /// scalar reference counts all `m / 8` tiles of the grid.
+    pub tiles_evaluated: usize,
 }
 
 /// The scalar reference for [`solve_planned_into`]: the same algorithm
@@ -245,6 +260,7 @@ pub fn solve_planned_into_scalar(
         iterations,
         converged,
         residual,
+        tiles_evaluated: iterations * ndft.n_tiles(),
     }
 }
 
@@ -266,21 +282,37 @@ pub fn solve_planned_into_scalar(
 /// kernel application, the whole solve within 1e-6 of the profile peak)
 /// rather than bit for bit; the final solution is published back to the
 /// interleaved [`IstaScratch::solution`] buffer.
+///
+/// Each prox step skips the gradient tiles a tile screen
+/// (`ndft::TileScreen`) proves stay zero. The iterates, supports,
+/// convergence sums and iteration count are bit for bit those of a solve
+/// that evaluates every tile (pinned by
+/// `ista::tests::screened_solve_matches_all_evaluate_bitwise`);
+/// [`IstaStats::tiles_evaluated`] counts the work left.
 pub fn solve_planned_into(
     plan: &crate::plan::NdftPlan,
     h: &[Complex64],
     cfg: &IstaConfig,
     scratch: &mut IstaScratch,
 ) -> IstaStats {
+    solve_split(plan, h, cfg, scratch, true)
+}
+
+/// The body of [`solve_planned_into`]. With `screening` off every
+/// gradient tile is evaluated: the reference the screen is tested
+/// against.
+fn solve_split(
+    plan: &crate::plan::NdftPlan,
+    h: &[Complex64],
+    cfg: &IstaConfig,
+    scratch: &mut IstaScratch,
+    screening: bool,
+) -> IstaStats {
     use chronos_math::lanes;
 
     let ndft = &plan.ndft;
-    let m = ndft.n_taus();
-    assert_eq!(
-        h.len(),
-        ndft.n_freqs(),
-        "solve: measurement length mismatch"
-    );
+    let (n, m) = (ndft.n_freqs(), ndft.n_taus());
+    assert_eq!(h.len(), n, "solve: measurement length mismatch");
 
     let op_norm = plan.op_norm.max(1e-12);
     let gamma = 1.0 / (2.0 * op_norm * op_norm);
@@ -296,17 +328,18 @@ pub fn solve_planned_into(
         fy_im,
         sq,
         sums,
-        h_re,
-        h_im,
+        h: h_planes,
+        screen,
         supp_p,
         supp_prev,
         supp_next,
     } = &mut scratch.split;
 
-    h_re.clear();
-    h_re.extend(h.iter().map(|z| z.re));
-    h_im.clear();
-    h_im.extend(h.iter().map(|z| z.im));
+    h_planes.clear();
+    h_planes.reserve(2 * n);
+    h_planes.extend(h.iter().map(|z| z.re));
+    h_planes.extend(h.iter().map(|z| z.im));
+    let (h_re, h_im) = h_planes.split_at(n);
 
     // Every raster plan on this grid needs `C P <= m` partial sums per
     // plane; reserving both planes' worst case keeps a warm scratch
@@ -339,6 +372,7 @@ pub fn solve_planned_into(
         supp.clear();
         supp.reserve(m);
     }
+    let mut screen = TileScreen::new(ndft, screen, screening);
     let g2 = 2.0 * gamma;
     let mut t_momentum = 1.0f64;
     // Momentum coefficient of the *current* extrapolation point:
@@ -353,9 +387,10 @@ pub fn solve_planned_into(
         // fy = F y - h, with y recomputed on its (tiny) support — then
         // one fused register-tiled pass computes
         // `next = SPARSIFY(y - g2 * F* fy)` together with both
-        // convergence reductions and the support of `next`. Neither the
+        // convergence reductions and the support of `next`, skipping
+        // the tiles the screen proves stay zero. Neither the
         // extrapolation point nor the gradient ever hits memory as a
-        // full-grid buffer (see [`Ndft::fused_prox_step_split`]).
+        // full-grid buffer (see `Ndft::fused_prox_step_split`).
         ndft.forward_extrapolated_split(
             p_re, p_im, prev_re, prev_im, beta, supp_p, supp_prev, fy_re, fy_im,
         );
@@ -365,9 +400,25 @@ pub fn solve_planned_into(
         for (r, hv) in fy_im.iter_mut().zip(h_im.iter()) {
             *r -= *hv;
         }
+        screen.observe(fy_re, fy_im, g2, thresh);
         let (delta2, pnorm2) = ndft.fused_prox_step_split(
-            fy_re, fy_im, p_re, p_im, prev_re, prev_im, beta, g2, thresh, next_re, next_im, sq,
-            sums, supp_next,
+            fy_re,
+            fy_im,
+            p_re,
+            p_im,
+            prev_re,
+            prev_im,
+            beta,
+            g2,
+            thresh,
+            next_re,
+            next_im,
+            sq,
+            sums,
+            supp_p,
+            supp_prev,
+            supp_next,
+            &mut screen,
         );
         let delta = delta2.sqrt();
         let scale = pnorm2.sqrt() + 1.0;
@@ -391,6 +442,7 @@ pub fn solve_planned_into(
             break;
         }
     }
+    let tiles_evaluated = screen.evaluated();
 
     // Final residual ||F p - h||: beta = 0 reduces the extrapolated
     // forward to a plain support-restricted `F p`.
@@ -418,6 +470,7 @@ pub fn solve_planned_into(
         iterations,
         converged,
         residual,
+        tiles_evaluated,
     }
 }
 
@@ -828,6 +881,7 @@ mod tests {
                 iterations,
                 converged,
                 residual,
+                tiles_evaluated: iterations * ndft.n_tiles(),
             },
         )
     }
@@ -911,6 +965,153 @@ mod tests {
                 assert!((a.residual - b.residual).abs() <= 1e-6 * a.residual.max(1e-9));
             }
         }
+    }
+
+    /// Band centers of the Intel 5300 delay-scale groups: the 24 bands
+    /// at 5 GHz, or the 11 at 2.4 GHz.
+    fn intel_group(want_2g4: bool) -> Vec<f64> {
+        chronos_rf::bands::band_plan()
+            .iter()
+            .filter(|b| b.group.is_2g4() == want_2g4)
+            .map(|b| b.center_hz)
+            .collect()
+    }
+
+    /// The plans the screen is pinned on: the raster 5 GHz, 2.4 GHz and
+    /// 12-band TRACK plans, the dense 35-band Ideal plan, and 5 GHz
+    /// grids of 120, 167 and 200 bins (the 167-bin one ends in a
+    /// 7-bin tail).
+    fn screen_plans() -> Vec<NdftPlan> {
+        let full = TauGrid::span(200.0, 0.25);
+        let subset: Vec<f64> = chronos_rf::subset::select_subset(&band_plan_5ghz(), 12, 100.0)
+            .iter()
+            .map(|b| b.center_hz)
+            .collect();
+        let ideal: Vec<f64> = chronos_rf::bands::band_plan()
+            .iter()
+            .map(|b| b.center_hz)
+            .collect();
+        let g5 = intel_group(false);
+        vec![
+            NdftPlan::new(&g5, full, 0.0),
+            NdftPlan::new(&intel_group(true), full, 0.0),
+            NdftPlan::new(&subset, full, 0.0),
+            NdftPlan::new(&ideal, full, 0.0),
+            NdftPlan::new(&g5, TauGrid::span(60.0, 0.5), 0.0),
+            NdftPlan::new(&g5, TauGrid::span(167.0, 1.0), 0.0),
+            NdftPlan::new(&g5, TauGrid::span(200.0, 1.0), 0.0),
+        ]
+    }
+
+    /// A three-path channel with LCG-drawn delays, amplitudes and
+    /// phases, plus complex noise at 8% of the strongest path when
+    /// `noisy`.
+    fn lcg_channel(freqs: &[f64], span_ns: f64, seed: u64, noisy: bool) -> Vec<Complex64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut draw = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let paths: Vec<(f64, f64, f64)> = (0..3)
+            .map(|j| {
+                (
+                    0.7 * span_ns * draw(),
+                    [1.0, 0.6, 0.3][j],
+                    2.0 * PI * draw(),
+                )
+            })
+            .collect();
+        freqs
+            .iter()
+            .map(|f| {
+                let mut h = Complex64::ZERO;
+                for (tau_ns, a, phase) in &paths {
+                    h += Complex64::from_polar(*a, phase - 2.0 * PI * f * tau_ns * 1e-9);
+                }
+                if noisy {
+                    h += Complex64::from_polar(0.08 * draw(), 2.0 * PI * draw());
+                }
+                h
+            })
+            .collect()
+    }
+
+    /// The screened solve is the all-evaluate solve bit for bit: the
+    /// iterates, the support, the iteration count, the convergence flag
+    /// and the residual. It runs on one scratch reused across every
+    /// plan (dirty), against a fresh scratch per reference solve, for
+    /// FISTA and plain ISTA on clean and noisy channels — and skips
+    /// most of the tiles while doing so.
+    #[test]
+    fn screened_solve_matches_all_evaluate_bitwise() {
+        let mut dirty = IstaScratch::new();
+        let (mut evaluated, mut all) = (0usize, 0usize);
+        for plan in screen_plans() {
+            let grid = plan.ndft.grid();
+            let span = grid.len as f64 * grid.step_ns;
+            for seed in 0..2u64 {
+                for noisy in [false, true] {
+                    let h = lcg_channel(plan.ndft.freqs_hz(), span, seed, noisy);
+                    for accelerated in [true, false] {
+                        let cfg = IstaConfig {
+                            accelerated,
+                            ..Default::default()
+                        };
+                        let what = format!(
+                            "{} bands, {} bins, seed {seed}, noisy {noisy}, acc {accelerated}",
+                            plan.ndft.n_freqs(),
+                            grid.len
+                        );
+                        let mut fresh = IstaScratch::new();
+                        let want = solve_split(&plan, &h, &cfg, &mut fresh, false);
+                        let got = solve_planned_into(&plan, &h, &cfg, &mut dirty);
+                        assert_eq!(got.iterations, want.iterations, "{what}");
+                        assert_eq!(got.converged, want.converged, "{what}");
+                        assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{what}");
+                        assert_eq!(dirty.split.supp_p, fresh.split.supp_p, "{what}");
+                        let bits = |p: &[Complex64]| {
+                            p.iter()
+                                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(dirty.solution()), bits(fresh.solution()), "{what}");
+                        assert_eq!(
+                            want.tiles_evaluated,
+                            want.iterations * plan.ndft.n_tiles(),
+                            "{what}"
+                        );
+                        evaluated += got.tiles_evaluated;
+                        all += want.tiles_evaluated;
+                    }
+                }
+            }
+        }
+        assert!(
+            (evaluated as f64) < 0.5 * all as f64,
+            "the screen left {evaluated} of {all} tiles"
+        );
+    }
+
+    /// A fixed three-path channel on the 24-band 5 GHz plan: the screen
+    /// must skip at least 85% of the gradient tiles (it evaluates 3,696
+    /// of 40,000 over the 400 iterations, 9.2%). The count is
+    /// deterministic on a given target; the floor leaves room for a
+    /// target whose fused multiply-add rounds differently.
+    #[test]
+    fn screen_skips_most_tiles_of_a_three_path_solve() {
+        let f = intel_group(false);
+        let plan = NdftPlan::new(&f, TauGrid::span(200.0, 0.25), 0.0);
+        let h = channel_for(&[(21.0, 1.0), (27.5, 0.6), (43.25, 0.35)], &f);
+        let stats = solve_planned_into(&plan, &h, &IstaConfig::default(), &mut IstaScratch::new());
+        let all = stats.iterations * plan.ndft.n_tiles();
+        assert!(
+            stats.tiles_evaluated <= all * 3 / 20,
+            "evaluated {} of {all} tiles in {} iterations",
+            stats.tiles_evaluated,
+            stats.iterations
+        );
     }
 
     #[test]

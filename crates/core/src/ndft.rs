@@ -5,12 +5,12 @@
 //! `{f_1, ..., f_n}`; the multipath profile lives on a uniform delay grid
 //! `{tau_1, ..., tau_m}`. The forward operator is the `n x m` matrix
 //! `F[i][k] = e^{-j 2 pi f_i tau_k}` (the paper's Fourier matrix). This
-//! module materializes `F`, applies it and its adjoint, and estimates its
-//! spectral norm by power iteration — the step size the proximal-gradient
-//! solver needs.
+//! module materializes `F` (column-major, once), applies it and its
+//! adjoint, and estimates its spectral norm by power iteration — the step
+//! size the proximal-gradient solver needs.
 //!
 //! Two sets of kernels apply `F`. The lane-chunked split-plane kernels
-//! ([`Ndft::forward_extrapolated_split`], [`Ndft::fused_prox_step_split`],
+//! ([`Ndft::forward_extrapolated_split`], `Ndft::fused_prox_step_split`,
 //! [`Ndft::adjoint_split_into`]) are the solver's. The scalar
 //! [`Ndft::forward_into`]/[`Ndft::adjoint_into`] are the dense reference
 //! they are tested against, and serve the off-hot-path callers (profile
@@ -42,6 +42,19 @@
 //! 35-band group, whose 2.4 GHz centers sit 2 MHz off the 5 GHz raster,
 //! spans that are not a multiple of 200 ns, arbitrary tones — keep the
 //! dense kernel.
+//!
+//! # Safe tile screening
+//!
+//! After its first iterations a 5 GHz solve keeps a few dozen of its 800
+//! bins, yet every prox step used to compute the gradient on all of
+//! them. The crate-private `TileScreen` lets the fused prox step skip each
+//! lane tile (8 bins) that a bound proves stays zero in the next
+//! iterate: no gradient (polyphase expansion or dense adjoint), no pass
+//! A, no pass B. The bound rests on every entry of `F` having unit
+//! modulus, so `|(F* a)_k - (F* b)_k| <= |a - b|_1`: a tile's gradient
+//! moves by at most the 1-norm of the residual's change. The iterates do
+//! not change by a bit (`docs/PIPELINE.md` derives the margin that
+//! keeps it so).
 
 use chronos_math::cvec;
 use chronos_math::Complex64;
@@ -83,7 +96,7 @@ impl TauGrid {
 
 /// The materialized NDFT operator.
 ///
-/// The matrix is stored as one contiguous row-major buffer so the
+/// The matrix is stored as one contiguous column-major buffer so the
 /// forward/adjoint loops — the innermost loops of the whole estimator —
 /// stream memory linearly. Construction (and the power iteration for the
 /// operator norm) is the expensive part; sessions that sweep the same band
@@ -92,14 +105,13 @@ impl TauGrid {
 pub struct Ndft {
     freqs_hz: Vec<f64>,
     grid: TauGrid,
-    /// Row-major `n x m` matrix entries, row `i` = frequency `i`.
-    mat: Vec<Complex64>,
-    /// Column-major copy (`m x n`, column `k` contiguous): the forward
-    /// transform walks *columns* so it can skip the zero entries of a
-    /// sparse profile while streaming memory linearly. Same entries as
-    /// `mat`, copied at construction.
+    /// Column-major `m x n` matrix entries, column `k` = grid delay `k`
+    /// (contiguous): the forward transform walks *columns* so it can skip
+    /// the zero entries of a sparse profile while streaming memory
+    /// linearly, and the scalar adjoint reduces each column to one
+    /// output.
     mat_t: Vec<Complex64>,
-    /// Structure-of-arrays copies of `mat`/`mat_t` (split re/im planes)
+    /// Structure-of-arrays copies of the operator (split re/im planes)
     /// for the solver's lane-chunked kernels. Same entries, copied at
     /// construction.
     split: SplitMats,
@@ -108,10 +120,10 @@ pub struct Ndft {
 /// Split re/im planes of the operator for the lane kernels.
 #[derive(Debug, Clone, Default)]
 struct SplitMats {
-    /// Row-major real parts of `mat`; empty on raster plans, whose
+    /// Row-major (`n x m`) real parts; empty on raster plans, whose
     /// adjoint runs through `poly` instead.
     mat_re: Vec<f64>,
-    /// Row-major imaginary parts of `mat`; empty on raster plans.
+    /// Row-major imaginary parts; empty on raster plans.
     mat_im: Vec<f64>,
     /// Column-major real parts (`mat_t`).
     mat_t_re: Vec<f64>,
@@ -299,19 +311,13 @@ impl Ndft {
     pub fn new(freqs_hz: &[f64], grid: TauGrid) -> Self {
         assert!(!freqs_hz.is_empty(), "need at least one frequency");
         assert!(grid.len > 0, "grid must be non-empty");
-        let mut mat = Vec::with_capacity(freqs_hz.len() * grid.len);
-        for f in freqs_hz {
-            for k in 0..grid.len {
-                let tau_s = grid.tau_at(k) * 1e-9;
-                mat.push(Complex64::cis(-2.0 * PI * f * tau_s));
-            }
-        }
         let n = freqs_hz.len();
         let m = grid.len;
         let mut mat_t = Vec::with_capacity(n * m);
         for k in 0..m {
-            for i in 0..n {
-                mat_t.push(mat[i * m + k]);
+            let tau_s = grid.tau_at(k) * 1e-9;
+            for f in freqs_hz {
+                mat_t.push(Complex64::cis(-2.0 * PI * f * tau_s));
             }
         }
         // Raster plans skip the row-major split planes: their adjoint is
@@ -319,10 +325,14 @@ impl Ndft {
         let poly = Polyphase::new(freqs_hz, grid);
         let (mat_re, mat_im) = match poly {
             Some(_) => (Vec::new(), Vec::new()),
-            None => (
-                mat.iter().map(|z| z.re).collect(),
-                mat.iter().map(|z| z.im).collect(),
-            ),
+            None => {
+                let row_major = |part: fn(&Complex64) -> f64| {
+                    (0..n * m)
+                        .map(|ik| part(&mat_t[(ik % m) * n + ik / m]))
+                        .collect()
+                };
+                (row_major(|z| z.re), row_major(|z| z.im))
+            }
         };
         let split = SplitMats {
             mat_re,
@@ -334,7 +344,6 @@ impl Ndft {
         Ndft {
             freqs_hz: freqs_hz.to_vec(),
             grid,
-            mat,
             mat_t,
             split,
         }
@@ -407,19 +416,22 @@ impl Ndft {
 
     /// [`Ndft::adjoint`] into a caller-provided buffer (no allocation
     /// once `out` has capacity).
+    ///
+    /// Reduces one column of the column-major operator per output,
+    /// accumulating its terms in ascending measurement order from zero:
+    /// the order of a row-by-row axpy over a row-major copy, so the bits
+    /// are the same without keeping that copy.
     pub fn adjoint_into(&self, h: &[Complex64], out: &mut Vec<Complex64>) {
-        assert_eq!(
-            h.len(),
-            self.freqs_hz.len(),
-            "adjoint: measurement length mismatch"
-        );
+        let n = self.freqs_hz.len();
+        assert_eq!(h.len(), n, "adjoint: measurement length mismatch");
         out.clear();
-        out.resize(self.grid.len, Complex64::ZERO);
-        for (row, hi) in self.mat.chunks_exact(self.grid.len).zip(h.iter()) {
-            for (o, a) in out.iter_mut().zip(row.iter()) {
-                *o += a.conj() * *hi;
+        out.extend(self.mat_t.chunks_exact(n).map(|col| {
+            let mut acc = Complex64::ZERO;
+            for (a, hi) in col.iter().zip(h.iter()) {
+                acc += a.conj() * *hi;
             }
-        }
+            acc
+        }));
     }
 
     /// Matched-filter (Bartlett) response at an arbitrary, off-grid delay:
@@ -477,7 +489,7 @@ impl Ndft {
     ///
     /// `supp_p`/`supp_prev` are the ascending nonzero index lists of the
     /// two iterates (collected for free by
-    /// [`Ndft::fused_prox_step_split`]); `y` can only be nonzero on
+    /// `Ndft::fused_prox_step_split`); `y` can only be nonzero on
     /// their merge, so there is no full-grid zero scan — the pass is
     /// `nnz` contiguous 12-wide axpys and nothing else. A column is
     /// skipped only when both planes of `y` are exactly zero, the scalar
@@ -574,12 +586,22 @@ impl Ndft {
     /// off-raster plans), and pass A combines them with the output
     /// twiddles. Both passes are otherwise shared with the dense kernel.
     ///
+    /// `screen` skips the lane tiles it proves stay zero ([`TileScreen`]),
+    /// given the support lists `supp_p`/`supp_prev` of `p`/`prev`: a
+    /// skipped tile computes no gradient, neither pass visits it, and
+    /// nothing is written to it. That relies on the solver's rotation:
+    /// `next` holds the iterate before `prev`, which is zero on every
+    /// tile the screen skips (the tile was untouched at the previous
+    /// step too). The planes, the support and both sums are then bitwise
+    /// those of the all-evaluate step; only `sq` keeps stale values on
+    /// skipped tiles.
+    ///
     /// Reductions are lane-reassociated and the shrink magnitude uses
     /// `sqrt` instead of the scalar reference's `hypot`, so this kernel
     /// agrees with the reference within a tolerance, not bitwise (see
     /// `docs/PIPELINE.md`).
     #[allow(clippy::too_many_arguments)]
-    pub fn fused_prox_step_split(
+    pub(crate) fn fused_prox_step_split(
         &self,
         fy_re: &[f64],
         fy_im: &[f64],
@@ -594,7 +616,10 @@ impl Ndft {
         next_im: &mut [f64],
         sq: &mut [f64],
         sums: &mut Vec<f64>,
+        supp_p: &[u32],
+        supp_prev: &[u32],
         supp_next: &mut Vec<u32>,
+        screen: &mut TileScreen,
     ) -> (f64, f64) {
         let n = self.freqs_hz.len();
         let m = self.grid.len;
@@ -610,13 +635,14 @@ impl Ndft {
             "fused step: grid length mismatch"
         );
         assert_eq!(sq.len(), m, "fused step: sq scratch length mismatch");
+        assert_eq!(screen.bound.len(), m / TILE, "fused step: screen mismatch");
         match &self.split.poly {
             Some(poly) => {
                 poly.partial_sums(fy_re, fy_im, sums);
                 let grad = PolyAdjoint::new(poly, sums, m);
                 prox_pass(
                     &grad, p_re, p_im, prev_re, prev_im, beta, g2, thresh, next_re, next_im, sq,
-                    supp_next,
+                    supp_p, supp_prev, supp_next, screen,
                 )
             }
             None => {
@@ -629,7 +655,7 @@ impl Ndft {
                 };
                 prox_pass(
                     &grad, p_re, p_im, prev_re, prev_im, beta, g2, thresh, next_re, next_im, sq,
-                    supp_next,
+                    supp_p, supp_prev, supp_next, screen,
                 )
             }
         }
@@ -640,7 +666,7 @@ impl Ndft {
     /// Dense plans run one conjugated 4-lane axpy per row across the
     /// full grid (`n x m` complex MACs). Raster plans build the
     /// polyphase partial sums into `sums` and expand them tile by
-    /// tile, the same gradient source as [`Ndft::fused_prox_step_split`].
+    /// tile, the same gradient source as the fused prox step.
     pub fn adjoint_split_into(
         &self,
         h_re: &[f64],
@@ -684,6 +710,13 @@ impl Ndft {
             // conj(a) * h = (a_re*h_re + a_im*h_im) + j(a_re*h_im - a_im*h_re)
             axpy_conj_split(row_re, row_im, *hr, *hi, out_re, out_im);
         }
+    }
+
+    /// Lane tiles of the fused prox step on the main grid (`m / 8`; the
+    /// last `m % 8` bins form no tile): the unit
+    /// [`crate::ista::IstaStats::tiles_evaluated`] counts in.
+    pub fn n_tiles(&self) -> usize {
+        self.grid.len / TILE
     }
 
     /// The polyphase shape `(D, C)` of a raster plan's adjoint — the
@@ -860,8 +893,9 @@ fn lane_tile_mut(plane: &mut [f64]) -> &mut [f64; TILE] {
 /// Pass A walks the seven grid planes in lockstep as fixed-size lane
 /// tiles (`chunks_exact(TILE)` viewed as `[f64; TILE]`), so every lane
 /// index is in bounds by construction and the tile body compiles to
-/// packed arithmetic with no per-lane bounds checks. Pass B walks the
-/// planes as zipped iterators.
+/// packed arithmetic with no per-lane bounds checks. It walks the two
+/// support lists alongside, one cursor each, to tell which tiles are
+/// touched. Pass B visits only the tiles the screen does not skip.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn prox_pass<G: GradSource>(
@@ -876,7 +910,10 @@ fn prox_pass<G: GradSource>(
     next_re: &mut [f64],
     next_im: &mut [f64],
     sq: &mut [f64],
+    supp_p: &[u32],
+    supp_prev: &[u32],
     supp_next: &mut Vec<u32>,
+    screen: &mut TileScreen,
 ) -> (f64, f64) {
     use chronos_math::lanes::fmadd;
     let m = p_re.len();
@@ -884,12 +921,18 @@ fn prox_pass<G: GradSource>(
     let t2 = thresh * thresh;
     let mut pnorm = [0.0f64; TILE];
     let main = m - m % TILE;
-    // Pass A — branchless and sqrt/div-free, so it vectorizes end to
-    // end: gradient tile, extrapolation, gradient step, the
-    // below-threshold zeroing (a select against the *squared*
-    // threshold) and the |p|^2 reduction. Candidate magnitudes land
-    // in `sq`, surviving candidates stay un-shrunk in `next` for
-    // pass B.
+    // Pass A — branchless and sqrt/div-free within a tile, so it
+    // vectorizes end to end: gradient tile, extrapolation, gradient
+    // step, the below-threshold zeroing (a select against the *squared*
+    // threshold) and the |p|^2 reduction. Candidate magnitudes land in
+    // `sq`, surviving candidates stay un-shrunk in `next` for pass B.
+    // A skipped tile adds nothing to the |p|^2 lanes: `p` is zero
+    // there, and adding +0 leaves every lane's bits as they are. Its
+    // `next` is already the zero the full pass would write: a skip
+    // needs a bound recorded untouched, so the previous step found the
+    // tile untouched too, and the stale iterate in `next` is the
+    // previous step's `prev`.
+    let (mut at_p, mut at_prev) = (0usize, 0usize);
     let tiles = p_re[..main]
         .chunks_exact(TILE)
         .zip(p_im[..main].chunks_exact(TILE))
@@ -898,7 +941,16 @@ fn prox_pass<G: GradSource>(
         .zip(next_re[..main].chunks_exact_mut(TILE))
         .zip(next_im[..main].chunks_exact_mut(TILE))
         .zip(sq[..main].chunks_exact_mut(TILE));
-    for (c, ((((((pr, pi), qr), qi), nr), ni), sqt)) in (0..main).step_by(TILE).zip(tiles) {
+    for (t, (((((((pr, pi), qr), qi), nr), ni), sqt), c)) in
+        tiles.zip((0..main).step_by(TILE)).enumerate()
+    {
+        let end = (c + TILE) as u32;
+        let touched = reaches(supp_p, &mut at_p, end) | reaches(supp_prev, &mut at_prev, end);
+        if !touched && screen.skips(t) {
+            debug_assert!(nr.iter().chain(ni.iter()).all(|v| v.to_bits() == 0));
+            continue;
+        }
+        screen.evaluated += 1;
         let (gr, gi) = grad.tile(c);
         let (pr, pi, qr, qi) = (lane_tile(pr), lane_tile(pi), lane_tile(qr), lane_tile(qi));
         let (nr, ni, sqt) = (lane_tile_mut(nr), lane_tile_mut(ni), lane_tile_mut(sqt));
@@ -914,6 +966,7 @@ fn prox_pass<G: GradSource>(
             ni[l] = if keep { ci } else { 0.0 };
             pnorm[l] = fmadd(pr[l], pr[l], fmadd(pi[l], pi[l], pnorm[l]));
         }
+        screen.record(t, touched, sqt);
     }
     let mut pnorm_tail = 0.0f64;
     for k in main..m {
@@ -936,29 +989,180 @@ fn prox_pass<G: GradSource>(
     // predictable branch. The delta reduction is computed as a
     // correction on |p|^2: a zeroed bin contributes |p_k|^2 to
     // |next - p|^2 exactly, so only surviving bins need their
-    // |next_k - p_k|^2 - |p_k|^2 adjustment.
+    // |next_k - p_k|^2 - |p_k|^2 adjustment. The tiles the screen skips
+    // hold no survivor: pass A either skipped them or found every
+    // candidate below a bound under the threshold.
     let mut delta2 = pnorm2;
-    let bins = sq
-        .iter()
-        .zip(next_re.iter_mut())
-        .zip(next_im.iter_mut())
-        .zip(p_re.iter().zip(p_im.iter()));
-    for (k, (((&sq_v, nr), ni), (&pr, &pi))) in bins.enumerate() {
+    let mut shrink = |k: usize| {
+        let sq_v = sq[k];
         if sq_v <= t2 {
-            continue;
+            return;
         }
         supp_next.push(k as u32);
         let mag = sq_v.sqrt();
         let s = ((mag - thresh) / mag).max(0.0);
-        *nr *= s;
-        *ni *= s;
-        let dr = *nr - pr;
-        let di = *ni - pi;
+        next_re[k] *= s;
+        next_im[k] *= s;
+        let (pr, pi) = (p_re[k], p_im[k]);
+        let dr = next_re[k] - pr;
+        let di = next_im[k] - pi;
         delta2 += fmadd(dr, dr, di * di) - fmadd(pr, pr, pi * pi);
+    };
+    for (t, c) in (0..main).step_by(TILE).enumerate() {
+        if !screen.skips(t) {
+            (c..c + TILE).for_each(&mut shrink);
+        }
     }
+    (main..m).for_each(&mut shrink);
     // Cancellation in the correction can drive a tiny positive sum
     // fractionally negative; clamp so the caller's sqrt stays real.
     (delta2.max(0.0), pnorm2)
+}
+
+/// Advances `cursor` past the entries of the ascending list `supp` below
+/// `end`; whether there were any.
+#[inline(always)]
+fn reaches(supp: &[u32], cursor: &mut usize, end: u32) -> bool {
+    let start = *cursor;
+    while supp.get(*cursor).is_some_and(|k| *k < end) {
+        *cursor += 1;
+    }
+    *cursor > start
+}
+
+/// The relative margin `ε` the screen keeps below the threshold: a tile
+/// is skipped only when its bound is under `thresh (1 - ε)`. Half of it
+/// covers the rounding that scales with the threshold, the other half
+/// the rounding that scales with the residual (docs/PIPELINE.md, "Safe
+/// tile screening").
+const SCREEN_MARGIN: f64 = 1e-9;
+
+/// The safe tile screen of [`Ndft::fused_prox_step_split`]: what one
+/// solve knows about the gradient of every lane tile, so that a step can
+/// skip the tiles it proves stay zero (docs/PIPELINE.md, "Safe tile
+/// screening").
+///
+/// A tile is *untouched* when neither `p` nor `prev` has support on it.
+/// Its extrapolation point is then exactly zero, and its candidates are
+/// `c_k = -g2 (F* fy)_k`. Every entry of `F` has unit modulus, so
+/// `|(F* a)_k - (F* b)_k| <= |a - b|_1`, and from one step to the next a
+/// candidate moves by at most `g2` times the residual's change in the
+/// 1-norm. The screen sums those changes into the *drift* `D`. When a
+/// step evaluates an untouched tile, the screen records
+/// `bound = max_k |c_k|` and `mark = D`. While the tile stays untouched,
+/// a later step skips it if `bound + (D - mark) < thresh (1 - ε)`: every
+/// candidate is below the threshold, so the full pass would write zeros.
+/// A touched tile's bound is `+inf`, and every bound starts there, so the
+/// first step evaluates every tile. A NaN anywhere fails the comparison,
+/// and that tile is evaluated.
+pub(crate) struct TileScreen<'a> {
+    /// Per lane tile of the main grid: `max |c_k|` when last evaluated
+    /// untouched, `+inf` after a touched evaluation.
+    bound: &'a mut [f64],
+    /// Per lane tile: the drift at which `bound` was recorded.
+    mark: &'a mut [f64],
+    /// The previous step's residual, real plane then imaginary.
+    last: &'a mut [f64],
+    /// `D = g2 sum_t |fy_t - fy_(t-1)|_1`, the 1-norm over the split
+    /// planes (which bounds the complex one).
+    drift: f64,
+    /// The largest `g2 |fy|_1` observed: the gradient's rounding error
+    /// is at most `rho` times it.
+    scale: f64,
+    /// The gradient's rounding bound per unit of `g2 |fy|_1`, at both
+    /// ends of a window.
+    rho: f64,
+    /// Residuals observed.
+    steps: usize,
+    /// This step's skip limit; `-inf` evaluates every tile.
+    limit: f64,
+    /// Off for the all-evaluate reference, which never skips.
+    screening: bool,
+    /// Gradient tiles evaluated so far.
+    evaluated: usize,
+}
+
+impl<'a> TileScreen<'a> {
+    /// A fresh screen for one solve over `ndft`, carved from `state`:
+    /// `2 (m / TILE)` per-tile entries, then the previous residual's
+    /// `2 n`. `state` is reserved to that size before it is filled, so a
+    /// warm buffer does not allocate. With `screening` off the screen
+    /// never skips: that is the all-evaluate reference the solver tests
+    /// compare against.
+    pub(crate) fn new(ndft: &Ndft, state: &'a mut Vec<f64>, screening: bool) -> Self {
+        let (tiles, n) = (ndft.grid.len / TILE, ndft.freqs_hz.len());
+        state.clear();
+        state.reserve(2 * tiles + 2 * n);
+        state.resize(tiles, f64::INFINITY);
+        state.resize(2 * tiles + 2 * n, 0.0);
+        let (bound, rest) = state.split_at_mut(tiles);
+        let (mark, last) = rest.split_at_mut(tiles);
+        TileScreen {
+            bound,
+            mark,
+            last,
+            drift: 0.0,
+            scale: 0.0,
+            rho: 16.0 * (n as f64 + 2.0) * f64::EPSILON,
+            steps: 0,
+            limit: f64::NEG_INFINITY,
+            screening,
+            evaluated: 0,
+        }
+    }
+
+    /// Folds the step's residual `fy` into the drift and sets the step's
+    /// skip limit. Screening holds only while the rounding that scales
+    /// with the residual (the gradient's, at both ends of a window, and
+    /// the drift sum's) fits in half the margin; otherwise this step
+    /// evaluates every tile.
+    pub(crate) fn observe(&mut self, fy_re: &[f64], fy_im: &[f64], g2: f64, thresh: f64) {
+        let (last_re, last_im) = self.last.split_at_mut(fy_re.len());
+        let (mut change, mut size) = (0.0f64, 0.0f64);
+        let planes = fy_re.iter().zip(fy_im).zip(last_re.iter_mut().zip(last_im));
+        for ((r, i), (lr, li)) in planes {
+            change += (r - *lr).abs() + (i - *li).abs();
+            size += r.abs() + i.abs();
+            (*lr, *li) = (*r, *i);
+        }
+        if self.steps > 0 {
+            self.drift += g2 * change;
+        }
+        self.steps += 1;
+        self.scale = self.scale.max(g2 * size);
+        let rounding = self.rho * self.scale + 2.0 * f64::EPSILON * self.steps as f64 * self.drift;
+        self.limit = if self.screening && rounding <= 0.5 * SCREEN_MARGIN * thresh {
+            thresh * (1.0 - SCREEN_MARGIN)
+        } else {
+            f64::NEG_INFINITY
+        };
+    }
+
+    /// Gradient tiles the steps have evaluated so far.
+    pub(crate) fn evaluated(&self) -> usize {
+        self.evaluated
+    }
+
+    /// Whether tile `t` is skipped, given the bound it holds.
+    #[inline(always)]
+    fn skips(&self, t: usize) -> bool {
+        self.bound[t] + (self.drift - self.mark[t]) < self.limit
+    }
+
+    /// Records evaluated tile `t` with squared candidate magnitudes `sq`.
+    #[inline(always)]
+    fn record(&mut self, t: usize, touched: bool, sq: &[f64; TILE]) {
+        if touched {
+            self.bound[t] = f64::INFINITY;
+            return;
+        }
+        // A NaN lane makes the peak NaN, so the tile is never skipped.
+        let peak = sq
+            .iter()
+            .fold(0.0f64, |a, v| if *v > a || v.is_nan() { *v } else { a });
+        self.bound[t] = peak.sqrt();
+        self.mark[t] = self.drift;
+    }
 }
 
 /// `out += a * b` over split planes for a complex scalar `b`
@@ -1112,6 +1316,78 @@ mod tests {
         assert!(norm <= ((f.len() * grid.len) as f64).sqrt() + 1e-9);
     }
 
+    /// The operator as the row-major `n x m` matrix `Ndft` once kept
+    /// beside its column-major copy, built by the same expression.
+    fn row_major(freqs: &[f64], grid: TauGrid) -> Vec<Complex64> {
+        let mut mat = Vec::with_capacity(freqs.len() * grid.len);
+        for f in freqs {
+            for k in 0..grid.len {
+                let tau_s = grid.tau_at(k) * 1e-9;
+                mat.push(Complex64::cis(-2.0 * PI * f * tau_s));
+            }
+        }
+        mat
+    }
+
+    /// The scalar adjoint as it ran over the row-major matrix: one
+    /// conjugated axpy per measurement row.
+    fn adjoint_row_major(mat: &[Complex64], m: usize, h: &[Complex64]) -> Vec<Complex64> {
+        let mut out = vec![Complex64::ZERO; m];
+        for (row, hi) in mat.chunks_exact(m).zip(h.iter()) {
+            for (o, a) in out.iter_mut().zip(row.iter()) {
+                *o += a.conj() * *hi;
+            }
+        }
+        out
+    }
+
+    /// The column-walking scalar adjoint is the row-major one bit for
+    /// bit, and so is the power iteration built on it, on raster and
+    /// dense plans and grids with a ragged tail.
+    #[test]
+    fn column_adjoint_matches_row_major_bitwise() {
+        let (g5, g24) = intel_groups();
+        let plans = [
+            (g5.clone(), TauGrid::span(200.0, 0.25)),
+            (g24, TauGrid::span(200.0, 0.25)),
+            (subset_12(), TauGrid::span(200.0, 0.25)),
+            (g5, TauGrid::span(61.0, 0.25)),
+            (
+                vec![2.4e9, 5.18e9, 5.32e9, 5.825e9],
+                TauGrid::span(20.0, 1.0),
+            ),
+        ];
+        for (freqs, grid) in &plans {
+            let ndft = Ndft::new(freqs, *grid);
+            let mat = row_major(freqs, *grid);
+            let m = grid.len;
+            let h: Vec<Complex64> = (0..freqs.len())
+                .map(|i| Complex64::from_polar(0.2 + 0.1 * (i % 7) as f64, 2.3 * i as f64))
+                .collect();
+            let bits = |v: &[Complex64]| {
+                v.iter()
+                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                bits(&ndft.adjoint(&h)),
+                bits(&adjoint_row_major(&mat, m, &h))
+            );
+            // `op_norm`'s power iteration, with the row-major adjoint.
+            let mut v: Vec<Complex64> = (0..m)
+                .map(|k| Complex64::cis(0.37 * k as f64) / (m as f64).sqrt())
+                .collect();
+            let mut norm = 1.0;
+            for _ in 0..20 {
+                let mut w = adjoint_row_major(&mat, m, &ndft.forward(&v));
+                norm = cvec::norm2(&w);
+                cvec::scale_in_place(&mut w, 1.0 / norm);
+                v = w;
+            }
+            assert_eq!(ndft.op_norm(20).to_bits(), norm.sqrt().to_bits());
+        }
+    }
+
     #[test]
     fn sparse_forward_matches_dense_bruteforce() {
         // The zero-skipping forward must equal the dense sum exactly on a
@@ -1119,6 +1395,7 @@ mod tests {
         let f = freqs();
         let grid = TauGrid::span(50.0, 0.5);
         let ndft = Ndft::new(&f, grid);
+        let mat = row_major(&f, grid);
         let mut p = vec![Complex64::ZERO; grid.len];
         p[7] = Complex64::from_polar(0.8, 1.1);
         p[40] = Complex64::from_polar(0.3, -0.4);
@@ -1127,7 +1404,7 @@ mod tests {
         for (i, out) in fast.iter().enumerate() {
             let mut dense = Complex64::ZERO;
             for (k, pk) in p.iter().enumerate() {
-                dense += ndft.mat[i * grid.len + k] * *pk;
+                dense += mat[i * grid.len + k] * *pk;
             }
             assert_eq!(out.re.to_bits(), dense.re.to_bits(), "row {i}");
             assert_eq!(out.im.to_bits(), dense.im.to_bits(), "row {i}");
@@ -1238,6 +1515,7 @@ mod tests {
                 // step's next iterate is exactly its gradient.
                 let zeros = vec![0.0; m];
                 let (mut next_re, mut next_im, mut sq) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+                let mut state = Vec::new();
                 ndft.fused_prox_step_split(
                     &h_re,
                     &h_im,
@@ -1252,7 +1530,10 @@ mod tests {
                     &mut next_im,
                     &mut sq,
                     &mut sums,
+                    &[],
+                    &[],
                     &mut Vec::new(),
+                    &mut TileScreen::new(&ndft, &mut state, false),
                 );
                 for k in 0..m {
                     for (re, im) in [(out_re[k], out_im[k]), (next_re[k], next_im[k])] {
@@ -1262,6 +1543,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The ascending nonzero indices of a split plane pair.
+    fn support(re: &[f64], im: &[f64]) -> Vec<u32> {
+        (0..re.len())
+            .filter(|k| re[*k] != 0.0 || im[*k] != 0.0)
+            .map(|k| k as u32)
+            .collect()
     }
 
     /// The fused step as a per-bin reference: the gradient from
@@ -1386,7 +1675,8 @@ mod tests {
                 );
             assert!(!want_supp.is_empty() && want_supp.len() < m);
             let (mut next_re, mut next_im, mut sq) = (vec![9.0; m], vec![9.0; m], vec![9.0; m]);
-            let (mut sums, mut supp) = (Vec::new(), vec![7u32]);
+            let (mut sums, mut supp, mut state) = (Vec::new(), vec![7u32], Vec::new());
+            let (supp_p, supp_prev) = (support(&p_re, &p_im), support(&prev_re, &prev_im));
             let (delta2, pnorm2) = ndft.fused_prox_step_split(
                 &fy_re,
                 &fy_im,
@@ -1401,7 +1691,10 @@ mod tests {
                 &mut next_im,
                 &mut sq,
                 &mut sums,
+                &supp_p,
+                &supp_prev,
                 &mut supp,
+                &mut TileScreen::new(&ndft, &mut state, false),
             );
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let what = format!("{n} bands, {m} bins");
@@ -1416,5 +1709,209 @@ mod tests {
             covered.0 >= 4 && covered.1 >= 2 && covered.2 >= 2,
             "{covered:?}"
         );
+    }
+
+    /// One fused step over zero iterates (every tile untouched), so the
+    /// candidates are `-g2 F* fy` whatever the threshold. Returns the
+    /// planes, the support, both sums and the squared magnitudes.
+    #[allow(clippy::type_complexity)]
+    fn untouched_step(
+        ndft: &Ndft,
+        fy: (&[f64], &[f64]),
+        g2: f64,
+        thresh: f64,
+        next: &mut (Vec<f64>, Vec<f64>, Vec<u32>),
+        screen: &mut TileScreen,
+    ) -> (Vec<u64>, Vec<u64>, Vec<u32>, (u64, u64), Vec<f64>) {
+        let m = ndft.n_taus();
+        let zeros = vec![0.0; m];
+        let mut sq = vec![0.0; m];
+        screen.observe(fy.0, fy.1, g2, thresh);
+        let (delta2, pnorm2) = ndft.fused_prox_step_split(
+            fy.0,
+            fy.1,
+            &zeros,
+            &zeros,
+            &zeros,
+            &zeros,
+            0.0,
+            g2,
+            thresh,
+            &mut next.0,
+            &mut next.1,
+            &mut sq,
+            &mut Vec::new(),
+            &[],
+            &[],
+            &mut next.2,
+            screen,
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let sums = (delta2.to_bits(), pnorm2.to_bits());
+        (bits(&next.0), bits(&next.1), next.2.clone(), sums, sq)
+    }
+
+    /// A residual whose gradient nearly cancels on lane tile `t0`: a
+    /// unit-scale LCG vector with its projection on the tile's eight
+    /// operator columns removed (Gram-Schmidt, two passes), plus `keep`
+    /// times the original. The tile's candidates are then about `keep`
+    /// times the others, while the gradient's rounding error still
+    /// scales with the whole residual.
+    fn near_null_residual(ndft: &Ndft, t0: usize, keep: f64) -> (Vec<f64>, Vec<f64>) {
+        let n = ndft.n_freqs();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let fy: Vec<Complex64> = (0..n).map(|_| Complex64::new(draw(), draw())).collect();
+        let mut basis: Vec<Vec<Complex64>> = Vec::new();
+        let mut perp = fy.clone();
+        for k in t0 * TILE..(t0 + 1) * TILE {
+            let mut v = ndft.mat_t[k * n..(k + 1) * n].to_vec();
+            for _ in 0..2 {
+                for q in &basis {
+                    let d = cvec::dot(q, &v);
+                    v.iter_mut().zip(q).for_each(|(x, y)| *x -= d * *y);
+                }
+            }
+            let norm = cvec::norm2(&v);
+            cvec::scale_in_place(&mut v, 1.0 / norm);
+            basis.push(v);
+        }
+        for _ in 0..2 {
+            for q in &basis {
+                let d = cvec::dot(q, &perp);
+                perp.iter_mut().zip(q).for_each(|(x, y)| *x -= d * *y);
+            }
+        }
+        let fy_s: Vec<Complex64> = perp
+            .iter()
+            .zip(&fy)
+            .map(|(p, f)| *p + f.scale(keep))
+            .collect();
+        (
+            fy_s.iter().map(|z| z.re).collect(),
+            fy_s.iter().map(|z| z.im).collect(),
+        )
+    }
+
+    /// Searches one-entry nudges of `fy` (1 to 16 ulps) for a residual
+    /// that lifts a computed candidate of tile `t0` above the screen's
+    /// own `bound + (drift - mark)` by more than the factor `lift`:
+    /// returns the nudged residual and a threshold between the two
+    /// whose square is still below the candidate's.
+    fn lifting_nudge(
+        ndft: &Ndft,
+        (fy_re, fy_im): (&[f64], &[f64]),
+        g2: f64,
+        t0: usize,
+        lift: f64,
+    ) -> Option<(Vec<f64>, f64)> {
+        let m = ndft.n_taus();
+        for j in 0..ndft.n_freqs() {
+            for ulps in [1u64, 2, 4, 8, 16] {
+                let mut nudged = fy_re.to_vec();
+                nudged[j] = f64::from_bits(nudged[j].to_bits() + ulps);
+                let mut state = Vec::new();
+                let mut dry = TileScreen::new(ndft, &mut state, false);
+                let mut next = (vec![0.0; m], vec![0.0; m], Vec::new());
+                untouched_step(ndft, (fy_re, fy_im), g2, 1.0, &mut next, &mut dry);
+                let (bound, mark) = (dry.bound[t0], dry.mark[t0]);
+                let (.., sq_t) =
+                    untouched_step(ndft, (&nudged, fy_im), g2, 1.0, &mut next, &mut dry);
+                let held = bound + (dry.drift - mark);
+                let thresh = f64::from_bits((held * lift).to_bits() + 1);
+                let peak = sq_t[t0 * TILE..(t0 + 1) * TILE]
+                    .iter()
+                    .fold(0.0f64, |a, v| a.max(*v));
+                if peak > thresh * thresh {
+                    return Some((nudged, thresh));
+                }
+            }
+        }
+        None
+    }
+
+    /// Two untouched steps, at `fy` and then at `nudged`, with and
+    /// without screening: each run's second-step outputs and whether
+    /// the screen could skip at that step.
+    #[allow(clippy::type_complexity)]
+    fn screened_pair(
+        ndft: &Ndft,
+        fy: (&[f64], &[f64]),
+        nudged: &[f64],
+        g2: f64,
+        thresh: f64,
+    ) -> Vec<((Vec<u64>, Vec<u64>, Vec<u32>, (u64, u64)), bool)> {
+        let m = ndft.n_taus();
+        [false, true]
+            .into_iter()
+            .map(|screening| {
+                let mut state = Vec::new();
+                let mut screen = TileScreen::new(ndft, &mut state, screening);
+                let mut next = (vec![0.0; m], vec![0.0; m], Vec::new());
+                untouched_step(ndft, fy, g2, thresh, &mut next, &mut screen);
+                let (re, im, supp, sums, _) =
+                    untouched_step(ndft, (nudged, fy.1), g2, thresh, &mut next, &mut screen);
+                ((re, im, supp, sums), screen.limit.is_finite())
+            })
+            .collect()
+    }
+
+    /// The screen's margin is needed, and sufficient. On a tile whose
+    /// gradient nearly cancels (to 1% of the others), the rounding of
+    /// the gradient is large next to its candidates: nudging one residual
+    /// entry by a few ulps lifts a computed candidate above the screen's
+    /// own `bound + (drift - mark)`, by enough that a threshold fits in
+    /// between whose square is still below the candidate's. Without the
+    /// margin the screen would skip that tile although the full pass
+    /// keeps a bin there. With it the screened steps are the
+    /// all-evaluate steps bit for bit, on a raster and a dense plan.
+    #[test]
+    fn screen_margin_covers_rounding_above_the_bound() {
+        let (g5, _) = intel_groups();
+        for grid in [TauGrid::span(200.0, 0.25), TauGrid::span(61.0, 0.25)] {
+            let ndft = Ndft::new(&g5, grid);
+            let t0 = ndft.n_tiles() / 3;
+            let g2 = 0.013;
+            let (fy_re, fy_im) = near_null_residual(&ndft, t0, 0.01);
+            let what = format!("{} bins", grid.len);
+            let (nudged, thresh) = lifting_nudge(&ndft, (&fy_re, &fy_im), g2, t0, 1.0)
+                .unwrap_or_else(|| panic!("{what}: no nudge lifts the tile"));
+            let runs = screened_pair(&ndft, (&fy_re, &fy_im), &nudged, g2, thresh);
+            let kept = runs[0].0 .2.iter().any(|k| *k as usize / TILE == t0);
+            assert!(kept, "{what}: the full pass keeps a bin of the tile");
+            assert!(runs[1].1, "{what}: the screen was screening");
+            assert_eq!(runs[1].0, runs[0].0, "{what}");
+        }
+    }
+
+    /// The margin covers the gradient's rounding only while that
+    /// rounding, which scales with the residual, stays under half of it;
+    /// beyond, the screen stops skipping. With the tile's gradient
+    /// cancelled to 1e-10 of the others, one-ulp nudges lift a candidate
+    /// by more than the whole margin above its bound. The screen must
+    /// evaluate every tile there and match the all-evaluate steps.
+    #[test]
+    fn screen_stops_when_rounding_outgrows_the_margin() {
+        let (g5, _) = intel_groups();
+        for grid in [TauGrid::span(200.0, 0.25), TauGrid::span(61.0, 0.25)] {
+            let ndft = Ndft::new(&g5, grid);
+            let t0 = ndft.n_tiles() / 3;
+            let g2 = 0.013;
+            let (fy_re, fy_im) = near_null_residual(&ndft, t0, 1e-10);
+            let what = format!("{} bins", grid.len);
+            let lift = 1.0 / (1.0 - 2.0 * SCREEN_MARGIN);
+            let (nudged, thresh) = lifting_nudge(&ndft, (&fy_re, &fy_im), g2, t0, lift)
+                .unwrap_or_else(|| panic!("{what}: no nudge lifts the tile past the margin"));
+            let runs = screened_pair(&ndft, (&fy_re, &fy_im), &nudged, g2, thresh);
+            let kept = runs[0].0 .2.iter().any(|k| *k as usize / TILE == t0);
+            assert!(kept, "{what}: the full pass keeps a bin of the tile");
+            assert!(!runs[1].1, "{what}: the screen kept screening");
+            assert_eq!(runs[1].0, runs[0].0, "{what}");
+        }
     }
 }

@@ -11,9 +11,15 @@
 #     lane-chunked SoA solver kernels landed), or when allocs/sweep
 #     increases AT ALL — the zero-allocation contract gates exactly,
 #     not within a tolerance, and on the fix_pool rows it gates the
-#     runtime's per-item allocation counter on every lane. Wall-clock
-#     sweeps/s columns are informational (they depend on the host);
-#     only the portable ratio/alloc metrics gate. The speedup is
+#     runtime's per-item allocation counter on every lane. The
+#     solver_pipeline row's tiles_per_solve column is the mean number
+#     of 8-bin gradient tiles the FISTA prox steps evaluate per solve
+#     (IstaStats::tiles_evaluated over the 12-band TRACK channels):
+#     the work the safe tile screen leaves, fixed by the code and not
+#     by the host. It also fails on ANY increase, so a looser screen
+#     that quietly skips less cannot pass. Wall-clock sweeps/s
+#     columns are informational (they depend on the host); only the
+#     portable ratio/alloc/tile metrics gate. The speedup is
 #     measured paired (reference and pipeline alternate call-by-call,
 #     per-client minimum over rounds), so host contention cancels out
 #     of the ratio instead of tripping the gate.

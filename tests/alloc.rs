@@ -116,7 +116,8 @@ fn acquire_estimation_is_allocation_free_after_warmup() {
 /// 2.4 GHz group factor their adjoints with different numbers of
 /// polyphase partial sums (`C P`). Those planes live in the solver
 /// scratch, reserved to the grid length, so a scratch warmed on the
-/// smaller shape serves the larger one without growing.
+/// smaller shape serves the larger one without growing. So does the
+/// tile screen's per-tile state, whose size depends only on the grid.
 #[test]
 fn alternating_subset_and_full_plans_stay_allocation_free() {
     let estimator = TofEstimator::with_cache(ChronosConfig::default(), Arc::new(PlanCache::new()));
@@ -144,12 +145,14 @@ fn alternating_subset_and_full_plans_stay_allocation_free() {
     let mut scratch = IstaScratch::new();
     solve_planned_into(&subset_plan, &subset_h, &cfg, &mut scratch);
     let before = thread_allocations();
-    solve_planned_into(&coarse_plan, &coarse_h, &cfg, &mut scratch);
+    let stats = solve_planned_into(&coarse_plan, &coarse_h, &cfg, &mut scratch);
     let allocs = thread_allocations() - before;
     assert_eq!(
         allocs, 0,
         "a subset-warmed solver scratch grew {allocs} times"
     );
+    // The measured solve screened its gradient tiles.
+    assert!(stats.tiles_evaluated < stats.iterations * coarse_plan.ndft.n_tiles());
 
     // Pipeline level: alternate whole estimates.
     let mut pipeline = SweepPipeline::new();
