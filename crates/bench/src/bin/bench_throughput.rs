@@ -16,8 +16,10 @@
 //! metrics only: `speedup_x` (pipeline vs the transcribed pre-refactor
 //! solver; >20% regression or falling below the absolute 3.0× floor
 //! fails), `allocs_per_sweep` (any increase fails — including the
-//! per-item counters on the `fix_pool` rows) and `tiles_per_solve`
-//! (the gradient tiles a solve evaluates; any increase fails).
+//! per-item counters on the `fix_pool` rows), `tiles_per_solve` (the
+//! gradient tiles a solve evaluates; any increase fails) and
+//! `units_per_solve` (the polyphase partial-sum units a solve builds;
+//! any increase fails).
 //! Absolute sweeps/s columns are informational — they depend on the
 //! host.
 

@@ -15,8 +15,10 @@
 //!   on raster plans). Its `speedup_x` against the reference is the
 //!   headline acceptance metric (must stay ≥ 3.0×), and its
 //!   `tiles_per_solve` — the gradient tiles the prox steps evaluated,
-//!   per solve ([`chronos_core::ista::IstaStats::tiles_evaluated`]) — is
-//!   the host-independent measure of the work the screen left.
+//!   per solve ([`chronos_core::ista::IstaStats::tiles_evaluated`]) — and
+//!   `units_per_solve` — the polyphase partial-sum units they built
+//!   ([`chronos_core::ista::IstaStats::units_built`]) — are the
+//!   host-independent measures of the work the screen left.
 //! * `fix_estimate` / `fix_pipeline` — the end-to-end products → ToF
 //!   path through a fresh [`chronos_core::pipeline::SweepPipeline`] per
 //!   call vs a warm one; the warm row must report **0 allocs/sweep**.
@@ -30,8 +32,9 @@
 //!
 //! Wall-clock rates are hardware-dependent, so the regression gate
 //! ([`check_throughput_regression`]) gates the *ratios* (`speedup_x`)
-//! and the deterministic `allocs_per_sweep` and `tiles_per_solve`
-//! counters; absolute `sweeps_per_sec` columns are informational.
+//! and the deterministic `allocs_per_sweep`, `tiles_per_solve` and
+//! `units_per_solve` counters; absolute `sweeps_per_sec` columns are
+//! informational.
 //!
 //! Allocation counters only advance when the running binary installs
 //! [`crate::alloc_count::CountingAlloc`] as its global allocator (the
@@ -68,7 +71,7 @@ pub const SUBSET_BANDS: usize = 12;
 pub const MIN_SOLVER_SPEEDUP: f64 = 3.0;
 
 /// Headers of the `BENCH_throughput` table, in column order.
-pub const THROUGHPUT_HEADERS: [&str; 8] = [
+pub const THROUGHPUT_HEADERS: [&str; 9] = [
     "case",
     "rounds",
     "clients",
@@ -77,6 +80,7 @@ pub const THROUGHPUT_HEADERS: [&str; 8] = [
     "allocs_per_sweep",
     "speedup_x",
     "tiles_per_solve",
+    "units_per_solve",
 ];
 
 /// One client's deterministic path set: direct path at the engine
@@ -209,6 +213,8 @@ pub struct ThroughputCase {
     /// Gradient tiles evaluated per solve, on the solver rows that
     /// count them.
     pub tiles_per_solve: Option<f64>,
+    /// Polyphase partial-sum units built per solve, on the same rows.
+    pub units_per_solve: Option<f64>,
 }
 
 /// Times `sweeps` invocations of `body`, returning (sweeps/s,
@@ -291,7 +297,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
     let mut t_ref_min = [f64::INFINITY; N_CLIENTS];
     let mut t_pipe_min = [f64::INFINITY; N_CLIENTS];
     let mut ref_alloc_events = 0u64;
-    let mut pipe_tiles = 0usize;
+    let (mut pipe_tiles, mut pipe_units) = (0usize, 0usize);
     let paired_a0 = thread_allocations();
     for i in 0..sweeps {
         let c = i % N_CLIENTS;
@@ -305,6 +311,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         let stats = std::hint::black_box(solve_planned_into(&plan, h, &ista_cfg, &mut scratch));
         t_pipe_min[c] = t_pipe_min[c].min(t1.elapsed().as_secs_f64());
         pipe_tiles += stats.tiles_evaluated;
+        pipe_units += stats.units_built;
     }
     let pipe_alloc_events = thread_allocations() - paired_a0 - ref_alloc_events;
     let ref_rate = N_CLIENTS as f64 / t_ref_min.iter().sum::<f64>().max(1e-9);
@@ -316,6 +323,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         allocs_per_sweep: ref_alloc_events as f64 / sweeps as f64,
         speedup_x: None,
         tiles_per_solve: None,
+        units_per_solve: None,
     });
     cases.push(ThroughputCase {
         name: "solver_pipeline",
@@ -324,6 +332,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         allocs_per_sweep: pipe_alloc_events as f64 / sweeps as f64,
         speedup_x: Some(pipe_rate / ref_rate),
         tiles_per_solve: Some(pipe_tiles as f64 / sweeps as f64),
+        units_per_solve: Some(pipe_units as f64 / sweeps as f64),
     });
 
     // 3. End-to-end products → estimate through a fresh pipeline per
@@ -344,6 +353,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         allocs_per_sweep: est_allocs,
         speedup_x: None,
         tiles_per_solve: None,
+        units_per_solve: None,
     });
 
     // 4. End-to-end products → fix through a warm pipeline's
@@ -367,6 +377,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         allocs_per_sweep: fix_allocs,
         speedup_x: None,
         tiles_per_solve: None,
+        units_per_solve: None,
     });
 
     // 5. ACQUIRE full-plan sweeps through the same warm pipeline (the
@@ -386,6 +397,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
         allocs_per_sweep: acq_allocs,
         speedup_x: None,
         tiles_per_solve: None,
+        units_per_solve: None,
     });
 
     // 6. Steady-state fix sweeps spread over 1/2/4 lanes (the
@@ -438,6 +450,7 @@ pub fn throughput_cases(rounds: usize) -> Vec<ThroughputCase> {
             allocs_per_sweep: allocs,
             speedup_x: None,
             tiles_per_solve: None,
+            units_per_solve: None,
         });
     }
 
@@ -462,6 +475,9 @@ pub fn throughput_table(rounds: usize) -> Table {
             case.tiles_per_solve
                 .map(|t| format!("{t:.1}"))
                 .unwrap_or_default(),
+            case.units_per_solve
+                .map(|u| format!("{u:.1}"))
+                .unwrap_or_default(),
         ]);
     }
     table
@@ -473,9 +489,9 @@ pub fn throughput_table(rounds: usize) -> Table {
 /// Wall-clock columns are hardware-dependent, so the gate covers the
 /// portable metrics: `speedup_x` must not regress by more than `tol`
 /// (and `solver_pipeline`'s must stay above the absolute
-/// [`MIN_SOLVER_SPEEDUP`] floor), **any** `allocs_per_sweep` or
-/// `tiles_per_solve` increase fails, and scenario parameters must match
-/// exactly. Returns every violated metric.
+/// [`MIN_SOLVER_SPEEDUP`] floor), **any** `allocs_per_sweep`,
+/// `tiles_per_solve` or `units_per_solve` increase fails, and scenario
+/// parameters must match exactly. Returns every violated metric.
 pub fn check_throughput_regression(
     current: &Table,
     baseline: &Table,
@@ -503,6 +519,10 @@ pub fn check_throughput_regression(
             (
                 "tiles_per_solve",
                 "the solver's tile screen skips less work",
+            ),
+            (
+                "units_per_solve",
+                "the solver builds more polyphase partial sums",
             ),
         ] {
             if let (Some(base), Some(cur)) =
@@ -545,10 +565,10 @@ mod tests {
     use super::*;
 
     fn sample_table(speedup: f64, allocs: f64) -> Table {
-        sample_table_tiles(speedup, allocs, 1000.0)
+        sample_table_work(speedup, allocs, 1000.0, 2000.0)
     }
 
-    fn sample_table_tiles(speedup: f64, allocs: f64, tiles: f64) -> Table {
+    fn sample_table_work(speedup: f64, allocs: f64, tiles: f64, units: f64) -> Table {
         let mut t = Table::new("BENCH_throughput", &THROUGHPUT_HEADERS);
         t.row(&[
             "solver_reference".into(),
@@ -557,6 +577,7 @@ mod tests {
             "1".into(),
             "100.0".into(),
             "1600.0".into(),
+            String::new(),
             String::new(),
             String::new(),
         ]);
@@ -569,6 +590,7 @@ mod tests {
             format!("{allocs:.1}"),
             format!("{speedup:.3}"),
             format!("{tiles:.1}"),
+            format!("{units:.1}"),
         ]);
         t
     }
@@ -587,14 +609,21 @@ mod tests {
             errs.iter().any(|e| e.contains("allocs_per_sweep")),
             "{errs:?}"
         );
-        // Any increase in the tiles a solve evaluates fails; fewer pass.
-        let looser = sample_table_tiles(3.4, 0.0, 1000.5);
+        // Any increase in the tiles a solve evaluates, or in the
+        // partial-sum units it builds, fails; fewer pass.
+        let looser = sample_table_work(3.4, 0.0, 1000.5, 2000.0);
         let errs = check_throughput_regression(&looser, &base, 0.2).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("tiles_per_solve")),
             "{errs:?}"
         );
-        let tighter = sample_table_tiles(3.4, 0.0, 900.0);
+        let more_sums = sample_table_work(3.4, 0.0, 1000.0, 2000.5);
+        let errs = check_throughput_regression(&more_sums, &base, 0.2).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.contains("units_per_solve")),
+            "{errs:?}"
+        );
+        let tighter = sample_table_work(3.4, 0.0, 900.0, 1900.0);
         assert!(check_throughput_regression(&tighter, &base, 0.2).is_ok());
         // Below the absolute floor fails even within relative tolerance.
         let lenient = sample_table(3.05, 0.0);
@@ -627,6 +656,7 @@ mod tests {
         let solver = cases.iter().find(|c| c.name == "solver_pipeline").unwrap();
         assert!(solver.speedup_x.unwrap() > 1.0, "{:?}", solver);
         assert!(solver.tiles_per_solve.unwrap() > 0.0, "{:?}", solver);
+        assert!(solver.units_per_solve.unwrap() > 0.0, "{:?}", solver);
         // The worker-scaling rows cover 1/2/4-way concurrency.
         let pool_workers: Vec<usize> = cases
             .iter()

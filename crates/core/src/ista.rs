@@ -20,7 +20,8 @@
 //! grid tiles a drift bound proves stay zero in the next iterate
 //! (`ndft::TileScreen`), and the iterates are bit for bit those
 //! of a solve that evaluates every tile. [`IstaStats::tiles_evaluated`]
-//! counts the tiles left; `bench_throughput` gates it.
+//! counts the tiles left and [`IstaStats::units_built`] the polyphase
+//! partial sums built for them; `bench_throughput` gates both.
 
 use crate::ndft::{Ndft, TileScreen};
 use chronos_math::cmatrix::CMat;
@@ -125,6 +126,9 @@ struct SplitScratch {
     /// on the grid length, so it is the same size for every plan on a
     /// grid.
     screen: Vec<f64>,
+    /// The screen's live-tile plan: a list entry per lane tile, then a
+    /// mark per polyphase unit. Its size depends only on the grid.
+    live: Vec<u32>,
     /// Ascending nonzero indices of `p` / `prev` / `next`.
     supp_p: Vec<u32>,
     supp_prev: Vec<u32>,
@@ -157,6 +161,12 @@ pub struct IstaStats {
     /// iterations: the work the tile screen left. Every iteration of the
     /// scalar reference counts all `m / 8` tiles of the grid.
     pub tiles_evaluated: usize,
+    /// Polyphase partial-sum units the prox steps built, summed over
+    /// the iterations: a unit is 8 phases of every residue class (`8 n`
+    /// complex multiply-adds), and a step builds only the units its live
+    /// tiles read. Zero on dense plans and in the scalar reference,
+    /// which have no polyphase form.
+    pub units_built: usize,
 }
 
 /// The scalar reference for [`solve_planned_into`]: the same algorithm
@@ -261,6 +271,7 @@ pub fn solve_planned_into_scalar(
         converged,
         residual,
         tiles_evaluated: iterations * ndft.n_tiles(),
+        units_built: 0,
     }
 }
 
@@ -330,6 +341,7 @@ fn solve_split(
         sums,
         h: h_planes,
         screen,
+        live,
         supp_p,
         supp_prev,
         supp_next,
@@ -372,7 +384,7 @@ fn solve_split(
         supp.clear();
         supp.reserve(m);
     }
-    let mut screen = TileScreen::new(ndft, screen, screening);
+    let mut screen = TileScreen::new(ndft, screen, live, screening);
     let g2 = 2.0 * gamma;
     let mut t_momentum = 1.0f64;
     // Momentum coefficient of the *current* extrapolation point:
@@ -442,7 +454,7 @@ fn solve_split(
             break;
         }
     }
-    let tiles_evaluated = screen.evaluated();
+    let (tiles_evaluated, units_built) = (screen.evaluated(), screen.units_built());
 
     // Final residual ||F p - h||: beta = 0 reduces the extrapolated
     // forward to a plain support-restricted `F p`.
@@ -471,6 +483,7 @@ fn solve_split(
         converged,
         residual,
         tiles_evaluated,
+        units_built,
     }
 }
 
@@ -478,7 +491,8 @@ fn solve_split(
 /// atom matrix and the least-squares workspace.
 #[derive(Debug, Clone, Default)]
 pub struct DebiasScratch {
-    idx: Vec<usize>,
+    /// The support as `(|p_k|, k)`, reserved to the grid length.
+    ranked: Vec<(f64, usize)>,
     chosen: Vec<usize>,
     atoms: CMat,
     lstsq: chronos_math::cmatrix::CLstsqScratch,
@@ -500,6 +514,11 @@ pub struct DebiasScratch {
 /// output is zero off the refit support. Runs in a reusable workspace
 /// and output buffer: zero heap allocations once the buffers have seen
 /// the problem size.
+///
+/// The cost follows the support, not the grid: only bins that are not
+/// exactly zero are ranked, each magnitude is computed once and cached
+/// for the sort, and each atom is copied from the plan's operator, whose
+/// entries were built by the same `cis` expression.
 pub fn debias_into(
     ndft: &Ndft,
     h: &[Complex64],
@@ -511,19 +530,26 @@ pub fn debias_into(
 ) {
     assert_eq!(p.len(), ndft.n_taus(), "debias: profile length mismatch");
     // Rank support by magnitude (ties broken by grid index, which the
-    // filter produced in ascending order — the stable-sort order).
-    ws.idx.clear();
-    ws.idx.extend((0..p.len()).filter(|k| p[*k].abs() > 1e-12));
-    ws.idx.sort_unstable_by(|a, b| {
-        p[*b]
-            .abs()
-            .partial_cmp(&p[*a].abs())
-            .unwrap()
-            .then(a.cmp(b))
+    // filter produced in ascending order — the stable-sort order). An
+    // exact zero (either sign) is below the cut without its `hypot`.
+    ws.ranked.clear();
+    ws.ranked.reserve(p.len());
+    let nonzero = p
+        .iter()
+        .enumerate()
+        .filter(|(_, z)| z.re != 0.0 || z.im != 0.0);
+    ws.ranked.extend(
+        nonzero
+            .map(|(k, z)| (z.abs(), k))
+            .filter(|(mag, _)| *mag > 1e-12),
+    );
+    ws.ranked.sort_unstable_by(|a, b| {
+        let order = b.0.partial_cmp(&a.0);
+        order.expect("the cut drops NaN").then(a.1.cmp(&b.1))
     });
     let chosen = &mut ws.chosen;
     chosen.clear();
-    for k in ws.idx.iter().copied() {
+    for k in ws.ranked.iter().map(|(_, k)| *k) {
         if chosen.len() >= max_atoms {
             break;
         }
@@ -539,17 +565,11 @@ pub fn debias_into(
     chosen.sort_unstable();
 
     // Build the atom matrix: columns are steering vectors at the chosen
-    // grid delays.
-    let grid = ndft.grid();
+    // grid delays, the operator's own columns.
     ws.atoms.reset(ndft.n_freqs(), chosen.len());
     for (j, k) in chosen.iter().enumerate() {
-        let tau_s = grid.tau_at(*k) * 1e-9;
-        for (i, f) in ndft.freqs_hz().iter().enumerate() {
-            ws.atoms.set(
-                i,
-                j,
-                Complex64::cis(-2.0 * std::f64::consts::PI * f * tau_s),
-            );
+        for (i, a) in ndft.column(*k).iter().enumerate() {
+            ws.atoms.set(i, j, *a);
         }
     }
     // The normal-equations build (`A^H A`, `A^H b`) is lane-chunked;
@@ -882,6 +902,7 @@ mod tests {
                 converged,
                 residual,
                 tiles_evaluated: iterations * ndft.n_tiles(),
+                units_built: 0,
             },
         )
     }
@@ -1235,6 +1256,135 @@ mod tests {
         assert!(support.len() <= 2, "support {support:?}");
         for w in support.windows(2) {
             assert!(w[1] - w[0] >= 4, "separation violated: {support:?}");
+        }
+    }
+
+    /// `debias_into` as it ranked and built before it followed the
+    /// support: a `hypot` filter over every bin, a sort that recomputes
+    /// both magnitudes per comparison, and atoms built by `cis`. Kept to
+    /// pin the refit bit for bit.
+    fn debias_grid_wide(
+        ndft: &Ndft,
+        h: &[Complex64],
+        p: &[Complex64],
+        max_atoms: usize,
+        min_sep: usize,
+    ) -> Vec<Complex64> {
+        let mut idx: Vec<usize> = (0..p.len()).filter(|k| p[*k].abs() > 1e-12).collect();
+        idx.sort_unstable_by(|a, b| {
+            p[*b]
+                .abs()
+                .partial_cmp(&p[*a].abs())
+                .unwrap()
+                .then(a.cmp(b))
+        });
+        let mut chosen: Vec<usize> = Vec::new();
+        for k in idx {
+            if chosen.len() >= max_atoms {
+                break;
+            }
+            if chosen.iter().all(|c| c.abs_diff(k) >= min_sep.max(1)) {
+                chosen.push(k);
+            }
+        }
+        if chosen.is_empty() {
+            return vec![Complex64::ZERO; p.len()];
+        }
+        chosen.sort_unstable();
+        let grid = ndft.grid();
+        let mut atoms = CMat::zeros(ndft.n_freqs(), chosen.len());
+        for (j, k) in chosen.iter().enumerate() {
+            let tau_s = grid.tau_at(*k) * 1e-9;
+            for (i, f) in ndft.freqs_hz().iter().enumerate() {
+                atoms.set(i, j, Complex64::cis(-2.0 * PI * f * tau_s));
+            }
+        }
+        let mut w = Vec::new();
+        match atoms.lstsq_into_lanes(h, &mut Default::default(), &mut w) {
+            Ok(()) => {
+                let mut out = vec![Complex64::ZERO; p.len()];
+                for (k, wi) in chosen.iter().zip(w.iter()) {
+                    out[*k] = *wi;
+                }
+                out
+            }
+            Err(_) => p.to_vec(),
+        }
+    }
+
+    /// The support-only refit gives the grid-wide reference's bits, on
+    /// one warm workspace: tied magnitudes (ties go to the lower bin),
+    /// entries at and just above the 1e-12 cut, zeros of both signs,
+    /// supports far larger than `max_atoms`, a profile nonzero on every
+    /// bin and one with no support at all.
+    #[test]
+    fn debias_matches_grid_wide_reference_bitwise() {
+        let f = intel_group(false);
+        let ndft = Ndft::new(&f, TauGrid::span(200.0, 0.25));
+        let m = ndft.n_taus();
+        let h = channel_for(&[(21.0, 1.0), (27.5, 0.6), (43.25, 0.35)], &f);
+        let z = Complex64::new;
+        let sparse = |entries: &[(usize, Complex64)]| {
+            let mut p = vec![Complex64::ZERO; m];
+            for (k, v) in entries {
+                p[*k] = *v;
+            }
+            p
+        };
+        let ties = sparse(&[
+            (40, z(0.625, 0.0)),
+            (50, z(0.0, 0.625)),
+            (60, z(-0.625, 0.0)),
+            (70, z(0.0, -0.625)),
+            (80, z(0.375, 0.5)),
+            (90, z(0.25, 0.0)),
+            (100, z(-0.25, -0.0)),
+        ]);
+        let tiny = sparse(&[
+            (84, z(1e-12, 0.0)),
+            (88, z(5e-13, -5e-13)),
+            (92, z(1e-12, 1e-15)),
+            (96, z(-2e-12, 0.0)),
+            (110, z(0.3, -0.1)),
+        ]);
+        let signed_zero =
+            |k: usize| [z(0.0, -0.0), z(-0.0, 0.0), z(-0.0, -0.0), z(0.0, 0.0)][k % 4];
+        let mut zeros: Vec<Complex64> = (0..m).map(signed_zero).collect();
+        (zeros[84], zeros[170]) = (z(0.8, 0.1), z(-0.2, 0.5));
+        let crowded: Vec<Complex64> = (0..m)
+            .map(|k| match k % 5 {
+                0 => Complex64::from_polar(0.1 + (0.37 * k as f64).sin().abs(), 1.3 * k as f64),
+                _ => signed_zero(k),
+            })
+            .collect();
+        let full: Vec<Complex64> = (0..m)
+            .map(|k| Complex64::from_polar(1.0 + 0.5 * (0.11 * k as f64).cos(), k as f64))
+            .collect();
+        let empty: Vec<Complex64> = (0..m).map(signed_zero).collect();
+        let mut ws = DebiasScratch::default();
+        let mut out = Vec::new();
+        for (name, p) in [
+            ("ties", &ties),
+            ("tiny", &tiny),
+            ("zeros", &zeros),
+            ("crowded", &crowded),
+            ("full", &full),
+            ("empty", &empty),
+        ] {
+            for (max_atoms, min_sep) in [(12, 3), (18, 3), (3, 1), (2, 40)] {
+                let want = debias_grid_wide(&ndft, &h, p, max_atoms, min_sep);
+                debias_into(&ndft, &h, p, max_atoms, min_sep, &mut ws, &mut out);
+                let bits = |v: &[Complex64]| {
+                    v.iter()
+                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(&out),
+                    bits(&want),
+                    "{name}, {max_atoms} atoms, {min_sep} apart"
+                );
+            }
         }
     }
 

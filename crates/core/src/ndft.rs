@@ -54,7 +54,9 @@
 //! modulus, so `|(F* a)_k - (F* b)_k| <= |a - b|_1`: a tile's gradient
 //! moves by at most the 1-norm of the residual's change. The iterates do
 //! not change by a bit (`docs/PIPELINE.md` derives the margin that
-//! keeps it so).
+//! keeps it so). Each step lists its live tiles once, builds only the
+//! polyphase partial sums they read, and both passes walk that list, so
+//! a step's cost follows the support rather than the grid.
 
 use chronos_math::cvec;
 use chronos_math::Complex64;
@@ -151,6 +153,12 @@ struct Polyphase {
     class_start: Vec<usize>,
     /// `k' = c mod P` of every lane tile's first grid point `c`.
     tile_phase: Vec<usize>,
+    /// The phase units every lane tile of the main grid reads, with
+    /// repeats (unit `u` is phases `u TILE..(u + 1) TILE` of every
+    /// class). A tile reads `TILE` phases from `k'`, wrapping at `P`:
+    /// at most two units, or three when the window wraps (its two
+    /// before `P`, then unit 0).
+    tile_units: Vec<[u32; 3]>,
     /// Row-major `n x P` input twiddles `b_i w^(m_i k')` in `rows`
     /// order, real parts.
     w_re: Vec<f64>,
@@ -237,6 +245,17 @@ impl Polyphase {
                 t_im.push(t.im);
             }
         }
+        let unit = |k: usize| (k / TILE) as u32;
+        let tile_units = (0..big_n / TILE)
+            .map(|t| {
+                let k0 = t * TILE % phase_len;
+                if k0 + TILE <= phase_len {
+                    [unit(k0), unit(k0 + TILE - 1), unit(k0)]
+                } else {
+                    [unit(k0), unit(phase_len - 1), 0]
+                }
+            })
+            .collect();
         Some(Polyphase {
             decimation,
             phase_len,
@@ -244,6 +263,7 @@ impl Polyphase {
             rows,
             class_start,
             tile_phase: (0..big_n).step_by(TILE).map(|c| c % phase_len).collect(),
+            tile_units,
             w_re,
             w_im,
             t_re,
@@ -253,44 +273,66 @@ impl Polyphase {
 
     /// The partial sums `S_c[k'] = sum_{i in c} r_i W_i[k']` into
     /// `sums`: the row-major `C x P` real plane, then the imaginary one
-    /// (no allocation once `sums` holds `2 C P <= 2 N` entries). Each
-    /// lane tile of `S_c` accumulates its class's rows in registers and
-    /// is written once.
-    fn partial_sums(&self, r_re: &[f64], r_im: &[f64], sums: &mut Vec<f64>) {
+    /// (no allocation once `sums` holds `2 C P <= 2 N` entries).
+    ///
+    /// Builds the phase units that `units` marks nonzero, or every unit
+    /// when it is `None`, and returns how many it built. An unbuilt unit
+    /// keeps whatever `sums` held before; the caller reads only the
+    /// units it asked for. Every entry of a built unit accumulates its
+    /// class's rows in `rows` order from `+0.0` (a full lane tile in
+    /// registers) and is written once, so it has the same bits whichever
+    /// other units are built.
+    fn partial_sums(
+        &self,
+        r_re: &[f64],
+        r_im: &[f64],
+        sums: &mut Vec<f64>,
+        units: Option<&[u32]>,
+    ) -> usize {
         use chronos_math::lanes::fmadd;
         let p = self.phase_len;
-        sums.clear();
         sums.resize(2 * self.classes * p, 0.0);
         let (s_re, s_im) = sums.split_at_mut(self.classes * p);
-        let main = p - p % TILE;
-        for cls in 0..self.classes {
-            let members = self.class_start[cls]..self.class_start[cls + 1];
-            let out_re = &mut s_re[cls * p..(cls + 1) * p];
-            let out_im = &mut s_im[cls * p..(cls + 1) * p];
-            for c in (0..main).step_by(TILE) {
-                let mut ar = [0.0f64; TILE];
-                let mut ai = [0.0f64; TILE];
-                for r in members.clone() {
-                    let (hr, hi) = (r_re[self.rows[r]], r_im[self.rows[r]]);
-                    let w_re = &self.w_re[r * p + c..r * p + c + TILE];
-                    let w_im = &self.w_im[r * p + c..r * p + c + TILE];
-                    for l in 0..TILE {
-                        ar[l] = fmadd(w_re[l], hr, fmadd(-w_im[l], hi, ar[l]));
-                        ai[l] = fmadd(w_re[l], hi, fmadd(w_im[l], hr, ai[l]));
-                    }
-                }
-                out_re[c..c + TILE].copy_from_slice(&ar);
-                out_im[c..c + TILE].copy_from_slice(&ai);
+        let mut built = 0;
+        for u in 0..p.div_ceil(TILE) {
+            if units.is_some_and(|marks| marks[u] == 0) {
+                continue;
             }
-            for k in main..p {
-                for r in members.clone() {
-                    let (hr, hi) = (r_re[self.rows[r]], r_im[self.rows[r]]);
-                    let (wr, wi) = (self.w_re[r * p + k], self.w_im[r * p + k]);
-                    out_re[k] = fmadd(wr, hr, fmadd(-wi, hi, out_re[k]));
-                    out_im[k] = fmadd(wr, hi, fmadd(wi, hr, out_im[k]));
+            built += 1;
+            let c = u * TILE;
+            for cls in 0..self.classes {
+                let members = self.class_start[cls]..self.class_start[cls + 1];
+                let out_re = &mut s_re[cls * p..(cls + 1) * p];
+                let out_im = &mut s_im[cls * p..(cls + 1) * p];
+                if c + TILE <= p {
+                    let mut ar = [0.0f64; TILE];
+                    let mut ai = [0.0f64; TILE];
+                    for r in members {
+                        let (hr, hi) = (r_re[self.rows[r]], r_im[self.rows[r]]);
+                        let w_re = lane_tile(&self.w_re[r * p + c..]);
+                        let w_im = lane_tile(&self.w_im[r * p + c..]);
+                        for l in 0..TILE {
+                            ar[l] = fmadd(w_re[l], hr, fmadd(-w_im[l], hi, ar[l]));
+                            ai[l] = fmadd(w_re[l], hi, fmadd(w_im[l], hr, ai[l]));
+                        }
+                    }
+                    out_re[c..c + TILE].copy_from_slice(&ar);
+                    out_im[c..c + TILE].copy_from_slice(&ai);
+                    continue;
+                }
+                for k in c..p {
+                    let (mut ar, mut ai) = (0.0f64, 0.0f64);
+                    for r in members.clone() {
+                        let (hr, hi) = (r_re[self.rows[r]], r_im[self.rows[r]]);
+                        let (wr, wi) = (self.w_re[r * p + k], self.w_im[r * p + k]);
+                        ar = fmadd(wr, hr, fmadd(-wi, hi, ar));
+                        ai = fmadd(wr, hi, fmadd(wi, hr, ai));
+                    }
+                    (out_re[k], out_im[k]) = (ar, ai);
                 }
             }
         }
+        built
     }
 }
 
@@ -367,6 +409,13 @@ impl Ndft {
     /// The measurement frequencies.
     pub fn freqs_hz(&self) -> &[f64] {
         &self.freqs_hz
+    }
+
+    /// Column `k` of the operator: the steering vector
+    /// `e^{-j 2 pi f_i tau_k}` of grid delay `k`, one entry per band.
+    pub(crate) fn column(&self, k: usize) -> &[Complex64] {
+        let n = self.freqs_hz.len();
+        &self.mat_t[k * n..(k + 1) * n]
     }
 
     /// Forward transform: `h = F p` (profile -> measurements).
@@ -490,10 +539,16 @@ impl Ndft {
     /// `supp_p`/`supp_prev` are the ascending nonzero index lists of the
     /// two iterates (collected for free by
     /// `Ndft::fused_prox_step_split`); `y` can only be nonzero on
-    /// their merge, so there is no full-grid zero scan — the pass is
-    /// `nnz` contiguous 12-wide axpys and nothing else. A column is
+    /// their merge, so there is no full-grid zero scan. A column is
     /// skipped only when both planes of `y` are exactly zero, the scalar
     /// kernel's predicate.
+    ///
+    /// The surviving columns are gathered once (up to 64 at a time, on
+    /// the stack), and each block of `TILE` measurement rows
+    /// then accumulates across all of them in registers, so the output
+    /// is read and written once per block instead of once per column.
+    /// Every output element still takes its terms in ascending column
+    /// order from `+0.0`: the per-column axpy's order, and its bits.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_extrapolated_split(
         &self,
@@ -518,40 +573,67 @@ impl Ndft {
         out_re.resize(n, 0.0);
         out_im.clear();
         out_im.resize(n, 0.0);
-        // Two-pointer merge of the sorted support lists.
-        let (mut a, mut b) = (0usize, 0usize);
+        let mut support = merged(supp_p, supp_prev);
+        let (mut cols, mut y_re, mut y_im) = ([0usize; GATHER], [0.0f64; GATHER], [0.0f64; GATHER]);
         loop {
-            let k = match (supp_p.get(a), supp_prev.get(b)) {
-                (Some(&x), Some(&y)) => {
-                    if x <= y {
-                        a += 1;
-                        if x == y {
-                            b += 1;
-                        }
-                        x
-                    } else {
-                        b += 1;
-                        y
-                    }
+            let mut len = 0;
+            for k in support.by_ref() {
+                let yr = fmadd(beta, p_re[k] - prev_re[k], p_re[k]);
+                let yi = fmadd(beta, p_im[k] - prev_im[k], p_im[k]);
+                if yr == 0.0 && yi == 0.0 {
+                    continue;
                 }
-                (Some(&x), None) => {
-                    a += 1;
-                    x
+                (cols[len], y_re[len], y_im[len]) = (k, yr, yi);
+                len += 1;
+                if len == GATHER {
+                    break;
                 }
-                (None, Some(&y)) => {
-                    b += 1;
-                    y
-                }
-                (None, None) => break,
-            } as usize;
-            let yr = fmadd(beta, p_re[k] - prev_re[k], p_re[k]);
-            let yi = fmadd(beta, p_im[k] - prev_im[k], p_im[k]);
-            if yr == 0.0 && yi == 0.0 {
-                continue;
             }
-            let col_re = &self.split.mat_t_re[k * n..(k + 1) * n];
-            let col_im = &self.split.mat_t_im[k * n..(k + 1) * n];
-            axpy_complex_split(col_re, col_im, yr, yi, out_re, out_im);
+            self.accumulate_columns(&cols[..len], &y_re[..len], &y_im[..len], out_re, out_im);
+            if len < GATHER {
+                return;
+            }
+        }
+    }
+
+    /// `out += sum_j F[.][cols_j] y_j` over split planes, one block of
+    /// `TILE` rows at a time: a block's accumulators stay in registers
+    /// across every column, which it takes in the order of `cols`.
+    fn accumulate_columns(
+        &self,
+        cols: &[usize],
+        y_re: &[f64],
+        y_im: &[f64],
+        out_re: &mut [f64],
+        out_im: &mut [f64],
+    ) {
+        use chronos_math::lanes::fmadd;
+        let n = out_re.len();
+        let (mat_re, mat_im) = (&self.split.mat_t_re, &self.split.mat_t_im);
+        let terms = || cols.iter().zip(y_re).zip(y_im);
+        let main = n - n % TILE;
+        for r in (0..main).step_by(TILE) {
+            let mut acc_re = *lane_tile(&out_re[r..]);
+            let mut acc_im = *lane_tile(&out_im[r..]);
+            for ((k, yr), yi) in terms() {
+                let a_re = lane_tile(&mat_re[k * n + r..]);
+                let a_im = lane_tile(&mat_im[k * n + r..]);
+                for l in 0..TILE {
+                    acc_re[l] = fmadd(a_re[l], *yr, fmadd(-a_im[l], *yi, acc_re[l]));
+                    acc_im[l] = fmadd(a_re[l], *yi, fmadd(a_im[l], *yr, acc_im[l]));
+                }
+            }
+            out_re[r..r + TILE].copy_from_slice(&acc_re);
+            out_im[r..r + TILE].copy_from_slice(&acc_im);
+        }
+        for r in main..n {
+            let (mut acc_re, mut acc_im) = (out_re[r], out_im[r]);
+            for ((k, yr), yi) in terms() {
+                let (ar, ai) = (mat_re[k * n + r], mat_im[k * n + r]);
+                acc_re = fmadd(ar, *yr, fmadd(-ai, *yi, acc_re));
+                acc_im = fmadd(ar, *yi, fmadd(ai, *yr, acc_im));
+            }
+            (out_re[r], out_im[r]) = (acc_re, acc_im);
         }
     }
 
@@ -581,20 +663,24 @@ impl Ndft {
     ///
     /// On raster plans the gradient tiles come from the polyphase
     /// factorization (module docs) instead of the dense row-major
-    /// planes: the partial sums `S` are built once per call into the
-    /// caller's `sums` buffer (`2 C P <= 2 N` entries, untouched on
-    /// off-raster plans), and pass A combines them with the output
-    /// twiddles. Both passes are otherwise shared with the dense kernel.
+    /// planes: the partial sums `S` are built into the caller's `sums`
+    /// buffer (`2 C P <= 2 N` entries, untouched on off-raster plans),
+    /// and pass A combines them with the output twiddles. Both passes
+    /// are otherwise shared with the dense kernel.
     ///
-    /// `screen` skips the lane tiles it proves stay zero ([`TileScreen`]),
-    /// given the support lists `supp_p`/`supp_prev` of `p`/`prev`: a
-    /// skipped tile computes no gradient, neither pass visits it, and
-    /// nothing is written to it. That relies on the solver's rotation:
-    /// `next` holds the iterate before `prev`, which is zero on every
-    /// tile the screen skips (the tile was untouched at the previous
-    /// step too). The planes, the support and both sums are then bitwise
-    /// those of the all-evaluate step; only `sq` keeps stale values on
-    /// skipped tiles.
+    /// `screen` first lists the step's live tiles ([`TileScreen`]),
+    /// given the support lists `supp_p`/`supp_prev` of `p`/`prev`: the
+    /// tiles either list touches, and the tiles whose bound does not
+    /// prove they stay zero. Only the phase units of `S` that live tiles
+    /// read are built (all of them when the grid has a ragged tail,
+    /// whose bins read any phase), and both passes walk the live list
+    /// alone: a skipped tile computes no gradient, neither pass visits
+    /// it, and nothing is written to it. That relies on the solver's
+    /// rotation: `next` holds the iterate before `prev`, which is zero
+    /// on every tile the screen skips (the tile was untouched at the
+    /// previous step too). The planes, the support and both sums are
+    /// then bitwise those of the all-evaluate step; only `sq` and the
+    /// unbuilt units of `sums` keep stale values.
     ///
     /// Reductions are lane-reassociated and the shrink magnitude uses
     /// `sqrt` instead of the scalar reference's `hypot`, so this kernel
@@ -636,13 +722,19 @@ impl Ndft {
         );
         assert_eq!(sq.len(), m, "fused step: sq scratch length mismatch");
         assert_eq!(screen.bound.len(), m / TILE, "fused step: screen mismatch");
+        screen.plan(supp_p, supp_prev);
         match &self.split.poly {
             Some(poly) => {
-                poly.partial_sums(fy_re, fy_im, sums);
+                // The tail bins of a ragged grid read any phase.
+                let units = m
+                    .is_multiple_of(TILE)
+                    .then(|| screen.mark_units(&poly.tile_units));
+                let built = poly.partial_sums(fy_re, fy_im, sums, units);
+                screen.units_built += built;
                 let grad = PolyAdjoint::new(poly, sums, m);
                 prox_pass(
                     &grad, p_re, p_im, prev_re, prev_im, beta, g2, thresh, next_re, next_im, sq,
-                    supp_p, supp_prev, supp_next, screen,
+                    supp_next, screen,
                 )
             }
             None => {
@@ -655,7 +747,7 @@ impl Ndft {
                 };
                 prox_pass(
                     &grad, p_re, p_im, prev_re, prev_im, beta, g2, thresh, next_re, next_im, sq,
-                    supp_p, supp_prev, supp_next, screen,
+                    supp_next, screen,
                 )
             }
         }
@@ -691,7 +783,7 @@ impl Ndft {
         out_im.clear();
         out_im.resize(m, 0.0);
         if let Some(poly) = &self.split.poly {
-            poly.partial_sums(h_re, h_im, sums);
+            poly.partial_sums(h_re, h_im, sums, None);
             let grad = PolyAdjoint::new(poly, sums, m);
             let main = m - m % TILE;
             for c in (0..main).step_by(TILE) {
@@ -731,7 +823,36 @@ impl Ndft {
 }
 
 /// Grid tile of the fused prox step: two lane chunks per pass-A step.
+/// The forward pass blocks its measurement rows by the same width.
 const TILE: usize = 2 * chronos_math::lanes::LANES;
+
+/// Support columns [`Ndft::forward_extrapolated_split`] gathers per
+/// batch; a larger support takes several batches.
+const GATHER: usize = 64;
+
+/// The ascending union of two ascending index lists.
+fn merged<'a>(a: &'a [u32], b: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let k = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) => {
+                i += (x <= y) as usize;
+                j += (y <= x) as usize;
+                x.min(y)
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, Some(&y)) => {
+                j += 1;
+                y
+            }
+            (None, None) => return None,
+        };
+        Some(k as usize)
+    })
+}
 
 /// The source of the fused prox step's gradient `F* r`: the dense
 /// row-major planes or a raster plan's polyphase factorization.
@@ -888,14 +1009,13 @@ fn lane_tile_mut(plane: &mut [f64]) -> &mut [f64; TILE] {
 }
 
 /// Passes A and B of [`Ndft::fused_prox_step_split`] over any gradient
-/// source; returns `(|next - p|_2^2, |p|_2^2)`.
+/// source and the step's live-tile plan ([`TileScreen::plan`]); returns
+/// `(|next - p|_2^2, |p|_2^2)`.
 ///
-/// Pass A walks the seven grid planes in lockstep as fixed-size lane
-/// tiles (`chunks_exact(TILE)` viewed as `[f64; TILE]`), so every lane
-/// index is in bounds by construction and the tile body compiles to
-/// packed arithmetic with no per-lane bounds checks. It walks the two
-/// support lists alongside, one cursor each, to tell which tiles are
-/// touched. Pass B visits only the tiles the screen does not skip.
+/// Both passes walk the live list alone, in ascending order. Pass A views
+/// each live tile of the seven grid planes as a fixed-size `[f64; TILE]`
+/// array, so the tile body has no per-lane bounds checks and compiles to
+/// packed arithmetic.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn prox_pass<G: GradSource>(
@@ -910,8 +1030,6 @@ fn prox_pass<G: GradSource>(
     next_re: &mut [f64],
     next_im: &mut [f64],
     sq: &mut [f64],
-    supp_p: &[u32],
-    supp_prev: &[u32],
     supp_next: &mut Vec<u32>,
     screen: &mut TileScreen,
 ) -> (f64, f64) {
@@ -932,28 +1050,25 @@ fn prox_pass<G: GradSource>(
     // needs a bound recorded untouched, so the previous step found the
     // tile untouched too, and the stale iterate in `next` is the
     // previous step's `prev`.
-    let (mut at_p, mut at_prev) = (0usize, 0usize);
-    let tiles = p_re[..main]
-        .chunks_exact(TILE)
-        .zip(p_im[..main].chunks_exact(TILE))
-        .zip(prev_re[..main].chunks_exact(TILE))
-        .zip(prev_im[..main].chunks_exact(TILE))
-        .zip(next_re[..main].chunks_exact_mut(TILE))
-        .zip(next_im[..main].chunks_exact_mut(TILE))
-        .zip(sq[..main].chunks_exact_mut(TILE));
-    for (t, (((((((pr, pi), qr), qi), nr), ni), sqt), c)) in
-        tiles.zip((0..main).step_by(TILE)).enumerate()
-    {
-        let end = (c + TILE) as u32;
-        let touched = reaches(supp_p, &mut at_p, end) | reaches(supp_prev, &mut at_prev, end);
-        if !touched && screen.skips(t) {
-            debug_assert!(nr.iter().chain(ni.iter()).all(|v| v.to_bits() == 0));
-            continue;
-        }
-        screen.evaluated += 1;
+    debug_assert!(screen.skipped().all(|t| {
+        let tile = t * TILE..(t + 1) * TILE;
+        next_re[tile.clone()]
+            .iter()
+            .chain(&next_im[tile])
+            .all(|v| v.to_bits() == 0)
+    }));
+    screen.evaluated += screen.n_live;
+    for j in 0..screen.n_live {
+        let (t, touched) = ((screen.live[j] >> 1) as usize, screen.live[j] & 1 == 1);
+        let c = t * TILE;
         let (gr, gi) = grad.tile(c);
-        let (pr, pi, qr, qi) = (lane_tile(pr), lane_tile(pi), lane_tile(qr), lane_tile(qi));
-        let (nr, ni, sqt) = (lane_tile_mut(nr), lane_tile_mut(ni), lane_tile_mut(sqt));
+        let (pr, pi) = (lane_tile(&p_re[c..]), lane_tile(&p_im[c..]));
+        let (qr, qi) = (lane_tile(&prev_re[c..]), lane_tile(&prev_im[c..]));
+        let (nr, ni) = (
+            lane_tile_mut(&mut next_re[c..]),
+            lane_tile_mut(&mut next_im[c..]),
+        );
+        let sqt = lane_tile_mut(&mut sq[c..]);
         for l in 0..TILE {
             let yr = fmadd(beta, pr[l] - qr[l], pr[l]);
             let yi = fmadd(beta, pi[l] - qi[l], pi[l]);
@@ -989,9 +1104,9 @@ fn prox_pass<G: GradSource>(
     // predictable branch. The delta reduction is computed as a
     // correction on |p|^2: a zeroed bin contributes |p_k|^2 to
     // |next - p|^2 exactly, so only surviving bins need their
-    // |next_k - p_k|^2 - |p_k|^2 adjustment. The tiles the screen skips
-    // hold no survivor: pass A either skipped them or found every
-    // candidate below a bound under the threshold.
+    // |next_k - p_k|^2 - |p_k|^2 adjustment. The tiles off the live list
+    // hold no survivor, and their `sq` is stale: pass B does not visit
+    // them.
     let mut delta2 = pnorm2;
     let mut shrink = |k: usize| {
         let sq_v = sq[k];
@@ -1008,26 +1123,14 @@ fn prox_pass<G: GradSource>(
         let di = next_im[k] - pi;
         delta2 += fmadd(dr, dr, di * di) - fmadd(pr, pr, pi * pi);
     };
-    for (t, c) in (0..main).step_by(TILE).enumerate() {
-        if !screen.skips(t) {
-            (c..c + TILE).for_each(&mut shrink);
-        }
+    for e in &screen.live[..screen.n_live] {
+        let c = (e >> 1) as usize * TILE;
+        (c..c + TILE).for_each(&mut shrink);
     }
     (main..m).for_each(&mut shrink);
     // Cancellation in the correction can drive a tiny positive sum
     // fractionally negative; clamp so the caller's sqrt stays real.
     (delta2.max(0.0), pnorm2)
-}
-
-/// Advances `cursor` past the entries of the ascending list `supp` below
-/// `end`; whether there were any.
-#[inline(always)]
-fn reaches(supp: &[u32], cursor: &mut usize, end: u32) -> bool {
-    let start = *cursor;
-    while supp.get(*cursor).is_some_and(|k| *k < end) {
-        *cursor += 1;
-    }
-    *cursor > start
 }
 
 /// The relative margin `ε` the screen keeps below the threshold: a tile
@@ -1055,6 +1158,11 @@ const SCREEN_MARGIN: f64 = 1e-9;
 /// A touched tile's bound is `+inf`, and every bound starts there, so the
 /// first step evaluates every tile. A NaN anywhere fails the comparison,
 /// and that tile is evaluated.
+///
+/// Each step the screen first lists its live tiles, the touched ones and
+/// those it does not skip ([`TileScreen::plan`]), and on raster plans
+/// marks the phase units they read ([`TileScreen::mark_units`]). The prox
+/// step then builds those units and walks that list alone.
 pub(crate) struct TileScreen<'a> {
     /// Per lane tile of the main grid: `max |c_k|` when last evaluated
     /// untouched, `+inf` after a touched evaluation.
@@ -1078,25 +1186,48 @@ pub(crate) struct TileScreen<'a> {
     limit: f64,
     /// Off for the all-evaluate reference, which never skips.
     screening: bool,
+    /// The step's live-tile plan ([`TileScreen::plan`]): its first
+    /// `n_live` entries are the live tiles, ascending, each as
+    /// `t << 1 | touched`.
+    live: &'a mut [u32],
+    /// Live tiles this step.
+    n_live: usize,
+    /// Per phase unit of a raster plan: nonzero when a live tile reads
+    /// it ([`TileScreen::mark_units`]).
+    units: &'a mut [u32],
     /// Gradient tiles evaluated so far.
     evaluated: usize,
+    /// Polyphase partial-sum units built so far.
+    units_built: usize,
 }
 
 impl<'a> TileScreen<'a> {
     /// A fresh screen for one solve over `ndft`, carved from `state`:
     /// `2 (m / TILE)` per-tile entries, then the previous residual's
-    /// `2 n`. `state` is reserved to that size before it is filled, so a
-    /// warm buffer does not allocate. With `screening` off the screen
-    /// never skips: that is the all-evaluate reference the solver tests
-    /// compare against.
-    pub(crate) fn new(ndft: &Ndft, state: &'a mut Vec<f64>, screening: bool) -> Self {
-        let (tiles, n) = (ndft.grid.len / TILE, ndft.freqs_hz.len());
+    /// `2 n`; and its live-tile plan, carved from `plan`: `m / TILE`
+    /// list entries, then `ceil(m / TILE)` unit marks (a plan on this
+    /// grid has at most that many phase units). Both buffers are
+    /// reserved to their size before they are filled, so warm buffers
+    /// do not allocate. With `screening` off the screen never skips:
+    /// that is the all-evaluate reference the solver tests compare
+    /// against.
+    pub(crate) fn new(
+        ndft: &Ndft,
+        state: &'a mut Vec<f64>,
+        plan: &'a mut Vec<u32>,
+        screening: bool,
+    ) -> Self {
+        let (m, n) = (ndft.grid.len, ndft.freqs_hz.len());
+        let tiles = m / TILE;
         state.clear();
         state.reserve(2 * tiles + 2 * n);
         state.resize(tiles, f64::INFINITY);
         state.resize(2 * tiles + 2 * n, 0.0);
         let (bound, rest) = state.split_at_mut(tiles);
         let (mark, last) = rest.split_at_mut(tiles);
+        plan.clear();
+        plan.resize(tiles + m.div_ceil(TILE), 0);
+        let (live, units) = plan.split_at_mut(tiles);
         TileScreen {
             bound,
             mark,
@@ -1107,7 +1238,11 @@ impl<'a> TileScreen<'a> {
             steps: 0,
             limit: f64::NEG_INFINITY,
             screening,
+            live,
+            n_live: 0,
+            units,
             evaluated: 0,
+            units_built: 0,
         }
     }
 
@@ -1143,10 +1278,61 @@ impl<'a> TileScreen<'a> {
         self.evaluated
     }
 
+    /// Polyphase partial-sum units the steps have built so far.
+    pub(crate) fn units_built(&self) -> usize {
+        self.units_built
+    }
+
     /// Whether tile `t` is skipped, given the bound it holds.
     #[inline(always)]
     fn skips(&self, t: usize) -> bool {
         self.bound[t] + (self.drift - self.mark[t]) < self.limit
+    }
+
+    /// Lists the step's live tiles, ascending: every tile that
+    /// `supp_p` or `supp_prev` touches (flagged touched), and every
+    /// other tile whose bound does not skip it. Per tile it is one bound
+    /// test, one flag and one branch-free store: the flags are compacted
+    /// in place, since the list never runs ahead of the tile it reads.
+    fn plan(&mut self, supp_p: &[u32], supp_prev: &[u32]) {
+        let tiles = self.live.len();
+        for t in 0..tiles {
+            self.live[t] = !self.skips(t) as u32;
+        }
+        for k in supp_p.iter().chain(supp_prev) {
+            // Tail bins past the last tile have no entry.
+            if let Some(flag) = self.live.get_mut(*k as usize / TILE) {
+                *flag = 3;
+            }
+        }
+        let mut n_live = 0;
+        for t in 0..tiles {
+            let flag = self.live[t];
+            self.live[n_live] = (t as u32) << 1 | flag >> 1;
+            n_live += (flag != 0) as usize;
+        }
+        self.n_live = n_live;
+    }
+
+    /// Marks the phase units the live tiles read, given each tile's
+    /// units (`Polyphase::tile_units`), and returns the marks.
+    fn mark_units(&mut self, tile_units: &[[u32; 3]]) -> &[u32] {
+        self.units.fill(0);
+        for e in &self.live[..self.n_live] {
+            for u in tile_units[(e >> 1) as usize] {
+                self.units[u as usize] = 1;
+            }
+        }
+        self.units
+    }
+
+    /// The tiles of the main grid off the live list, ascending.
+    fn skipped(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut live = self.live[..self.n_live]
+            .iter()
+            .map(|e| (e >> 1) as usize)
+            .peekable();
+        (0..self.live.len()).filter(move |t| live.next_if_eq(t).is_none())
     }
 
     /// Records evaluated tile `t` with squared candidate magnitudes `sq`.
@@ -1156,41 +1342,19 @@ impl<'a> TileScreen<'a> {
             self.bound[t] = f64::INFINITY;
             return;
         }
-        // A NaN lane makes the peak NaN, so the tile is never skipped.
-        let peak = sq
-            .iter()
-            .fold(0.0f64, |a, v| if *v > a || v.is_nan() { *v } else { a });
-        self.bound[t] = peak.sqrt();
-        self.mark[t] = self.drift;
-    }
-}
-
-/// `out += a * b` over split planes for a complex scalar `b`
-/// (`(br, bi)`), 4 lanes at a time.
-fn axpy_complex_split(
-    a_re: &[f64],
-    a_im: &[f64],
-    br: f64,
-    bi: f64,
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-) {
-    use chronos_math::lanes::{fmadd, LANES};
-    let n = a_re.len();
-    let main = n - n % LANES;
-    for c in (0..main).step_by(LANES) {
-        for l in 0..LANES {
-            let ar = a_re[c + l];
-            let ai = a_im[c + l];
-            out_re[c + l] = fmadd(ar, br, fmadd(-ai, bi, out_re[c + l]));
-            out_im[c + l] = fmadd(ar, bi, fmadd(ai, br, out_im[c + l]));
+        // The largest square (none is negative), halving the lanes in
+        // log2(TILE) dependent steps. A NaN lane makes the peak NaN, so
+        // the tile is never skipped.
+        let wider = |a: f64, b: f64| if a > b || a.is_nan() { a } else { b };
+        let (mut peak, mut width) = (*sq, TILE);
+        while width > 1 {
+            width /= 2;
+            for l in 0..width {
+                peak[l] = wider(peak[l], peak[l + width]);
+            }
         }
-    }
-    for k in main..n {
-        let ar = a_re[k];
-        let ai = a_im[k];
-        out_re[k] = fmadd(ar, br, fmadd(-ai, bi, out_re[k]));
-        out_im[k] = fmadd(ar, bi, fmadd(ai, br, out_im[k]));
+        self.bound[t] = peak[0].sqrt();
+        self.mark[t] = self.drift;
     }
 }
 
@@ -1533,7 +1697,7 @@ mod tests {
                     &[],
                     &[],
                     &mut Vec::new(),
-                    &mut TileScreen::new(&ndft, &mut state, false),
+                    &mut TileScreen::new(&ndft, &mut state, &mut Vec::new(), false),
                 );
                 for k in 0..m {
                     for (re, im) in [(out_re[k], out_im[k]), (next_re[k], next_im[k])] {
@@ -1694,7 +1858,7 @@ mod tests {
                 &supp_p,
                 &supp_prev,
                 &mut supp,
-                &mut TileScreen::new(&ndft, &mut state, false),
+                &mut TileScreen::new(&ndft, &mut state, &mut Vec::new(), false),
             );
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let what = format!("{n} bands, {m} bins");
@@ -1709,6 +1873,282 @@ mod tests {
             covered.0 >= 4 && covered.1 >= 2 && covered.2 >= 2,
             "{covered:?}"
         );
+    }
+
+    /// The blocked forward pass is, bit for bit, a per-row loop over the
+    /// merged support: ascending columns, every row from `+0.0`, and a
+    /// column skipped when both planes of its extrapolated value are
+    /// exactly zero. Overlapping and disjoint supports, a support longer
+    /// than one gather batch, `beta` = 0 and 0.5, and 11, 12, 24 and 35
+    /// rows (not all a multiple of the row block). The zero columns are
+    /// NaN in the kernel's copy of the operator, so reading one would
+    /// show.
+    #[test]
+    fn blocked_forward_matches_per_row_loop_bitwise() {
+        use chronos_math::lanes::fmadd;
+        use std::collections::BTreeSet;
+        let (g5, g24) = intel_groups();
+        let all: Vec<f64> = chronos_rf::bands::band_plan()
+            .iter()
+            .map(|b| b.center_hz)
+            .collect();
+        let grid = TauGrid::span(200.0, 0.25);
+        let m = grid.len;
+        let supports: [(Vec<u32>, Vec<u32>); 3] = [
+            // Overlapping; at bin 250 `prev = 3 p` makes y = 0 at beta 0.5.
+            (
+                vec![3, 17, 18, 40, 41, 42, 100, 250, 251, 799],
+                vec![17, 40, 99, 100, 250, 600],
+            ),
+            (vec![5, 64, 300], vec![6, 65, 301, 702]),
+            (
+                (0..150).map(|j| 5 * j + 1).collect(),
+                (0..120).map(|j| 6 * j).collect(),
+            ),
+        ];
+        let mut zeros_seen = [0usize; 2];
+        for freqs in [&g24, &subset_12(), &g5, &all] {
+            let ndft = Ndft::new(freqs, grid);
+            let n = ndft.n_freqs();
+            for (supp_p, supp_prev) in &supports {
+                let (mut p_re, mut p_im) = (vec![0.0; m], vec![0.0; m]);
+                let (mut prev_re, mut prev_im) = (vec![0.0; m], vec![0.0; m]);
+                for &k in supp_p {
+                    let k = k as usize;
+                    (p_re[k], p_im[k]) = ((0.3 + 0.01 * k as f64).sin(), (0.7 * k as f64).cos());
+                }
+                for &k in supp_prev {
+                    let k = k as usize;
+                    (prev_re[k], prev_im[k]) =
+                        ((1.1 * k as f64).cos(), (0.2 + 0.03 * k as f64).sin());
+                }
+                if supp_p.contains(&250) && supp_prev.contains(&250) {
+                    (p_re[250], p_im[250], prev_re[250], prev_im[250]) = (0.25, -0.25, 0.75, -0.75);
+                }
+                let union: BTreeSet<u32> = supp_p.iter().chain(supp_prev).copied().collect();
+                for (b, beta) in [0.0, 0.5].into_iter().enumerate() {
+                    let (mut want_re, mut want_im) = (vec![0.0; n], vec![0.0; n]);
+                    let mut kernel = ndft.clone();
+                    for k in union.iter().map(|k| *k as usize) {
+                        let yr = fmadd(beta, p_re[k] - prev_re[k], p_re[k]);
+                        let yi = fmadd(beta, p_im[k] - prev_im[k], p_im[k]);
+                        if yr == 0.0 && yi == 0.0 {
+                            kernel.split.mat_t_re[k * n..(k + 1) * n].fill(f64::NAN);
+                            kernel.split.mat_t_im[k * n..(k + 1) * n].fill(f64::NAN);
+                            zeros_seen[b] += 1;
+                            continue;
+                        }
+                        for (i, a) in ndft.column(k).iter().enumerate() {
+                            want_re[i] = fmadd(a.re, yr, fmadd(-a.im, yi, want_re[i]));
+                            want_im[i] = fmadd(a.re, yi, fmadd(a.im, yr, want_im[i]));
+                        }
+                    }
+                    let (mut out_re, mut out_im) = (vec![7.0; 3], Vec::new());
+                    kernel.forward_extrapolated_split(
+                        &p_re,
+                        &p_im,
+                        &prev_re,
+                        &prev_im,
+                        beta,
+                        supp_p,
+                        supp_prev,
+                        &mut out_re,
+                        &mut out_im,
+                    );
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let what = format!("{n} bands, {} columns, beta {beta}", union.len());
+                    assert_eq!(bits(&out_re), bits(&want_re), "{what}");
+                    assert_eq!(bits(&out_im), bits(&want_im), "{what}");
+                }
+            }
+        }
+        assert!(zeros_seen.iter().all(|z| *z > 0), "{zeros_seen:?}");
+    }
+
+    /// The live-tile plan with screening on. A first step over zero
+    /// iterates records a bound on every tile; the second, at a nearby
+    /// residual, steps from iterates on chosen tiles, which the plan must
+    /// list although their recorded bounds would skip them, and whose
+    /// phase units it must build. Cases: support on the first and last
+    /// bin of a tile; a tile touched only by `prev`; the 5 GHz tile whose
+    /// phase window wraps (`k'` = 96 of P = 100); tail bins of a ragged
+    /// raster grid; a dense plan; and a screen that skips every tile but
+    /// one. The screened second step's planes, support and sums are the
+    /// all-evaluate step's bit for bit, and so is `sq` on the tiles it
+    /// evaluated, which are exactly the touched tiles and those whose
+    /// bound does not skip them.
+    #[test]
+    fn live_tile_plan_matches_all_evaluate_bitwise() {
+        let (g5, g24) = intel_groups();
+        let all: Vec<f64> = chronos_rf::bands::band_plan()
+            .iter()
+            .map(|b| b.center_hz)
+            .collect();
+        let full = TauGrid::span(200.0, 0.25);
+        // (bands, grid, supp_p, supp_prev, untouched tiles whose bound
+        // is over the threshold at the first step).
+        let cases = [
+            (&g5, full, vec![99, 160, 167], vec![167, 325], 0),
+            (&g5, full, vec![], vec![], 1),
+            (&g24, full, vec![160, 167, 515], vec![325, 519], 6),
+            (&subset_12(), full, vec![0, 7, 799], vec![8, 790], 6),
+            (
+                &g5,
+                TauGrid::span(200.0, 2.0),
+                vec![8, 15, 97],
+                vec![40, 99],
+                2,
+            ),
+            (&all, full, vec![160, 167], vec![325], 6),
+        ];
+        for (freqs, grid, supp_p, supp_prev, over) in cases {
+            let ndft = Ndft::new(freqs, grid);
+            let (n, m, tiles) = (ndft.n_freqs(), ndft.n_taus(), ndft.n_tiles());
+            let what = format!("{n} bands, {m} bins, {supp_p:?} / {supp_prev:?}");
+            let g2 = 0.031;
+            let fy1_re: Vec<f64> = (0..n).map(|i| (0.7 * i as f64).cos()).collect();
+            let fy1_im: Vec<f64> = (0..n).map(|i| (1.3 * i as f64 + 0.2).sin()).collect();
+            let fy2_re: Vec<f64> = (0..n)
+                .map(|i| fy1_re[i] + 1e-7 * (0.9 * i as f64).sin())
+                .collect();
+            // The threshold sits between the untouched tiles' peaks
+            // ranked `over` and `over + 1`.
+            let mut peaks: Vec<f64> = {
+                let (mut state, mut plan) = (Vec::new(), Vec::new());
+                let mut screen = TileScreen::new(&ndft, &mut state, &mut plan, false);
+                let mut next = (vec![0.0; m], vec![0.0; m], Vec::new());
+                let (.., sq) =
+                    untouched_step(&ndft, (&fy1_re, &fy1_im), g2, 1.0, &mut next, &mut screen);
+                sq[..tiles * TILE]
+                    .chunks_exact(TILE)
+                    .map(|t| t.iter().fold(0.0f64, |a, v| a.max(*v)).sqrt())
+                    .collect()
+            };
+            peaks.sort_by(|a, b| b.total_cmp(a));
+            let thresh = if over == 0 {
+                1.01 * peaks[0]
+            } else {
+                (peaks[over - 1] * peaks[over]).sqrt()
+            };
+            let plane = |supp: &[u32], phase: f64| {
+                let mut v = vec![0.0; m];
+                for k in supp.iter().map(|k| *k as usize) {
+                    v[k] = 3.0 * thresh * (phase + 0.37 * k as f64).sin();
+                }
+                v
+            };
+            let (p_re, p_im) = (plane(&supp_p, 0.1), plane(&supp_p, 1.1));
+            let (prev_re, prev_im) = (plane(&supp_prev, 2.3), plane(&supp_prev, 0.7));
+            let touched = |t: usize| {
+                let tile = (t * TILE) as u32..((t + 1) * TILE) as u32;
+                supp_p.iter().chain(&supp_prev).any(|k| tile.contains(k))
+            };
+            let run = |screening: bool| {
+                // A partial-sum unit read but not built would read NaN.
+                let (mut state, mut plan, mut sums) =
+                    (Vec::new(), Vec::new(), vec![f64::NAN; 2 * m]);
+                let mut screen = TileScreen::new(&ndft, &mut state, &mut plan, screening);
+                let mut next = (vec![0.0; m], vec![0.0; m], Vec::new());
+                untouched_step(
+                    &ndft,
+                    (&fy1_re, &fy1_im),
+                    g2,
+                    thresh,
+                    &mut next,
+                    &mut screen,
+                );
+                screen.observe(&fy2_re, &fy1_im, g2, thresh);
+                let live: Vec<u32> = (0..tiles)
+                    .filter(|t| touched(*t) || !screen.skips(*t))
+                    .map(|t| (t as u32) << 1 | touched(t) as u32)
+                    .collect();
+                let (tiles_before, units_before) = (screen.evaluated, screen.units_built);
+                let (mut next_re, mut next_im, mut sq) = (vec![0.0; m], vec![0.0; m], vec![9.0; m]);
+                let mut supp = Vec::new();
+                let (delta2, pnorm2) = ndft.fused_prox_step_split(
+                    &fy2_re,
+                    &fy1_im,
+                    &p_re,
+                    &p_im,
+                    &prev_re,
+                    &prev_im,
+                    0.62,
+                    g2,
+                    thresh,
+                    &mut next_re,
+                    &mut next_im,
+                    &mut sq,
+                    &mut sums,
+                    &supp_p,
+                    &supp_prev,
+                    &mut supp,
+                    &mut screen,
+                );
+                assert_eq!(&screen.live[..screen.n_live], &live[..], "{what}");
+                assert_eq!(screen.evaluated - tiles_before, live.len(), "{what}");
+                let units = screen.units_built - units_before;
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let sums = (delta2.to_bits(), pnorm2.to_bits());
+                (
+                    bits(&next_re),
+                    bits(&next_im),
+                    supp,
+                    sums,
+                    bits(&sq),
+                    live,
+                    units,
+                )
+            };
+            let (want, got) = (run(false), run(true));
+            assert_eq!(got.0, want.0, "{what}");
+            assert_eq!(got.1, want.1, "{what}");
+            assert_eq!(got.2, want.2, "{what}");
+            assert_eq!(got.3, want.3, "{what}");
+            let evaluated = got
+                .5
+                .iter()
+                .map(|e| (e >> 1) as usize * TILE..((e >> 1) as usize + 1) * TILE);
+            for bin in evaluated.flatten().chain(tiles * TILE..m) {
+                assert_eq!(got.4[bin], want.4[bin], "{what}: sq at bin {bin}");
+            }
+            assert_eq!(want.5.len(), tiles, "{what}");
+            if over <= 1 {
+                let touched_tiles = (0..tiles).filter(|t| touched(*t)).count();
+                assert_eq!(got.5.len(), touched_tiles + over, "{what}");
+            }
+            if let Some(poly) = &ndft.split.poly {
+                let every = poly.phase_len.div_ceil(TILE);
+                assert_eq!(want.6, every, "{what}");
+                if m % TILE == 0 {
+                    assert!(got.6 < every, "{what}: {} of {every} units", got.6);
+                } else {
+                    assert_eq!(got.6, every, "{what}: a ragged grid builds every unit");
+                }
+            }
+        }
+    }
+
+    /// A recorded bound is the square root of the tile's largest squared
+    /// candidate, whichever lane holds it, and `+0.0` for an all-zero
+    /// tile. A NaN in any lane makes the bound NaN, which no limit skips.
+    #[test]
+    fn recorded_bound_is_the_largest_lane_and_nan_is_never_skipped() {
+        let ndft = Ndft::new(&freqs(), TauGrid::span(20.0, 1.0));
+        let (mut state, mut plan) = (Vec::new(), Vec::new());
+        let mut screen = TileScreen::new(&ndft, &mut state, &mut plan, true);
+        screen.limit = f64::INFINITY;
+        for lane in 0..TILE {
+            let mut sq = [0.25, 1.0, 0.0, 0.5, 2.25, 1.5, 0.75, 2.0];
+            sq.rotate_right(lane);
+            screen.record(0, false, &sq);
+            assert_eq!(screen.bound[0].to_bits(), 1.5f64.to_bits(), "lane {lane}");
+            sq[lane] = f64::NAN;
+            screen.record(0, false, &sq);
+            assert!(screen.bound[0].is_nan(), "lane {lane}");
+            assert!(!screen.skips(0), "lane {lane}");
+        }
+        screen.record(0, false, &[0.0; TILE]);
+        assert_eq!(screen.bound[0].to_bits(), 0.0f64.to_bits());
     }
 
     /// One fused step over zero iterates (every tile untouched), so the
@@ -1770,7 +2210,7 @@ mod tests {
         let mut basis: Vec<Vec<Complex64>> = Vec::new();
         let mut perp = fy.clone();
         for k in t0 * TILE..(t0 + 1) * TILE {
-            let mut v = ndft.mat_t[k * n..(k + 1) * n].to_vec();
+            let mut v = ndft.column(k).to_vec();
             for _ in 0..2 {
                 for q in &basis {
                     let d = cvec::dot(q, &v);
@@ -1816,7 +2256,8 @@ mod tests {
                 let mut nudged = fy_re.to_vec();
                 nudged[j] = f64::from_bits(nudged[j].to_bits() + ulps);
                 let mut state = Vec::new();
-                let mut dry = TileScreen::new(ndft, &mut state, false);
+                let mut plan = Vec::new();
+                let mut dry = TileScreen::new(ndft, &mut state, &mut plan, false);
                 let mut next = (vec![0.0; m], vec![0.0; m], Vec::new());
                 untouched_step(ndft, (fy_re, fy_im), g2, 1.0, &mut next, &mut dry);
                 let (bound, mark) = (dry.bound[t0], dry.mark[t0]);
@@ -1851,7 +2292,8 @@ mod tests {
             .into_iter()
             .map(|screening| {
                 let mut state = Vec::new();
-                let mut screen = TileScreen::new(ndft, &mut state, screening);
+                let mut plan = Vec::new();
+                let mut screen = TileScreen::new(ndft, &mut state, &mut plan, screening);
                 let mut next = (vec![0.0; m], vec![0.0; m], Vec::new());
                 untouched_step(ndft, fy, g2, thresh, &mut next, &mut screen);
                 let (re, im, supp, sums, _) =

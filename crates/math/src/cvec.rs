@@ -107,10 +107,17 @@ pub fn magnitudes(v: &[Complex64]) -> Vec<f64> {
 }
 
 /// [`magnitudes`] into a caller-provided buffer (no allocation once `out`
-/// has capacity).
+/// has capacity). An exact zero of either sign gives `+0.0`, the value
+/// `hypot` returns, without calling it: sparse profiles are mostly zeros.
 pub fn magnitudes_into(v: &[Complex64], out: &mut Vec<f64>) {
     out.clear();
-    out.extend(v.iter().map(|z| z.abs()));
+    out.extend(v.iter().map(|z| {
+        if z.re == 0.0 && z.im == 0.0 {
+            0.0
+        } else {
+            z.abs()
+        }
+    }));
 }
 
 /// Extracts phases (radians, `(-pi, pi]`) into a fresh `Vec<f64>`.
@@ -198,6 +205,26 @@ mod tests {
         let p = phases(&v);
         assert!((m[0] - 2.0).abs() < 1e-12 && (m[1] - 0.5).abs() < 1e-12);
         assert!((p[0] - 0.3).abs() < 1e-12 && (p[1] + 1.2).abs() < 1e-12);
+    }
+
+    /// Exact zeros of either sign read `+0.0`, bit for bit what `hypot`
+    /// gives them; every other entry is its `hypot`.
+    #[test]
+    fn magnitudes_of_signed_zeros_are_positive_zero() {
+        let v = vec![
+            c(0.0, 0.0),
+            c(-0.0, 0.0),
+            c(0.0, -0.0),
+            c(-0.0, -0.0),
+            c(-0.0, 3.0),
+            c(4.0, -0.0),
+            c(1e-300, -0.0),
+        ];
+        let got = magnitudes(&v);
+        for (z, m) in v.iter().zip(got.iter()) {
+            assert_eq!(m.to_bits(), z.re.hypot(z.im).to_bits(), "{z:?}");
+        }
+        assert!(got[..4].iter().all(|m| m.to_bits() == 0.0f64.to_bits()));
     }
 
     #[test]

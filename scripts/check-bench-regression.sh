@@ -17,7 +17,10 @@
 #     (IstaStats::tiles_evaluated over the 12-band TRACK channels):
 #     the work the safe tile screen leaves, fixed by the code and not
 #     by the host. It also fails on ANY increase, so a looser screen
-#     that quietly skips less cannot pass. Wall-clock sweeps/s
+#     that quietly skips less cannot pass. So does units_per_solve,
+#     the polyphase partial-sum units (8 phases of every residue
+#     class) the prox steps build per solve (IstaStats::units_built):
+#     a step builds only the units its live tiles read. Wall-clock sweeps/s
 #     columns are informational (they depend on the host); only the
 #     portable ratio/alloc/tile metrics gate. The speedup is
 #     measured paired (reference and pipeline alternate call-by-call,

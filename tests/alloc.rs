@@ -1,8 +1,8 @@
 //! Allocation-budget tests for the sweep pipeline: the zero-alloc
 //! contract of `docs/PIPELINE.md`, enforced with a counting global
 //! allocator, plus two bitwise pins: a dirty solver scratch against a
-//! fresh one, and the pipeline's two estimation calls against each
-//! other.
+//! fresh one (off-raster and raster plans), and the pipeline's two
+//! estimation calls against each other.
 //!
 //! The contract under test: once a [`SweepPipeline`]'s scratch arena is
 //! warm, the estimation path — products → NDFT/ISTA → profile →
@@ -13,7 +13,9 @@
 
 use chronos_bench::alloc_count::{thread_allocations, CountingAlloc};
 use chronos_suite::core::config::ChronosConfig;
-use chronos_suite::core::ista::{solve_planned_into, IstaConfig, IstaScratch};
+use chronos_suite::core::ista::{
+    debias_into, solve_planned_into, DebiasScratch, IstaConfig, IstaScratch,
+};
 use chronos_suite::core::localization::{AntennaRange, LocalizerConfig, Position};
 use chronos_suite::core::ndft::TauGrid;
 use chronos_suite::core::plan::{NdftPlan, PlanCache};
@@ -174,6 +176,36 @@ fn alternating_subset_and_full_plans_stay_allocation_free() {
         allocs, 0,
         "alternating subset/full-plan estimation allocated {allocs} times over 24 sweeps"
     );
+}
+
+/// The debias refit ranks only the profile's nonzero bins, in a buffer
+/// reserved to the grid length. After a warm-up on a sparse profile, a
+/// refit of a profile that is nonzero on every bin allocates nothing:
+/// both choose the same number of atoms, so the least-squares system
+/// keeps its shape, and the ranking buffer does not grow.
+#[test]
+fn full_support_refit_after_sparse_warm_up_is_allocation_free() {
+    let freqs: Vec<f64> = band_plan_5ghz().iter().map(|b| b.center_hz).collect();
+    let plan = NdftPlan::new(&freqs, TauGrid::span(200.0, 0.25), 0.0);
+    let m = plan.ndft.n_taus();
+    let h: Vec<Complex64> = freqs
+        .iter()
+        .map(|f| Complex64::cis(-2.0 * std::f64::consts::PI * f * 21e-9))
+        .collect();
+    let mut sparse = vec![Complex64::ZERO; m];
+    for (j, k) in [40, 90, 130, 200, 260, 333, 410, 505].iter().enumerate() {
+        sparse[*k] = Complex64::from_polar(1.0 - 0.1 * j as f64, j as f64);
+    }
+    let full: Vec<Complex64> = (0..m)
+        .map(|k| Complex64::from_polar(1.0 + 0.5 * (0.11 * k as f64).cos(), k as f64))
+        .collect();
+    let (mut ws, mut out) = (DebiasScratch::default(), Vec::new());
+    debias_into(&plan.ndft, &h, &sparse, 6, 3, &mut ws, &mut out);
+    let before = thread_allocations();
+    debias_into(&plan.ndft, &h, &full, 6, 3, &mut ws, &mut out);
+    let allocs = thread_allocations() - before;
+    assert_eq!(allocs, 0, "a full-support refit allocated {allocs} times");
+    assert_eq!(out.iter().filter(|w| **w != Complex64::ZERO).count(), 6);
 }
 
 /// The pipeline's two estimation calls run one body. On one warm
@@ -420,6 +452,71 @@ proptest! {
         prop_assert_eq!(stats.converged, reference.converged);
         prop_assert_eq!(stats.residual.to_bits(), reference.residual.to_bits());
         prop_assert_eq!(scratch.solution().len(), fresh.solution().len());
+        for (a, b) in scratch.solution().iter().zip(fresh.solution().iter()) {
+            prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
+            prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
+        }
+    }
+
+    /// The same pin on raster plans, whose prox steps build only the
+    /// polyphase partial sums their live tiles read and leave the rest
+    /// of the buffer as it was: the 24-band 5 GHz group (C = 4,
+    /// P = 100), the 12-band TRACK subset (C = 2, P = 200) and the
+    /// 11-band 2.4 GHz group (C = 4, P = 200), each on a scratch dirtied
+    /// by a solve on another of them.
+    #[test]
+    fn raster_solve_on_dirty_scratch_is_bitwise_fresh(
+        plan_idx in 0usize..3,
+        dirty_step in 1usize..3,
+        tau_list in proptest::collection::vec(1.0f64..90.0, 1..4),
+        amp_list in proptest::collection::vec(0.1f64..1.0, 3..4),
+        noise in proptest::collection::vec((-0.05f64..0.05, -0.05f64..0.05), 24..25),
+        accel_bit in 0usize..2,
+    ) {
+        let grid = TauGrid::span(200.0, 0.25);
+        let group = |want_2g4: bool| -> Vec<f64> {
+            band_plan()
+                .iter()
+                .filter(|b| b.group.is_2g4() == want_2g4)
+                .map(|b| b.center_hz)
+                .collect()
+        };
+        let subset: Vec<f64> = select_subset(&band_plan_5ghz(), 12, 100.0)
+            .iter()
+            .map(|b| b.center_hz)
+            .collect();
+        let plans = [group(false), subset, group(true)].map(|freqs| NdftPlan::new(&freqs, grid, 0.0));
+        let shape = |plan: &NdftPlan| plan.ndft.polyphase_shape().expect("on the 200 ns raster");
+        let channel = |plan: &NdftPlan| -> Vec<Complex64> {
+            plan.ndft
+                .freqs_hz()
+                .iter()
+                .zip(noise.iter())
+                .map(|(f, (nr, ni))| {
+                    let mut acc = Complex64::new(*nr, *ni);
+                    for (tau, a) in tau_list.iter().zip(amp_list.iter().cycle()) {
+                        acc += Complex64::from_polar(*a, -2.0 * std::f64::consts::PI * f * tau * 1e-9);
+                    }
+                    acc
+                })
+                .collect()
+        };
+        let (plan, other) = (&plans[plan_idx], &plans[(plan_idx + dirty_step) % 3]);
+        let ((d, c), (d_other, c_other)) = (shape(plan), shape(other));
+        prop_assert!((c, grid.len / d) != (c_other, grid.len / d_other));
+        let cfg = IstaConfig { accelerated: accel_bit == 1, ..IstaConfig::default() };
+        let h = channel(plan);
+
+        let mut fresh = IstaScratch::new();
+        let reference = solve_planned_into(plan, &h, &cfg, &mut fresh);
+        let mut scratch = IstaScratch::new();
+        solve_planned_into(other, &channel(other), &cfg, &mut scratch);
+        let stats = solve_planned_into(plan, &h, &cfg, &mut scratch);
+        prop_assert_eq!(stats.iterations, reference.iterations);
+        prop_assert_eq!(stats.converged, reference.converged);
+        prop_assert_eq!(stats.residual.to_bits(), reference.residual.to_bits());
+        prop_assert_eq!(stats.tiles_evaluated, reference.tiles_evaluated);
+        prop_assert_eq!(stats.units_built, reference.units_built);
         for (a, b) in scratch.solution().iter().zip(fresh.solution().iter()) {
             prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
             prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
