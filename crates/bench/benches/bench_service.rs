@@ -1,21 +1,17 @@
-//! Multi-client ranging service throughput: shared `PlanCache` + arbited
-//! medium versus N independent cold sessions.
+//! Multi-client ranging service throughput over a shared `PlanCache` and
+//! an arbited medium.
 //!
 //! Reports, per client count N:
-//! * `cold_sessions/N` — N plain `ChronosSession`s swept sequentially,
-//!   each sweep rebuilding NDFT operators, operator norms, lobe tables
-//!   and spline factorizations from scratch (the pre-service design);
 //! * `service_shared/N` — one `ServiceEngine` with one warmed
-//!   `PlanCache`, single worker thread (isolates the plan-reuse win);
+//!   `PlanCache`, single worker thread;
 //! * `service_parallel/N` — the same engine with one worker per core
 //!   (adds the scoped-thread inversion win).
 //!
-//! The same estimator arithmetic runs in all three; outputs are identical
+//! The same estimator arithmetic runs in both; outputs are identical
 //! (see `tests/service.rs` for the equivalence assertions). Only the
-//! redundant per-sweep plan construction and the serialization of
-//! independent clients differ.
+//! serialization of independent clients differs.
 //!
-//! A fourth variant, `service_adaptive/N`, runs the adaptive scheduler
+//! A third variant, `service_adaptive/N`, runs the adaptive scheduler
 //! (tracker-driven TRACK-mode subset sweeps) in steady state; besides
 //! the host-time numbers, the bench prints the **capacity table** —
 //! simulated sweeps per second of airtime, full-sweep vs adaptive — that
@@ -34,16 +30,12 @@ use chronos_bench::tracking::{capacity_table, mixed_capacity_table, mixed_table}
 use chronos_core::config::ChronosConfig;
 use chronos_core::engine::ServiceEngine;
 use chronos_core::service::ServiceConfig;
-use chronos_core::session::ChronosSession;
 use chronos_core::tracker::TrackerConfig;
-use chronos_link::time::Instant;
 use chronos_rf::csi::MeasurementContext;
 use chronos_rf::environment::Environment;
 use chronos_rf::geometry::Point;
 use chronos_rf::hardware::{ideal_device, AntennaArray};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn client_ctx(i: usize) -> MeasurementContext {
     let mut ctx = MeasurementContext::new(
@@ -55,16 +47,6 @@ fn client_ctx(i: usize) -> MeasurementContext {
     );
     ctx.snr.snr_at_1m_db = 55.0;
     ctx
-}
-
-fn cold_sessions(n: usize) -> Vec<ChronosSession> {
-    (0..n)
-        .map(|i| {
-            let mut s = ChronosSession::new(client_ctx(i), ChronosConfig::ideal());
-            s.sweep_cfg.medium.loss_prob = 0.0;
-            s
-        })
-        .collect()
 }
 
 fn shared_service(n: usize, threads: usize) -> ServiceEngine {
@@ -100,25 +82,6 @@ fn adaptive_service(n: usize) -> ServiceEngine {
 fn bench_service(c: &mut Criterion) {
     let mut group = c.benchmark_group("service");
     for n in [1usize, 2, 4, 8] {
-        let sessions = cold_sessions(n);
-        group.bench_with_input(BenchmarkId::new("cold_sessions", n), &n, |b, _| {
-            let mut round = 0u64;
-            b.iter(|| {
-                round += 1;
-                let outs: Vec<f64> = sessions
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        let mut rng = StdRng::seed_from_u64(round * 1000 + i as u64);
-                        s.sweep(&mut rng, Instant::from_millis(round * 200))
-                            .mean_distance_m()
-                            .unwrap_or(f64::NAN)
-                    })
-                    .collect();
-                std::hint::black_box(outs)
-            })
-        });
-
         let mut svc1 = shared_service(n, 1);
         group.bench_with_input(BenchmarkId::new("service_shared", n), &n, |b, _| {
             b.iter(|| std::hint::black_box(svc1.run_epoch(42).completed()))

@@ -3,8 +3,8 @@
 //!
 //! These runners back `tests/adversarial.rs`, the `BENCH_adversarial.json`
 //! detection-latency baseline (`scripts/check-bench-regression.sh` — CI
-//! fails on a >20% latency regression) and the numbers quoted in
-//! `docs/ADVERSARIAL.md`. Everything is deterministic given a seed.
+//! fails when any cell differs from the baseline) and the numbers quoted
+//! in `docs/ADVERSARIAL.md`. Everything is deterministic given a seed.
 //!
 //! Every scenario warms up **clean** before the attacker switches on at
 //! the `onset` epoch: a constant spoof present from a client's very first
@@ -309,10 +309,9 @@ pub fn run_adversarial(cfg: &AdversarialScenarioConfig) -> AdversarialRun {
     }
 }
 
-/// Headers of the `BENCH_adversarial` table, in column order.
-/// `detect_latency_sweeps` matches the regression checker's
-/// lower-is-better rule via its `latency` substring; `honest_err_m` via
-/// `err`; `quarantined_rate` is higher-is-better via `rate`.
+/// Headers of the `BENCH_adversarial` table, in column order. The gate
+/// ([`crate::cli::check_exact`]) holds every column to the baseline
+/// exactly.
 pub const ADVERSARIAL_HEADERS: [&str; 6] = [
     "scenario",
     "epochs",

@@ -10,19 +10,18 @@
 //!
 //! # Gate mode (what scripts/check-bench-regression.sh runs in CI):
 //! cargo run --release -p chronos-bench --bin bench_adversarial -- \
-//!     --quick --check BENCH_adversarial.json --tolerance 0.20
+//!     --quick --check BENCH_adversarial.json
 //! ```
 //!
 //! Flags are the shared set parsed by [`chronos_bench::cli::BenchArgs`]
-//! (`--quick`, `--out`, `--check`, `--tolerance`). The run is fully
-//! deterministic, so the gate trips on real detection-latency drift, not
-//! noise. Weak attacks deliberately sit under the innovation gate and
+//! (`--quick`, `--out`, `--check`). The run is fully deterministic, so
+//! the gate ([`chronos_bench::cli::check_exact`]) holds every cell
+//! exactly and trips on real detection drift, not noise. Weak attacks deliberately sit under the innovation gate and
 //! report the `999` undetected sentinel — the table documents the
 //! detectability gradient, and the gate keeps it from silently eroding.
 
 use chronos_bench::adversarial::adversarial_table;
-use chronos_bench::cli::BenchArgs;
-use chronos_bench::position::check_regression;
+use chronos_bench::cli::{check_exact, BenchArgs};
 use std::process::ExitCode;
 
 const SEED: u64 = 73;
@@ -38,5 +37,5 @@ fn main() -> ExitCode {
 
     let (epochs, onset) = if args.quick { (17, 5) } else { (28, 8) };
     let table = adversarial_table(SEED, epochs, onset);
-    args.write_or_check(&table, check_regression)
+    args.write_or_check(&table, check_exact)
 }

@@ -11,20 +11,20 @@
 //!
 //! # Gate mode (what scripts/check-bench-regression.sh runs in CI):
 //! cargo run --release -p chronos-bench --bin bench_fleet -- \
-//!     --quick --check BENCH_fleet.json --tolerance 0.20
+//!     --quick --check BENCH_fleet.json
 //! ```
 //!
 //! Flags are the shared set parsed by [`chronos_bench::cli::BenchArgs`]
-//! (`--quick`, `--out`, `--check`, `--tolerance`). The run is fully
-//! deterministic, and [`chronos_bench::fleet::fleet_table`] asserts the
-//! capacity claim (TDoA ≥ 2× fixes/s per client at ≤ 1.5× the error)
-//! before any table is written, so a committed baseline always embodies
-//! it; the gate then holds the margin against drift.
+//! (`--quick`, `--out`, `--check`). The run is fully deterministic, and
+//! [`chronos_bench::fleet::fleet_table`] asserts the capacity claim
+//! (TDoA ≥ 2× fixes/s per client at ≤ 1.5× the error) before any table
+//! is written, so a committed baseline always embodies it; the gate
+//! ([`chronos_bench::cli::check_exact`]) then holds every numeric cell
+//! exactly. The host-timed `speedup_vs_serial` column is informational.
 
 use chronos_bench::alloc_count::CountingAlloc;
-use chronos_bench::cli::BenchArgs;
+use chronos_bench::cli::{check_exact, BenchArgs};
 use chronos_bench::fleet::fleet_table;
-use chronos_bench::position::check_regression;
 use std::process::ExitCode;
 
 const SEED: u64 = 47;
@@ -51,5 +51,5 @@ fn main() -> ExitCode {
     chronos_core::runtime::set_alloc_probe(chronos_bench::alloc_count::thread_allocations);
 
     let table = fleet_table(SEED, args.quick);
-    args.write_or_check(&table, check_regression)
+    args.write_or_check(&table, check_exact)
 }

@@ -10,20 +10,20 @@
 //!
 //! # Gate mode (what scripts/check-bench-regression.sh runs in CI):
 //! cargo run --release -p chronos-bench --bin bench_soak -- \
-//!     --quick --check BENCH_soak.json --tolerance 0.20
+//!     --quick --check BENCH_soak.json
 //! ```
 //!
 //! Flags are the shared set parsed by [`chronos_bench::cli::BenchArgs`]
-//! (`--quick`, `--out`, `--check`, `--tolerance`). The run is fully
-//! deterministic — the queue sheds as a pure function of the arrival
-//! sequence — so the gate trips on real scheduling drift, not noise.
+//! (`--quick`, `--out`, `--check`). The run is fully deterministic — the
+//! queue sheds as a pure function of the arrival sequence — so the gate
+//! ([`chronos_bench::cli::check_exact`]) holds every cell exactly and
+//! trips on real scheduling drift, not noise.
 //! The load-shedding contract the table pins down: ACQUIRE sheds stay
 //! at zero at every load, BACKGROUND absorbs the drops, TRACK absorbs
 //! deferrals, and the honest walkers' error grows gracefully rather
 //! than collapsing.
 
-use chronos_bench::cli::BenchArgs;
-use chronos_bench::position::check_regression;
+use chronos_bench::cli::{check_exact, BenchArgs};
 use chronos_bench::soak::soak_table;
 use std::process::ExitCode;
 
@@ -40,5 +40,5 @@ fn main() -> ExitCode {
 
     let (windows, window_ms) = if args.quick { (4, 250) } else { (8, 250) };
     let table = soak_table(SEED, windows, window_ms);
-    args.write_or_check(&table, check_regression)
+    args.write_or_check(&table, check_exact)
 }

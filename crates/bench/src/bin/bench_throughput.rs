@@ -8,14 +8,15 @@
 //!
 //! # Gate mode (what scripts/check-bench-regression.sh runs in CI):
 //! cargo run --release -p chronos-bench --bin bench_throughput -- \
-//!     --quick --check BENCH_throughput.json --tolerance 0.20
+//!     --quick --check BENCH_throughput.json
 //! ```
 //!
-//! Shared flags (`--quick/--out/--check/--tolerance`) are parsed by
+//! Shared flags (`--quick/--out/--check`) are parsed by
 //! [`chronos_bench::cli::BenchArgs`]. The gate covers the portable
 //! metrics only: `speedup_x` (pipeline vs the transcribed pre-refactor
-//! solver; >20% regression or falling below the absolute 3.0× floor
-//! fails), `allocs_per_sweep` (any increase fails — including the
+//! solver; a regression past
+//! [`chronos_bench::throughput::SPEEDUP_TOLERANCE`] (20%) or falling
+//! below the absolute 3.0× floor fails), `allocs_per_sweep` (any increase fails — including the
 //! per-item counters on the `fix_pool` rows), `tiles_per_solve` (the
 //! gradient tiles a solve evaluates; any increase fails) and
 //! `units_per_solve` (the polyphase partial-sum units a solve builds;

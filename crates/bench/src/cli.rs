@@ -3,20 +3,20 @@
 //!
 //! Every gated bench binary (`bench_position`, `bench_throughput`,
 //! `bench_adversarial`, `bench_soak`, `bench_fleet`) understands the
-//! same four flags:
+//! same three flags:
 //!
 //! * `--quick` — fewer epochs/rounds (the CI setting; baselines must be
 //!   generated with the same flag CI checks with);
 //! * `--out <path>` — where to write the JSON baseline (default is the
 //!   binary's checked-in baseline name);
 //! * `--check <baseline>` — compare against a checked-in baseline
-//!   instead of overwriting it (exit 1 on regression);
-//! * `--tolerance <frac>` — relative regression tolerance (default 0.20).
+//!   instead of overwriting it (exit 1 on regression).
 //!
 //! Each binary builds its table with its own seed and sizes, then hands
-//! it to [`BenchArgs::write_or_check`] with its own regression check.
-//! Parsing and the write/check step live here so the binaries cannot
-//! drift apart.
+//! it to [`BenchArgs::write_or_check`] with its regression check: the
+//! four deterministic benches share [`check_exact`], and
+//! `bench_throughput` has its own for its host-timed ratio. Parsing and
+//! the write/check step live here so the binaries cannot drift apart.
 
 use crate::report::{write_json, Table};
 use std::path::PathBuf;
@@ -31,8 +31,6 @@ pub struct BenchArgs {
     pub out: PathBuf,
     /// Baseline to gate against, if any.
     pub check: Option<PathBuf>,
-    /// Relative regression tolerance.
-    pub tolerance: f64,
 }
 
 impl BenchArgs {
@@ -51,7 +49,6 @@ impl BenchArgs {
             quick: false,
             out: PathBuf::from(default_out),
             check: None,
-            tolerance: 0.20,
         };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -65,12 +62,6 @@ impl BenchArgs {
                         args.next().ok_or("--check needs a path".to_string())?,
                     ))
                 }
-                "--tolerance" => {
-                    parsed.tolerance = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--tolerance needs a fraction, e.g. 0.20".to_string())?
-                }
                 other => {
                     return Err(format!("unknown flag {other}; see the crate docs"));
                 }
@@ -81,14 +72,14 @@ impl BenchArgs {
 
     /// Prints `table`, then either writes it to `--out` or, under
     /// `--check`, gates it against the baseline with `check` (current,
-    /// baseline, tolerance → the list of failures) and reports OK or
-    /// FAILED. Returns the process exit code: failure only when the gate
-    /// fails. Panics when the output cannot be written or the baseline
-    /// cannot be read or parsed.
+    /// baseline → the list of failures) and reports OK or FAILED.
+    /// Returns the process exit code: failure only when the gate fails.
+    /// Panics when the output cannot be written or the baseline cannot
+    /// be read or parsed.
     pub fn write_or_check(
         &self,
         table: &Table,
-        check: impl FnOnce(&Table, &Table, f64) -> Result<(), Vec<String>>,
+        check: impl FnOnce(&Table, &Table) -> Result<(), Vec<String>>,
     ) -> ExitCode {
         println!("{}", table.render());
         let Some(baseline_path) = &self.check else {
@@ -101,11 +92,10 @@ impl BenchArgs {
             .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", baseline_path.display()));
         let baseline =
             Table::from_json(&baseline_src).unwrap_or_else(|e| panic!("malformed baseline: {e}"));
-        match check(table, &baseline, self.tolerance) {
+        match check(table, &baseline) {
             Ok(()) => {
                 println!(
-                    "bench-regression gate: OK (within {:.0}% of {})",
-                    self.tolerance * 100.0,
+                    "bench-regression gate: OK against {}",
                     baseline_path.display()
                 );
                 ExitCode::SUCCESS
@@ -126,6 +116,41 @@ impl BenchArgs {
     }
 }
 
+/// The exact gate of the four deterministic benches (position,
+/// adversarial, soak, fleet): every numeric cell of every baseline row
+/// must equal the current run's, in either direction, and a baseline row
+/// missing from the current run fails. Rows are matched by their first
+/// cell, the key. A non-numeric baseline cell other than the key is
+/// informational — today only `BENCH_fleet`'s host-timed
+/// `speedup_vs_serial` (rendered with an `x` suffix). The runs are
+/// seeded, so any difference is a real change: an intentional one
+/// re-records the baseline and says why. Returns every mismatch.
+pub fn check_exact(current: &Table, baseline: &Table) -> Result<(), Vec<String>> {
+    let mut failures = Vec::new();
+    for (bi, brow) in baseline.rows.iter().enumerate() {
+        let key = brow.first().cloned().unwrap_or_default();
+        let Some(ci) = current.row_by_key(&key) else {
+            failures.push(format!("row {key:?} missing from current run"));
+            continue;
+        };
+        for header in baseline.headers.iter().skip(1) {
+            let Some(base) = baseline.cell_f64(bi, header) else {
+                continue;
+            };
+            let cur = current.cell_f64(ci, header);
+            if cur != Some(base) {
+                let cur = cur.map_or("no number".to_string(), |c| c.to_string());
+                failures.push(format!("{key}/{header}: {cur} != baseline {base}"));
+            }
+        }
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,22 +165,11 @@ mod tests {
         assert!(!a.quick);
         assert_eq!(a.out, PathBuf::from("BENCH_default.json"));
         assert!(a.check.is_none());
-        assert!((a.tolerance - 0.20).abs() < 1e-12);
 
-        let a = v(&[
-            "--quick",
-            "--out",
-            "x.json",
-            "--check",
-            "b.json",
-            "--tolerance",
-            "0.1",
-        ])
-        .unwrap();
+        let a = v(&["--quick", "--out", "x.json", "--check", "b.json"]).unwrap();
         assert!(a.quick);
         assert_eq!(a.out, PathBuf::from("x.json"));
         assert_eq!(a.check, Some(PathBuf::from("b.json")));
-        assert!((a.tolerance - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -163,6 +177,41 @@ mod tests {
         assert!(v(&["--frobnicate"]).is_err());
         assert!(v(&["--out"]).is_err());
         assert!(v(&["--check"]).is_err());
-        assert!(v(&["--tolerance", "abc"]).is_err());
+        // No flag sets a tolerance: gate 2 keeps its one as a constant.
+        assert!(v(&["--tolerance", "0.20"]).is_err());
+    }
+
+    #[test]
+    fn exact_check_fails_on_any_difference() {
+        let headers = ["scenario", "epochs", "median_err_m", "fix_rate", "speedup"];
+        let mut base = Table::new("BENCH_x", &headers);
+        base.row(&[
+            "los".into(),
+            "10".into(),
+            "0.033".into(),
+            "1.000".into(),
+            "1.00x".into(),
+        ]);
+        // An identical run passes.
+        assert!(check_exact(&base.clone(), &base).is_ok());
+        // A change in either direction fails, on any numeric column.
+        for (col, value) in [(1, "11"), (2, "0.034"), (2, "0.032"), (3, "0.999")] {
+            let mut changed = base.clone();
+            changed.rows[0][col] = value.into();
+            let errs = check_exact(&changed, &base).unwrap_err();
+            assert!(errs.iter().any(|e| e.contains(headers[col])), "{errs:?}");
+        }
+        // A numeric cell that stops being a number fails.
+        let mut blank = base.clone();
+        blank.rows[0][2] = "-".into();
+        assert!(check_exact(&blank, &base).is_err());
+        // A missing row fails.
+        let empty = Table::new("BENCH_x", &headers);
+        let errs = check_exact(&empty, &base).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("missing")), "{errs:?}");
+        // The non-numeric column is informational.
+        let mut faster = base.clone();
+        faster.rows[0][4] = "1.80x".into();
+        assert!(check_exact(&faster, &base).is_ok());
     }
 }

@@ -62,14 +62,12 @@ pub const FLEET_POOL_WORKERS: usize = 3;
 /// few seconds of simulated time.
 pub const WALKER_SPEED_MPS: f64 = 6.0;
 
-/// Table headers; first column is the regression-gate row key.
-/// Direction rules (`check_regression`): `fix_rate_per_client` is
-/// higher-better, `median_err_m`/`p90_err_m` and `handoff_gap_sweeps`
-/// are lower-better, everything else numeric must match the baseline
-/// exactly — which is how `worker_allocs` gates the steady-state shard
-/// path at 0 and `workers` pins each row's execution strategy.
-/// `speedup_vs_serial` is rendered with an `x` suffix, so the gate
-/// skips it (informational: CI hosts vary in core count).
+/// Table headers; first column is the regression-gate row key. The gate
+/// ([`crate::cli::check_exact`]) holds every numeric column to the
+/// baseline exactly — which is how `worker_allocs` gates the
+/// steady-state shard path at 0 and `workers` pins each row's execution
+/// strategy. `speedup_vs_serial` is rendered with an `x` suffix, so the
+/// gate skips it (informational: CI hosts vary in core count).
 pub const FLEET_HEADERS: [&str; 12] = [
     "scenario",
     "aps",
@@ -192,9 +190,9 @@ pub struct FleetModeRun {
     /// not installed (e.g. under `cargo test`).
     pub worker_allocs: u64,
     /// FNV-1a digest of everything deterministic in the window reports
-    /// (outcome streams, utilization bits, handoff/sync accounting;
-    /// wall clock and cache-hit lookup counts excluded). Equal digests
-    /// across worker counts is the bitwise-identity claim.
+    /// (outcome streams, utilization bits, handoff/sync and plan-cache
+    /// accounting; wall clock excluded). Equal digests across worker
+    /// counts is the bitwise-identity claim.
     pub digest: u64,
 }
 
@@ -217,6 +215,7 @@ fn digest_reports(reports: &[FleetWindowReport]) -> u64 {
         put(r.n_clients as u64);
         for sr in &r.shard_reports {
             put(sr.utilization.to_bits());
+            put(sr.cache.hits);
             put(sr.cache.misses);
             put(sr.bands_planned as u64);
             for o in &sr.outcomes {

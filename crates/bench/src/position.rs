@@ -2,8 +2,8 @@
 //! walking client in 2-D, in the open and behind a concrete wall.
 //!
 //! These runners back `tests/position.rs`, the `BENCH_position.json`
-//! regression baseline (`scripts/check-bench-regression.sh` — CI fails on
-//! a >20% metric regression) and the numbers quoted in
+//! regression baseline (`scripts/check-bench-regression.sh` — CI fails
+//! when any cell differs from the baseline) and the numbers quoted in
 //! `docs/LOCALIZATION.md`. Everything is deterministic given a seed.
 
 use crate::report::Table;
@@ -319,70 +319,6 @@ pub fn position_table(seed: u64, epochs: usize) -> Table {
     table
 }
 
-/// Compares a fresh `BENCH_position` run against the checked-in baseline.
-///
-/// Direction is inferred from the header: error-like columns (`*err*`,
-/// `*rmse*`) must not grow by more than `tol` (relative, with a 2 cm
-/// absolute slack so near-zero baselines don't gate on noise); rate-like
-/// columns (`*rate*`) must not shrink by more than `tol`. Any other
-/// numeric column (e.g. `epochs`) is a scenario *parameter*: it must
-/// match exactly, because metrics from runs with different settings are
-/// not comparable — a mismatch means the baseline was generated with a
-/// different command than CI runs. Returns every violated metric.
-pub fn check_regression(current: &Table, baseline: &Table, tol: f64) -> Result<(), Vec<String>> {
-    const ABS_SLACK: f64 = 0.02;
-    let mut failures = Vec::new();
-    for (bi, brow) in baseline.rows.iter().enumerate() {
-        let key = brow.first().cloned().unwrap_or_default();
-        let Some(ci) = current.row_by_key(&key) else {
-            failures.push(format!("scenario {key:?} missing from current run"));
-            continue;
-        };
-        for header in &baseline.headers {
-            let (Some(base), Some(cur)) =
-                (baseline.cell_f64(bi, header), current.cell_f64(ci, header))
-            else {
-                continue;
-            };
-            let lower_better = header.contains("err")
-                || header.contains("rmse")
-                || header.contains("detect")
-                || header.contains("latency")
-                || header.contains("shed")
-                || header.contains("fairness")
-                || header.contains("deferred")
-                || header.contains("gap");
-            let higher_better = header.contains("rate");
-            if !lower_better && !higher_better {
-                if (cur - base).abs() > 1e-9 {
-                    failures.push(format!(
-                        "{key}/{header}: scenario parameter {cur} != baseline {base} — \
-                         regenerate the baseline with the same settings CI uses \
-                         (scripts/check-bench-regression.sh runs --quick)"
-                    ));
-                }
-                continue;
-            }
-            if lower_better && cur > base * (1.0 + tol) + ABS_SLACK {
-                failures.push(format!(
-                    "{key}/{header}: {cur:.3} regressed past baseline {base:.3} (+{tol:.0}%)",
-                    tol = tol * 100.0
-                ));
-            } else if higher_better && cur < base * (1.0 - tol) - ABS_SLACK {
-                failures.push(format!(
-                    "{key}/{header}: {cur:.3} regressed below baseline {base:.3} (-{tol:.0}%)",
-                    tol = tol * 100.0
-                ));
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,132 +355,5 @@ mod tests {
             .los_mask(walker_at(&cfg, 8), &antennas)
             .iter()
             .all(|l| *l));
-    }
-
-    #[test]
-    fn regression_checker_directions() {
-        let mut base = Table::new("BENCH_position", &POSITION_HEADERS);
-        base.row(&[
-            "los".into(),
-            "10".into(),
-            "1.000".into(),
-            "0.300".into(),
-            "0.500".into(),
-            "0.250".into(),
-            "0.600".into(),
-        ]);
-        // Identical run passes.
-        assert!(check_regression(&base.clone(), &base, 0.2).is_ok());
-        // Error regression >20% + slack fails.
-        let mut worse = base.clone();
-        worse.rows[0][3] = "0.500".into();
-        let errs = check_regression(&worse, &base, 0.2).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("median_err_m")), "{errs:?}");
-        // Fix-rate collapse fails.
-        let mut sparse = base.clone();
-        sparse.rows[0][2] = "0.500".into();
-        assert!(check_regression(&sparse, &base, 0.2).is_err());
-        // Missing scenario fails.
-        let empty = Table::new("BENCH_position", &POSITION_HEADERS);
-        assert!(check_regression(&empty, &base, 0.2).is_err());
-        // Scenario-parameter drift (epoch count) fails even when every
-        // metric looks fine — the runs are not comparable.
-        let mut longer = base.clone();
-        longer.rows[0][1] = "24".into();
-        let errs = check_regression(&longer, &base, 0.2).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("epochs")), "{errs:?}");
-        // Improvement passes.
-        let mut better = base.clone();
-        better.rows[0][3] = "0.100".into();
-        assert!(check_regression(&better, &base, 0.2).is_ok());
-    }
-
-    #[test]
-    fn regression_checker_gates_handoff_gap() {
-        // Fleet-bench columns: `handoff_gap_sweeps` is lower-is-better
-        // (re-ACQUIRE sweeps after a handoff are the cost migration is
-        // supposed to eliminate); `handoffs` itself is a deterministic
-        // scenario parameter and must match exactly.
-        let headers = ["scenario", "handoffs", "handoff_gap_sweeps"];
-        let mut base = Table::new("BENCH_fleet", &headers);
-        base.row(&["roundtrip".into(), "12".into(), "3".into()]);
-        assert!(check_regression(&base.clone(), &base, 0.2).is_ok());
-        let mut gappier = base.clone();
-        gappier.rows[0][2] = "9".into();
-        let errs = check_regression(&gappier, &base, 0.2).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("handoff_gap_sweeps")),
-            "{errs:?}"
-        );
-        let mut tighter = base.clone();
-        tighter.rows[0][2] = "0".into();
-        assert!(check_regression(&tighter, &base, 0.2).is_ok());
-        let mut drifted = base.clone();
-        drifted.rows[0][1] = "13".into();
-        let errs = check_regression(&drifted, &base, 0.2).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("handoffs")), "{errs:?}");
-    }
-
-    #[test]
-    fn regression_checker_gates_detection_latency() {
-        // Latency columns (BENCH_adversarial) are lower-is-better: a
-        // slower detection fails, a faster one passes.
-        let headers = ["scenario", "detect_latency_sweeps"];
-        let mut base = Table::new("BENCH_adversarial", &headers);
-        base.row(&["replay_strong".into(), "2".into()]);
-        assert!(check_regression(&base.clone(), &base, 0.2).is_ok());
-        let mut slower = base.clone();
-        slower.rows[0][1] = "5".into();
-        let errs = check_regression(&slower, &base, 0.2).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("detect_latency_sweeps")),
-            "{errs:?}"
-        );
-        let mut faster = base.clone();
-        faster.rows[0][1] = "1".into();
-        assert!(check_regression(&faster, &base, 0.2).is_ok());
-    }
-
-    #[test]
-    fn regression_checker_gates_shedding_metrics() {
-        // Soak-bench columns: shed counts, deferral counts and the
-        // fairness ratio are lower-is-better; admitted-fix rate keeps
-        // the higher-is-better `rate` rule.
-        let headers = [
-            "scenario",
-            "shed_acquire",
-            "deferred_track",
-            "fairness_ratio",
-            "admitted_fix_rate",
-        ];
-        let mut base = Table::new("BENCH_soak", &headers);
-        base.row(&[
-            "load_3x".into(),
-            "0".into(),
-            "40".into(),
-            "1.300".into(),
-            "0.800".into(),
-        ]);
-        assert!(check_regression(&base.clone(), &base, 0.2).is_ok());
-        for (col, worse_val, metric) in [
-            (1usize, "5", "shed_acquire"),
-            (2, "80", "deferred_track"),
-            (3, "2.500", "fairness_ratio"),
-            (4, "0.400", "admitted_fix_rate"),
-        ] {
-            let mut worse = base.clone();
-            worse.rows[0][col] = worse_val.into();
-            let errs = check_regression(&worse, &base, 0.2).unwrap_err();
-            assert!(
-                errs.iter().any(|e| e.contains(metric)),
-                "{metric}: {errs:?}"
-            );
-        }
-        // Improvements in every direction pass.
-        let mut better = base.clone();
-        better.rows[0][2] = "10".into();
-        better.rows[0][3] = "1.000".into();
-        better.rows[0][4] = "0.950".into();
-        assert!(check_regression(&better, &base, 0.2).is_ok());
     }
 }

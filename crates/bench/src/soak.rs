@@ -2,9 +2,9 @@
 //! the bounded ingestion front-end.
 //!
 //! These runners back `tests/soak.rs`, the `BENCH_soak.json` baseline
-//! (`scripts/check-bench-regression.sh` — CI fails on a >20% regression
-//! in admitted-fix rate or shed/fairness drift) and the capacity table
-//! in the README. Everything is deterministic given a seed: the
+//! (`scripts/check-bench-regression.sh` — CI fails when any cell differs
+//! from the baseline) and the capacity table in the README. Everything
+//! is deterministic given a seed: the
 //! admission queue sheds as a pure function of the arrival sequence, so
 //! identical seeds replay identical overload behavior.
 //!
@@ -335,16 +335,10 @@ pub fn run_soak(cfg: &SoakScenarioConfig) -> SoakRun {
     }
 }
 
-/// Headers of the `BENCH_soak` table, in column order. Direction rules
-/// of the regression checker: `admitted_fix_rate` is higher-is-better
-/// via its `rate` substring; `shed_*`, `deferred_track` and
-/// `fairness_ratio` are lower-is-better via `shed`/`deferred`/
-/// `fairness` (lower-better substrings take precedence, so the `rate`
-/// inside `fairness_ratio` is inert); `honest_err_m` via `err`.
-/// `load_x`, `clients`, `offered_sweeps` and `queue_peak` carry no
-/// direction substring, so they must match the baseline exactly — the
-/// run is deterministic, and any drift there is a real scheduling
-/// change that deserves a deliberate re-baseline.
+/// Headers of the `BENCH_soak` table, in column order. The gate
+/// ([`crate::cli::check_exact`]) holds every column to the baseline
+/// exactly: the run is deterministic, and any drift is a real
+/// scheduling change that deserves a deliberate re-baseline.
 pub const SOAK_HEADERS: [&str; 11] = [
     "scenario",
     "load_x",

@@ -483,20 +483,20 @@ pub fn throughput_table(rounds: usize) -> Table {
     table
 }
 
+/// How far `speedup_x` may fall below its baseline, as a fraction: the
+/// ratio is host-timed, so it gates within a tolerance.
+pub const SPEEDUP_TOLERANCE: f64 = 0.20;
+
 /// Compares a fresh `BENCH_throughput` run against the checked-in
 /// baseline.
 ///
 /// Wall-clock columns are hardware-dependent, so the gate covers the
-/// portable metrics: `speedup_x` must not regress by more than `tol`
-/// (and `solver_pipeline`'s must stay above the absolute
-/// [`MIN_SOLVER_SPEEDUP`] floor), **any** `allocs_per_sweep`,
+/// portable metrics: `speedup_x` must not regress by more than
+/// [`SPEEDUP_TOLERANCE`] (and `solver_pipeline`'s must stay above the
+/// absolute [`MIN_SOLVER_SPEEDUP`] floor), **any** `allocs_per_sweep`,
 /// `tiles_per_solve` or `units_per_solve` increase fails, and scenario
 /// parameters must match exactly. Returns every violated metric.
-pub fn check_throughput_regression(
-    current: &Table,
-    baseline: &Table,
-    tol: f64,
-) -> Result<(), Vec<String>> {
+pub fn check_throughput_regression(current: &Table, baseline: &Table) -> Result<(), Vec<String>> {
     let mut failures = Vec::new();
     for (bi, brow) in baseline.rows.iter().enumerate() {
         let key = brow.first().cloned().unwrap_or_default();
@@ -539,10 +539,10 @@ pub fn check_throughput_regression(
             baseline.cell_f64(bi, "speedup_x"),
             current.cell_f64(ci, "speedup_x"),
         ) {
-            if cur < base * (1.0 - tol) {
+            if cur < base * (1.0 - SPEEDUP_TOLERANCE) {
                 failures.push(format!(
                     "{key}/speedup_x: {cur:.3} regressed below baseline {base:.3} (-{:.0}%)",
-                    tol * 100.0
+                    SPEEDUP_TOLERANCE * 100.0
                 ));
             }
             if key == "solver_pipeline" && cur < MIN_SOLVER_SPEEDUP {
@@ -599,12 +599,12 @@ mod tests {
     fn regression_checker_directions() {
         let base = sample_table(3.4, 0.0);
         // Identical run passes.
-        assert!(check_throughput_regression(&base.clone(), &base, 0.2).is_ok());
+        assert!(check_throughput_regression(&base.clone(), &base).is_ok());
         // Speedup collapse fails (relative).
-        let errs = check_throughput_regression(&sample_table(2.0, 0.0), &base, 0.2).unwrap_err();
+        let errs = check_throughput_regression(&sample_table(2.0, 0.0), &base).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("speedup_x")), "{errs:?}");
         // Any alloc increase fails.
-        let errs = check_throughput_regression(&sample_table(3.4, 2.0), &base, 0.2).unwrap_err();
+        let errs = check_throughput_regression(&sample_table(3.4, 2.0), &base).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("allocs_per_sweep")),
             "{errs:?}"
@@ -612,37 +612,37 @@ mod tests {
         // Any increase in the tiles a solve evaluates, or in the
         // partial-sum units it builds, fails; fewer pass.
         let looser = sample_table_work(3.4, 0.0, 1000.5, 2000.0);
-        let errs = check_throughput_regression(&looser, &base, 0.2).unwrap_err();
+        let errs = check_throughput_regression(&looser, &base).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("tiles_per_solve")),
             "{errs:?}"
         );
         let more_sums = sample_table_work(3.4, 0.0, 1000.0, 2000.5);
-        let errs = check_throughput_regression(&more_sums, &base, 0.2).unwrap_err();
+        let errs = check_throughput_regression(&more_sums, &base).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("units_per_solve")),
             "{errs:?}"
         );
         let tighter = sample_table_work(3.4, 0.0, 900.0, 1900.0);
-        assert!(check_throughput_regression(&tighter, &base, 0.2).is_ok());
+        assert!(check_throughput_regression(&tighter, &base).is_ok());
         // Below the absolute floor fails even within relative tolerance.
         let lenient = sample_table(3.05, 0.0);
-        let errs = check_throughput_regression(&sample_table(2.9, 0.0), &lenient, 0.2).unwrap_err();
+        let errs = check_throughput_regression(&sample_table(2.9, 0.0), &lenient).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("acceptance floor")),
             "{errs:?}"
         );
         // Missing case fails.
         let empty = Table::new("BENCH_throughput", &THROUGHPUT_HEADERS);
-        assert!(check_throughput_regression(&empty, &base, 0.2).is_err());
+        assert!(check_throughput_regression(&empty, &base).is_err());
         // Parameter drift fails (rounds and the worker-scaling column).
         let mut drift = sample_table(3.4, 0.0);
         drift.rows[1][1] = "9".into();
-        let errs = check_throughput_regression(&drift, &base, 0.2).unwrap_err();
+        let errs = check_throughput_regression(&drift, &base).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("rounds")), "{errs:?}");
         let mut drift = sample_table(3.4, 0.0);
         drift.rows[1][3] = "2".into();
-        let errs = check_throughput_regression(&drift, &base, 0.2).unwrap_err();
+        let errs = check_throughput_regression(&drift, &base).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("workers")), "{errs:?}");
     }
 

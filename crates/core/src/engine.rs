@@ -661,7 +661,7 @@ impl ServiceEngine {
         mut session: ChronosSession,
         tracker: Option<TrackerConfig>,
     ) -> usize {
-        session.plans = Some(Arc::clone(&self.plans));
+        session.plans = Arc::clone(&self.plans);
         let adaptive = self.cfg.adaptive.is_some() || tracker.is_some();
         let tracker_cfg = tracker.or(self.cfg.adaptive);
         let (dist_tracker, pos_tracker) = match self.cfg.localization {
@@ -1879,11 +1879,8 @@ mod tests {
         let mut eng = engine_with(4, ServiceConfig::default());
         let report = eng.run_epoch(1);
         // Ideal mode, identical grids: every client needs the same NDFT
-        // plan, so exactly one is ever built (plus one spline plan). The
-        // worker pipelines memoize the plan `Arc`s after the first
-        // lookup, so the shared cache sees at most a handful of queries
-        // — the sharing contract is "built exactly once", not a hit
-        // count.
+        // plan, so exactly one is ever built (plus one spline plan), and
+        // every other client's lookups hit it.
         assert_eq!(report.cache.ndft_entries, 1);
         assert_eq!(report.cache.spline_entries, 1);
         assert_eq!(report.cache.misses, 2, "{:?}", report.cache);

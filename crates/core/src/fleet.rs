@@ -1086,10 +1086,9 @@ impl FleetEngine {
     ///
     /// So every [`FleetWindowReport`] field is bitwise identical across
     /// worker counts and vs. the serial fleet, except
-    /// `shard_reports[..].wall` (host wall clock) and
-    /// `shard_reports[..].cache.hits`, a shared-cache *lookup* count
-    /// that tests leave out as execution metadata. `cache.misses` and
-    /// the entry counts are invariant.
+    /// `shard_reports[..].wall` (host wall clock). The cache counters
+    /// are invariant too: every estimate looks its plans up in the
+    /// shared cache, so hits and misses count the window's sweeps.
     pub fn run_window(&mut self, seed: u64, window: Duration) -> FleetWindowReport {
         let started = self.clock;
         let ended = started + window;
@@ -1106,13 +1105,12 @@ impl FleetEngine {
             None => shards.map(run_shard).collect(),
         };
         // The plan cache is shared, so mid-run per-shard snapshots of
-        // its counters are schedule-dependent. The *post-window* miss
-        // and entry totals are not (each distinct plan is built — and
-        // counts a miss — exactly once), so stamp one boundary snapshot
-        // on every shard report in both execution strategies to keep
-        // reports comparable. The hit total stays execution metadata:
-        // it counts cache *lookups*, which pipeline-local plan memos
-        // absorb at a rate set by sweep-to-worker placement.
+        // its counters are schedule-dependent. The *post-window* totals
+        // are not (each distinct plan is built — and counts a miss —
+        // exactly once, and every other lookup of the window's sweeps
+        // counts a hit), so stamp one boundary snapshot on every shard
+        // report in both execution strategies to keep reports
+        // comparable.
         let cache = self.shards[0].plans().stats();
         for report in &mut shard_reports {
             report.cache = cache;

@@ -53,8 +53,10 @@
 //! [`plan`] extracts everything an estimate computes that depends only
 //! on the band plan and grid — NDFT operators, spectral norms, lobe
 //! tables, spline factorizations — into immutable plans served by a
-//! thread-safe [`PlanCache`]. Cached and uncached estimation are
-//! bit-identical; only the redundant per-sweep construction disappears.
+//! thread-safe [`PlanCache`], the only way plans reach the estimator.
+//! Each estimator or session gets a private cache unless it is handed a
+//! shared one; estimates are bit-identical either way, and sharing only
+//! removes the redundant construction.
 //!
 //! [`service`] is the multi-client layer's policy and outcome types:
 //! one [`ServiceEngine`] pools sessions over one shared `PlanCache`,

@@ -755,10 +755,9 @@ impl Ndft {
 
     /// [`Ndft::adjoint_into`] over split re/im slices: `p = F* h`.
     ///
-    /// Dense plans run one conjugated 4-lane axpy per row across the
-    /// full grid (`n x m` complex MACs). Raster plans build the
-    /// polyphase partial sums into `sums` and expand them tile by
-    /// tile, the same gradient source as the fused prox step.
+    /// Expands the fused prox step's gradient source tile by tile: the
+    /// dense planes on dense plans (`n x m` complex MACs), the polyphase
+    /// partial sums, built into `sums`, on raster plans.
     pub fn adjoint_split_into(
         &self,
         h_re: &[f64],
@@ -782,25 +781,21 @@ impl Ndft {
         out_re.resize(m, 0.0);
         out_im.clear();
         out_im.resize(m, 0.0);
-        if let Some(poly) = &self.split.poly {
-            poly.partial_sums(h_re, h_im, sums, None);
-            let grad = PolyAdjoint::new(poly, sums, m);
-            let main = m - m % TILE;
-            for c in (0..main).step_by(TILE) {
-                let (gr, gi) = grad.tile(c);
-                out_re[c..c + TILE].copy_from_slice(&gr);
-                out_im[c..c + TILE].copy_from_slice(&gi);
+        match &self.split.poly {
+            Some(poly) => {
+                poly.partial_sums(h_re, h_im, sums, None);
+                expand(&PolyAdjoint::new(poly, sums, m), out_re, out_im);
             }
-            for k in main..m {
-                (out_re[k], out_im[k]) = grad.at(k);
+            None => {
+                let grad = DenseAdjoint {
+                    mat_re: &self.split.mat_re,
+                    mat_im: &self.split.mat_im,
+                    r_re: h_re,
+                    r_im: h_im,
+                    m,
+                };
+                expand(&grad, out_re, out_im);
             }
-            return;
-        }
-        for (i, (hr, hi)) in h_re.iter().zip(h_im.iter()).enumerate() {
-            let row_re = &self.split.mat_re[i * m..(i + 1) * m];
-            let row_im = &self.split.mat_im[i * m..(i + 1) * m];
-            // conj(a) * h = (a_re*h_re + a_im*h_im) + j(a_re*h_im - a_im*h_re)
-            axpy_conj_split(row_re, row_im, *hr, *hi, out_re, out_im);
         }
     }
 
@@ -861,6 +856,21 @@ trait GradSource {
     fn tile(&self, c: usize) -> ([f64; TILE], [f64; TILE]);
     /// `(F* r)_k` at one grid point.
     fn at(&self, k: usize) -> (f64, f64);
+}
+
+/// Writes `grad` over the whole grid into `out_re`/`out_im`: lane
+/// tiles on the main grid, one point at a time on the ragged tail.
+fn expand(grad: &impl GradSource, out_re: &mut [f64], out_im: &mut [f64]) {
+    let m = out_re.len();
+    let main = m - m % TILE;
+    for c in (0..main).step_by(TILE) {
+        let (gr, gi) = grad.tile(c);
+        out_re[c..c + TILE].copy_from_slice(&gr);
+        out_im[c..c + TILE].copy_from_slice(&gi);
+    }
+    for k in main..m {
+        (out_re[k], out_im[k]) = grad.at(k);
+    }
 }
 
 /// The dense adjoint: `sum_i conj(F[i][k]) r_i`, accumulated in
@@ -1358,35 +1368,6 @@ impl<'a> TileScreen<'a> {
     }
 }
 
-/// `out += conj(a) * h` over split planes for a complex scalar `h`
-/// (`(hr, hi)`), 4 lanes at a time.
-fn axpy_conj_split(
-    a_re: &[f64],
-    a_im: &[f64],
-    hr: f64,
-    hi: f64,
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-) {
-    use chronos_math::lanes::{fmadd, LANES};
-    let n = a_re.len();
-    let main = n - n % LANES;
-    for c in (0..main).step_by(LANES) {
-        for l in 0..LANES {
-            let ar = a_re[c + l];
-            let ai = a_im[c + l];
-            out_re[c + l] = fmadd(ar, hr, fmadd(ai, hi, out_re[c + l]));
-            out_im[c + l] = fmadd(ar, hi, fmadd(-ai, hr, out_im[c + l]));
-        }
-    }
-    for k in main..n {
-        let ar = a_re[k];
-        let ai = a_im[k];
-        out_re[k] = fmadd(ar, hr, fmadd(ai, hi, out_re[k]));
-        out_im[k] = fmadd(ar, hi, fmadd(-ai, hr, out_im[k]));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1507,14 +1488,21 @@ mod tests {
 
     /// The column-walking scalar adjoint is the row-major one bit for
     /// bit, and so is the power iteration built on it, on raster and
-    /// dense plans and grids with a ragged tail.
+    /// dense plans and grids with a ragged tail. On the dense plans the
+    /// split adjoint's tile expansion is the row-by-row loop bit for bit
+    /// too: the same `fmadd`s over the rows in order, from `+0.0`.
     #[test]
     fn column_adjoint_matches_row_major_bitwise() {
         let (g5, g24) = intel_groups();
+        let all: Vec<f64> = chronos_rf::bands::band_plan()
+            .iter()
+            .map(|b| b.center_hz)
+            .collect();
         let plans = [
             (g5.clone(), TauGrid::span(200.0, 0.25)),
             (g24, TauGrid::span(200.0, 0.25)),
             (subset_12(), TauGrid::span(200.0, 0.25)),
+            (all, TauGrid::span(200.0, 0.25)),
             (g5, TauGrid::span(61.0, 0.25)),
             (
                 vec![2.4e9, 5.18e9, 5.32e9, 5.825e9],
@@ -1537,6 +1525,23 @@ mod tests {
                 bits(&ndft.adjoint(&h)),
                 bits(&adjoint_row_major(&mat, m, &h))
             );
+            if ndft.polyphase_shape().is_none() {
+                use chronos_math::lanes::fmadd;
+                let (mut want_re, mut want_im) = (vec![0.0; m], vec![0.0; m]);
+                for (row, hi) in mat.chunks_exact(m).zip(h.iter()) {
+                    for (k, a) in row.iter().enumerate() {
+                        want_re[k] = fmadd(a.re, hi.re, fmadd(a.im, hi.im, want_re[k]));
+                        want_im[k] = fmadd(a.re, hi.im, fmadd(-a.im, hi.re, want_im[k]));
+                    }
+                }
+                let h_re: Vec<f64> = h.iter().map(|z| z.re).collect();
+                let h_im: Vec<f64> = h.iter().map(|z| z.im).collect();
+                let (mut out_re, mut out_im) = (Vec::new(), Vec::new());
+                ndft.adjoint_split_into(&h_re, &h_im, &mut Vec::new(), &mut out_re, &mut out_im);
+                let plane = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(plane(&out_re), plane(&want_re), "{} bands", freqs.len());
+                assert_eq!(plane(&out_im), plane(&want_im), "{} bands", freqs.len());
+            }
             // `op_norm`'s power iteration, with the row-major adjoint.
             let mut v: Vec<Complex64> = (0..m)
                 .map(|k| Complex64::cis(0.37 * k as f64) / (m as f64).sqrt())

@@ -21,13 +21,12 @@
 //! crate-private `SweepSlots` hold each receive antenna's path set and one
 //! measurement slot per (antenna, band), whose captures are recycled
 //! rather than freed, and the splice reuses the scratch's buffers. A warm
-//! session sweep over a plan cache therefore allocates only in its link
-//! simulation and for the output it returns (`tests/alloc.rs`).
+//! session sweep therefore allocates only in its link simulation and for
+//! the output it returns (`tests/alloc.rs`).
 //!
-//! The scratch also memoizes the `Arc`s of the shared NDFT/spline plans
-//! it has used, so the per-sweep [`crate::plan::PlanCache`] lookup (which
-//! must build a hashing key) is amortized away entirely: a worker
-//! serving clients on one band plan touches the cache once, ever.
+//! The scratch holds no plans: every estimate looks its NDFT and spline
+//! plans up in the estimator's [`crate::plan::PlanCache`], and a warm
+//! lookup allocates nothing.
 //!
 //! See `docs/PIPELINE.md` for the scratch lifecycle, the batching story
 //! and the exact boundary of the zero-alloc contract.
@@ -35,9 +34,7 @@
 use crate::error::ChronosError;
 use crate::ista::{DebiasScratch, IstaScratch};
 use crate::localization::{AntennaRange, LocalizerConfig, LocateScratch, Position};
-use crate::ndft::TauGrid;
 use crate::phase::SpliceScratch;
-use crate::plan::NdftPlan;
 use crate::profile::RefineScratch;
 use crate::quirk::BandGroupSamples;
 use crate::reciprocity::BandProduct;
@@ -46,29 +43,10 @@ use crate::tof::{BandSample, GroupEstimate, GroupFix, TofEstimate, TofEstimator,
 use chronos_link::sweep::SweepConfig;
 use chronos_link::time::Instant;
 use chronos_math::peaks::Peak;
-use chronos_math::spline::SplinePlan;
 use chronos_math::Complex64;
 use chronos_rf::csi::{LinkPaths, Measurement};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-
-/// Ceiling on the per-worker plan memos (NDFT and spline): a worker
-/// serving more distinct (bands, grid) combinations than this falls
-/// back to the shared [`crate::plan::PlanCache`] instead of growing —
-/// and linearly scanning — its memo forever. Generous relative to real
-/// deployments (full plan + a few subset sizes per worker).
-pub(crate) const PLAN_MEMO_CAP: usize = 32;
-
-/// One memoized NDFT plan: the key parts the estimator looks plans up
-/// by, plus the shared plan itself.
-#[derive(Debug, Clone)]
-pub(crate) struct PlanMemo {
-    pub(crate) freqs: Vec<f64>,
-    pub(crate) grid: TauGrid,
-    pub(crate) lobe_span: f64,
-    pub(crate) plan: Arc<NdftPlan>,
-}
 
 /// Working buffers of the first-path selector (`tof::select_first_path`):
 /// the CLEANed models, ghost hypotheses, matched-filter residuals and
@@ -121,8 +99,6 @@ pub(crate) struct EstimatorScratch {
     pub(crate) products: Vec<BandProduct>,
     pub(crate) splice: SpliceScratch,
     pub(crate) xs: Vec<f64>,
-    pub(crate) plan_memo: Vec<PlanMemo>,
-    pub(crate) spline_memo: Vec<(Vec<f64>, Arc<SplinePlan>)>,
     pub(crate) locate: LocateScratch,
 }
 
@@ -279,11 +255,10 @@ impl SweepPipeline {
 
     /// Runs one admitted sweep over this pipeline's scratch — the unit of
     /// work the engine spreads over its lanes with
-    /// [`crate::runtime::WorkerRuntime::run`]. Plan lookups and every
-    /// estimation buffer are amortized across sweeps; each sweep owns its
-    /// seeded RNG, so results are independent of which pipeline (or
-    /// thread) runs it and bitwise identical to
-    /// [`ChronosSession::sweep_with`].
+    /// [`crate::runtime::WorkerRuntime::run`]. Every estimation buffer is
+    /// amortized across sweeps; each sweep owns its seeded RNG, so
+    /// results are independent of which pipeline (or thread) runs it and
+    /// bitwise identical to the same sweep on a fresh pipeline.
     pub fn run_sweep(&mut self, job: &BatchSweep<'_>) -> SweepOutput {
         let mut rng = StdRng::seed_from_u64(job.rng_seed);
         job.session

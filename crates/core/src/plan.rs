@@ -22,9 +22,11 @@
 //! ranging service with hundreds of clients on the *same* Wi-Fi band plan
 //! repeats it hundreds of times per sweep round. [`PlanCache`] memoizes
 //! all of it behind `Arc`s so N clients and M sweeps share one copy, and
-//! [`NdftPlan`] packages the per-(bands, grid) precomputation. Cached and
-//! uncached estimation run the *same* floating-point operations — the
-//! cache changes cost, never results (covered by equivalence tests).
+//! [`NdftPlan`] packages the per-(bands, grid) precomputation. Every
+//! estimator reads its plans from a cache, private or shared; either way
+//! each plan is built by the same constructor, so sharing changes cost,
+//! never results (covered by equivalence tests). A warm hit allocates
+//! nothing.
 //!
 //! Concurrency: the cache is a read-mostly table guarded by `RwLock`s.
 //! After the first sweep warms it, all lookups take the read path, so
@@ -33,7 +35,10 @@
 
 use crate::ndft::{Ndft, TauGrid};
 use chronos_math::spline::{SplineError, SplinePlan};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -52,6 +57,9 @@ pub struct NdftPlan {
     /// (threshold 0.5, scanned to the grid's span), consumed by the
     /// first-peak ghost veto in [`crate::tof`].
     pub lobe_offsets: Vec<f64>,
+    /// How far the lobe scan reached, ns: the span the plan was built
+    /// with, which the cache compares on lookup.
+    pub lobe_span_ns: f64,
 }
 
 /// Power-iteration count of a plan's operator norm. The norm sets the
@@ -76,38 +84,32 @@ impl NdftPlan {
             ndft,
             op_norm,
             lobe_offsets,
+            lobe_span_ns,
         }
     }
 }
 
-/// Cache keys quantize `f64`s by bit pattern: two plans are "the same"
-/// exactly when every frequency and grid parameter is bit-identical,
-/// which is the right notion for deterministic simulation configs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct NdftKey {
-    freq_bits: Vec<u64>,
-    grid_start: u64,
-    grid_step: u64,
-    grid_len: usize,
-    lobe_span: u64,
+/// Whether two slices hold the same bit patterns: two plans are "the
+/// same" exactly when every frequency, knot and grid parameter is
+/// bit-identical, which is the right notion for deterministic
+/// simulation configs.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-impl NdftKey {
-    fn new(freqs_hz: &[f64], grid: TauGrid, lobe_span_ns: f64) -> Self {
-        NdftKey {
-            freq_bits: freqs_hz.iter().map(|f| f.to_bits()).collect(),
-            grid_start: grid.start_ns.to_bits(),
-            grid_step: grid.step_ns.to_bits(),
-            grid_len: grid.len,
-            lobe_span: lobe_span_ns.to_bits(),
-        }
+/// A hash of the bit patterns of `parts`.
+fn hash_bits(parts: &[&[f64]]) -> u64 {
+    let mut state = DefaultHasher::new();
+    for part in parts {
+        part.len().hash(&mut state);
+        part.iter().for_each(|v| v.to_bits().hash(&mut state));
     }
+    state.finish()
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SplineKey {
-    x_bits: Vec<u64>,
-}
+/// One plan table: plans bucketed by the hash of their inputs' bit
+/// patterns (a bucket holds more than one plan only on a collision).
+type Table<P> = RwLock<HashMap<u64, Vec<Arc<P>>>>;
 
 /// Cache hit/miss/occupancy counters (a point-in-time snapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,8 +165,8 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    ndft: RwLock<HashMap<NdftKey, Arc<NdftPlan>>>,
-    spline: RwLock<HashMap<SplineKey, Arc<SplinePlan>>>,
+    ndft: Table<NdftPlan>,
+    spline: Table<SplinePlan>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -179,44 +181,57 @@ impl PlanCache {
     /// building it on first use. `lobe_span_ns` bounds the grating-lobe
     /// scan (the estimator passes its configured grid span).
     pub fn ndft_plan(&self, freqs_hz: &[f64], grid: TauGrid, lobe_span_ns: f64) -> Arc<NdftPlan> {
-        let key = NdftKey::new(freqs_hz, grid, lobe_span_ns);
-        if let Some(plan) = self.ndft.read().expect("plan cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(plan);
-        }
-        // Double-checked: build under the write lock so concurrent cold
-        // misses on the same key do exactly one construction (a cold
-        // stampede of N workers would otherwise throw away N-1 expensive
-        // power iterations). Other keys briefly queue behind the build —
-        // acceptable, since each key is built once per process.
-        let mut table = self.ndft.write().expect("plan cache poisoned");
-        if let Some(plan) = table.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(plan);
-        }
-        let built = Arc::new(NdftPlan::new(freqs_hz, grid, lobe_span_ns));
-        table.insert(key, Arc::clone(&built));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        built
+        let scalars = [grid.start_ns, grid.step_ns, grid.len as f64, lobe_span_ns];
+        let matches = |plan: &NdftPlan| {
+            let g = plan.ndft.grid();
+            same_bits(
+                &[g.start_ns, g.step_ns, g.len as f64, plan.lobe_span_ns],
+                &scalars,
+            ) && same_bits(plan.ndft.freqs_hz(), freqs_hz)
+        };
+        let build = || Ok::<_, Infallible>(NdftPlan::new(freqs_hz, grid, lobe_span_ns));
+        let Ok(plan) = self.lookup(&self.ndft, hash_bits(&[freqs_hz, &scalars]), matches, build);
+        plan
     }
 
     /// Returns the shared spline plan for the knot abscissae `xs`
     /// (typically a subcarrier layout), building it on first use.
     pub fn spline_plan(&self, xs: &[f64]) -> Result<Arc<SplinePlan>, SplineError> {
-        let key = SplineKey {
-            x_bits: xs.iter().map(|x| x.to_bits()).collect(),
+        let matches = |plan: &SplinePlan| same_bits(plan.xs(), xs);
+        let build = || SplinePlan::new(xs);
+        self.lookup(&self.spline, hash_bits(&[xs]), matches, build)
+    }
+
+    /// The one lookup body of both tables: the plan in `table` under
+    /// `hash` that `matches` the inputs, or a new one from `build`.
+    ///
+    /// Double-checked: a miss on the read path builds under the write
+    /// lock, so concurrent cold misses on the same inputs do exactly one
+    /// construction (a cold stampede of N workers would otherwise throw
+    /// away N-1 expensive power iterations). Other keys briefly queue
+    /// behind the build — acceptable, since each key is built once per
+    /// cache. A failed build is neither a hit nor a miss.
+    fn lookup<P, E>(
+        &self,
+        table: &Table<P>,
+        hash: u64,
+        matches: impl Fn(&P) -> bool,
+        build: impl FnOnce() -> Result<P, E>,
+    ) -> Result<Arc<P>, E> {
+        let find = |t: &HashMap<u64, Vec<Arc<P>>>| {
+            t.get(&hash)?.iter().find(|p| matches(p)).map(Arc::clone)
         };
-        if let Some(plan) = self.spline.read().expect("plan cache poisoned").get(&key) {
+        if let Some(plan) = find(&table.read().expect("plan cache poisoned")) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(plan));
+            return Ok(plan);
         }
-        let mut table = self.spline.write().expect("plan cache poisoned");
-        if let Some(plan) = table.get(&key) {
+        let mut t = table.write().expect("plan cache poisoned");
+        if let Some(plan) = find(&t) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(plan));
+            return Ok(plan);
         }
-        let built = Arc::new(SplinePlan::new(xs)?);
-        table.insert(key, Arc::clone(&built));
+        let built = Arc::new(build()?);
+        t.entry(hash).or_default().push(Arc::clone(&built));
         self.misses.fetch_add(1, Ordering::Relaxed);
         Ok(built)
     }
@@ -226,8 +241,8 @@ impl PlanCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            ndft_entries: self.ndft.read().expect("plan cache poisoned").len(),
-            spline_entries: self.spline.read().expect("plan cache poisoned").len(),
+            ndft_entries: entries(&self.ndft),
+            spline_entries: entries(&self.spline),
         }
     }
 
@@ -236,6 +251,12 @@ impl PlanCache {
         self.ndft.write().expect("plan cache poisoned").clear();
         self.spline.write().expect("plan cache poisoned").clear();
     }
+}
+
+/// Resident plans of one table.
+fn entries<P>(table: &Table<P>) -> usize {
+    let t = table.read().expect("plan cache poisoned");
+    t.values().map(Vec::len).sum()
 }
 
 #[cfg(test)]
@@ -269,14 +290,38 @@ mod tests {
         let a = cache.ndft_plan(&f, grid, 100.0);
         let b = cache.ndft_plan(&f, grid, 100.0);
         assert!(Arc::ptr_eq(&a, &b));
-        // A different grid is a different plan.
+        // A different grid is a different plan, and so is a different
+        // lobe span or a different band set.
         let c = cache.ndft_plan(&f, TauGrid::span(100.0, 0.25), 100.0);
         assert!(!Arc::ptr_eq(&a, &c));
+        let d = cache.ndft_plan(&f, grid, 50.0);
+        assert!(!Arc::ptr_eq(&a, &d));
+        assert_eq!(d.lobe_span_ns, 50.0);
+        let e = cache.ndft_plan(&f[1..], grid, 100.0);
+        assert!(!Arc::ptr_eq(&a, &e));
         let s = cache.stats();
         assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.ndft_entries, 2);
-        assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(s.misses, 4);
+        assert_eq!(s.ndft_entries, 4);
+        assert!((s.hit_rate() - 1.0 / 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn colliding_hashes_keep_plans_apart() {
+        // Two knot sets forced into one bucket: every lookup compares its
+        // inputs in full, so each set gets its own plan.
+        let cache = PlanCache::new();
+        let get = |xs: &[f64]| {
+            let matches = |plan: &SplinePlan| same_bits(plan.xs(), xs);
+            let plan = cache.lookup(&cache.spline, 7, matches, || SplinePlan::new(xs));
+            plan.unwrap()
+        };
+        let (a, b) = (get(&[0.0, 1.0, 2.0]), get(&[0.0, 1.0, 3.0]));
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&get(&[0.0, 1.0, 2.0]), &a));
+        assert!(Arc::ptr_eq(&get(&[0.0, 1.0, 3.0]), &b));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.spline_entries), (2, 2, 2));
     }
 
     #[test]

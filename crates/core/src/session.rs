@@ -89,77 +89,59 @@ pub struct ChronosSession {
     pub localizer: LocalizerConfig,
     /// Subcarrier layout reported by the hardware.
     pub layout: SubcarrierLayout,
-    /// Optional shared plan cache; when present the estimation hot path
-    /// (NDFT operators, operator norms, lobe tables, spline plans) is
-    /// borrowed from the cache instead of rebuilt per sweep. Many
-    /// sessions may share one cache — see [`crate::service`].
-    pub plans: Option<Arc<PlanCache>>,
+    /// The plan cache the estimation hot path (NDFT operators, operator
+    /// norms, lobe tables, spline plans) reads from: private to the
+    /// session (and its clones) after [`ChronosSession::new`], shared
+    /// after [`ChronosSession::with_cache`]. Many sessions may share one
+    /// cache — see [`crate::service`].
+    pub plans: Arc<PlanCache>,
 }
 
 impl ChronosSession {
-    /// Creates a session with standard sweep and Intel 5300 reporting.
+    /// Creates a session with standard sweep and Intel 5300 reporting,
+    /// over a private plan cache.
     pub fn new(ctx: MeasurementContext, config: ChronosConfig) -> Self {
+        Self::with_cache(ctx, config, Arc::new(PlanCache::new()))
+    }
+
+    /// Creates a session whose estimator reads its plans from a shared
+    /// [`PlanCache`]. Estimates are identical to a session with a
+    /// private cache; only the plans built once per cache are shared.
+    pub fn with_cache(
+        ctx: MeasurementContext,
+        config: ChronosConfig,
+        plans: Arc<PlanCache>,
+    ) -> Self {
         ChronosSession {
             ctx,
             sweep_cfg: SweepConfig::standard(),
             config,
             localizer: LocalizerConfig::default(),
             layout: SubcarrierLayout::intel5300(),
-            plans: None,
+            plans,
         }
     }
 
-    /// Creates a session whose estimator borrows precomputed plans from a
-    /// shared [`PlanCache`]. Estimates are identical to an uncached
-    /// session; only the redundant per-sweep plan construction goes away.
-    pub fn with_cache(
-        ctx: MeasurementContext,
-        config: ChronosConfig,
-        plans: Arc<PlanCache>,
-    ) -> Self {
-        let mut s = ChronosSession::new(ctx, config);
-        s.plans = Some(plans);
-        s
-    }
-
-    /// The estimator this session sweeps with (cache-aware).
-    fn estimator(&self) -> TofEstimator {
-        match &self.plans {
-            Some(cache) => TofEstimator::with_cache(self.config.clone(), Arc::clone(cache)),
-            None => TofEstimator::new(self.config.clone()),
-        }
-    }
-
-    /// Runs one full localization sweep starting at `t`.
+    /// Runs one full localization sweep starting at `t` under the
+    /// session's own link configuration, on a fresh pipeline.
     pub fn sweep<R: Rng + ?Sized>(&self, rng: &mut R, t: Instant) -> SweepOutput {
-        self.sweep_with(&self.sweep_cfg, rng, t)
-    }
-
-    /// Runs one sweep under an explicit link configuration — used by the
-    /// multi-client service, whose airtime arbiter hands each client a
-    /// contention-adjusted copy of its sweep config.
-    pub fn sweep_with<R: Rng + ?Sized>(
-        &self,
-        sweep_cfg: &SweepConfig,
-        rng: &mut R,
-        t: Instant,
-    ) -> SweepOutput {
         let mut pipeline = crate::pipeline::SweepPipeline::new();
-        self.sweep_with_pipeline(sweep_cfg, rng, t, &mut pipeline)
+        self.sweep_with_pipeline(&self.sweep_cfg, rng, t, &mut pipeline)
     }
 
-    /// [`ChronosSession::sweep_with`] over a reusable
+    /// Runs one sweep under an explicit link configuration (the engine's
+    /// arbiter hands each client a contention-adjusted copy of its sweep
+    /// config) over a reusable
     /// [`SweepPipeline`](crate::pipeline::SweepPipeline):
     /// CSI synthesis (path sets, measurement slots) and the estimation
     /// hot path (splice → NDFT/ISTA → profile → first path →
     /// localization) borrow every intermediate from the pipeline's
-    /// scratch instead of allocating per sweep; once warm, a sweep of a
-    /// session with a plan cache allocates only in the link simulation
-    /// and for the returned [`SweepOutput`]. Results are bitwise
-    /// identical to the scratch-free path — this *is* the implementation
-    /// behind [`ChronosSession::sweep_with`], which merely hands in a
-    /// throwaway pipeline. The engine keeps one pipeline per worker and
-    /// feeds it every sweep (see [`crate::pipeline`]).
+    /// scratch instead of allocating per sweep; once warm, a sweep
+    /// allocates only in the link simulation and for the returned
+    /// [`SweepOutput`]. Results are bitwise identical to a sweep on a
+    /// fresh pipeline, which is all [`ChronosSession::sweep`] is. The
+    /// engine keeps one pipeline per worker and feeds it every sweep
+    /// (see [`crate::pipeline`]).
     pub fn sweep_with_pipeline<R: Rng + ?Sized>(
         &self,
         sweep_cfg: &SweepConfig,
@@ -201,7 +183,7 @@ impl ChronosSession {
         }
 
         // Estimate per antenna, over the pipeline's scratch arena.
-        let estimator = self.estimator();
+        let estimator = TofEstimator::with_cache(self.config.clone(), Arc::clone(&self.plans));
         let tofs: Vec<Result<TofEstimate, ChronosError>> = (0..n_rx)
             .map(|antenna| {
                 let measured = pipeline

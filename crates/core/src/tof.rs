@@ -21,13 +21,12 @@ use crate::error::ChronosError;
 use crate::ista::{debias_into, solve_planned_into, DebiasScratch, IstaConfig};
 use crate::ndft::{Ndft, TauGrid};
 use crate::phase::Interpolation;
-use crate::pipeline::{EstimatorScratch, PlanMemo, SelectScratch};
-use crate::plan::{NdftPlan, PlanCache};
+use crate::pipeline::{EstimatorScratch, SelectScratch};
+use crate::plan::PlanCache;
 use crate::profile::MultipathProfile;
 use crate::quirk::{group_by_scale_into, BandGroupSamples};
 use crate::reciprocity::{combine_band_into, BandProduct};
 use chronos_math::peaks::PeakConfig;
-use chronos_math::spline::SplinePlan;
 use chronos_math::Complex64;
 use chronos_rf::csi::Measurement;
 use std::sync::Arc;
@@ -121,24 +120,20 @@ pub struct TofEstimator {
     pub config: ChronosConfig,
     /// Interpolation backend for zero-subcarrier recovery.
     pub interpolation: Interpolation,
-    /// Optional shared plan cache. With a cache, NDFT operators, operator
-    /// norms, lobe tables and spline factorizations are built once and
-    /// reused across every call (and every other estimator holding the
-    /// same cache); without one they are rebuilt per estimate. Results
-    /// are identical either way.
-    pub plans: Option<Arc<PlanCache>>,
+    /// The plan cache every estimate reads its NDFT operators, operator
+    /// norms, lobe tables and spline factorizations from: private to
+    /// this estimator (and its clones) after [`TofEstimator::new`], or
+    /// shared with other estimators after [`TofEstimator::with_cache`].
+    /// Results are identical either way.
+    pub plans: Arc<PlanCache>,
 }
 
 impl TofEstimator {
-    /// Creates an estimator with the given configuration and the paper's
-    /// cubic-spline interpolation. Plans are rebuilt per call; use
-    /// [`TofEstimator::with_cache`] to share them.
+    /// Creates an estimator with the given configuration, the paper's
+    /// cubic-spline interpolation and a private plan cache; use
+    /// [`TofEstimator::with_cache`] to share plans.
     pub fn new(config: ChronosConfig) -> Self {
-        TofEstimator {
-            config,
-            interpolation: Interpolation::CubicSpline,
-            plans: None,
-        }
+        Self::with_cache(config, Arc::new(PlanCache::new()))
     }
 
     /// Creates an estimator that reuses plans from a shared [`PlanCache`].
@@ -146,89 +141,8 @@ impl TofEstimator {
         TofEstimator {
             config,
             interpolation: Interpolation::CubicSpline,
-            plans: Some(plans),
+            plans,
         }
-    }
-
-    /// The NDFT plan for one band group: from the shared cache when
-    /// present, built fresh otherwise. Both paths construct the plan with
-    /// identical arithmetic. The lobe scan uses the configured grid span
-    /// (not the grid's rounded-up extent), matching the pre-plan code.
-    fn plan_for(&self, freqs_hz: &[f64], grid: TauGrid) -> Arc<NdftPlan> {
-        let lobe_span_ns = self.config.grid_span_ns;
-        match &self.plans {
-            Some(cache) => cache.ndft_plan(freqs_hz, grid, lobe_span_ns),
-            None => Arc::new(NdftPlan::new(freqs_hz, grid, lobe_span_ns)),
-        }
-    }
-
-    /// The spline plan for the capture layout the band samples use, via
-    /// the scratch memo (the cache lookup — which builds a hashing key —
-    /// is paid once per layout per scratch, not per sweep). Per-call
-    /// fitting stays exact without a cache.
-    fn spline_plan_memo(
-        &self,
-        bands: &[BandSample],
-        scratch: &mut EstimatorScratch,
-    ) -> Option<Arc<SplinePlan>> {
-        let cache = self.plans.as_ref()?;
-        let first = bands.iter().find_map(|b| b.measurements.first())?;
-        scratch.xs.clear();
-        scratch
-            .xs
-            .extend(first.forward.layout.indices().iter().map(|k| *k as f64));
-        if let Some((_, plan)) = scratch
-            .spline_memo
-            .iter()
-            .find(|(xs, _)| xs.as_slice() == scratch.xs.as_slice())
-        {
-            return Some(Arc::clone(plan));
-        }
-        let plan = cache.spline_plan(&scratch.xs).ok()?;
-        // Bound the memo: a worker serving unboundedly many distinct
-        // layouts falls back to the shared cache instead of growing (and
-        // linearly scanning) forever. Real deployments use a handful of
-        // layouts, so the cap is never reached.
-        if scratch.spline_memo.len() >= crate::pipeline::PLAN_MEMO_CAP {
-            scratch.spline_memo.clear();
-        }
-        scratch
-            .spline_memo
-            .push((scratch.xs.clone(), Arc::clone(&plan)));
-        Some(plan)
-    }
-
-    /// The NDFT plan for one band group via the scratch memo: the shared
-    /// cache (or a fresh build) is consulted once per distinct
-    /// `(bands, grid)`; every later sweep through the same scratch reuses
-    /// the memoized `Arc` without constructing a cache key.
-    fn plan_for_memo(
-        &self,
-        freqs_hz: &[f64],
-        grid: TauGrid,
-        memo: &mut Vec<PlanMemo>,
-    ) -> Arc<NdftPlan> {
-        let lobe_span = self.config.grid_span_ns;
-        if let Some(e) = memo.iter().find(|e| {
-            e.grid == grid
-                && e.lobe_span.to_bits() == lobe_span.to_bits()
-                && e.freqs.as_slice() == freqs_hz
-        }) {
-            return Arc::clone(&e.plan);
-        }
-        let plan = self.plan_for(freqs_hz, grid);
-        // Bound the memo (see `spline_plan_memo`): beyond the cap a
-        // worker leans on the shared cache rather than growing forever.
-        if memo.len() >= crate::pipeline::PLAN_MEMO_CAP {
-            memo.clear();
-        }
-        memo.push(PlanMemo {
-            freqs: freqs_hz.to_vec(),
-            grid,
-            lobe_span,
-            plan: Arc::clone(&plan),
-        });
-        plan
     }
 
     /// Combines raw band samples into CFO-free products.
@@ -239,15 +153,25 @@ impl TofEstimator {
         Ok(out)
     }
 
-    /// [`TofEstimator::products`] into a reusable output buffer, with
-    /// spline plans served from the scratch memo. Identical results.
+    /// [`TofEstimator::products`] into a reusable output buffer. The
+    /// spline plan is the cache's for the layout of the first capture;
+    /// a capture on another layout (or a layout no plan can be built
+    /// for) is fitted afresh. Identical results.
     pub(crate) fn products_into(
         &self,
         bands: &[BandSample],
         scratch: &mut EstimatorScratch,
         out: &mut Vec<BandProduct>,
     ) -> Result<(), ChronosError> {
-        let spline_plan = self.spline_plan_memo(bands, scratch);
+        let xs = &mut scratch.xs;
+        let spline_plan = bands
+            .iter()
+            .find_map(|b| b.measurements.first())
+            .and_then(|first| {
+                xs.clear();
+                xs.extend(first.forward.layout.indices().iter().map(|k| *k as f64));
+                self.plans.spline_plan(xs).ok()
+            });
         out.clear();
         for b in bands.iter().filter(|b| !b.measurements.is_empty()) {
             out.push(combine_band_into(
@@ -327,8 +251,12 @@ impl TofEstimator {
             if g.len() < 5 {
                 continue; // not enough bands to invert meaningfully
             }
+            // The lobe scan uses the configured grid span, not the grid's
+            // rounded-up extent.
             let grid = TauGrid::span(self.config.grid_span_ns, self.config.grid_step_ns);
-            let plan = self.plan_for_memo(&g.freqs_hz, grid, &mut scratch.plan_memo);
+            let plan = self
+                .plans
+                .ndft_plan(&g.freqs_hz, grid, self.config.grid_span_ns);
             let ndft = &plan.ndft;
             let ista_cfg = IstaConfig {
                 alpha_rel: self.config.alpha_rel,

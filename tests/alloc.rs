@@ -65,7 +65,7 @@ fn steady_state_track_estimation_is_allocation_free() {
     let estimator = TofEstimator::with_cache(ChronosConfig::ideal(), Arc::new(PlanCache::new()));
     let products: Vec<Vec<BandProduct>> = (0..8).map(track_products).collect();
     let mut pipeline = SweepPipeline::new();
-    // Warm-up: grow every buffer and memoize the plans.
+    // Warm-up: grow every buffer and build the plans.
     for _ in 0..2 {
         for ps in &products {
             pipeline.estimate_fix(&estimator, ps).expect("warmup fix");
@@ -328,9 +328,11 @@ fn engine_window_allocations_per_sweep_bounded() {
 /// A warm session sweep allocates only what its link simulation does,
 /// plus its returned `SweepOutput`: path enumeration, CSI synthesis into
 /// the measurement slots, the splice and the estimation run on the
-/// pipeline's reused buffers. Measured on the walled office floor, with
-/// each sweep replayed after a warm-up pass over the same placements and
-/// seeds (buffers sized by the data are warm per client shape).
+/// pipeline's reused buffers, and every plan lookup hits the cache
+/// without allocating. Measured on the walled office floor, with each
+/// sweep replayed after a warm-up pass over the same placements and
+/// seeds (buffers sized by the data are warm per client shape), for a
+/// session over its private cache and one over a shared cache.
 #[test]
 fn warm_session_sweep_allocates_only_link_and_output() {
     use chronos_suite::core::session::ChronosSession;
@@ -357,43 +359,53 @@ fn warm_session_sweep_allocates_only_link_and_output() {
         Intel5300::device(&mut rng, AntennaArray::laptop()),
         Point::new(2.0, 0.0),
     );
-    let mut session =
-        ChronosSession::with_cache(ctx, ChronosConfig::default(), Arc::new(PlanCache::new()));
     let pairs: Vec<_> = testbed.pairs_within(15.0).into_iter().take(12).collect();
-    let mut pipeline = SweepPipeline::new();
-    let mut fixes = 0;
-    for pass in 0..2 {
-        for (i, pair) in pairs.iter().enumerate() {
-            session.ctx.initiator_pos = pair.a;
-            session.ctx.responder_pos = pair.b;
-            let seed = 500 + i as u64;
-            let before = thread_allocations();
-            let link = run_sweep(
-                &session.sweep_cfg,
-                Instant::ZERO,
-                &mut StdRng::seed_from_u64(seed),
-            );
-            let link_allocs = thread_allocations() - before;
-            drop(link);
-            let before = thread_allocations();
-            let out = session.sweep_with_pipeline(
-                &session.sweep_cfg,
-                &mut StdRng::seed_from_u64(seed),
-                Instant::ZERO,
-                &mut pipeline,
-            );
-            let sweep_allocs = thread_allocations() - before;
-            if pass == 1 {
-                assert!(
-                    sweep_allocs <= link_allocs + OUTPUT_ALLOCS,
-                    "placement {i}: the sweep allocated {sweep_allocs} times, its link \
-                     simulation {link_allocs}"
+    let sessions = [
+        (
+            "private cache",
+            ChronosSession::new(ctx.clone(), ChronosConfig::default()),
+        ),
+        (
+            "shared cache",
+            ChronosSession::with_cache(ctx, ChronosConfig::default(), Arc::new(PlanCache::new())),
+        ),
+    ];
+    for (name, mut session) in sessions {
+        let mut pipeline = SweepPipeline::new();
+        let mut fixes = 0;
+        for pass in 0..2 {
+            for (i, pair) in pairs.iter().enumerate() {
+                session.ctx.initiator_pos = pair.a;
+                session.ctx.responder_pos = pair.b;
+                let seed = 500 + i as u64;
+                let before = thread_allocations();
+                let link = run_sweep(
+                    &session.sweep_cfg,
+                    Instant::ZERO,
+                    &mut StdRng::seed_from_u64(seed),
                 );
-                fixes += out.position.is_ok() as usize;
+                let link_allocs = thread_allocations() - before;
+                drop(link);
+                let before = thread_allocations();
+                let out = session.sweep_with_pipeline(
+                    &session.sweep_cfg,
+                    &mut StdRng::seed_from_u64(seed),
+                    Instant::ZERO,
+                    &mut pipeline,
+                );
+                let sweep_allocs = thread_allocations() - before;
+                if pass == 1 {
+                    assert!(
+                        sweep_allocs <= link_allocs + OUTPUT_ALLOCS,
+                        "{name}, placement {i}: the sweep allocated {sweep_allocs} times, \
+                         its link simulation {link_allocs}"
+                    );
+                    fixes += out.position.is_ok() as usize;
+                }
             }
         }
+        assert!(fixes > 0, "{name}: no sweep produced a fix");
     }
-    assert!(fixes > 0, "no sweep produced a fix");
 }
 
 proptest! {

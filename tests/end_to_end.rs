@@ -265,7 +265,7 @@ fn replay_sweep(
     use chronos_suite::core::{BandSample, ChronosError, TofEstimator};
     let estimator = TofEstimator::with_cache(
         session.config.clone(),
-        session.plans.clone().expect("cached session"),
+        std::sync::Arc::clone(&session.plans),
     );
     let link = chronos_suite::link::sweep::run_sweep(&session.sweep_cfg, Instant::ZERO, rng);
     let n_rx = session.ctx.responder.antennas.len();

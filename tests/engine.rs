@@ -478,7 +478,7 @@ fn warm_pipeline_sweeps_match_fresh_scratch_bitwise() {
             let t = Instant::from_millis(100 * sweep + client as u64);
             let fresh_out = {
                 let mut rng = StdRng::seed_from_u64(1000 + 10 * sweep + client as u64);
-                session.sweep_with(&session.sweep_cfg, &mut rng, t)
+                session.sweep(&mut rng, t)
             };
             let warm_out = {
                 let mut rng = StdRng::seed_from_u64(1000 + 10 * sweep + client as u64);
@@ -521,9 +521,13 @@ fn window_reports_bitwise_identical_across_thread_counts() {
     let fingerprint = |threads: usize| {
         let mut svc = adaptive_service(&[2.0, 3.5, 5.0, 6.5], threads);
         let mut fp = Vec::new();
+        let mut cache = Vec::new();
         // Two windows so in-flight sweeps cross a window boundary.
         for deadline in [400u64, 900] {
             let w = svc.run_until(1234, Instant::from_millis(deadline));
+            // Every estimate looks its plans up in the shared cache, so
+            // its counters are a function of the sweeps alone.
+            cache.push((w.cache.hits, w.cache.misses));
             for o in &w.outcomes {
                 fp.push((
                     o.client,
@@ -536,10 +540,14 @@ fn window_reports_bitwise_identical_across_thread_counts() {
                 ));
             }
         }
-        fp
+        (fp, cache)
     };
     let one = fingerprint(1);
-    assert!(one.len() > 12, "expected a busy window, got {}", one.len());
+    assert!(
+        one.0.len() > 12,
+        "expected a busy window, got {}",
+        one.0.len()
+    );
     assert_eq!(one, fingerprint(2), "threads=2 diverged");
     assert_eq!(one, fingerprint(8), "threads=8 diverged");
 }

@@ -175,10 +175,8 @@ fn fleet_windows_replay_bit_identically_across_thread_counts() {
 }
 
 /// Everything observable about a window except execution metadata —
-/// `shard_reports[..].wall` (host wall clock) and `cache.hits` (a
-/// lookup count that depends on per-pipeline plan-memo warmth, hence
-/// on sweep-to-worker placement) — with floats as bits. Two runs are
-/// "the same" iff these strings match.
+/// `shard_reports[..].wall` (host wall clock) — with floats as bits. Two
+/// runs are "the same" iff these strings match.
 fn report_fingerprint(r: &FleetWindowReport) -> String {
     use std::fmt::Write;
     let mut s = String::new();
@@ -196,8 +194,9 @@ fn report_fingerprint(r: &FleetWindowReport) -> String {
     for sr in &r.shard_reports {
         write!(
             s,
-            ";u={:x} misses={} plans={}/{} bp={} bf={} ing={:?}",
+            ";u={:x} hits={} misses={} plans={}/{} bp={} bf={} ing={:?}",
             sr.utilization.to_bits(),
+            sr.cache.hits,
             sr.cache.misses,
             sr.cache.ndft_entries,
             sr.cache.spline_entries,

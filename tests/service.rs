@@ -1,6 +1,6 @@
 //! Integration tests for the multi-client ranging service and the shared
-//! `PlanCache`: accuracy must survive scale-out, and the cache must be a
-//! pure performance optimization (identical outputs).
+//! `PlanCache`: accuracy must survive scale-out, and sharing a cache must
+//! be a pure performance optimization (identical outputs).
 
 use chronos_suite::core::config::ChronosConfig;
 use chronos_suite::core::engine::ServiceEngine;
@@ -36,7 +36,8 @@ fn ideal_ctx(d: f64) -> MeasurementContext {
 /// starts, retransmissions), never accuracy.
 #[test]
 fn n_client_throughput_matches_single_session_accuracy() {
-    // Baselines: each geometry swept by a lone, uncached session.
+    // Baselines: each geometry swept by a lone session on its private
+    // plan cache.
     let distances = [2.0, 3.5, 5.0, 6.5, 8.0];
     let mut baseline_errs = Vec::new();
     for (i, d) in distances.iter().enumerate() {
@@ -85,8 +86,9 @@ fn n_client_throughput_matches_single_session_accuracy() {
     assert!(report.utilization > 0.5);
 }
 
-/// Cached and uncached estimators must produce identical results from
-/// identical inputs — the PlanCache is a cost optimization, not an
+/// An estimator on its private cache (which builds each plan fresh) and
+/// one on a shared cache must produce identical results from identical
+/// inputs — sharing a PlanCache is a cost optimization, not an
 /// approximation. (Acceptance bound: 1e-9; the implementation reuses the
 /// exact same arithmetic, so the difference is exactly zero.)
 #[test]
@@ -98,17 +100,15 @@ fn plan_cache_estimates_are_equivalent() {
         .map(|b| genie_product(b.center_hz, &paths, 2.0))
         .collect();
 
-    let cold = TofEstimator::new(ChronosConfig::ideal());
+    let private = TofEstimator::new(ChronosConfig::ideal());
     let cache = Arc::new(PlanCache::new());
     let cached = TofEstimator::with_cache(ChronosConfig::ideal(), Arc::clone(&cache));
 
-    // A fresh pipeline per call, so every plan lookup reaches the cache
-    // (a warm pipeline would serve it from its own memo).
     let a = SweepPipeline::new()
-        .estimate_from_products(&cold, &products)
-        .expect("cold estimate");
-    // Run the cached estimator twice: the second call exercises the
-    // cache-hit path.
+        .estimate_from_products(&private, &products)
+        .expect("private-cache estimate");
+    // Run the shared-cache estimator twice: the second call exercises
+    // the cache-hit path.
     let b1 = SweepPipeline::new()
         .estimate_from_products(&cached, &products)
         .expect("cached estimate");
@@ -144,12 +144,13 @@ fn plan_cache_estimates_are_equivalent() {
     );
 }
 
-/// End-to-end session equivalence: a cached session must reproduce the
-/// uncached session's sweep bit-for-bit given the same RNG stream.
+/// End-to-end session equivalence: a session on a shared cache must
+/// reproduce a session on its private cache bit-for-bit given the same
+/// RNG stream.
 #[test]
 fn cached_session_sweep_is_bitwise_identical() {
     let cache = Arc::new(PlanCache::new());
-    let make = |cached: bool| {
+    let make = |shared: bool| {
         let mut rng = StdRng::seed_from_u64(4242);
         let ctx = MeasurementContext::new(
             Environment::free_space(),
@@ -158,7 +159,7 @@ fn cached_session_sweep_is_bitwise_identical() {
             Intel5300::laptop(&mut rng),
             Point::new(5.5, 0.0),
         );
-        if cached {
+        if shared {
             ChronosSession::with_cache(ctx, ChronosConfig::default(), Arc::clone(&cache))
         } else {
             ChronosSession::new(ctx, ChronosConfig::default())
@@ -166,18 +167,18 @@ fn cached_session_sweep_is_bitwise_identical() {
     };
     let mut rng_a = StdRng::seed_from_u64(77);
     let mut rng_b = StdRng::seed_from_u64(77);
-    let out_cold = make(false).sweep(&mut rng_a, Instant::ZERO);
-    let out_cached = make(true).sweep(&mut rng_b, Instant::ZERO);
+    let out_private = make(false).sweep(&mut rng_a, Instant::ZERO);
+    let out_shared = make(true).sweep(&mut rng_b, Instant::ZERO);
 
-    assert_eq!(out_cold.tofs.len(), out_cached.tofs.len());
-    for (a, b) in out_cold.tofs.iter().zip(out_cached.tofs.iter()) {
+    assert_eq!(out_private.tofs.len(), out_shared.tofs.len());
+    for (a, b) in out_private.tofs.iter().zip(out_shared.tofs.iter()) {
         match (a, b) {
             (Ok(ta), Ok(tb)) => {
                 assert_eq!(ta.tof_ns.to_bits(), tb.tof_ns.to_bits());
                 assert_eq!(ta.distance_m.to_bits(), tb.distance_m.to_bits());
             }
             (Err(ea), Err(eb)) => assert_eq!(format!("{ea}"), format!("{eb}")),
-            other => panic!("cached/uncached disagreement: {other:?}"),
+            other => panic!("private/shared cache disagreement: {other:?}"),
         }
     }
 }
@@ -200,12 +201,11 @@ fn continuous_windows_reuse_plans_and_preserve_accuracy() {
         second.cache.misses, first.cache.misses,
         "cache went cold across windows"
     );
-    // The worker pipelines memoize the plan `Arc`s they hand out, so
-    // after warm-up the shared cache is not even *consulted* per sweep —
-    // hit counters may freeze entirely. What must hold: no rebuilds
-    // (misses frozen above) and exactly one resident plan per
-    // (bands, grid) — one NDFT plan and one spline plan here.
-    assert!(second.cache.hits >= first.cache.hits);
+    // Every sweep looks its plans up in the shared cache: after warm-up
+    // each lookup hits, no plan is rebuilt (misses frozen above), and
+    // exactly one plan is resident per (bands, grid) — one NDFT plan and
+    // one spline plan here.
+    assert!(second.cache.hits > first.cache.hits);
     assert_eq!(second.cache.ndft_entries, 1);
     assert_eq!(second.cache.spline_entries, 1);
     for o in first.outcomes.iter().chain(second.outcomes.iter()) {
@@ -231,12 +231,11 @@ fn service_epochs_reuse_plans_across_rounds() {
     let first = svc.run_epoch(9);
     let misses_after_first = first.cache.misses;
     let second = svc.run_epoch(10);
-    // Warm cache: no new plans are ever built after round one. The
-    // worker pipelines memoize plan `Arc`s, so the shared cache need not
-    // be consulted again at all (hits may freeze); the reuse contract is
-    // frozen misses plus a single resident plan per (bands, grid).
+    // Warm cache: no new plans are ever built after round one, and
+    // every lookup of round two hits; the reuse contract is frozen
+    // misses plus a single resident plan per (bands, grid).
     assert_eq!(second.cache.misses, misses_after_first, "cache went cold");
-    assert!(second.cache.hits >= first.cache.hits);
+    assert!(second.cache.hits > first.cache.hits);
     assert_eq!(second.cache.ndft_entries, 1);
     assert_eq!(second.cache.spline_entries, 1);
     assert_eq!(second.completed(), 3);
