@@ -53,7 +53,7 @@ use chronos_rf::csi::MeasurementContext;
 use chronos_rf::environment::Environment;
 use chronos_rf::geometry::Point;
 use chronos_rf::hardware::{ideal_device, AntennaArray};
-use chronos_rf::noise::complex_gaussian;
+use chronos_rf::noise::gaussian;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -161,8 +161,8 @@ impl ClockSync {
     fn run_round(&mut self, seed: u64, at: Instant) {
         for ap in 0..self.offsets_ns.len() {
             let mut rng = StdRng::seed_from_u64(mix_seed(seed ^ SYNC_SALT, self.rounds + 1, ap));
-            self.offsets_ns[ap] = self.cfg.jitter_ns * complex_gaussian(&mut rng, 1.0).re;
-            self.drifts_ppb[ap] = self.cfg.drift_ppb * complex_gaussian(&mut rng, 1.0).re;
+            self.offsets_ns[ap] = self.cfg.jitter_ns * gaussian(&mut rng, 1.0);
+            self.drifts_ppb[ap] = self.cfg.drift_ppb * gaussian(&mut rng, 1.0);
         }
         self.synced_at = Some(at);
         self.rounds += 1;
@@ -360,6 +360,11 @@ struct FleetClient {
     /// World position (callers move it via
     /// [`FleetEngine::set_client_pos`]).
     pos: Point,
+    /// Distance from `pos` to each AP, in AP order: taken when the
+    /// client joins and again at every window boundary, and read by the
+    /// handoff policy and by every blast of the window — the position
+    /// only moves between windows.
+    ap_dists_m: Vec<f64>,
     /// Serving AP index.
     serving: usize,
     /// Slot index in the serving shard (round-trip mode only).
@@ -372,6 +377,19 @@ struct FleetClient {
     /// Set at handoff; cleared by the first post-handoff TRACK outcome.
     /// ACQUIRE outcomes seen while set count as handoff-gap sweeps.
     awaiting_track: bool,
+}
+
+/// The AP nearest a client, from its distance to each AP: the first
+/// minimum under `total_cmp` (`Iterator::min_by`'s rule), so AP 0 for a
+/// non-finite position, which is equally far from every AP.
+fn nearest_ap(dists_m: &[f64]) -> usize {
+    let mut nearest = 0;
+    for (ap, dist_m) in dists_m.iter().enumerate().skip(1) {
+        if dist_m.total_cmp(&dists_m[nearest]).is_lt() {
+            nearest = ap;
+        }
+    }
+    nearest
 }
 
 /// One TDoA blast's outcome (the one-way analogue of
@@ -460,28 +478,27 @@ struct BlastSolver<'a> {
 }
 
 impl<'a> BlastSolver<'a> {
-    /// The APs that timestamp a blast fired from `pos` at `t`, with their
-    /// distances to the client, in AP-index order: every AP in range
-    /// that is the serving AP (the TDoA reference) or passes the sync
-    /// gate. Geometry and the clock epoch only, no RNG, so the pump books
-    /// airtime on this set before the solve draws its noise over it.
-    fn listeners(
+    /// The APs that timestamp a blast client `c` fires at `t`, with
+    /// their distances to the client, in AP-index order: every AP in
+    /// range that is the serving AP (the TDoA reference) or passes the
+    /// sync gate. Geometry and the clock epoch only, no RNG, so the pump
+    /// books airtime on this set before the solve draws its noise over
+    /// it.
+    fn listeners<'c>(
         &self,
         t: Instant,
-        pos: Point,
-        serving: usize,
-    ) -> impl Iterator<Item = (usize, f64)> + 'a {
+        c: &'c FleetClient,
+    ) -> impl Iterator<Item = (usize, f64)> + 'c {
         let bound_ns = self
             .sync
             .map(|s| s.pair_residual_bound_ns(t))
             .unwrap_or(f64::INFINITY);
         let gate_open = bound_ns <= self.cfg.residual_threshold_ns;
-        let max_range_m = self.cfg.max_range_m;
-        self.aps
+        let (max_range_m, serving) = (self.cfg.max_range_m, c.serving);
+        c.ap_dists_m
             .iter()
             .enumerate()
-            .filter_map(move |(ap, &ap_pos)| {
-                let dist_m = pos.dist(ap_pos);
+            .filter_map(move |(ap, &dist_m)| {
                 (dist_m <= max_range_m && (ap == serving || gate_open)).then_some((ap, dist_m))
             })
     }
@@ -502,8 +519,8 @@ impl<'a> BlastSolver<'a> {
         // function of geometry, so results are schedule-invariant.
         s.anchors.clear();
         let mut d_ref = None;
-        for (ap, dist_m) in self.listeners(t, pos, serving) {
-            let noise_ns = cfg.timestamp_noise_ns * complex_gaussian(&mut rng, 1.0).re;
+        for (ap, dist_m) in self.listeners(t, c) {
+            let noise_ns = cfg.timestamp_noise_ns * gaussian(&mut rng, 1.0);
             let offset_ns = self
                 .sync
                 .map(|s| s.offset_ns(ap, t))
@@ -638,7 +655,7 @@ fn percentile(mut xs: Vec<f64>, q: f64) -> Option<f64> {
     if xs.is_empty() {
         return None;
     }
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    xs.sort_by(f64::total_cmp);
     let idx = ((xs.len() as f64 * q).ceil() as usize).clamp(1, xs.len()) - 1;
     Some(xs[idx])
 }
@@ -782,19 +799,12 @@ impl FleetEngine {
         &self.clients[client].tracker
     }
 
-    /// The AP nearest `pos`; AP 0 for a non-finite `pos`, which is
-    /// equally far from every AP.
-    fn nearest_ap(&self, pos: Point) -> usize {
-        (0..self.aps.len())
-            .min_by(|&a, &b| pos.dist(self.aps[a]).total_cmp(&pos.dist(self.aps[b])))
-            .expect("non-empty fleet")
-    }
-
     /// Adds a client at a world position, associated with the nearest
     /// AP. Round-trip mode gives it a slot in that shard; TDoA mode
     /// schedules its blast cadence. Returns the fleet client index.
     pub fn add_client(&mut self, pos: Point) -> usize {
-        let serving = self.nearest_ap(pos);
+        let ap_dists_m: Vec<f64> = self.aps.iter().map(|&ap| pos.dist(ap)).collect();
+        let serving = nearest_ap(&ap_dists_m);
         let id = self.clients.len();
         let tracker_cfg = self.cfg.service.adaptive.unwrap_or_default();
         let slot = match self.cfg.mode {
@@ -817,6 +827,7 @@ impl FleetEngine {
         };
         self.clients.push(FleetClient {
             pos,
+            ap_dists_m,
             serving,
             slot,
             tracker: PositionTracker::new(tracker_cfg),
@@ -837,21 +848,24 @@ impl FleetEngine {
         }
     }
 
-    /// Runs the association policy over every client: hand off to the
-    /// nearest AP when it beats the serving AP by more than the
-    /// hysteresis margin. A client at a non-finite position keeps its
-    /// serving AP. Returns the number of handoffs.
+    /// Ranges every AP from every client's position, then runs the
+    /// association policy over every client: hand off to the nearest AP
+    /// when it beats the serving AP by more than the hysteresis margin.
+    /// A client at a non-finite position keeps its serving AP. Returns
+    /// the number of handoffs.
     fn run_handoffs(&mut self) -> usize {
         let mut handoffs = 0;
         for id in 0..self.clients.len() {
-            let (pos, serving) = (self.clients[id].pos, self.clients[id].serving);
+            let c = &mut self.clients[id];
+            let (pos, serving) = (c.pos, c.serving);
+            c.ap_dists_m.clear();
+            c.ap_dists_m.extend(self.aps.iter().map(|&ap| pos.dist(ap)));
             if !pos.is_finite() {
                 continue;
             }
-            let nearest = self.nearest_ap(pos);
+            let nearest = nearest_ap(&c.ap_dists_m);
             if nearest == serving
-                || pos.dist(self.aps[serving]) - pos.dist(self.aps[nearest])
-                    <= self.cfg.handoff.hysteresis_m
+                || c.ap_dists_m[serving] - c.ap_dists_m[nearest] <= self.cfg.handoff.hysteresis_m
             {
                 continue;
             }
@@ -960,7 +974,7 @@ impl FleetEngine {
             seq: self.pending.len(),
         };
         c.blasts += 1;
-        let (pos, serving) = (c.pos, c.serving);
+        let serving = c.serving;
         let solver = BlastSolver {
             seed,
             cfg: &self.cfg.tdoa,
@@ -968,8 +982,7 @@ impl FleetEngine {
             sync: self.sync.as_ref(),
         };
         self.heard.clear();
-        self.heard
-            .extend(solver.listeners(t, pos, serving).map(|(ap, _)| ap));
+        self.heard.extend(solver.listeners(t, c).map(|(ap, _)| ap));
         if self.heard.contains(&serving) && self.heard.len() >= cfg.min_anchors {
             for &ap in &self.heard {
                 // A blast is overheard, not scheduled: it happens at `t`
@@ -1290,6 +1303,61 @@ mod tests {
         assert_eq!(report.sync_rounds, 0);
         assert_eq!(report.fixes(), 0, "unsynchronized pairs are gated out");
         assert!(!report.tdoa_outcomes.is_empty(), "blasts still fire");
+    }
+
+    #[test]
+    fn percentiles_order_a_nan_error_instead_of_panicking() {
+        let fired = |client| PendingBlast {
+            at: Instant::ZERO,
+            client,
+            blast: 0,
+            seq: client,
+        };
+        let tdoa_outcomes = [0.3, f64::NAN, 0.1, 0.2]
+            .into_iter()
+            .enumerate()
+            .map(|(client, err_m)| TdoaOutcome {
+                pos_error_m: Some(err_m),
+                ..TdoaOutcome::fired(&fired(client))
+            })
+            .collect();
+        let report = FleetWindowReport {
+            started: Instant::ZERO,
+            ended: Instant::from_millis(100),
+            shard_reports: Vec::new(),
+            tdoa_outcomes,
+            handoffs: 0,
+            handoff_gap_sweeps: 0,
+            sync_rounds: 0,
+            n_clients: 4,
+        };
+        // `total_cmp` ranks a positive NaN above every number.
+        assert_eq!(report.median_pos_error_m(), Some(0.2));
+        assert!(report.p90_pos_error_m().unwrap().is_nan());
+    }
+
+    #[test]
+    fn nearest_ap_is_the_first_minimum_of_min_by() {
+        let aps = ap_grid(4, 20.0);
+        // Off-grid points, ties between two and four APs, an AP itself,
+        // and non-finite positions.
+        let points = [
+            Point::new(3.0, 17.0),
+            Point::new(10.0, 0.0),
+            Point::new(10.0, 10.0),
+            Point::new(20.0, 0.0),
+            Point::new(-5.0, 31.0),
+            Point::new(f64::NAN, 4.0),
+            Point::new(f64::INFINITY, 4.0),
+            Point::new(f64::NEG_INFINITY, f64::INFINITY),
+        ];
+        for pos in points {
+            let dists_m: Vec<f64> = aps.iter().map(|&ap| pos.dist(ap)).collect();
+            let min_by = (0..aps.len())
+                .min_by(|&a, &b| pos.dist(aps[a]).total_cmp(&pos.dist(aps[b])))
+                .unwrap();
+            assert_eq!(nearest_ap(&dists_m), min_by, "{pos:?}");
+        }
     }
 
     #[test]

@@ -35,6 +35,19 @@
 //! generic finite-difference fit as the reference the solver must agree
 //! with.
 //!
+//! A trial point pays for its Jacobian only once it is accepted. Its
+//! cost is summed first, alone, in anchor order — one square root per
+//! anchor — and the sum stops as soon as it reaches the cost it must
+//! beat: every term is a square, so the partial sums never decrease and
+//! the verdict is already known (a NaN term never stops the sum, and
+//! the trial is rejected at the end). About half the trials of a fleet
+//! blast are rejected. An accepted trial then builds `JᵀJ` and `Jᵀr`
+//! from the ranges its cost pass kept, and the last accepted step —
+//! shorter than the tolerance, or in the final iteration — builds none,
+//! since only its point and cost are read. Every fit is the one the
+//! single-pass formulation gives, bit for bit; the unit tests keep that
+//! formulation as a second reference.
+//!
 //! Hyperbolic cost surfaces are flatter than circles (the gradient along
 //! a branch is weak far from the anchors), so the solver fits from two
 //! seeds — the caller's prior (a tracker prediction, when warm) and the
@@ -98,6 +111,9 @@ const STEP_TOL: f64 = 1e-10;
 /// Relative pivot floor below which the damped system counts as
 /// singular (the LU solve's rule).
 const PIVOT_TOL: f64 = 1e-12;
+/// Anchor ranges a trial's cost pass keeps for its Jacobian pass, which
+/// ranges any further anchors again. A 16-AP fleet blast has at most 15.
+const KEPT_RANGES: usize = 16;
 
 /// The fit linearized at one point: the cost `Σ r_i²` plus the normal
 /// equations `JᵀJ = [[xx, xy], [xy, yy]]` and `Jᵀr = (rx, ry)`.
@@ -112,42 +128,110 @@ struct Linearization {
     ry: f64,
 }
 
-/// `|p − a|` and the unit vector along `p − a`. At `p == a`, where the
-/// distance has no gradient, the direction is the zero vector (the
-/// minimum-norm subgradient), so a seed on an anchor stays finite.
-fn range_and_dir(p: Point, a: Point) -> (f64, f64, f64) {
+/// `|p − a|`.
+fn range(p: Point, a: Point) -> f64 {
     let (dx, dy) = (p.x - a.x, p.y - a.y);
-    let d = (dx * dx + dy * dy).sqrt();
+    (dx * dx + dy * dy).sqrt()
+}
+
+/// The unit vector along `p − a`, given `d = |p − a|`. At `p == a`,
+/// where the distance has no gradient, it is the zero vector (the
+/// minimum-norm subgradient), so a seed on an anchor stays finite.
+fn direction(p: Point, a: Point, d: f64) -> (f64, f64) {
     if d > 0.0 {
-        (d, dx / d, dy / d)
+        ((p.x - a.x) / d, (p.y - a.y) / d)
     } else {
-        (d, 0.0, 0.0)
+        (0.0, 0.0)
     }
 }
 
+/// The cost `Σ r_i²` of a trial at `p`, summed in anchor order from 0 as
+/// [`Linearization::at`] sums it, when it is below `bound`; `None` as
+/// soon as a partial sum reaches `bound`. The squares make the partial
+/// sums non-decreasing, so a stopped sum could only have ended at or
+/// above `bound`; a NaN never stops it and fails the final test. The
+/// first [`KEPT_RANGES`] anchor ranges land in `kept`. Returns the
+/// reference range and the cost.
+fn trial_cost(
+    p: Point,
+    reference: Point,
+    diffs: &[RangeDiff],
+    bound: f64,
+    kept: &mut [f64; KEPT_RANGES],
+) -> Option<(f64, f64)> {
+    let d_ref = range(p, reference);
+    let mut cost = 0.0;
+    for (i, rd) in diffs.iter().enumerate() {
+        let d = range(p, rd.anchor);
+        if let Some(slot) = kept.get_mut(i) {
+            *slot = d;
+        }
+        let r = (d - d_ref) - rd.diff_m;
+        cost += r * r;
+        if cost >= bound {
+            return None;
+        }
+    }
+    (cost < bound).then_some((d_ref, cost))
+}
+
 impl Linearization {
-    /// One pass over the anchors at `p`.
-    fn at(p: Point, reference: Point, diffs: &[RangeDiff]) -> Self {
-        let (d_ref, ux_ref, uy_ref) = range_and_dir(p, reference);
-        let mut l = Linearization {
+    /// Empty sums at `p`, with `cost` already summed.
+    fn empty(p: Point, cost: f64) -> Self {
+        Linearization {
             p,
-            cost: 0.0,
+            cost,
             xx: 0.0,
             xy: 0.0,
             yy: 0.0,
             rx: 0.0,
             ry: 0.0,
-        };
+        }
+    }
+
+    /// Adds the Jacobian row of the anchor at `a`, `d` from `self.p`
+    /// with residual `r`, against the reference direction `u_ref`.
+    fn add_row(&mut self, a: Point, d: f64, r: f64, u_ref: (f64, f64)) {
+        let (ux, uy) = direction(self.p, a, d);
+        let (jx, jy) = (ux - u_ref.0, uy - u_ref.1);
+        self.xx += jx * jx;
+        self.xy += jx * jy;
+        self.yy += jy * jy;
+        self.rx += jx * r;
+        self.ry += jy * r;
+    }
+
+    /// One pass over the anchors at `p`: the cost and the normal
+    /// equations.
+    fn at(p: Point, reference: Point, diffs: &[RangeDiff]) -> Self {
+        let d_ref = range(p, reference);
+        let u_ref = direction(p, reference, d_ref);
+        let mut l = Self::empty(p, 0.0);
         for rd in diffs {
-            let (d, ux, uy) = range_and_dir(p, rd.anchor);
+            let d = range(p, rd.anchor);
             let r = (d - d_ref) - rd.diff_m;
-            let (jx, jy) = (ux - ux_ref, uy - uy_ref);
             l.cost += r * r;
-            l.xx += jx * jx;
-            l.xy += jx * jy;
-            l.yy += jy * jy;
-            l.rx += jx * r;
-            l.ry += jy * r;
+            l.add_row(rd.anchor, d, r, u_ref);
+        }
+        l
+    }
+
+    /// The normal equations at an accepted trial point `p`, whose cost
+    /// pass summed `cost`, ranged the reference at `d_ref` and kept the
+    /// first anchor ranges in `kept`; later anchors are ranged again.
+    fn accepted(
+        p: Point,
+        cost: f64,
+        reference: Point,
+        d_ref: f64,
+        diffs: &[RangeDiff],
+        kept: &[f64],
+    ) -> Self {
+        let u_ref = direction(p, reference, d_ref);
+        let mut l = Self::empty(p, cost);
+        for (i, rd) in diffs.iter().enumerate() {
+            let d = kept.get(i).copied().unwrap_or_else(|| range(p, rd.anchor));
+            l.add_row(rd.anchor, d, (d - d_ref) - rd.diff_m, u_ref);
         }
         l
     }
@@ -171,33 +255,40 @@ impl Linearization {
     }
 }
 
-/// Damped Gauss–Newton from `seed` under the module-level policy;
-/// returns the last accepted linearization.
-fn fit(reference: Point, diffs: &[RangeDiff], seed: Point, max_iters: usize) -> Linearization {
+/// Damped Gauss–Newton from `seed` under the module-level policy, with
+/// cost-first trials; returns the last accepted point and its cost.
+fn fit(reference: Point, diffs: &[RangeDiff], seed: Point, max_iters: usize) -> (Point, f64) {
     let mut at = Linearization::at(seed, reference, diffs);
     let mut lambda = LAMBDA0;
-    for _ in 0..max_iters {
-        let mut step_norm = None;
+    let mut kept = [0.0; KEPT_RANGES];
+    for iter in 0..max_iters {
+        let mut accepted = None;
         for _ in 0..MAX_TRIES {
             let Some(step) = at.step(lambda) else {
                 lambda *= 10.0;
                 continue;
             };
-            let trial = Linearization::at(at.p.add(step), reference, diffs);
-            if trial.cost < at.cost {
-                at = trial;
+            let p = at.p.add(step);
+            if let Some((d_ref, cost)) = trial_cost(p, reference, diffs, at.cost, &mut kept) {
                 lambda = (lambda * 0.5).max(LAMBDA_MIN);
-                step_norm = Some((step.x * step.x + step.y * step.y).sqrt());
+                accepted = Some((p, d_ref, cost, (step.x * step.x + step.y * step.y).sqrt()));
                 break;
             }
             lambda *= 10.0;
         }
+        let Some((p, d_ref, cost, step_norm)) = accepted else {
+            break;
+        };
         match step_norm {
-            Some(norm) if norm >= STEP_TOL => {}
-            _ => break,
+            norm if norm >= STEP_TOL && iter + 1 < max_iters => {
+                at = Linearization::accepted(p, cost, reference, d_ref, diffs, &kept);
+            }
+            // The last accepted step ends the fit: nothing reads its
+            // normal equations.
+            _ => return (p, cost),
         }
     }
-    at
+    (at.p, at.cost)
 }
 
 /// Solves the hyperbolic fix from range differences against `reference`.
@@ -211,12 +302,25 @@ fn fit(reference: Point, diffs: &[RangeDiff], seed: Point, max_iters: usize) -> 
 /// with a non-finite `diff_m` — is rejected with
 /// [`ChronosError::NoConsistentPosition`]; an `Ok` fix is always finite.
 ///
-/// Allocation-free: the whole fit lives in a few scalars on the stack.
+/// Allocation-free: the whole fit lives in a few scalars and one small
+/// array on the stack.
 pub fn solve_tdoa(
     reference: Point,
     diffs: &[RangeDiff],
     seed: Point,
     cfg: &TdoaSolverConfig,
+) -> Result<TdoaFix, ChronosError> {
+    solve_with(reference, diffs, seed, cfg, fit)
+}
+
+/// [`solve_tdoa`] over the given fit from one seed, which returns the
+/// fitted point and its cost.
+fn solve_with(
+    reference: Point,
+    diffs: &[RangeDiff],
+    seed: Point,
+    cfg: &TdoaSolverConfig,
+    fit: impl Fn(Point, &[RangeDiff], Point, usize) -> (Point, f64),
 ) -> Result<TdoaFix, ChronosError> {
     if diffs.len() < 2 {
         return Err(ChronosError::NoConsistentPosition);
@@ -228,12 +332,11 @@ pub fn solve_tdoa(
     centroid = centroid.scale(1.0 / (diffs.len() + 1) as f64);
     let mut best: Option<TdoaFix> = None;
     for s in [seed, centroid] {
-        let fit = fit(reference, diffs, s, cfg.max_iters);
-        let p = fit.p;
+        let (p, cost) = fit(reference, diffs, s, cfg.max_iters);
         if !p.x.is_finite() || !p.y.is_finite() {
             continue;
         }
-        let rms = (fit.cost / diffs.len() as f64).sqrt();
+        let rms = (cost / diffs.len() as f64).sqrt();
         if best.as_ref().is_none_or(|b| rms < b.residual_m) {
             best = Some(TdoaFix {
                 point: p,
@@ -336,6 +439,77 @@ mod tests {
             Some(fix) if fix.residual_m <= cfg.max_residual_m => Ok(fix),
             _ => Err(ChronosError::NoConsistentPosition),
         }
+    }
+
+    /// The linearization before cost-first trials, written out on its
+    /// own: one pass yields the cost and the normal equations.
+    fn per_trial_linearization(p: Point, reference: Point, diffs: &[RangeDiff]) -> Linearization {
+        let range_and_dir = |a: Point| {
+            let (dx, dy) = (p.x - a.x, p.y - a.y);
+            let d = (dx * dx + dy * dy).sqrt();
+            if d > 0.0 {
+                (d, dx / d, dy / d)
+            } else {
+                (d, 0.0, 0.0)
+            }
+        };
+        let (d_ref, ux_ref, uy_ref) = range_and_dir(reference);
+        let mut l = Linearization {
+            p,
+            cost: 0.0,
+            xx: 0.0,
+            xy: 0.0,
+            yy: 0.0,
+            rx: 0.0,
+            ry: 0.0,
+        };
+        for rd in diffs {
+            let (d, ux, uy) = range_and_dir(rd.anchor);
+            let r = (d - d_ref) - rd.diff_m;
+            let (jx, jy) = (ux - ux_ref, uy - uy_ref);
+            l.cost += r * r;
+            l.xx += jx * jx;
+            l.xy += jx * jy;
+            l.yy += jy * jy;
+            l.rx += jx * r;
+            l.ry += jy * r;
+        }
+        l
+    }
+
+    /// The fit before cost-first trials: every trial point is linearized
+    /// in full before its verdict, and so is the last accepted one. The
+    /// reference [`fit`] must match bit for bit.
+    fn per_trial_fit(
+        reference: Point,
+        diffs: &[RangeDiff],
+        seed: Point,
+        max_iters: usize,
+    ) -> (Point, f64) {
+        let mut at = per_trial_linearization(seed, reference, diffs);
+        let mut lambda = LAMBDA0;
+        for _ in 0..max_iters {
+            let mut step_norm = None;
+            for _ in 0..MAX_TRIES {
+                let Some(step) = at.step(lambda) else {
+                    lambda *= 10.0;
+                    continue;
+                };
+                let trial = per_trial_linearization(at.p.add(step), reference, diffs);
+                if trial.cost < at.cost {
+                    at = trial;
+                    lambda = (lambda * 0.5).max(LAMBDA_MIN);
+                    step_norm = Some((step.x * step.x + step.y * step.y).sqrt());
+                    break;
+                }
+                lambda *= 10.0;
+            }
+            match step_norm {
+                Some(norm) if norm >= STEP_TOL => {}
+                _ => break,
+            }
+        }
+        (at.p, at.cost)
     }
 
     fn square_aps() -> (Point, Vec<Point>) {
@@ -609,8 +783,76 @@ mod tests {
         }
     }
 
+    /// Bits of a fit: point and cost.
+    fn fit_bits((p, cost): (Point, f64)) -> [u64; 3] {
+        [p.x.to_bits(), p.y.to_bits(), cost.to_bits()]
+    }
+
+    /// Bits of a solve: the fix's point, residual and anchor count, or
+    /// the error.
+    fn solve_bits(result: Result<TdoaFix, ChronosError>) -> Result<([u64; 3], usize), String> {
+        result
+            .map(|f| {
+                let bits = [f.point.x, f.point.y, f.residual_m].map(f64::to_bits);
+                (bits, f.n_anchors)
+            })
+            .map_err(|e| format!("{e:?}"))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Cost-first trials move no bit: from both seeds the fit returns
+        /// the point and cost of the fit that linearizes every trial in
+        /// full, and `solve_tdoa` the same verdict, point and residual.
+        /// The draws cover 2 diffs, more anchors than the kept-range
+        /// buffer, seeds on an anchor or the reference, non-finite range
+        /// differences, fits that end on the iteration cap (`max_iters`
+        /// 1 and 2) and range errors large enough to reject.
+        #[test]
+        fn cost_first_fit_matches_per_trial_fit_bitwise(
+            n_diffs in prop_oneof![Just(2usize), 3usize..16, 16usize..24],
+            anchors in collection::vec((-20.0f64..80.0, -20.0f64..80.0), 25..26),
+            tx in (0.0f64..60.0, 0.0f64..60.0),
+            err_m in collection::vec(prop_oneof![-0.5f64..0.5, -8.0f64..8.0], 25..26),
+            seed_kind in 0usize..4,
+            bad in 0usize..400,
+            max_iters in prop_oneof![Just(1usize), Just(2), 3usize..40, Just(200)],
+        ) {
+            let at = |i: usize| Point::new(anchors[i].0, anchors[i].1);
+            let tx = Point::new(tx.0, tx.1);
+            let reference = at(0);
+            let heard: Vec<(Point, f64)> = (1..=n_diffs).map(|i| (at(i), err_m[i])).collect();
+            let mut diffs = range_diffs_for(tx, reference, err_m[0], &heard);
+            // About one draw in four plants a NaN or an infinity in a diff.
+            if let Some(rd) = diffs.get_mut(bad / 10) {
+                rd.diff_m = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][bad % 3];
+            }
+            let seed = match seed_kind {
+                0 => tx.add(Point::new(0.7, -1.1)),
+                1 => at(1),
+                2 => reference,
+                _ => Point::new(500.0, -800.0),
+            };
+            let mut centroid = reference;
+            for rd in &diffs {
+                centroid = centroid.add(rd.anchor);
+            }
+            centroid = centroid.scale(1.0 / (diffs.len() + 1) as f64);
+            for s in [seed, centroid] {
+                prop_assert_eq!(
+                    fit_bits(fit(reference, &diffs, s, max_iters)),
+                    fit_bits(per_trial_fit(reference, &diffs, s, max_iters)),
+                    "seed {:?}, {} diffs, max_iters {}", s, n_diffs, max_iters
+                );
+            }
+            let cfg = TdoaSolverConfig { max_iters, ..Default::default() };
+            prop_assert_eq!(
+                solve_bits(solve_tdoa(reference, &diffs, seed, &cfg)),
+                solve_bits(solve_with(reference, &diffs, seed, &cfg, per_trial_fit)),
+                "seed {:?}, {} diffs, max_iters {}", seed, n_diffs, max_iters
+            );
+        }
 
         /// The analytic solver reproduces the finite-difference reference
         /// across the fleet's 4×4, 20 m grid: same verdict, same RMS

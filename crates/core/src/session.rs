@@ -239,12 +239,17 @@ impl ChronosSession {
     /// the session's current (known) geometry and sets
     /// `config.calibration_ns` so estimates match the true distance.
     /// Returns the calibration constant.
+    ///
+    /// The sweeps share one pipeline, so every sweep after the first
+    /// allocates only in its link simulation and for its output.
     pub fn calibrate<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) -> f64 {
         let true_d = self.ctx.initiator_pos.dist(self.ctx.responder_pos);
-        let mut raw = Vec::new();
+        let mut raw = Vec::with_capacity(n * self.ctx.responder.antennas.len());
         self.config.calibration_ns = 0.0;
+        let mut pipeline = crate::pipeline::SweepPipeline::new();
         for i in 0..n {
-            let out = self.sweep(rng, Instant::from_millis(200 * i as u64));
+            let t = Instant::from_millis(200 * i as u64);
+            let out = self.sweep_with_pipeline(&self.sweep_cfg, rng, t, &mut pipeline);
             for tof in out.tofs.iter().flatten() {
                 raw.push(tof.tof_ns);
             }

@@ -17,6 +17,7 @@ use chronos_core::engine::ServiceEngine;
 use chronos_core::service::ServiceConfig;
 use chronos_core::session::ChronosSession;
 use chronos_core::tracker::{ClientTracker, PositionTracker, TrackerConfig};
+use chronos_core::SweepPipeline;
 use chronos_link::time::Instant;
 use chronos_rf::csi::MeasurementContext;
 use chronos_rf::environment::Environment;
@@ -209,6 +210,8 @@ impl FollowSim {
         }
 
         let mut records = Vec::with_capacity(self.cfg.ticks);
+        // Tick-locked sweeps reuse one pipeline for the whole run.
+        let mut pipeline = SweepPipeline::new();
         for tick in 0..self.cfg.ticks {
             let t_s = tick as f64 * self.cfg.tick_s;
             // User walks during the tick.
@@ -239,7 +242,12 @@ impl FollowSim {
                 // Geometry update, then one tick-locked Chronos sweep.
                 self.session.ctx.initiator_pos = user_pos;
                 self.session.ctx.responder_pos = self.drone.position;
-                let out = self.session.sweep(rng, Instant::from_secs_f64(t_s));
+                let out = self.session.sweep_with_pipeline(
+                    &self.session.sweep_cfg,
+                    rng,
+                    Instant::from_secs_f64(t_s),
+                    &mut pipeline,
+                );
                 measured = out.mean_distance_m();
                 sweeps_in_tick = usize::from(measured.is_some());
                 match self.cfg.source {

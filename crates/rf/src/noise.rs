@@ -75,19 +75,36 @@ pub fn sigma_for_snr_db(snr_db: f64) -> f64 {
     (1.0 / snr / 2.0).sqrt()
 }
 
+/// Box–Muller's polar pair from two uniforms, drawn in this order: the
+/// radius `sqrt(−2 ln u1)` and the angle `2π u2` of two independent
+/// standard normals `r cos θ` and `r sin θ` (avoids a dependency on
+/// `rand_distr`).
+fn box_muller<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen::<f64>();
+    ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f64::consts::PI * u2)
+}
+
 /// Draws one sample of circular complex Gaussian noise with per-component
-/// standard deviation `sigma`, using the Box–Muller transform (avoids a
-/// dependency on `rand_distr`).
+/// standard deviation `sigma`; draws nothing for `sigma <= 0`.
 pub fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Complex64 {
     if sigma <= 0.0 {
         return Complex64::ZERO;
     }
-    // Box-Muller: two uniforms -> two independent standard normals.
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = 2.0 * std::f64::consts::PI * u2;
+    let (r, theta) = box_muller(rng);
     Complex64::new(sigma * r * theta.cos(), sigma * r * theta.sin())
+}
+
+/// Draws one real Gaussian sample with standard deviation `sigma`: the
+/// real part of [`complex_gaussian`] from the same two uniforms, bit for
+/// bit, without the sine of its imaginary part. Leaves `rng` where
+/// `complex_gaussian` would, and draws nothing for `sigma <= 0`.
+pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
+    if sigma <= 0.0 {
+        return 0.0;
+    }
+    let (r, theta) = box_muller(rng);
+    sigma * r * theta.cos()
 }
 
 /// Adds i.i.d. complex Gaussian noise to each element of `signal`.
@@ -186,6 +203,22 @@ mod tests {
         let mut v = vec![Complex64::ONE; 4];
         add_noise(&mut rng, &mut v, 0.0);
         assert!(v.iter().all(|z| *z == Complex64::ONE));
+    }
+
+    #[test]
+    fn gaussian_is_the_real_part_of_complex_gaussian_bitwise() {
+        for sigma in [1.0, 0.3, 2.5e-9, 0.0, -0.0, -1.0] {
+            let mut real = StdRng::seed_from_u64(11);
+            let mut complex = StdRng::seed_from_u64(11);
+            for _ in 0..1000 {
+                assert_eq!(
+                    gaussian(&mut real, sigma).to_bits(),
+                    complex_gaussian(&mut complex, sigma).re.to_bits(),
+                    "sigma {sigma}"
+                );
+                assert_eq!(real, complex, "sigma {sigma}: the RNG states part");
+            }
+        }
     }
 
     #[test]

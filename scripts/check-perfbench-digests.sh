@@ -4,7 +4,7 @@
 # Runs the command BENCHMARK.json declares with `--seconds 1 --trace 0`,
 # which makes only the quality pass, for every run listed in
 # scripts/perfbench-digests.txt (office_pair seeds 1-4, fleet_tdoa seeds
-# 1-2), and fails unless each run's check-prefix digest equals the listed
+# 1-4), and fails unless each run's check-prefix digest equals the listed
 # one. The digest covers every estimate, position and link counter of
 # the check prefix, so a speed change that claims "same answers" must
 # leave it alone; a change that moves the numerics on purpose updates

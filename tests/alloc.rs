@@ -408,6 +408,77 @@ fn warm_session_sweep_allocates_only_link_and_output() {
     }
 }
 
+/// Calibration runs its sweeps on one pipeline. `calibrate(n)` against
+/// `calibrate(1)` from the same session, RNG state and warm plan cache
+/// isolates the allocations of sweeps 2..n: they must be exactly those
+/// of the same sweeps replayed on one reused pipeline, and fewer than
+/// the same sweeps make on a fresh pipeline each, which regrows the
+/// whole scratch arena every time (about twice as many). A reused
+/// pipeline still grows a little past the first sweep — its spare
+/// capture pool on the second, and scratch sized by the data (the
+/// debias system, the peak list) when a later sweep needs more — so
+/// the budget of link simulation plus output holds only once a
+/// pipeline has seen the data, as the warm sweep test above pins.
+#[test]
+fn calibration_sweeps_share_one_pipeline() {
+    use chronos_suite::core::session::ChronosSession;
+    use chronos_suite::link::time::Instant;
+    use chronos_suite::rf::csi::MeasurementContext;
+    use chronos_suite::rf::hardware::Intel5300;
+    use chronos_suite::rf::testbed::Testbed;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const SWEEPS: usize = 4;
+
+    let testbed = Testbed::office(1);
+    let mut rng = StdRng::seed_from_u64(2);
+    let ctx = MeasurementContext::new(
+        testbed.environment.clone(),
+        Intel5300::mobile(&mut rng),
+        Point::new(0.0, 0.0),
+        Intel5300::device(&mut rng, AntennaArray::laptop()),
+        Point::new(2.0, 0.0),
+    );
+    let session = ChronosSession::new(ctx, ChronosConfig::default());
+    let calibrate_allocs = |n: usize| {
+        let mut s = session.clone();
+        let before = thread_allocations();
+        s.calibrate(&mut StdRng::seed_from_u64(9), n);
+        thread_allocations() - before
+    };
+    // Warm the shared plan cache, so both counts below hit it.
+    calibrate_allocs(SWEEPS);
+    let later_sweeps = calibrate_allocs(SWEEPS) - calibrate_allocs(1);
+
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut pipeline = SweepPipeline::new();
+    let (mut reused, mut fresh) = (0, 0);
+    for i in 0..SWEEPS {
+        let t = Instant::from_millis(200 * i as u64);
+        let before = thread_allocations();
+        drop(session.sweep_with_pipeline(&session.sweep_cfg, &mut rng.clone(), t, &mut pipeline));
+        if i > 0 {
+            reused += thread_allocations() - before;
+            let before = thread_allocations();
+            drop(session.sweep(&mut rng.clone(), t));
+            fresh += thread_allocations() - before;
+        }
+        // Advance the RNG past the sweep.
+        session.sweep(&mut rng, t);
+    }
+    assert_eq!(
+        later_sweeps, reused,
+        "calibration sweeps 2..{SWEEPS} allocated {later_sweeps} times, \
+         the same sweeps on one pipeline {reused}"
+    );
+    assert!(
+        later_sweeps < fresh,
+        "calibration sweeps 2..{SWEEPS} allocated {later_sweeps} times, \
+         on fresh pipelines {fresh}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
