@@ -789,10 +789,20 @@ impl ServiceEngine {
     /// actual blast instant, and booking is O(1) instead of an
     /// admission scan — at a thousand roaming clients a shard overhears
     /// thousands of blasts per window, and routing them through
-    /// [`ServiceEngine::charge_airtime`] made every boundary pump
+    /// [`ServiceEngine::charge_airtime`] made the fleet's blast booking
     /// quadratic in the blast count.
     pub fn charge_airtime_at(&mut self, at: Instant, airtime: Duration) {
         self.arbiter.book(at, airtime);
+    }
+
+    /// Forgets the arbiter windows that ended by the engine clock, as
+    /// [`ServiceEngine::run_until`] does when it starts: none of them can
+    /// affect an admission at or after the clock, or the coming window's
+    /// utilization. The fleet calls it before it books a window's
+    /// beacons and blasts, so a shard's arbiter holds one window's
+    /// bookings rather than two windows' worth.
+    pub(crate) fn release_elapsed_airtime(&mut self) {
+        self.arbiter.release_before(self.clock);
     }
 
     /// Whether a slot currently participates in scheduling.

@@ -46,7 +46,6 @@ use crate::localization::tdoa::{solve_tdoa, RangeDiff, TdoaSolverConfig};
 use crate::runtime::WorkerRuntime;
 use crate::service::ServiceConfig;
 use crate::tracker::{PositionTracker, TrackMode, TrackerConfig};
-use chronos_link::event::EventQueue;
 use chronos_link::time::{Duration, Instant};
 use chronos_math::constants::C_M_PER_NS;
 use chronos_rf::csi::MeasurementContext;
@@ -118,21 +117,25 @@ impl Default for ClockSyncConfig {
 /// The fleet's clock model: truth per-AP offset/drift trajectories plus
 /// the advertised residual bound that gates TDoA eligibility.
 ///
-/// Only the latest round's state is kept: every query comes from the
-/// fleet's event pump, or from its blast solves, which run before the
-/// next round, at or after the latest round (events run in time order
-/// and rounds win ties), so older rounds are never read again and each
-/// round refills the per-AP buffers in place.
+/// A fleet window draws all of its rounds before its first blast fires,
+/// so the model keeps the epochs that window's blasts read: the latest
+/// round before the window, when there was one, then every round of the
+/// window, oldest first. A blast reads the latest of them at or before
+/// its own instant. The next window drops all but the latest and refills
+/// the same buffers, so the model's memory stays at one window's few
+/// epochs however long the fleet runs. The public queries answer from
+/// the latest round.
 #[derive(Debug, Clone)]
 pub struct ClockSync {
     cfg: ClockSyncConfig,
-    /// Instant of the latest round; `None` before the first.
-    synced_at: Option<Instant>,
-    /// Truth residual offset per AP at `synced_at`, ns (hidden from the
-    /// estimator — it only biases blast timestamps).
+    n_aps: usize,
+    /// Instants of the kept rounds, oldest first.
+    epochs: Vec<Instant>,
+    /// Truth residual offset per kept round and AP, ns, round-major
+    /// (hidden from the estimator — it only biases blast timestamps).
     offsets_ns: Vec<f64>,
-    /// Truth residual drift per AP, ppb (grows the offset until the
-    /// next round).
+    /// Truth residual drift per kept round and AP, ppb, round-major
+    /// (grows the offset until the next round).
     drifts_ppb: Vec<f64>,
     next_round: Instant,
     rounds: u64,
@@ -142,9 +145,10 @@ impl ClockSync {
     fn new(cfg: ClockSyncConfig, n_aps: usize) -> Self {
         ClockSync {
             cfg,
-            synced_at: None,
-            offsets_ns: vec![0.0; n_aps],
-            drifts_ppb: vec![0.0; n_aps],
+            n_aps,
+            epochs: Vec::new(),
+            offsets_ns: Vec::new(),
+            drifts_ppb: Vec::new(),
             next_round: Instant::ZERO,
             rounds: 0,
         }
@@ -155,51 +159,96 @@ impl ClockSync {
         self.rounds
     }
 
-    /// Executes one round at `at`: every AP re-disciplines to a fresh
-    /// offset/drift draw. RNG streams are keyed by (seed, round, AP) so
-    /// the trajectory is invariant to window splits.
-    fn run_round(&mut self, seed: u64, at: Instant) {
-        for ap in 0..self.offsets_ns.len() {
-            let mut rng = StdRng::seed_from_u64(mix_seed(seed ^ SYNC_SALT, self.rounds + 1, ap));
-            self.offsets_ns[ap] = self.cfg.jitter_ns * gaussian(&mut rng, 1.0);
-            self.drifts_ppb[ap] = self.cfg.drift_ppb * gaussian(&mut rng, 1.0);
+    /// Starts a window that ends at `ended`: drops every kept round but
+    /// the latest, then draws each round due before `ended`. Returns the
+    /// number drawn, the last that many of `epochs`.
+    fn run_rounds(&mut self, seed: u64, ended: Instant) -> usize {
+        if let Some(latest) = self.latest() {
+            self.epochs.drain(..latest);
+            self.offsets_ns.drain(..latest * self.n_aps);
+            self.drifts_ppb.drain(..latest * self.n_aps);
         }
-        self.synced_at = Some(at);
+        let kept = self.epochs.len();
+        while self.next_round < ended {
+            self.run_round(seed, self.next_round);
+        }
+        self.epochs.len() - kept
+    }
+
+    /// Executes one round at `at`: every AP re-disciplines to a fresh
+    /// offset/drift draw, kept as the latest epoch. RNG streams are keyed
+    /// by (seed, round, AP) so the trajectory is invariant to window
+    /// splits.
+    fn run_round(&mut self, seed: u64, at: Instant) {
+        for ap in 0..self.n_aps {
+            let mut rng = StdRng::seed_from_u64(mix_seed(seed ^ SYNC_SALT, self.rounds + 1, ap));
+            self.offsets_ns
+                .push(self.cfg.jitter_ns * gaussian(&mut rng, 1.0));
+            self.drifts_ppb
+                .push(self.cfg.drift_ppb * gaussian(&mut rng, 1.0));
+        }
+        self.epochs.push(at);
         self.rounds += 1;
         self.next_round = at + self.cfg.interval;
     }
 
-    /// Nanoseconds from the latest round to `t`; `None` before the first
-    /// round or for a `t` earlier than the latest round.
-    fn since_round_ns(&self, t: Instant) -> Option<f64> {
-        self.synced_at
-            .filter(|&at| at <= t)
-            .map(|at| t.saturating_since(at).as_nanos() as f64)
+    /// The latest kept round; `None` before the first round.
+    fn latest(&self) -> Option<usize> {
+        self.epochs.len().checked_sub(1)
+    }
+
+    /// The kept round a blast at `t` reads: the latest at or before `t`,
+    /// so a round at the blast's own instant counts (rounds win ties).
+    fn epoch_at(&self, t: Instant) -> Option<usize> {
+        self.epochs.partition_point(|&at| at <= t).checked_sub(1)
+    }
+
+    /// Kept round `epoch`'s state index base and the nanoseconds from
+    /// it to `t`; `None` without a round or for a `t` earlier than it.
+    fn since_round(&self, epoch: Option<usize>, t: Instant) -> Option<(usize, f64)> {
+        let e = epoch?;
+        let at = self.epochs[e];
+        (at <= t).then(|| (e * self.n_aps, t.saturating_since(at).as_nanos() as f64))
+    }
+
+    /// [`ClockSync::offset_ns`] from a [`ClockSync::since_round`].
+    fn offset_since(&self, since: Option<(usize, f64)>, ap: usize) -> f64 {
+        match since {
+            None => f64::INFINITY,
+            Some((base, dt_ns)) => {
+                self.offsets_ns[base + ap] + self.drifts_ppb[base + ap] * 1e-9 * dt_ns
+            }
+        }
+    }
+
+    /// [`ClockSync::pair_residual_bound_ns`] from a
+    /// [`ClockSync::since_round`].
+    fn bound_since(&self, since: Option<(usize, f64)>) -> f64 {
+        match since {
+            None => f64::INFINITY,
+            Some((_, dt_ns)) => {
+                2.0 * 3.0 * (self.cfg.jitter_ns + self.cfg.drift_ppb * 1e-9 * dt_ns)
+            }
+        }
     }
 
     /// Truth clock offset of AP `ap` at time `t`, ns — the post-round
-    /// residual plus accumulated residual drift. Answers for `t` at or
-    /// after the latest round (the only times the fleet asks about);
-    /// infinite (unsynchronized) before the first round and for any
-    /// earlier `t`.
+    /// residual plus accumulated residual drift. Answers from the latest
+    /// round, for `t` at or after it; infinite (unsynchronized) before
+    /// the first round and for any earlier `t`.
     pub fn offset_ns(&self, ap: usize, t: Instant) -> f64 {
-        match self.since_round_ns(t) {
-            None => f64::INFINITY,
-            Some(dt_ns) => self.offsets_ns[ap] + self.drifts_ppb[ap] * 1e-9 * dt_ns,
-        }
+        self.offset_since(self.since_round(self.latest(), t), ap)
     }
 
     /// The *advertised* bound on any AP pair's clock offset at `t`, ns:
     /// twice the per-AP 3-sigma envelope
     /// `3·(jitter_ns + drift_ppb·10⁻⁹·Δt_ns)`. Conservative by
     /// construction — TDoA eligibility thresholds this bound, never the
-    /// hidden truth offsets. Answers for `t` at or after the latest
-    /// round; infinite before the first round and for any earlier `t`.
+    /// hidden truth offsets. Answers from the latest round, for `t` at
+    /// or after it; infinite before the first round and for any earlier
+    /// `t`.
     pub fn pair_residual_bound_ns(&self, t: Instant) -> f64 {
-        match self.since_round_ns(t) {
-            None => f64::INFINITY,
-            Some(dt_ns) => 2.0 * 3.0 * (self.cfg.jitter_ns + self.cfg.drift_ppb * 1e-9 * dt_ns),
-        }
+        self.bound_since(self.since_round(self.latest(), t))
     }
 }
 
@@ -287,17 +336,17 @@ pub struct FleetConfig {
     /// [`client_context`]).
     pub snr_at_1m_db: f64,
     /// Threads [`FleetEngine::run_window`] adds to the fleet driver for
-    /// its two batches: the window's TDoA blast solves, then the shard
-    /// windows. Each batch is one level deep: every shard runs its own
-    /// sweeps inline, so [`ServiceConfig::threads`] never starts threads
-    /// inside a fleet.
+    /// its two batches: the window's TDoA client pass (every client
+    /// fires and solves its own blasts), then the shard windows. Each
+    /// batch is one level deep: every shard runs its own sweeps inline,
+    /// so [`ServiceConfig::threads`] never starts threads inside a fleet.
     ///
     /// - `None` (default): auto — `ServiceConfig::threads - 1`, or one
     ///   per available core but the driver's when `threads` is 0. Only
     ///   this setting reads the host's core count.
     /// - `Some(0)`: the strictly serial fleet (the reference the
-    ///   parallel widths are compared against): each blast is solved as
-    ///   it fires and the shard windows run one after another. No
+    ///   parallel widths are compared against): the same two passes run
+    ///   on the driver alone, one item or shard after another. No
     ///   runtime exists and no thread is ever started.
     /// - `Some(n)`: up to `n + 1` lanes per batch.
     ///
@@ -374,6 +423,11 @@ struct FleetClient {
     /// Blast ordinal — the client's TDoA RNG-stream counter (same role
     /// as the engine's sweep ordinal).
     blasts: u64,
+    /// When the client blasts next (TDoA mode only): it blasts every
+    /// [`TdoaConfig::cadence`] from a first blast within one cadence of
+    /// joining, so at a window's start this lies within one cadence of
+    /// the fleet clock.
+    next_blast: Instant,
     /// Set at handoff; cleared by the first post-handoff TRACK outcome.
     /// ACQUIRE outcomes seen while set count as handoff-gap sweeps.
     awaiting_track: bool,
@@ -426,11 +480,11 @@ pub struct TdoaOutcome {
 impl TdoaOutcome {
     /// A fired blast's outcome before its solve: who blasted and when,
     /// no anchors, no fix.
-    fn fired(p: &PendingBlast) -> Self {
+    fn fired(client: usize, blast: u64, at: Instant) -> Self {
         TdoaOutcome {
-            client: p.client,
-            blast: p.blast,
-            at: p.at,
+            client,
+            blast,
+            at,
             n_anchors: 0,
             fix: None,
             residual_m: None,
@@ -444,18 +498,21 @@ impl TdoaOutcome {
     }
 }
 
-/// A blast the boundary pump has fired and booked but not yet solved.
-#[derive(Debug, Clone, Copy)]
-struct PendingBlast {
-    /// Blast time on the fleet clock.
-    at: Instant,
-    /// Fleet client index.
-    client: usize,
-    /// The client's blast ordinal.
-    blast: u64,
-    /// Index in blast order among the blasts pending since the last
-    /// solve pass.
-    seq: usize,
+/// How long after joining client `id` first blasts: the phases stagger
+/// first blasts across the (nonzero) cadence, so a large population
+/// does not fire in lockstep.
+fn first_blast_phase(id: usize, cadence: Duration) -> Duration {
+    Duration::from_nanos((id as u64).wrapping_mul(97_777_777) % cadence.as_nanos())
+}
+
+/// Blasts a client whose next blast is due at `next` fires before
+/// `ended`, one every `cadence` (nonzero).
+fn blasts_due(next: Instant, ended: Instant, cadence: Duration) -> usize {
+    if next >= ended {
+        return 0;
+    }
+    let span_ns = ended.saturating_since(next).as_nanos();
+    ((span_ns - 1) / cadence.as_nanos() + 1) as usize
 }
 
 /// Scratch a lane reuses across blast solves: the APs that heard the
@@ -467,78 +524,176 @@ struct BlastScratch {
     diffs: Vec<RangeDiff>,
 }
 
-/// Everything a blast solve reads besides its own client: the window
-/// seed, the blast parameters, the AP geometry and the clock epoch the
-/// blast fired in. Lanes share it read-only.
-struct BlastSolver<'a> {
+/// A blast's place in its window: its instant and client, which order
+/// the window's blasts, then its client-major outcome slot.
+type BlastKey = (Instant, usize, usize);
+
+/// What the client pass leaves for the merge and the shard pass, in
+/// buffers the fleet keeps across windows.
+#[derive(Debug, Default)]
+struct BlastLog {
+    /// Every blast of the window: written per slot by the client pass,
+    /// then sorted into blast order by the merge, whose permutation
+    /// leaves each key's slot at its own index.
+    keys: Vec<BlastKey>,
+    /// Each slot's hearing set, `words` words per slot: bit `ap % 64` of
+    /// word `ap / 64` is set when AP `ap` books the blast's airtime.
+    slot_heard: Vec<u64>,
+    /// The same hearing sets in blast order, gathered by the merge.
+    heard: Vec<u64>,
+    words: usize,
+}
+
+impl BlastLog {
+    /// Books the window's fleet airtime on shard `ap` in the order it
+    /// happened, the order the serial pump booked it in: the beacon of
+    /// each of the window's `rounds`, admitted ahead of any blast at its
+    /// instant, and, in blast order, every blast AP `ap` heard. The
+    /// windows that ended before the window go first.
+    fn replay(
+        &self,
+        ap: usize,
+        shard: &mut ServiceEngine,
+        rounds: &[Instant],
+        beacon: Duration,
+        blast_airtime: Duration,
+    ) {
+        shard.release_elapsed_airtime();
+        let (word, bit) = (ap / 64, 1u64 << (ap % 64));
+        let mut rounds = rounds.iter().peekable();
+        let heard = self.heard.chunks_exact(self.words);
+        for (&(t, _, _), heard) in self.keys.iter().zip(heard) {
+            while let Some(&ts) = rounds.next_if(|&&ts| ts <= t) {
+                shard.charge_airtime(ts, beacon);
+            }
+            if heard[word] & bit != 0 {
+                // A blast is overheard, not scheduled: it happens at `t`
+                // on the client's cadence no matter what this AP's
+                // arbiter thinks, so it books the air at its true instant
+                // (O(1)) instead of competing for an admission grant it
+                // would ignore anyway.
+                shard.charge_airtime_at(t, blast_airtime);
+            }
+        }
+        for &ts in rounds {
+            shard.charge_airtime(ts, beacon);
+        }
+    }
+}
+
+/// One item of the client pass: a run of clients, the first's fleet
+/// index, and their blasts' slots from slot `base` on.
+struct BlastItem<'a> {
+    first: usize,
+    base: usize,
+    clients: &'a mut [FleetClient],
+    outcomes: &'a mut [TdoaOutcome],
+    keys: &'a mut [BlastKey],
+    heard: &'a mut [u64],
+}
+
+/// Everything a blast reads besides its own client: the window seed and
+/// end, the blast parameters, the AP geometry and the window's clock
+/// epochs. Lanes share it read-only.
+struct BlastPass<'a> {
     seed: u64,
+    ended: Instant,
     cfg: &'a TdoaConfig,
     aps: &'a [Point],
     sync: Option<&'a ClockSync>,
+    words: usize,
 }
 
-impl<'a> BlastSolver<'a> {
-    /// The APs that timestamp a blast client `c` fires at `t`, with
-    /// their distances to the client, in AP-index order: every AP in
-    /// range that is the serving AP (the TDoA reference) or passes the
-    /// sync gate. Geometry and the clock epoch only, no RNG, so the pump
-    /// books airtime on this set before the solve draws its noise over
-    /// it.
-    fn listeners<'c>(
-        &self,
-        t: Instant,
-        c: &'c FleetClient,
-    ) -> impl Iterator<Item = (usize, f64)> + 'c {
-        let bound_ns = self
-            .sync
-            .map(|s| s.pair_residual_bound_ns(t))
-            .unwrap_or(f64::INFINITY);
-        let gate_open = bound_ns <= self.cfg.residual_threshold_ns;
-        let (max_range_m, serving) = (self.cfg.max_range_m, c.serving);
-        c.ap_dists_m
-            .iter()
-            .enumerate()
-            .filter_map(move |(ap, &dist_m)| {
-                (dist_m <= max_range_m && (ap == serving || gate_open)).then_some((ap, dist_m))
-            })
+impl BlastPass<'_> {
+    /// Fires, client by client and in time order within a client, every
+    /// blast the item's clients owe before the window's end, each into
+    /// the next of the item's slots.
+    fn fire_item(&self, item: BlastItem<'_>, s: &mut BlastScratch) {
+        let w = self.words;
+        let mut slot = 0;
+        for (i, c) in item.clients.iter_mut().enumerate() {
+            let client = item.first + i;
+            while c.next_blast < self.ended {
+                let t = c.next_blast;
+                c.next_blast = t + self.cfg.cadence;
+                item.keys[slot] = (t, client, item.base + slot);
+                let heard = &mut item.heard[slot * w..(slot + 1) * w];
+                self.fire(t, client, c, &mut item.outcomes[slot], heard, s);
+                slot += 1;
+            }
+        }
+        debug_assert_eq!(slot, item.outcomes.len(), "the driver counted every blast");
     }
 
-    /// Solves one fired blast into `out`, writing no state but the
-    /// client's own tracker. Every listener timestamps the arrival with
-    /// error = truth clock offset (hidden) + detection noise drawn from
-    /// the blast's own (seed, blast, client) stream; the serving AP is
-    /// the TDoA reference.
-    fn solve(&self, out: &mut TdoaOutcome, c: &mut FleetClient, s: &mut BlastScratch) {
+    /// Fires client `client`'s blast at `t` and solves it into `out`,
+    /// writing no state but the client's own (ordinal, tracker) and the
+    /// blast's `heard` set.
+    ///
+    /// The listeners are taken once, from the client's AP distances and
+    /// the epoch of the latest round at or before `t`: every AP in range
+    /// that is the serving AP (the TDoA reference) or passes the sync
+    /// gate. The blast is booked and solved only when the serving AP is
+    /// among at least `min_anchors` listeners; then `heard` names them,
+    /// and each timestamps the arrival with error = truth clock offset
+    /// (hidden) + detection noise drawn from the blast's own (seed,
+    /// blast, client) stream, in AP-index order, so the draws are a pure
+    /// function of geometry and the results are schedule-invariant.
+    fn fire(
+        &self,
+        t: Instant,
+        client: usize,
+        c: &mut FleetClient,
+        out: &mut TdoaOutcome,
+        heard: &mut [u64],
+        s: &mut BlastScratch,
+    ) {
         let cfg = self.cfg;
-        let (t, client, blast) = (out.at, out.client, out.blast);
+        let blast = c.blasts;
+        c.blasts += 1;
         let (pos, serving) = (c.pos, c.serving);
-        out.truth_pos = pos;
-        out.mode = c.tracker.mode();
-        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed ^ BLAST_SALT, blast + 1, client));
-        // Anchors in AP-index order: the RNG draw sequence is a pure
-        // function of geometry, so results are schedule-invariant.
+        *out = TdoaOutcome {
+            truth_pos: pos,
+            mode: c.tracker.mode(),
+            ..TdoaOutcome::fired(client, blast, t)
+        };
+        let since = self
+            .sync
+            .and_then(|sync| sync.since_round(sync.epoch_at(t), t));
+        let bound_ns = self
+            .sync
+            .map_or(f64::INFINITY, |sync| sync.bound_since(since));
+        let gate_open = bound_ns <= cfg.residual_threshold_ns;
         s.anchors.clear();
         let mut d_ref = None;
-        for (ap, dist_m) in self.listeners(t, c) {
-            let noise_ns = cfg.timestamp_noise_ns * gaussian(&mut rng, 1.0);
-            let offset_ns = self
-                .sync
-                .map(|s| s.offset_ns(ap, t))
-                .unwrap_or(f64::INFINITY);
-            let err_m = C_M_PER_NS * (offset_ns + noise_ns);
-            if ap == serving {
-                d_ref = Some((dist_m, err_m));
+        for (ap, &dist_m) in c.ap_dists_m.iter().enumerate() {
+            if dist_m <= cfg.max_range_m && (ap == serving || gate_open) {
+                if ap == serving {
+                    d_ref = Some(dist_m);
+                }
+                s.anchors.push((ap, dist_m, 0.0));
             }
-            s.anchors.push((ap, dist_m, err_m));
         }
-        let Some((d_ref, err_ref)) = d_ref.filter(|_| s.anchors.len() >= cfg.min_anchors) else {
+        let Some(d_ref) = d_ref.filter(|_| s.anchors.len() >= cfg.min_anchors) else {
             // Not enough fleet to solve (or the serving AP missed the
-            // blast): no fix, but the tracker still sees the miss (mode
-            // machine + anomaly accounting).
+            // blast): nothing booked, no fix, but the tracker still sees
+            // the miss (mode machine + anomaly accounting).
             let upd = c.tracker.observe(t, None, false);
             out.anomaly_score = upd.anomaly_score;
             return;
         };
+        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed ^ BLAST_SALT, blast + 1, client));
+        let mut err_ref = 0.0;
+        for (ap, _, err_m) in &mut s.anchors {
+            heard[*ap / 64] |= 1 << (*ap % 64);
+            let noise_ns = cfg.timestamp_noise_ns * gaussian(&mut rng, 1.0);
+            let offset_ns = self
+                .sync
+                .map_or(f64::INFINITY, |sync| sync.offset_since(since, *ap));
+            *err_m = C_M_PER_NS * (offset_ns + noise_ns);
+            if *ap == serving {
+                err_ref = *err_m;
+            }
+        }
         out.n_anchors = s.anchors.len();
         let reference = self.aps[serving];
         s.diffs.clear();
@@ -672,27 +827,37 @@ pub struct FleetEngine {
     slot_owner: Vec<Vec<usize>>,
     clients: Vec<FleetClient>,
     sync: Option<ClockSync>,
-    /// Scheduled blasts (TDoA mode), keyed by fleet client index.
-    blasts: EventQueue<usize>,
     clock: Instant,
-    /// Blasts fired but not yet solved, in blast order (with a runtime
-    /// only; the serial fleet solves each blast as it fires).
-    pending: Vec<PendingBlast>,
-    /// The APs that heard the blast being fired, reused across blasts.
-    heard: Vec<usize>,
+    /// The window's blast keys and hearing sets (TDoA mode).
+    log: BlastLog,
     /// One blast scratch per lane, kept warm across windows.
     blast_lanes: Vec<BlastScratch>,
-    /// Spreads blast solves and shard windows over the driver plus
-    /// `workers` scoped threads; `None` runs the serial fleet — see
+    /// Spreads the client pass and the shard windows over the driver
+    /// plus `workers` scoped threads; `None` runs the serial fleet — see
     /// [`FleetConfig::workers`].
     runtime: Option<WorkerRuntime>,
 }
 
 impl FleetEngine {
     /// Builds a fleet of one shard per AP position, all sharing `env`
-    /// and one plan cache. Panics if `aps` is empty.
+    /// and one plan cache.
+    ///
+    /// # Panics
+    ///
+    /// If `aps` is empty, if clock sync is on with a zero
+    /// [`ClockSyncConfig::interval`], or if a TDoA fleet has a zero
+    /// [`TdoaConfig::cadence`]: a window would draw rounds or fire a
+    /// client's blasts at one instant forever.
     pub fn new(cfg: FleetConfig, env: Environment, aps: Vec<Point>) -> Self {
         assert!(!aps.is_empty(), "a fleet needs at least one AP");
+        assert!(
+            cfg.clock.is_none_or(|c| c.interval > Duration::ZERO),
+            "clock sync needs a nonzero round interval"
+        );
+        assert!(
+            cfg.mode != FleetRangingMode::Tdoa || cfg.tdoa.cadence > Duration::ZERO,
+            "a TDoA fleet needs a nonzero blast cadence"
+        );
         // Shard windows are the parallel level, so every shard sweeps
         // inline on its own pipeline.
         let service = ServiceConfig {
@@ -728,10 +893,11 @@ impl FleetEngine {
             slot_owner: vec![Vec::new(); aps.len()],
             clients: Vec::new(),
             sync,
-            blasts: EventQueue::new(),
             clock: Instant::ZERO,
-            pending: Vec::new(),
-            heard: Vec::with_capacity(aps.len()),
+            log: BlastLog {
+                words: aps.len().div_ceil(64),
+                ..BlastLog::default()
+            },
             blast_lanes,
             runtime,
             cfg,
@@ -765,15 +931,16 @@ impl FleetEngine {
         self.sync.as_ref()
     }
 
-    /// The runtime that spreads blast solves and shard windows, when the
-    /// fleet runs them in parallel (see [`FleetConfig::workers`]).
+    /// The runtime that spreads the client pass and the shard windows,
+    /// when the fleet runs them in parallel (see
+    /// [`FleetConfig::workers`]).
     /// Benches read its counters.
     pub fn runtime(&self) -> Option<&WorkerRuntime> {
         self.runtime.as_ref()
     }
 
-    /// Threads added to the driver for blast solves and shard windows;
-    /// 0 means [`FleetEngine::run_window`] runs serially.
+    /// Threads added to the driver for the client pass and the shard
+    /// windows; 0 means [`FleetEngine::run_window`] runs serially.
     pub fn shard_workers(&self) -> usize {
         self.runtime.as_ref().map_or(0, WorkerRuntime::workers)
     }
@@ -807,23 +974,18 @@ impl FleetEngine {
         let serving = nearest_ap(&ap_dists_m);
         let id = self.clients.len();
         let tracker_cfg = self.cfg.service.adaptive.unwrap_or_default();
-        let slot = match self.cfg.mode {
+        let (slot, next_blast) = match self.cfg.mode {
             FleetRangingMode::RoundTrip => {
                 let ctx = client_context(&self.env, pos, self.aps[serving], self.cfg.snr_at_1m_db);
                 let slot = self.shards[serving].join(ctx, self.cfg.chronos.clone());
                 debug_assert_eq!(self.slot_owner[serving].len(), slot);
                 self.slot_owner[serving].push(id);
-                Some(slot)
+                (Some(slot), self.clock)
             }
-            FleetRangingMode::Tdoa => {
-                // Stagger first blasts across the cadence so a large
-                // population doesn't fire in lockstep.
-                let phase = Duration::from_nanos(
-                    (id as u64).wrapping_mul(97_777_777) % self.cfg.tdoa.cadence.as_nanos().max(1),
-                );
-                self.blasts.schedule(self.clock + phase, id);
-                None
-            }
+            FleetRangingMode::Tdoa => (
+                None,
+                self.clock + first_blast_phase(id, self.cfg.tdoa.cadence),
+            ),
         };
         self.clients.push(FleetClient {
             pos,
@@ -832,6 +994,7 @@ impl FleetEngine {
             slot,
             tracker: PositionTracker::new(tracker_cfg),
             blasts: 0,
+            next_blast,
             awaiting_track: false,
         });
         id
@@ -901,222 +1064,149 @@ impl FleetEngine {
         handoffs
     }
 
-    /// Processes sync rounds and TDoA blasts due strictly before
-    /// `ended`, in time order (rounds win ties so a blast at a round
-    /// instant sees the fresh clock state). Beacon and blast airtime is
-    /// charged to shard arbiters *before* the shards run their window,
-    /// so it lands in their utilization and contends with round-trip
-    /// admissions.
-    ///
-    /// This is the schedule pass: everything that touches shared state
-    /// runs here, serially. With a runtime, the blasts it fires are
-    /// solved in batches ([`FleetEngine::solve_pending`]) before each
-    /// round replaces the clock epoch they read, and at the end.
-    fn pump_fleet_events(
-        &mut self,
-        seed: u64,
-        ended: Instant,
-        outcomes: &mut Vec<TdoaOutcome>,
-    ) -> usize {
-        let mut rounds = 0;
-        loop {
-            let t_sync = self
-                .sync
-                .as_ref()
-                .map(|s| s.next_round)
-                .filter(|&t| t < ended);
-            let t_blast = self.blasts.peek_time().filter(|&t| t < ended);
-            let sync_first = match (t_sync, t_blast) {
-                (None, None) => {
-                    self.solve_pending(seed, outcomes);
-                    return rounds;
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(ts), Some(tb)) => ts <= tb,
-            };
-            if sync_first {
-                self.solve_pending(seed, outcomes);
-                let ts = t_sync.expect("sync_first implies a due round");
-                let sync = self.sync.as_mut().expect("t_sync implies sync");
-                sync.run_round(seed, ts);
-                let beacon = sync.cfg.beacon_airtime;
-                rounds += 1;
-                for shard in &mut self.shards {
-                    shard.charge_airtime(ts, beacon);
-                }
-            } else {
-                let (t, client) = self.blasts.pop().expect("peeked");
-                self.fire_blast(seed, t, client, outcomes);
-                self.blasts.schedule(t + self.cfg.tdoa.cadence, client);
-            }
+    /// The client pass: every client fires and solves, in time order,
+    /// each blast it owes before `ended` ([`BlastPass::fire`]), in items
+    /// of [`BLAST_ITEM_CLIENTS`] clients spread over the runtime's lanes
+    /// (over the driver alone without one). Each blast's outcome, key
+    /// and hearing set go into the client-major slot counted for it
+    /// here; the merge then sorts the keys into blast order and permutes
+    /// the outcomes to match, in place.
+    fn run_clients(&mut self, seed: u64, ended: Instant) -> Vec<TdoaOutcome> {
+        let cadence = self.cfg.tdoa.cadence;
+        let due = |c: &FleetClient| blasts_due(c.next_blast, ended, cadence);
+        let total: usize = self.clients.iter().map(due).sum();
+        let log = &mut self.log;
+        let words = log.words;
+        log.keys.clear();
+        log.keys.resize(total, (Instant::ZERO, 0, 0));
+        log.slot_heard.clear();
+        log.slot_heard.resize(total * words, 0);
+        log.heard.clear();
+        if total == 0 {
+            return Vec::new();
         }
-    }
-
-    /// Fires one blast: hands out the client's blast ordinal and, when
-    /// the blast will reach the solver, charges
-    /// [`TdoaConfig::blast_airtime`] on every AP that hears it. With a
-    /// runtime the solve waits for the next batch; the serial fleet
-    /// solves the blast right here.
-    fn fire_blast(
-        &mut self,
-        seed: u64,
-        t: Instant,
-        client: usize,
-        outcomes: &mut Vec<TdoaOutcome>,
-    ) {
-        let cfg = self.cfg.tdoa;
-        let c = &mut self.clients[client];
-        let fired = PendingBlast {
-            at: t,
-            client,
-            blast: c.blasts,
-            seq: self.pending.len(),
-        };
-        c.blasts += 1;
-        let serving = c.serving;
-        let solver = BlastSolver {
+        let mut outcomes = vec![TdoaOutcome::fired(0, 0, Instant::ZERO); total];
+        let pass = BlastPass {
             seed,
+            ended,
             cfg: &self.cfg.tdoa,
             aps: &self.aps,
             sync: self.sync.as_ref(),
+            words,
         };
-        self.heard.clear();
-        self.heard.extend(solver.listeners(t, c).map(|(ap, _)| ap));
-        if self.heard.contains(&serving) && self.heard.len() >= cfg.min_anchors {
-            for &ap in &self.heard {
-                // A blast is overheard, not scheduled: it happens at `t`
-                // on the client's cadence no matter what this AP's
-                // arbiter thinks, so it books the air at its true instant
-                // (O(1)) instead of competing for an admission grant it
-                // would ignore anyway.
-                self.shards[ap].charge_airtime_at(t, cfg.blast_airtime);
-            }
-        }
-        if self.runtime.is_some() {
-            self.pending.push(fired);
-        } else {
-            let mut out = TdoaOutcome::fired(&fired);
-            solver.solve(
-                &mut out,
-                &mut self.clients[client],
-                &mut self.blast_lanes[0],
-            );
-            outcomes.push(out);
-        }
-    }
-
-    /// The solve pass: solves every pending blast on the runtime's lanes
-    /// and appends the outcomes in blast order.
-    ///
-    /// A solve writes no state but its own client's tracker, and the
-    /// clock epoch it reads holds until the next round, so only each
-    /// client's blasts must stay in time order. The batch lays out one
-    /// outcome slot per blast, client-major and in time order within a
-    /// client; an item is a run of [`BLAST_ITEM_CLIENTS`] clients with
-    /// their slots, and one in-place permutation puts the slots back in
-    /// blast order.
-    fn solve_pending(&mut self, seed: u64, outcomes: &mut Vec<TdoaOutcome>) {
-        let Some(rt) = &self.runtime else { return };
-        if self.pending.is_empty() {
-            return;
-        }
-        let pending = &mut self.pending;
-        pending.sort_unstable_by_key(|p| (p.client, p.seq));
-        let base = outcomes.len();
-        outcomes.extend(pending.iter().map(TdoaOutcome::fired));
-        let solver = BlastSolver {
-            seed,
-            cfg: &self.cfg.tdoa,
-            aps: &self.aps,
-            sync: self.sync.as_ref(),
-        };
-        let mut slots = &mut outcomes[base..];
+        let (mut outs, mut keys, mut heard) = (
+            &mut outcomes[..],
+            &mut log.keys[..],
+            &mut log.slot_heard[..],
+        );
+        let mut base = 0;
         let items =
             self.clients
                 .chunks_mut(BLAST_ITEM_CLIENTS)
                 .enumerate()
                 .map(move |(i, clients)| {
-                    let first = i * BLAST_ITEM_CLIENTS;
-                    let n = slots.partition_point(|o| o.client < first + clients.len());
-                    let (item, rest) = std::mem::take(&mut slots).split_at_mut(n);
-                    slots = rest;
-                    (first, clients, item)
+                    let n: usize = clients.iter().map(due).sum();
+                    let (o, rest) = std::mem::take(&mut outs).split_at_mut(n);
+                    outs = rest;
+                    let (k, rest) = std::mem::take(&mut keys).split_at_mut(n);
+                    keys = rest;
+                    let (h, rest) = std::mem::take(&mut heard).split_at_mut(n * words);
+                    heard = rest;
+                    base += n;
+                    BlastItem {
+                        first: i * BLAST_ITEM_CLIENTS,
+                        base: base - n,
+                        clients,
+                        outcomes: o,
+                        keys: k,
+                        heard: h,
+                    }
                 });
-        rt.run_uncounted(
-            items,
-            &mut self.blast_lanes,
-            |lane, (first, clients, slots)| {
-                // The lanes' scratch sits side by side in one `Vec`; moving
-                // this lane's onto its stack for the item keeps two threads
-                // from writing one cache line.
-                let mut scratch = std::mem::take(lane);
-                for out in slots {
-                    solver.solve(out, &mut clients[out.client - first], &mut scratch);
+        let fire = |lane: &mut BlastScratch, item: BlastItem<'_>| {
+            // The lanes' scratch sits side by side in one `Vec`; moving
+            // this lane's onto its stack for the item keeps two threads
+            // from writing one cache line.
+            let mut scratch = std::mem::take(lane);
+            pass.fire_item(item, &mut scratch);
+            *lane = scratch;
+        };
+        match &self.runtime {
+            Some(rt) => {
+                rt.run_uncounted(items, &mut self.blast_lanes, fire);
+            }
+            None => items.for_each(|item| fire(&mut self.blast_lanes[0], item)),
+        }
+        // Blast order is (instant, client): every client blasts on one
+        // cadence, and a client joins at the fleet clock with its first
+        // blast within one cadence of it, so of two clients blasting at
+        // one instant the older, lower id was always scheduled first —
+        // the order a time-ordered event queue with insertion-order ties
+        // pops them in.
+        log.keys.sort_unstable();
+        for &(_, _, slot) in &log.keys {
+            let heard = &log.slot_heard[slot * words..(slot + 1) * words];
+            log.heard.extend_from_slice(heard);
+        }
+        // Blast `k` sits in slot `keys[k].2`: follow each cycle of the
+        // permutation once, moving every outcome one step to its place
+        // and marking the place done by pointing it at itself.
+        for k in 0..total {
+            if log.keys[k].2 == k {
+                continue;
+            }
+            let held = outcomes[k].clone();
+            let mut to = k;
+            loop {
+                let from = std::mem::replace(&mut log.keys[to].2, to);
+                if from == k {
+                    outcomes[to] = held;
+                    break;
                 }
-                *lane = scratch;
-            },
-        );
-        // Slot k holds blast `pending[k].seq`: walk each cycle of the
-        // permutation, swapping every outcome into its blast-order slot.
-        for k in 0..pending.len() {
-            while pending[k].seq != k {
-                let to = pending[k].seq;
-                outcomes.swap(base + k, base + to);
-                pending.swap(k, to);
+                outcomes[to] = outcomes[from].clone();
+                to = from;
             }
         }
-        pending.clear();
+        outcomes
     }
 
-    /// Advances the whole fleet by `window`: handoffs at the boundary,
-    /// then sync rounds + blasts in time order, then every shard's
-    /// round-trip window. `seed` follows the same convention as
-    /// [`ServiceEngine::run_until`] — reuse one seed across windows for
-    /// a reproducible run; shard `ap` consumes [`shard_seed`]`(seed,
-    /// ap)`, so a `sync_disabled` round-trip fleet is bit-identical to
-    /// standalone engines run with those seeds.
-    ///
-    /// ## One level of parallelism, two batches
-    ///
-    /// Everything that touches fleet-wide state — handoffs, sync rounds,
-    /// blast ordinals and rescheduling, airtime pre-charges — runs
-    /// serially here at the window boundary, in time order. With a
-    /// runtime ([`FleetConfig::workers`]) two kinds of batch spread over
-    /// the driver plus scoped threads, one level deep each:
-    ///
-    /// 1. the blasts fired since the last sync round, solved before the
-    ///    next round and at the end of the pump: a solve writes only its
-    ///    own client's tracker, draws from its own (seed, blast, client)
-    ///    stream and reads a clock epoch that only a round changes, and
-    ///    each client's blasts stay in time order, so the outcomes —
-    ///    put back in blast order — match the serial fleet's, which
-    ///    solves each blast as it fires;
-    /// 2. the shard windows, which share no mutable state (each shard
-    ///    owns its clients, events, pipeline and RNG stream; the plan
-    ///    cache is content-addressed) and run their own sweeps inline.
-    ///    Reports come back in shard order.
-    ///
-    /// So every [`FleetWindowReport`] field is bitwise identical across
-    /// worker counts and vs. the serial fleet, except
-    /// `shard_reports[..].wall` (host wall clock). The cache counters
-    /// are invariant too: every estimate looks its plans up in the
-    /// shared cache, so hits and misses count the window's sweeps.
-    pub fn run_window(&mut self, seed: u64, window: Duration) -> FleetWindowReport {
-        let started = self.clock;
-        let ended = started + window;
-        let handoffs = self.run_handoffs();
-        let mut tdoa_outcomes = Vec::new();
-        let sync_rounds = self.pump_fleet_events(seed, ended, &mut tdoa_outcomes);
-        let run_shard =
-            |(ap, shard): (usize, &mut ServiceEngine)| shard.run_until(shard_seed(seed, ap), ended);
+    /// The shard pass: every shard books the window's fleet airtime
+    /// ([`BlastLog::replay`]) and then runs its window, spread over the
+    /// runtime's lanes (one after another without one). `sync_rounds` is
+    /// the number of rounds the window drew.
+    fn run_shards(&mut self, seed: u64, ended: Instant, sync_rounds: usize) -> Vec<WindowReport> {
+        let (rounds, beacon) = match &self.sync {
+            Some(s) => (
+                &s.epochs[s.epochs.len() - sync_rounds..],
+                s.cfg.beacon_airtime,
+            ),
+            None => (&[][..], Duration::ZERO),
+        };
+        let (log, blast_airtime) = (&self.log, self.cfg.tdoa.blast_airtime);
+        let run_shard = |(ap, shard): (usize, &mut ServiceEngine)| {
+            log.replay(ap, shard, rounds, beacon, blast_airtime);
+            shard.run_until(shard_seed(seed, ap), ended)
+        };
         let shards = self.shards.iter_mut().enumerate();
-        let mut shard_reports: Vec<WindowReport> = match &self.runtime {
+        match &self.runtime {
             Some(rt) => rt.run_uncounted(shards, &mut vec![(); rt.workers() + 1], |_, shard| {
                 run_shard(shard)
             }),
             None => shards.map(run_shard).collect(),
-        };
+        }
+    }
+
+    /// Closes a window: stamps the cache counters on every shard report,
+    /// counts handoff-gap sweeps, advances the fleet clock to `ended` and
+    /// assembles the report.
+    fn close_window(
+        &mut self,
+        started: Instant,
+        ended: Instant,
+        handoffs: usize,
+        sync_rounds: usize,
+        tdoa_outcomes: Vec<TdoaOutcome>,
+        mut shard_reports: Vec<WindowReport>,
+    ) -> FleetWindowReport {
         // The plan cache is shared, so mid-run per-shard snapshots of
         // its counters are schedule-dependent. The *post-window* totals
         // are not (each distinct plan is built — and counts a miss —
@@ -1157,11 +1247,71 @@ impl FleetEngine {
             n_clients: self.clients.len(),
         }
     }
+
+    /// Advances the whole fleet by `window`: handoffs at the boundary,
+    /// the window's sync rounds, the client pass that fires and solves
+    /// every TDoA blast, then every shard's round-trip window. `seed`
+    /// follows the same convention as [`ServiceEngine::run_until`] —
+    /// reuse one seed across windows for a reproducible run; shard `ap`
+    /// consumes [`shard_seed`]`(seed, ap)`, so a `sync_disabled`
+    /// round-trip fleet is bit-identical to standalone engines run with
+    /// those seeds.
+    ///
+    /// ## One level of parallelism, two batches
+    ///
+    /// The driver alone runs a short boundary: handoffs, the window's
+    /// sync rounds (all drawn up front: [`ClockSync`] keeps the epochs
+    /// the window's blasts read) and, after the client pass, the merge
+    /// into blast order. Two batches spread over the driver plus the
+    /// runtime's scoped threads ([`FleetConfig::workers`]; without a
+    /// runtime both run on the driver alone), one level deep each:
+    ///
+    /// 1. the client pass (TDoA mode): each client fires, in time order,
+    ///    every blast it owes before the window's end. A blast reads only
+    ///    its own client (ordinal, AP distances, tracker), its own (seed,
+    ///    blast, client) stream and the epoch of the latest round at or
+    ///    before it, and writes only its client and its own slot, so no
+    ///    lane placement can change it; the merge puts the outcomes in
+    ///    blast order;
+    /// 2. the shard windows: each shard first books the window's beacon
+    ///    and blast airtime in the order the window happened (a round's
+    ///    beacon ahead of any blast at its instant), so its arbiter's
+    ///    windows, tokens and grants are the ones a time-ordered pump
+    ///    would leave, then runs its window. Shards share no mutable
+    ///    state (each owns its clients, events, pipeline and RNG stream;
+    ///    the plan cache is content-addressed) and run their own sweeps
+    ///    inline. Reports come back in shard order.
+    ///
+    /// So every [`FleetWindowReport`] field is bitwise identical across
+    /// worker counts and vs. the serial fleet, except
+    /// `shard_reports[..].wall` (host wall clock). The cache counters
+    /// are invariant too: every estimate looks its plans up in the
+    /// shared cache, so hits and misses count the window's sweeps.
+    pub fn run_window(&mut self, seed: u64, window: Duration) -> FleetWindowReport {
+        let started = self.clock;
+        let ended = started + window;
+        let handoffs = self.run_handoffs();
+        let sync_rounds = self.sync.as_mut().map_or(0, |s| s.run_rounds(seed, ended));
+        let tdoa_outcomes = match self.cfg.mode {
+            FleetRangingMode::Tdoa => self.run_clients(seed, ended),
+            FleetRangingMode::RoundTrip => Vec::new(),
+        };
+        let shard_reports = self.run_shards(seed, ended, sync_rounds);
+        self.close_window(
+            started,
+            ended,
+            handoffs,
+            sync_rounds,
+            tdoa_outcomes,
+            shard_reports,
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chronos_link::event::EventQueue;
     use chronos_rf::testbed::ap_grid;
 
     fn quick_chronos() -> ChronosConfig {
@@ -1209,27 +1359,38 @@ mod tests {
     }
 
     #[test]
-    fn clock_sync_keeps_one_epoch_over_many_rounds() {
+    fn clock_sync_keeps_one_window_of_epochs_over_many_windows() {
         let cfg = ClockSyncConfig::default();
         let mut sync = ClockSync::new(cfg, 4);
-        let buffers = (sync.offsets_ns.as_ptr(), sync.drifts_ppb.as_ptr());
-        let mut latest = Instant::ZERO;
-        for round in 0..1000u64 {
-            latest = Instant::ZERO + Duration::from_nanos(round * cfg.interval.as_nanos());
-            sync.run_round(7, latest);
+        // Windows of 250 ms draw two or three 100 ms rounds each.
+        let window = Duration::from_millis(250);
+        let mut ended = Instant::ZERO + window;
+        assert_eq!(sync.run_rounds(7, ended), 3);
+        assert_eq!(sync.epochs.len(), 3, "no round before the first window");
+        let mut drawn = 3;
+        let mut buffers = None;
+        for w in 1..1000 {
+            ended += window;
+            let rounds = sync.run_rounds(7, ended);
+            drawn += rounds;
+            // The latest round before the window, then the window's own.
+            assert_eq!(sync.epochs.len(), rounds + 1);
+            assert_eq!(sync.offsets_ns.len(), 4 * (rounds + 1));
+            assert!(sync.epochs.windows(2).all(|e| e[0] < e[1]));
+            // Refilled in place once a window kept four epochs, the most
+            // any window keeps.
+            let now = (sync.offsets_ns.as_ptr(), sync.drifts_ppb.as_ptr());
+            if w > 4 {
+                assert_eq!(*buffers.get_or_insert(now), now, "window {w}");
+            }
         }
-        assert_eq!(sync.rounds(), 1000);
-        assert_eq!(sync.synced_at, Some(latest));
-        // One epoch's state, refilled in place: same length, same buffers.
-        assert_eq!((sync.offsets_ns.len(), sync.drifts_ppb.len()), (4, 4));
-        assert_eq!(
-            (sync.offsets_ns.as_ptr(), sync.drifts_ppb.as_ptr()),
-            buffers
-        );
+        assert_eq!(sync.rounds(), drawn as u64);
         // The latest round answers exactly like a fresh model's round at
-        // the same ordinal would.
+        // the same ordinal would, and a blast picks the latest round at
+        // or before it.
+        let latest = *sync.epochs.last().unwrap();
         let mut fresh = ClockSync::new(cfg, 4);
-        fresh.rounds = 999;
+        fresh.rounds = sync.rounds - 1;
         fresh.run_round(7, latest);
         let t = latest + Duration::from_millis(40);
         for ap in 0..4 {
@@ -1241,6 +1402,15 @@ mod tests {
         assert_eq!(
             sync.pair_residual_bound_ns(t).to_bits(),
             fresh.pair_residual_bound_ns(t).to_bits()
+        );
+        let last = sync.latest();
+        assert_eq!(sync.epoch_at(latest), last, "a round wins its own instant");
+        let before = sync.epochs[0];
+        assert_eq!(sync.epoch_at(before), Some(0));
+        assert_eq!(sync.epoch_at(latest + Duration::from_nanos(1)), last);
+        assert_eq!(
+            sync.epoch_at(Instant::from_nanos(latest.as_nanos() - 1)),
+            last.map(|e| e - 1)
         );
     }
 
@@ -1307,18 +1477,12 @@ mod tests {
 
     #[test]
     fn percentiles_order_a_nan_error_instead_of_panicking() {
-        let fired = |client| PendingBlast {
-            at: Instant::ZERO,
-            client,
-            blast: 0,
-            seq: client,
-        };
         let tdoa_outcomes = [0.3, f64::NAN, 0.1, 0.2]
             .into_iter()
             .enumerate()
             .map(|(client, err_m)| TdoaOutcome {
                 pos_error_m: Some(err_m),
-                ..TdoaOutcome::fired(&fired(client))
+                ..TdoaOutcome::fired(client, 0, Instant::ZERO)
             })
             .collect();
         let report = FleetWindowReport {
@@ -1380,5 +1544,446 @@ mod tests {
                 .any(|o| { fleet.client_of_slot(1, o.client) == c && o.position.is_some() }),
             "client ranges at the new AP"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero blast cadence")]
+    fn zero_blast_cadence_is_rejected() {
+        let mut cfg = FleetConfig::position(TrackerConfig::default(), FleetRangingMode::Tdoa);
+        cfg.tdoa.cadence = Duration::ZERO;
+        FleetEngine::new(cfg, Environment::free_space(), ap_grid(4, 20.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero round interval")]
+    fn zero_sync_interval_is_rejected() {
+        let mut cfg = FleetConfig::position(TrackerConfig::default(), FleetRangingMode::RoundTrip);
+        cfg.clock.as_mut().unwrap().interval = Duration::ZERO;
+        FleetEngine::new(cfg, Environment::free_space(), ap_grid(4, 20.0));
+    }
+
+    #[test]
+    fn round_trip_fleet_ignores_the_blast_cadence() {
+        let mut cfg = FleetConfig::position(TrackerConfig::default(), FleetRangingMode::RoundTrip);
+        cfg.chronos = quick_chronos();
+        cfg.tdoa.cadence = Duration::ZERO;
+        let mut fleet = FleetEngine::new(cfg, Environment::free_space(), ap_grid(4, 20.0));
+        fleet.add_client(Point::new(5.0, 5.0));
+        let report = fleet.run_window(1, Duration::from_millis(30));
+        assert!(report.tdoa_outcomes.is_empty());
+    }
+
+    /// The serial event pump the client pass replaced, kept as the
+    /// reference it must match: sync rounds and blasts popped from one
+    /// time-ordered queue (rounds win ties, and blasts at one instant pop
+    /// in insertion order), each blast's airtime booked on its listeners
+    /// and the blast solved as it fires against the latest round, then
+    /// every shard's window, one after another.
+    struct SerialFleet {
+        fleet: FleetEngine,
+        blasts: EventQueue<usize>,
+    }
+
+    impl SerialFleet {
+        fn new(mut cfg: FleetConfig, aps: Vec<Point>) -> Self {
+            cfg.workers = Some(0);
+            SerialFleet {
+                fleet: FleetEngine::new(cfg, Environment::free_space(), aps),
+                blasts: EventQueue::new(),
+            }
+        }
+
+        fn add_client(&mut self, pos: Point) -> usize {
+            let id = self.fleet.add_client(pos);
+            if self.fleet.cfg.mode == FleetRangingMode::Tdoa {
+                let first = self.fleet.clients[id].next_blast;
+                self.blasts.schedule(first, id);
+            }
+            id
+        }
+
+        fn run_window(&mut self, seed: u64, window: Duration) -> FleetWindowReport {
+            let f = &mut self.fleet;
+            let started = f.clock;
+            let ended = started + window;
+            let handoffs = f.run_handoffs();
+            let mut outcomes = Vec::new();
+            let mut rounds = 0;
+            loop {
+                let t_sync = f.sync.as_ref().map(|s| s.next_round).filter(|&t| t < ended);
+                let t_blast = self.blasts.peek_time().filter(|&t| t < ended);
+                let sync_first = match (t_sync, t_blast) {
+                    (None, None) => break,
+                    (Some(_), None) => true,
+                    (None, Some(_)) => false,
+                    (Some(ts), Some(tb)) => ts <= tb,
+                };
+                if sync_first {
+                    let ts = t_sync.unwrap();
+                    let sync = f.sync.as_mut().unwrap();
+                    sync.run_round(seed, ts);
+                    rounds += 1;
+                    let beacon = sync.cfg.beacon_airtime;
+                    for shard in &mut f.shards {
+                        shard.charge_airtime(ts, beacon);
+                    }
+                } else {
+                    let (t, client) = self.blasts.pop().unwrap();
+                    outcomes.push(serial_blast(f, seed, t, client));
+                    self.blasts.schedule(t + f.cfg.tdoa.cadence, client);
+                }
+            }
+            let reports = f
+                .shards
+                .iter_mut()
+                .enumerate()
+                .map(|(ap, shard)| shard.run_until(shard_seed(seed, ap), ended))
+                .collect();
+            f.close_window(started, ended, handoffs, rounds, outcomes, reports)
+        }
+    }
+
+    /// Fires and solves one blast as the serial pump did: ordinal,
+    /// listeners against the latest round, airtime on every listener of
+    /// a blast that reaches the solver, then the solve, which draws every
+    /// listener's stamp noise.
+    fn serial_blast(f: &mut FleetEngine, seed: u64, t: Instant, client: usize) -> TdoaOutcome {
+        let cfg = f.cfg.tdoa;
+        let sync = f.sync.as_ref();
+        let c = &mut f.clients[client];
+        let mut out = TdoaOutcome::fired(client, c.blasts, t);
+        c.blasts += 1;
+        let (pos, serving) = (c.pos, c.serving);
+        let bound_ns = sync.map_or(f64::INFINITY, |s| s.pair_residual_bound_ns(t));
+        let gate_open = bound_ns <= cfg.residual_threshold_ns;
+        let listeners: Vec<(usize, f64)> = c
+            .ap_dists_m
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(ap, d)| d <= cfg.max_range_m && (ap == serving || gate_open))
+            .collect();
+        if listeners.iter().any(|l| l.0 == serving) && listeners.len() >= cfg.min_anchors {
+            for &(ap, _) in &listeners {
+                f.shards[ap].charge_airtime_at(t, cfg.blast_airtime);
+            }
+        }
+        out.truth_pos = pos;
+        out.mode = c.tracker.mode();
+        let mut rng = StdRng::seed_from_u64(mix_seed(seed ^ BLAST_SALT, out.blast + 1, client));
+        let mut anchors = Vec::new();
+        let mut d_ref = None;
+        for &(ap, dist_m) in &listeners {
+            let noise_ns = cfg.timestamp_noise_ns * gaussian(&mut rng, 1.0);
+            let offset_ns = sync.map_or(f64::INFINITY, |s| s.offset_ns(ap, t));
+            let err_m = C_M_PER_NS * (offset_ns + noise_ns);
+            if ap == serving {
+                d_ref = Some((dist_m, err_m));
+            }
+            anchors.push((ap, dist_m, err_m));
+        }
+        let Some((d_ref, err_ref)) = d_ref.filter(|_| anchors.len() >= cfg.min_anchors) else {
+            out.anomaly_score = c.tracker.observe(t, None, false).anomaly_score;
+            return out;
+        };
+        out.n_anchors = anchors.len();
+        let reference = f.aps[serving];
+        let diffs: Vec<RangeDiff> = anchors
+            .iter()
+            .filter(|a| a.0 != serving)
+            .map(|&(ap, dist_m, err_m)| RangeDiff {
+                anchor: f.aps[ap],
+                diff_m: (dist_m - d_ref) + (err_m - err_ref),
+            })
+            .collect();
+        let prior = c.tracker.filter().predicted_position().unwrap_or(reference);
+        let fix = solve_tdoa(reference, &diffs, prior, &cfg.solver).ok();
+        let upd = c.tracker.observe(t, fix.map(|f| f.point), true);
+        out.anomaly_score = upd.anomaly_score;
+        if let Some(f) = fix {
+            out.fix = Some(f.point);
+            out.residual_m = Some(f.residual_m);
+            out.pos_error_m = Some(f.point.dist(pos));
+        }
+        out.tracked_pos = upd.fused;
+        out.tracked_pos_error_m = upd.fused.map(|p| p.dist(pos));
+        out
+    }
+
+    /// Every field of a report but the host's `wall` clock, with each
+    /// float printed so that it reads back to the same bits.
+    fn fingerprint(r: &FleetWindowReport) -> String {
+        let mut r = r.clone();
+        for sr in &mut r.shard_reports {
+            sr.wall = std::time::Duration::ZERO;
+        }
+        format!("{r:?}")
+    }
+
+    /// Walker `i` after `w` windows: a diagonal drift across a 40 m
+    /// square, so clients cross cells and hand off; walker 31 stands at
+    /// a non-finite position.
+    fn walker(i: usize, w: usize) -> Point {
+        if i == 31 {
+            return Point::new(f64::NAN, 5.0);
+        }
+        let x = (3.0 + 6.9 * i as f64 + 5.2 * w as f64).rem_euclid(40.0);
+        let y = (5.0 + 4.7 * i as f64 + 3.4 * w as f64).rem_euclid(40.0);
+        Point::new(x, y)
+    }
+
+    /// Runs `windows` on the client pass at `workers` 0, 1 and 3 and on
+    /// the serial pump, with walkers moving between windows and clients
+    /// joining per `joins`, and asserts every report field but `wall`,
+    /// and every shard's arbiter, equal after each window. Returns the
+    /// serial pump's reports.
+    fn pin_against_serial_pump(
+        case: &str,
+        cfg: &FleetConfig,
+        aps: &[Point],
+        walkers: usize,
+        joins: fn(usize) -> usize,
+        windows: &[Duration],
+    ) -> Vec<FleetWindowReport> {
+        let mut reports = Vec::new();
+        for workers in [0, 1, 3] {
+            reports.clear();
+            let mut serial = SerialFleet::new(cfg.clone(), aps.to_vec());
+            let mut fleet = FleetEngine::new(
+                FleetConfig {
+                    workers: Some(workers),
+                    ..cfg.clone()
+                },
+                Environment::free_space(),
+                aps.to_vec(),
+            );
+            assert_eq!(fleet.shard_workers(), workers);
+            for i in 0..walkers {
+                serial.add_client(walker(i, 0));
+                fleet.add_client(walker(i, 0));
+            }
+            for (w, &window) in windows.iter().enumerate() {
+                for _ in 0..joins(w) {
+                    let i = fleet.n_clients();
+                    assert_eq!(serial.add_client(walker(i, w)), i);
+                    fleet.add_client(walker(i, w));
+                }
+                for i in 0..fleet.n_clients() {
+                    serial.fleet.set_client_pos(i, walker(i, w));
+                    fleet.set_client_pos(i, walker(i, w));
+                }
+                let want = serial.run_window(5, window);
+                let got = fleet.run_window(5, window);
+                assert!(
+                    fingerprint(&got) == fingerprint(&want),
+                    "{case}: workers {workers}, window {w} differs from the serial pump"
+                );
+                for ap in 0..aps.len() {
+                    assert_eq!(
+                        format!("{:?}", fleet.shard(ap).arbiter()),
+                        format!("{:?}", serial.fleet.shard(ap).arbiter()),
+                        "{case}: workers {workers}, window {w}, shard {ap}"
+                    );
+                }
+                reports.push(want);
+            }
+        }
+        reports
+    }
+
+    /// Whether some instant holds blasts of two clients, one of them
+    /// `joiner` or later and one older.
+    fn joiner_ties_an_older_client(reports: &[FleetWindowReport], joiner: usize) -> bool {
+        reports.iter().any(|r| {
+            r.tdoa_outcomes
+                .windows(2)
+                .any(|o| o[0].at == o[1].at && o[0].client < joiner && o[1].client >= joiner)
+        })
+    }
+
+    /// Whether some blast fired at a sync round's instant (every
+    /// `interval` from 0).
+    fn blast_at_a_round(reports: &[FleetWindowReport], interval: Duration) -> bool {
+        let interval = interval.as_nanos();
+        let at_round = |o: &TdoaOutcome| o.at.as_nanos().is_multiple_of(interval);
+        reports.iter().any(|r| r.tdoa_outcomes.iter().any(at_round))
+    }
+
+    fn ms(v: &[u64]) -> Vec<Duration> {
+        v.iter().map(|&m| Duration::from_millis(m)).collect()
+    }
+
+    fn no_joins(_: usize) -> usize {
+        0
+    }
+
+    fn tdoa_cfg() -> FleetConfig {
+        let mut cfg = FleetConfig::position(TrackerConfig::default(), FleetRangingMode::Tdoa);
+        cfg.chronos = quick_chronos();
+        cfg
+    }
+
+    #[test]
+    fn client_pass_matches_serial_pump_over_odd_windows_and_round_counts() {
+        // 100 ms rounds, 25 ms cadence: windows that divide neither, with
+        // no round ([37, 98), [461, 468), [468, 500)), one, or two; client 0
+        // blasts on the 25 ms grid, so it ties a round at every 100 ms.
+        let cfg = tdoa_cfg();
+        let windows = ms(&[37, 61, 100, 13, 250, 7, 32]);
+        let reports = pin_against_serial_pump(
+            "odd windows",
+            &cfg,
+            &ap_grid(9, 20.0),
+            70,
+            no_joins,
+            &windows,
+        );
+        let rounds: Vec<usize> = reports.iter().map(|r| r.sync_rounds).collect();
+        assert_eq!(rounds, [1, 0, 1, 1, 2, 0, 0]);
+        assert!(blast_at_a_round(&reports, Duration::from_millis(100)));
+        assert!(reports.iter().any(|r| r.handoffs > 0));
+        // A 20 ms interval draws a dozen rounds per 250 ms window, and
+        // 20 ms blasts tie every round.
+        let mut cfg = tdoa_cfg();
+        cfg.clock.as_mut().unwrap().interval = Duration::from_millis(20);
+        cfg.tdoa.cadence = Duration::from_millis(20);
+        let windows = ms(&[250, 3, 41, 250]);
+        let reports = pin_against_serial_pump(
+            "many rounds",
+            &cfg,
+            &ap_grid(9, 20.0),
+            40,
+            no_joins,
+            &windows,
+        );
+        assert!(reports[3].sync_rounds >= 12);
+        assert!(blast_at_a_round(&reports, Duration::from_millis(20)));
+    }
+
+    #[test]
+    fn client_pass_matches_serial_pump_without_sync_or_anchors() {
+        let anchors = |reports: &[FleetWindowReport]| {
+            let mut n: Vec<usize> = reports
+                .iter()
+                .flat_map(|r| r.tdoa_outcomes.iter().map(|o| o.n_anchors))
+                .collect();
+            n.sort_unstable();
+            n.dedup();
+            n
+        };
+        let mut cfg = tdoa_cfg();
+        cfg.clock = None;
+        let reports = pin_against_serial_pump(
+            "sync off",
+            &cfg,
+            &ap_grid(4, 20.0),
+            12,
+            no_joins,
+            &ms(&[90, 45]),
+        );
+        assert!(reports.iter().all(|r| r.sync_rounds == 0 && r.fixes() == 0));
+        // A 24 m range leaves clients between APs on a 20 m grid with
+        // too few listeners; a cap above the AP count books nothing.
+        let mut cfg = tdoa_cfg();
+        cfg.tdoa.max_range_m = 24.0;
+        let reports = pin_against_serial_pump(
+            "short range",
+            &cfg,
+            &ap_grid(9, 20.0),
+            40,
+            no_joins,
+            &ms(&[120, 77]),
+        );
+        let n = anchors(&reports);
+        assert!(n.len() > 2 && n[0] == 0 && n[1] == 3, "{n:?}");
+        let mut cfg = tdoa_cfg();
+        cfg.tdoa.min_anchors = 10;
+        let reports = pin_against_serial_pump(
+            "no anchors",
+            &cfg,
+            &ap_grid(9, 20.0),
+            12,
+            no_joins,
+            &ms(&[120, 77]),
+        );
+        assert_eq!(anchors(&reports), [0]);
+    }
+
+    #[test]
+    fn client_pass_matches_serial_pump_with_late_joiners_on_ties() {
+        // Before windows 2 to 4 a client joins at an odd clock, picked so
+        // its blasts land on an older client's instants (on client 0's
+        // 25 ms grid, on the 100 ms rounds too). Client 31 stands at a
+        // non-finite position, so no AP hears its blasts.
+        fn tie_joins(w: usize) -> usize {
+            usize::from((2..=4).contains(&w))
+        }
+        let cfg = tdoa_cfg();
+        let cadence = cfg.tdoa.cadence.as_nanos();
+        // Windows 1 to 3 end where the client joining after them, 30 to
+        // 32, first blasts on an instant of client 0, 7 or 14.
+        let mut windows = ms(&[41]);
+        let mut clock = 41_000_000u64;
+        let mut next: Vec<u64> = (0..30)
+            .map(|i| first_blast_phase(i, cfg.tdoa.cadence).as_nanos())
+            .collect();
+        for w in 1..=3 {
+            let (joiner, older) = (29 + w, (w - 1) * 7);
+            let phase = first_blast_phase(joiner, cfg.tdoa.cadence).as_nanos();
+            // Pick the next window's end `e` (> clock + 1 ms) with
+            // `e + phase ≡ next[older] (mod cadence)`.
+            let target = next[older] % cadence;
+            let lo = clock + 1_000_000;
+            let e = lo + (target + 2 * cadence - (lo + phase) % cadence) % cadence;
+            windows.push(Duration::from_nanos(e - clock));
+            clock = e;
+            next.push(e + phase);
+            assert_eq!((e + phase) % cadence, next[older] % cadence);
+        }
+        windows.extend(ms(&[100, 250]));
+        let reports = pin_against_serial_pump(
+            "late joiners",
+            &cfg,
+            &ap_grid(9, 20.0),
+            30,
+            tie_joins,
+            &windows,
+        );
+        assert_eq!(reports.last().unwrap().n_clients, 33);
+        assert!(joiner_ties_an_older_client(&reports, 30));
+        assert!(blast_at_a_round(&reports[2..], Duration::from_millis(100)));
+    }
+
+    #[test]
+    fn client_pass_matches_serial_pump_in_round_trip_mode() {
+        let mut cfg = FleetConfig::position(TrackerConfig::default(), FleetRangingMode::RoundTrip);
+        cfg.chronos = quick_chronos();
+        let reports = pin_against_serial_pump(
+            "round trip",
+            &cfg,
+            &ap_grid(4, 20.0),
+            3,
+            no_joins,
+            &ms(&[130, 95]),
+        );
+        let rounds: Vec<usize> = reports.iter().map(|r| r.sync_rounds).collect();
+        assert_eq!(rounds, [2, 1]);
+        assert!(reports[1]
+            .shard_reports
+            .iter()
+            .any(|r| !r.outcomes.is_empty()));
+    }
+
+    #[test]
+    fn client_pass_matches_serial_pump_over_more_than_64_aps() {
+        // 70 APs 5 m apart: hearing sets take two words per blast, and
+        // APs 64 to 69 stand among the walkers.
+        let aps = ap_grid(70, 5.0);
+        assert!(aps[64..].iter().all(|a| a.x <= 40.0 && a.y <= 40.0));
+        let cfg = tdoa_cfg();
+        let reports = pin_against_serial_pump("70 APs", &cfg, &aps, 20, no_joins, &ms(&[60, 45]));
+        let booked_high =
+            |r: &FleetWindowReport| r.shard_reports[64..].iter().any(|s| s.utilization > 0.0);
+        assert!(reports.iter().all(booked_high), "APs past 64 book blasts");
     }
 }

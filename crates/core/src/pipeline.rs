@@ -130,9 +130,13 @@ pub(crate) struct SweepSlots {
 
 impl SweepSlots {
     /// Empties every slot into the spare pool and sizes the state for
-    /// `n_rx` antennas over `n_bands` bands. No allocation once the
-    /// largest sweep shape has been seen.
+    /// `n_rx` antennas over `n_bands` bands. The pool is reserved once
+    /// for all the slots' captures, not grown a slot at a time, so it
+    /// allocates at most once, and not at all once the largest sweep
+    /// shape has been seen.
     pub(crate) fn reset(&mut self, n_rx: usize, n_bands: usize) {
+        let captures = self.slots.iter().map(|s| s.measurements.len()).sum();
+        self.spare.reserve(captures);
         for slot in &mut self.slots {
             self.spare.append(&mut slot.measurements);
         }
@@ -280,4 +284,62 @@ fn estimate_products(
         groups: std::mem::take(&mut scratch.profiles),
         cross_check_ok: fix.cross_check_ok,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chronos_rf::bands::default_band;
+    use chronos_rf::csi::CsiCapture;
+    use chronos_rf::ofdm::SubcarrierLayout;
+
+    fn capture() -> CsiCapture {
+        CsiCapture {
+            band: default_band(),
+            layout: SubcarrierLayout::intel5300(),
+            csi: Vec::new(),
+            timestamp_s: 0.0,
+            truth_detection_delay_ns: 0.0,
+        }
+    }
+
+    /// Files three exchanges per band on each of `n_rx` antennas, taking
+    /// each measurement from the spare pool first, as a sweep does.
+    fn fill(slots: &mut SweepSlots, n_rx: usize, n_bands: usize) {
+        for antenna in 0..n_rx {
+            for band in 0..n_bands {
+                for _ in 0..3 {
+                    let m = slots.spare.pop().unwrap_or_else(|| Measurement {
+                        tx_antenna: 0,
+                        rx_antenna: antenna,
+                        forward: capture(),
+                        reverse: capture(),
+                        truth_tof_ns: 0.0,
+                        truth_los: true,
+                    });
+                    slots.push(antenna, band, m);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spare_pool_is_reserved_once_and_reused() {
+        let (n_rx, n_bands) = (3, 35);
+        let mut slots = SweepSlots::default();
+        slots.reset(n_rx, n_bands);
+        fill(&mut slots, n_rx, n_bands);
+        // The second reset pools the first sweep's 315 captures in one
+        // reservation.
+        slots.reset(n_rx, n_bands);
+        assert_eq!(slots.spare.len(), 3 * n_rx * n_bands);
+        let pool = (slots.spare.as_ptr(), slots.spare.capacity());
+        assert_eq!(pool.1, slots.spare.len(), "reserved exactly once");
+        fill(&mut slots, n_rx, n_bands);
+        assert!(slots.spare.is_empty());
+        // The third reset pools as many into the same buffer.
+        slots.reset(n_rx, n_bands);
+        assert_eq!(slots.spare.len(), 3 * n_rx * n_bands);
+        assert_eq!((slots.spare.as_ptr(), slots.spare.capacity()), pool);
+    }
 }

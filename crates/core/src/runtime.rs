@@ -11,8 +11,9 @@
 //!
 //! Each run is exactly one level deep: a `ServiceEngine` spreads its
 //! same-instant sweeps; a `FleetEngine` runs two batches per window,
-//! its TDoA blast solves (grouped per client) and then its shard
-//! windows, and each shard runs its own sweeps inline. No item waits on
+//! its TDoA client pass (each client firing and solving its own
+//! blasts) and then its shard windows, and each shard runs its own
+//! sweeps inline. No item waits on
 //! another batch, so there is no queue, no nesting and nothing to
 //! deadlock.
 //!
@@ -103,7 +104,7 @@ impl WorkerRuntime {
     /// [`WorkerRuntime::run`] without the allocation probe, for items
     /// that allocate by design: a fleet shard's whole window builds
     /// event queues and its report, the same in serial and parallel.
-    /// A fleet's blast solves run here too.
+    /// A fleet's client pass runs here too.
     pub fn run_uncounted<I, L, R, F>(&self, items: I, lanes: &mut [L], f: F) -> Vec<R>
     where
         I: IntoIterator,

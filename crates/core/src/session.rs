@@ -136,12 +136,17 @@ impl ChronosSession {
     /// CSI synthesis (path sets, measurement slots) and the estimation
     /// hot path (splice → NDFT/ISTA → profile → first path →
     /// localization) borrow every intermediate from the pipeline's
-    /// scratch instead of allocating per sweep; once warm, a sweep
-    /// allocates only in the link simulation and for the returned
-    /// [`SweepOutput`]. Results are bitwise identical to a sweep on a
-    /// fresh pipeline, which is all [`ChronosSession::sweep`] is. The
-    /// engine keeps one pipeline per worker and feeds it every sweep
-    /// (see [`crate::pipeline`]).
+    /// scratch instead of allocating per sweep. Once the pipeline has
+    /// swept comparable data, a sweep allocates only in the link
+    /// simulation and for the returned [`SweepOutput`]. Before that, the
+    /// second sweep also reserves the spare capture pool, in one
+    /// allocation, and a sweep whose data needs more debias or peak-list
+    /// scratch than any before grows it: on the office floor, one to
+    /// three allocations beyond that budget on the second sweep and at
+    /// most one on a later one. Results are bitwise identical to a
+    /// sweep on a fresh pipeline, which is all [`ChronosSession::sweep`]
+    /// is. The engine keeps one pipeline per worker and feeds it every
+    /// sweep (see [`crate::pipeline`]).
     pub fn sweep_with_pipeline<R: Rng + ?Sized>(
         &self,
         sweep_cfg: &SweepConfig,

@@ -88,6 +88,37 @@ pub struct MediumArbiter {
     cfg: ArbiterConfig,
     windows: Vec<Window>,
     next_token: usize,
+    /// Admission scratch: the windows one admission can run into.
+    live: Vec<Window>,
+}
+
+/// Number of `windows` overlapping the interval `[start, end)`.
+fn overlaps(windows: &[Window], start: Instant, end: Instant) -> usize {
+    windows
+        .iter()
+        .filter(|w| w.start < end && start < w.end)
+        .count()
+}
+
+/// Whether `t` keeps the start-stagger `guard` against every window of
+/// `windows` it would overlap, in order; returns the earliest compliant
+/// time at or after `t` otherwise.
+fn respect_guard(windows: &[Window], guard: Duration, t: Instant, expected: Duration) -> Instant {
+    let end = t + expected;
+    let mut bumped = t;
+    for w in windows {
+        if w.start < end && bumped < w.end {
+            let gap = if bumped >= w.start {
+                bumped.saturating_since(w.start)
+            } else {
+                w.start.saturating_since(bumped)
+            };
+            if gap < guard {
+                bumped = bumped.max(w.start + guard);
+            }
+        }
+    }
+    bumped
 }
 
 impl MediumArbiter {
@@ -97,58 +128,39 @@ impl MediumArbiter {
             cfg,
             windows: Vec::new(),
             next_token: 0,
+            live: Vec::new(),
         }
-    }
-
-    /// Number of tracked windows overlapping the interval `[start, end)`.
-    fn overlaps(&self, start: Instant, end: Instant) -> usize {
-        self.windows
-            .iter()
-            .filter(|w| w.start < end && start < w.end)
-            .count()
-    }
-
-    /// Whether `t` keeps the start-stagger guard against every tracked
-    /// window it would overlap; returns the earliest compliant time at or
-    /// after `t` otherwise.
-    fn respect_guard(&self, t: Instant, expected: Duration) -> Instant {
-        let end = t + expected;
-        let mut bumped = t;
-        for w in &self.windows {
-            if w.start < end && bumped < w.end {
-                let gap = if bumped >= w.start {
-                    bumped.saturating_since(w.start)
-                } else {
-                    w.start.saturating_since(bumped)
-                };
-                if gap < self.cfg.guard {
-                    bumped = bumped.max(w.start + self.cfg.guard);
-                }
-            }
-        }
-        bumped
     }
 
     /// Admits a sweep expected to take `expected`, starting no earlier
     /// than `not_before`. Deterministically returns the earliest start
     /// satisfying the concurrency cap and stagger guard, plus the
     /// contention loss the sweep must simulate with.
+    ///
+    /// Every candidate start `t` is at or after `not_before`, and the
+    /// guard, overlap and next-free tests all need `t < w.end`, so only
+    /// the windows that end after `not_before` can decide anything: they
+    /// are collected once, in tracking order, and the scan runs over
+    /// them alone. A fleet shard tracks thousands of booked blasts, of
+    /// which a sync beacon's admission meets a handful.
     pub fn admit(&mut self, not_before: Instant, expected: Duration) -> SweepGrant {
+        let mut live = std::mem::take(&mut self.live);
+        live.clear();
+        live.extend(self.windows.iter().filter(|w| w.end > not_before));
         let mut t = not_before;
         // Candidate starts are `not_before` bumped over guard conflicts,
         // or just past the end of an existing window. Bounded scan: each
         // iteration either admits or moves `t` strictly forward to one of
         // finitely many window edges.
         for _ in 0..=self.windows.len() * 2 + 2 {
-            t = self.respect_guard(t, expected);
+            t = respect_guard(&live, self.cfg.guard, t, expected);
             let end = t + expected;
-            if self.overlaps(t, end) < self.cfg.max_concurrent.max(1) {
+            if overlaps(&live, t, end) < self.cfg.max_concurrent.max(1) {
                 break;
             }
             // Defer to the earliest end among currently-overlapping
             // windows (that's when a slot frees up).
-            let next_free = self
-                .windows
+            let next_free = live
                 .iter()
                 .filter(|w| w.start < end && t < w.end)
                 .map(|w| w.end)
@@ -157,7 +169,8 @@ impl MediumArbiter {
             t = next_free.max(t + Duration::from_nanos(1));
         }
         let end = t + expected;
-        let concurrent = self.overlaps(t, end);
+        let concurrent = overlaps(&live, t, end);
+        self.live = live;
         let extra_loss =
             (self.cfg.collision_loss_per_peer * concurrent as f64).min(self.cfg.max_extra_loss);
         let token = self.next_token;
@@ -197,8 +210,11 @@ impl MediumArbiter {
 
     /// Reports the actual finish time of a granted sweep so the
     /// projection reflects reality for later admissions.
+    ///
+    /// The search runs from the back, where an admission just pushed
+    /// the window it completes.
     pub fn complete(&mut self, token: usize, actual_end: Instant) {
-        if let Some(w) = self.windows.iter_mut().find(|w| w.token == token) {
+        if let Some(w) = self.windows.iter_mut().rev().find(|w| w.token == token) {
             w.end = actual_end.max(w.start);
         }
     }
@@ -328,8 +344,123 @@ mod tests {
         covered as f64 / span as f64
     }
 
+    /// [`MediumArbiter::admit`] as it was before it set the windows that
+    /// end by `not_before` aside: every scan walks every tracked window.
+    /// The reference the admission must match field for field.
+    fn scan_all_admit(
+        arb: &mut MediumArbiter,
+        not_before: Instant,
+        expected: Duration,
+    ) -> SweepGrant {
+        let windows = arb.windows.clone();
+        let mut t = not_before;
+        for _ in 0..=windows.len() * 2 + 2 {
+            t = respect_guard(&windows, arb.cfg.guard, t, expected);
+            let end = t + expected;
+            if overlaps(&windows, t, end) < arb.cfg.max_concurrent.max(1) {
+                break;
+            }
+            let next_free = windows
+                .iter()
+                .filter(|w| w.start < end && t < w.end)
+                .map(|w| w.end)
+                .min()
+                .unwrap_or(end);
+            t = next_free.max(t + Duration::from_nanos(1));
+        }
+        let end = t + expected;
+        let concurrent = overlaps(&windows, t, end);
+        let extra_loss =
+            (arb.cfg.collision_loss_per_peer * concurrent as f64).min(arb.cfg.max_extra_loss);
+        let token = arb.next_token;
+        arb.next_token += 1;
+        arb.windows.push(Window {
+            token,
+            start: t,
+            end,
+        });
+        SweepGrant {
+            token,
+            start: t,
+            expected_end: end,
+            concurrent,
+            extra_loss,
+        }
+    }
+
+    /// A grant's fields, the loss as bits.
+    fn grant_key(g: &SweepGrant) -> (usize, Instant, Instant, usize, u64) {
+        (
+            g.token,
+            g.start,
+            g.expected_end,
+            g.concurrent,
+            g.extra_loss.to_bits(),
+        )
+    }
+
+    /// A window's fields.
+    fn window_key(w: &Window) -> (usize, Instant, Instant) {
+        (w.token, w.start, w.end)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Admission over the windows that end after `not_before` grants
+        /// what the scan over every window grants — token, start, end,
+        /// overlap count and loss — and leaves the same windows after
+        /// `complete`, over three admissions in a row. Edges on a
+        /// 1000 ns line make touching and duplicate windows common, and
+        /// one window in four ends exactly at the first `not_before`;
+        /// guards run from 0 to past most windows, caps from 0 (treated
+        /// as 1) to more than the windows.
+        #[test]
+        fn live_window_admission_matches_full_scan(
+            raw in collection::vec((0u64..60, 0u64..25, 0u8..4), 0..40),
+            guard in prop_oneof![Just(0u64), 0u64..6, 0u64..30],
+            cap in 0usize..8,
+            requests in collection::vec((0u64..60, 0u64..20, 0u64..30), 3..4),
+        ) {
+            let at = |k: u64| Instant::from_nanos(k * 1_000);
+            let first = requests[0].0;
+            let windows: Vec<Window> = raw
+                .iter()
+                .enumerate()
+                .map(|(token, &(start, len, edge))| {
+                    let (start, end) = if edge == 0 {
+                        (first.saturating_sub(len), first)
+                    } else {
+                        (start, start + len)
+                    };
+                    Window { token, start: at(start), end: at(end) }
+                })
+                .collect();
+            let cfg = ArbiterConfig {
+                max_concurrent: cap,
+                guard: Duration::from_nanos(guard * 1_000),
+                ..ArbiterConfig::default()
+            };
+            let mut arb = MediumArbiter {
+                cfg,
+                windows,
+                next_token: raw.len(),
+                live: Vec::new(),
+            };
+            let mut reference = arb.clone();
+            for &(not_before, expected, actual) in &requests {
+                let expected = Duration::from_nanos(expected * 1_000);
+                let got = arb.admit(at(not_before), expected);
+                let want = scan_all_admit(&mut reference, at(not_before), expected);
+                prop_assert_eq!(grant_key(&got), grant_key(&want));
+                let actual_end = got.start + Duration::from_nanos(actual * 1_000);
+                arb.complete(got.token, actual_end);
+                reference.complete(want.token, actual_end);
+                let keys = |a: &MediumArbiter| a.windows.iter().map(window_key).collect::<Vec<_>>();
+                prop_assert_eq!(keys(&arb), keys(&reference));
+                prop_assert_eq!(arb.next_token, reference.next_token);
+            }
+        }
 
         /// The union sweep covers exactly what the edge sweep covers, on
         /// window sets in admission order, in start order, and in start
@@ -374,6 +505,7 @@ mod tests {
                 cfg: ArbiterConfig::default(),
                 windows,
                 next_token: raw.len(),
+                live: Vec::new(),
             };
             let (from, to) = if backwards == 0 {
                 (from + len, from)

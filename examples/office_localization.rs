@@ -8,6 +8,7 @@
 //! ```
 
 use chronos_suite::core::config::ChronosConfig;
+use chronos_suite::core::pipeline::SweepPipeline;
 use chronos_suite::core::session::ChronosSession;
 use chronos_suite::link::time::Instant;
 use chronos_suite::rf::csi::MeasurementContext;
@@ -44,11 +45,15 @@ fn main() {
     session.calibrate(&mut rng, 2);
     session.ctx.environment = testbed.environment.clone();
 
+    // One pipeline for every placement: its scratch is reused, not
+    // regrown per sweep.
+    let mut pipeline = SweepPipeline::new();
     let mut errors = Vec::new();
     for (i, pair) in pairs.iter().step_by(pairs.len() / 8).take(8).enumerate() {
         session.ctx.initiator_pos = pair.a;
         session.ctx.responder_pos = pair.b;
-        let out = session.sweep(&mut rng, Instant::from_millis(i as u64 * 100));
+        let t = Instant::from_millis(i as u64 * 100);
+        let out = session.sweep_with_pipeline(&session.sweep_cfg, &mut rng, t, &mut pipeline);
         let est = out.mean_distance_m();
         let loc_err = out
             .position

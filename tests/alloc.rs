@@ -415,10 +415,11 @@ fn warm_session_sweep_allocates_only_link_and_output() {
 /// the same sweeps make on a fresh pipeline each, which regrows the
 /// whole scratch arena every time (about twice as many). A reused
 /// pipeline still grows a little past the first sweep — its spare
-/// capture pool on the second, and scratch sized by the data (the
-/// debias system, the peak list) when a later sweep needs more — so
-/// the budget of link simulation plus output holds only once a
-/// pipeline has seen the data, as the warm sweep test above pins.
+/// capture pool in one reservation on the second, and scratch sized by
+/// the data (the debias system, the peak list) when a later sweep
+/// needs more — so the budget of link simulation plus output holds
+/// only once a pipeline has seen the data, as the warm sweep test above
+/// pins.
 #[test]
 fn calibration_sweeps_share_one_pipeline() {
     use chronos_suite::core::session::ChronosSession;
