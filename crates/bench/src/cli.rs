@@ -2,11 +2,12 @@
 //! binaries.
 //!
 //! Every gated bench binary (`bench_position`, `bench_throughput`,
-//! `bench_adversarial`, `bench_soak`, `bench_fleet`) understands the
-//! same three flags:
+//! `bench_adversarial`, `bench_soak`, `bench_fleet`, `bench_capacity`)
+//! understands the same three flags:
 //!
 //! * `--quick` — fewer epochs/rounds (the CI setting; baselines must be
-//!   generated with the same flag CI checks with);
+//!   generated with the same flag CI checks with; `bench_capacity` runs
+//!   the same sizes either way);
 //! * `--out <path>` — where to write the JSON baseline (default is the
 //!   binary's checked-in baseline name);
 //! * `--check <baseline>` — compare against a checked-in baseline
@@ -14,7 +15,7 @@
 //!
 //! Each binary builds its table with its own seed and sizes, then hands
 //! it to [`BenchArgs::write_or_check`] with its regression check: the
-//! four deterministic benches share [`check_exact`], and
+//! five deterministic benches share [`check_exact`], and
 //! `bench_throughput` has its own for its host-timed ratio. Parsing and
 //! the write/check step live here so the binaries cannot drift apart.
 
@@ -116,12 +117,12 @@ impl BenchArgs {
     }
 }
 
-/// The exact gate of the four deterministic benches (position,
-/// adversarial, soak, fleet): every numeric cell of every baseline row
-/// must equal the current run's, in either direction, and a baseline row
-/// missing from the current run fails. Rows are matched by their first
-/// cell, the key. A non-numeric baseline cell other than the key is
-/// informational — today only `BENCH_fleet`'s host-timed
+/// The exact gate of the five deterministic benches (position,
+/// adversarial, soak, fleet, capacity): every numeric cell of every
+/// baseline row must equal the current run's, in either direction, and a
+/// baseline row missing from the current run fails. Rows are matched by
+/// their first cell, the key. A non-numeric baseline cell other than the
+/// key is informational — today only `BENCH_fleet`'s host-timed
 /// `speedup_vs_serial` (rendered with an `x` suffix). The runs are
 /// seeded, so any difference is a real change: an intentional one
 /// re-records the baseline and says why. Returns every mismatch.
@@ -213,5 +214,33 @@ mod tests {
         let mut faster = base.clone();
         faster.rows[0][4] = "1.80x".into();
         assert!(check_exact(&faster, &base).is_ok());
+    }
+
+    /// The non-key cells of `table` that [`check_exact`] skips because
+    /// they do not read as numbers.
+    fn ungated_cells(table: &Table) -> Vec<String> {
+        let mut cells = Vec::new();
+        for (r, row) in table.rows.iter().enumerate() {
+            for (header, cell) in table.headers.iter().zip(row).skip(1) {
+                if table.cell_f64(r, header).is_none() {
+                    cells.push(format!("{}/{header}: {cell:?}", row[0]));
+                }
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn capacity_baseline_cells_are_all_gated() {
+        let baseline = Table::from_json(include_str!("../../../BENCH_capacity.json"))
+            .expect("BENCH_capacity.json parses");
+        assert_eq!(baseline.rows.len(), 7, "README quotes seven rows");
+        assert_eq!(ungated_cells(&baseline), Vec::<String>::new());
+        // A gain or utilization rendered for the console would escape.
+        for (col, cell) in [(4, "2.0x"), (5, "96%")] {
+            let mut rendered = baseline.clone();
+            rendered.rows[0][col] = cell.into();
+            assert_eq!(ungated_cells(&rendered).len(), 1, "{cell}");
+        }
     }
 }

@@ -6,8 +6,9 @@
 //! helpers.
 //!
 //! Each figure has a binary in `src/bin/`; `run_all` executes everything
-//! and writes `EXPERIMENTS-data/*.csv`. Criterion performance benches live
-//! in `benches/`.
+//! and writes `EXPERIMENTS-data/*.csv`. The six `bench_*` binaries beside
+//! them are the gated benchmarks: each writes or checks a `BENCH_*.json`
+//! baseline (see [`cli`] and `scripts/check-bench-regression.sh`).
 
 pub mod adversarial;
 pub mod alloc_count;

@@ -47,14 +47,6 @@ impl Table {
         self.row(&cells);
     }
 
-    /// Appends a row of heterogeneous `Display` cells — counts, gains,
-    /// percentages and pre-formatted strings in one row, as the
-    /// window-report tables need.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
     /// Renders the table for the console, aligned.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -433,13 +425,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("metric,value\n"));
         assert!(csv.contains("95.00,1.96"));
-    }
-
-    #[test]
-    fn row_display_mixes_cell_types() {
-        let mut t = Table::new("mix", &["clients", "gain", "util"]);
-        t.row_display(&[&8usize, &format!("{:.1}x", 2.16), &"100%"]);
-        assert_eq!(t.rows[0], vec!["8", "2.2x", "100%"]);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Adaptive-tracking scenarios: full-sweep vs band-subset capacity and
 //! accuracy, on static and moving clients.
 //!
-//! The runners here back `tests/tracking.rs`'s ablation assertions, the
-//! `bench_service` capacity comparison and the numbers quoted in
-//! `docs/TRACKING.md`. Everything is deterministic given a seed.
+//! The runners here back `tests/tracking.rs`'s ablation assertions and
+//! the `BENCH_capacity` table that `bench_capacity` gates exactly and
+//! README, `docs/TRACKING.md` and `docs/SCHEDULING.md` quote.
+//! Everything is deterministic given a seed.
 
 use crate::report::Table;
 use chronos_core::config::ChronosConfig;
@@ -64,34 +65,44 @@ impl TrackingRun {
             .collect()
     }
 
-    /// Mean sweeps/s of simulated airtime over the given reports.
-    fn mean_throughput(reports: &[&WindowReport]) -> Option<f64> {
-        if reports.is_empty() {
+    /// The epochs a run's capacity figures average over: the
+    /// steady-state epochs, or all of them when none is steady (every
+    /// non-adaptive run).
+    fn figure_epochs(&self) -> Vec<&WindowReport> {
+        let steady = self.steady_state();
+        if steady.is_empty() {
+            self.reports.iter().collect()
+        } else {
+            steady
+        }
+    }
+
+    /// Mean of `metric` over the figure epochs.
+    fn mean_over_figure_epochs(&self, metric: impl Fn(&WindowReport) -> f64) -> Option<f64> {
+        let pool = self.figure_epochs();
+        if pool.is_empty() {
             return None;
         }
-        Some(reports.iter().map(|r| r.sweeps_per_sec()).sum::<f64>() / reports.len() as f64)
+        Some(pool.iter().map(|r| metric(r)).sum::<f64>() / pool.len() as f64)
     }
 
-    /// Mean sweeps/s over steady-state (all-TRACK) epochs.
-    pub fn steady_throughput(&self) -> Option<f64> {
-        Self::mean_throughput(&self.steady_state())
+    /// Mean sweeps/s of simulated airtime over the steady-state
+    /// (all-TRACK) epochs, or over all epochs when none is steady.
+    pub fn throughput(&self) -> Option<f64> {
+        self.mean_over_figure_epochs(WindowReport::sweeps_per_sec)
     }
 
-    /// Mean sweeps/s over all epochs (the figure for non-adaptive runs).
-    pub fn overall_throughput(&self) -> Option<f64> {
-        Self::mean_throughput(&self.reports.iter().collect::<Vec<_>>())
+    /// Mean airtime utilization over the same epochs as
+    /// [`TrackingRun::throughput`].
+    pub fn utilization(&self) -> Option<f64> {
+        self.mean_over_figure_epochs(|r| r.utilization)
     }
 
     /// Mean absolute raw-fix error over epochs scheduled fully in TRACK
     /// mode (or over all epochs when no TRACK epochs exist).
     pub fn mean_abs_error_m(&self) -> Option<f64> {
-        let steady = self.steady_state();
-        let pool: Vec<&WindowReport> = if steady.is_empty() {
-            self.reports.iter().collect()
-        } else {
-            steady
-        };
-        let errs: Vec<f64> = pool
+        let errs: Vec<f64> = self
+            .figure_epochs()
             .iter()
             .flat_map(|r| r.outcomes.iter().filter_map(|o| o.error_m))
             .collect();
@@ -184,6 +195,11 @@ pub struct CapacityRow {
     pub full_sweeps_per_sec: f64,
     /// Adaptive steady-state throughput, sweeps/s of airtime.
     pub adaptive_sweeps_per_sec: f64,
+    /// Full-sweep airtime utilization, over each round's busy span (the
+    /// span its sweeps/s divides by).
+    pub full_utilization: f64,
+    /// Adaptive steady-state airtime utilization, over the same spans.
+    pub adaptive_utilization: f64,
     /// Full-sweep mean absolute error, meters.
     pub full_mae_m: f64,
     /// Adaptive TRACK-mode mean absolute error, meters.
@@ -209,11 +225,10 @@ pub fn capacity_table(client_counts: &[usize], epochs: usize, seed: u64) -> Vec<
             });
             CapacityRow {
                 n_clients: n,
-                full_sweeps_per_sec: full.overall_throughput().unwrap_or(0.0),
-                adaptive_sweeps_per_sec: adaptive
-                    .steady_throughput()
-                    .or_else(|| adaptive.overall_throughput())
-                    .unwrap_or(0.0),
+                full_sweeps_per_sec: full.throughput().unwrap_or(0.0),
+                adaptive_sweeps_per_sec: adaptive.throughput().unwrap_or(0.0),
+                full_utilization: full.utilization().unwrap_or(0.0),
+                adaptive_utilization: adaptive.utilization().unwrap_or(0.0),
                 full_mae_m: full.mean_abs_error_m().unwrap_or(f64::NAN),
                 adaptive_mae_m: adaptive.mean_abs_error_m().unwrap_or(f64::NAN),
             }
@@ -362,33 +377,67 @@ pub fn mixed_capacity_table(client_counts: &[usize], seed: u64) -> Vec<MixedComp
         .collect()
 }
 
-/// Tabulates [`MixedComparison`] rows for console/CSV reporting — the
-/// window-report plumbing `bench_service` renders.
-pub fn mixed_table(rows: &[MixedComparison]) -> Table {
+/// The `BENCH_capacity` table: one row per client count of each
+/// comparison, the baseline scheduler (`base_*`: full sweeps, or the
+/// epoch barrier) against the one that beats it (adaptive subsets, or
+/// the event engine), at the precision README quotes. Every cell is a
+/// plain number (gains without an `x`, utilizations as fractions),
+/// because [`crate::cli::check_exact`] skips non-numeric cells.
+pub fn capacity_bench_table(capacity: &[CapacityRow], mixed: &[MixedComparison]) -> Table {
     let mut table = Table::new(
-        "epoch_vs_event",
+        "BENCH_capacity",
         &[
+            "scenario",
             "clients",
-            "epoch_sweeps_s",
-            "event_sweeps_s",
+            "base_sweeps_s",
+            "sweeps_s",
             "gain",
-            "epoch_util",
-            "event_util",
-            "epoch_track_mae_m",
-            "event_track_mae_m",
+            "base_util",
+            "util",
+            "base_mae_m",
+            "mae_m",
         ],
     );
-    for r in rows {
-        table.row_display(&[
-            &r.n_clients,
-            &format!("{:.1}", r.epoch_sweeps_per_sec),
-            &format!("{:.1}", r.event_sweeps_per_sec),
-            &format!("{:.1}x", r.gain()),
-            &format!("{:.0}%", 100.0 * r.epoch_utilization),
-            &format!("{:.0}%", 100.0 * r.event_utilization),
-            &format!("{:.3}", r.epoch_track_mae_m),
-            &format!("{:.3}", r.event_track_mae_m),
-        ]);
+    let mut push = |scenario: &str, n: usize, [base_s, s, base_u, u, base_mae, mae]: [f64; 6]| {
+        table.row(&[
+            format!("{scenario}_n{n}"),
+            n.to_string(),
+            format!("{base_s:.1}"),
+            format!("{s:.1}"),
+            format!("{:.1}", s / base_s.max(1e-9)),
+            format!("{base_u:.2}"),
+            format!("{u:.2}"),
+            format!("{base_mae:.3}"),
+            format!("{mae:.3}"),
+        ])
+    };
+    for r in capacity {
+        push(
+            "full_vs_adaptive",
+            r.n_clients,
+            [
+                r.full_sweeps_per_sec,
+                r.adaptive_sweeps_per_sec,
+                r.full_utilization,
+                r.adaptive_utilization,
+                r.full_mae_m,
+                r.adaptive_mae_m,
+            ],
+        );
+    }
+    for r in mixed {
+        push(
+            "epoch_vs_event",
+            r.n_clients,
+            [
+                r.epoch_sweeps_per_sec,
+                r.event_sweeps_per_sec,
+                r.epoch_utilization,
+                r.event_utilization,
+                r.epoch_track_mae_m,
+                r.event_track_mae_m,
+            ],
+        );
     }
     table
 }

@@ -107,12 +107,6 @@ const TRACK_GAP: Duration = Duration::from_millis(2);
 /// Idle gap for ACQUIRE clients (cold or re-acquiring tracks).
 const ACQUIRE_GAP: Duration = Duration::from_millis(2);
 
-/// When several clients of a continuous window fall due at the same
-/// instant, admit ACQUIRE clients first: a cold or broken track benefits
-/// most from the earliest slot the arbiter can grant. Epoch rounds admit
-/// in client order.
-const ACQUIRE_PRIORITY: bool = true;
-
 /// Idle gap between an epoch round's airtime horizon and the clock the
 /// next round or window starts at.
 const EPOCH_GAP: Duration = Duration::from_millis(5);
@@ -1348,10 +1342,13 @@ impl ServiceEngine {
                 // of same-instant offer-then-admit churn.
                 ing.window_stretch_peak = ing.window_stretch_peak.max(ing.stretch());
             } else {
-                if continuous && ACQUIRE_PRIORITY {
-                    // ACQUIRE clients are admitted first (stable: ties
-                    // keep due order) — a cold or broken track gets the
-                    // earliest slot the arbiter can grant.
+                if continuous {
+                    // When several clients of a continuous window fall
+                    // due at the same instant, ACQUIRE clients are
+                    // admitted first (stable: ties keep due order) — a
+                    // cold or broken track gets the earliest slot the
+                    // arbiter can grant. Epoch rounds admit in client
+                    // order.
                     due.sort_by_key(|&c| self.sched_mode(c).0 == TrackMode::Track);
                 }
                 for &c in &due {

@@ -153,7 +153,7 @@ impl IstaScratch {
 pub struct IstaStats {
     /// Iterations performed.
     pub iterations: usize,
-    /// Whether the epsilon criterion was met before the cap.
+    /// Whether the epsilon stopping test was met before the cap.
     pub converged: bool,
     /// Final data-fit residual `||h - F p||_2`.
     pub residual: f64,

@@ -381,14 +381,6 @@ impl TofEstimator {
     }
 }
 
-/// Whether `CHRONOS_DEBUG_PEAKS` diagnostics are enabled. Read once: an
-/// environment lookup allocates on most platforms, which would break the
-/// hot path's zero-alloc contract if checked per candidate.
-fn debug_peaks() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("CHRONOS_DEBUG_PEAKS").is_some())
-}
-
 /// `||h - F p||^2` with the forward image staged in `fit`.
 fn resid_sq(ndft: &Ndft, h: &[Complex64], p: &[Complex64], fit: &mut Vec<Complex64>) -> f64 {
     ndft.forward_into(p, fit);
@@ -502,12 +494,6 @@ fn select_first_path(
             }
             if sel.quiet.len() >= 6 {
                 let floor = chronos_math::stats::median_inplace(&mut sel.quiet);
-                if debug_peaks() {
-                    eprintln!(
-                        "[peaks] cand x={:.2} mag={:.4} mf={:.4} quiet_floor={:.4}",
-                        cand.x, cand.magnitude, mf_at, floor
-                    );
-                }
                 if mf_at < ATOM_SNR_MIN * floor {
                     continue 'candidates; // not significant above leakage
                 }
@@ -575,12 +561,6 @@ fn select_first_path(
             // against noise atoms whose removal always costs their own
             // (noise) energy.
             let relative_ok = r_a > 0.0 && r_b_best >= (1.0 + SIDELOBE_VETO_RATIO) * r_a;
-            if debug_peaks() {
-                eprintln!(
-                    "[veto] cand x={:.2} mag={:.4} r_a={:.4} r_b={:.4} rel={}",
-                    cand.x, cand.magnitude, r_a, r_b_best, relative_ok
-                );
-            }
             if !relative_ok {
                 continue 'candidates; // artifact: an alternative explains it
             }

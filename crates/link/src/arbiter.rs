@@ -256,17 +256,20 @@ impl MediumArbiter {
             return 0.0;
         }
         let (lo, hi) = (from.as_nanos(), to.as_nanos());
-        let mut spans: Vec<(u64, u64)> = self
-            .windows
-            .iter()
-            .map(|w| {
-                (
-                    w.start.as_nanos().clamp(lo, hi),
-                    w.end.as_nanos().clamp(lo, hi),
-                )
-            })
-            .filter(|&(s, e)| e > s)
-            .collect();
+        // Reserved once for every window, so collecting thousands of
+        // spans does not regrow the buffer.
+        let mut spans: Vec<(u64, u64)> = Vec::with_capacity(self.windows.len());
+        spans.extend(
+            self.windows
+                .iter()
+                .map(|w| {
+                    (
+                        w.start.as_nanos().clamp(lo, hi),
+                        w.end.as_nanos().clamp(lo, hi),
+                    )
+                })
+                .filter(|&(s, e)| e > s),
+        );
         spans.sort_by_key(|&(s, _)| s);
         let (mut covered, mut covered_to) = (0u64, lo);
         for (s, e) in spans {

@@ -15,8 +15,8 @@
 //!
 //! Watch the `saved` column: steady-state airtime per fix drops by the
 //! subset ratio, which is capacity the AP can spend on more clients
-//! (see `docs/TRACKING.md` and `cargo bench -p chronos-bench --bench
-//! bench_service`).
+//! (see `docs/TRACKING.md` and `cargo run --release -p chronos-bench
+//! --bin bench_capacity`).
 //!
 //! The demo finishes with a window of **continuous** operation
 //! (`run_until`, see `docs/SCHEDULING.md`): the epoch barrier is gone,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Benchmark-regression gates. Gates 1, 3, 4 and 5 run seeded,
+# Benchmark-regression gates. Gates 1, 3, 4, 5 and 6 run seeded,
 # deterministic scenarios, so they gate exactly: every numeric cell of
 # every baseline row must equal the fresh run's, in either direction,
 # and a missing row fails (chronos_bench::cli::check_exact). Any change
@@ -59,6 +59,14 @@
 #     (TDoA >= 2x fixes/s per client at <= 1.5x the error) and that
 #     every worker count replays the serial loop's reports
 #     digest-identically, before writing or checking anything.
+#  6. Airtime capacity: rerun the seed-42 capacity comparisons that
+#     README, docs/TRACKING.md and docs/SCHEDULING.md quote (adaptive
+#     TRACK subsets vs full sweeps at 1, 2, 4 and 8 static clients; the
+#     event engine vs the epoch barrier on a mixed ACQUIRE/TRACK
+#     population at 4, 8 and 16) against the checked-in
+#     BENCH_capacity.json baseline (sweeps/s, gain, utilization and
+#     error, every cell a plain number). It has no quick size: --quick
+#     runs the same few seconds of work.
 #
 # On an *intentional* change, regenerate and commit the baselines:
 #
@@ -67,11 +75,12 @@
 #   cargo run --release -p chronos-bench --bin bench_adversarial -- --quick
 #   cargo run --release -p chronos-bench --bin bench_soak -- --quick
 #   cargo run --release -p chronos-bench --bin bench_fleet -- --quick
+#   cargo run --release -p chronos-bench --bin bench_capacity
 #
 # Usage: scripts/check-bench-regression.sh \
 #            [position-baseline.json [throughput-baseline.json \
 #            [adversarial-baseline.json [soak-baseline.json \
-#            [fleet-baseline.json]]]]]
+#            [fleet-baseline.json [capacity-baseline.json]]]]]]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -80,9 +89,11 @@ throughput_baseline="${2:-BENCH_throughput.json}"
 adversarial_baseline="${3:-BENCH_adversarial.json}"
 soak_baseline="${4:-BENCH_soak.json}"
 fleet_baseline="${5:-BENCH_fleet.json}"
+capacity_baseline="${6:-BENCH_capacity.json}"
 
 for baseline in "$position_baseline" "$throughput_baseline" \
-        "$adversarial_baseline" "$soak_baseline" "$fleet_baseline"; do
+        "$adversarial_baseline" "$soak_baseline" "$fleet_baseline" \
+        "$capacity_baseline"; do
     if [[ ! -f "$baseline" ]]; then
         echo "missing baseline $baseline (generate with the commands in this script's header)" >&2
         exit 1
@@ -101,5 +112,8 @@ cargo run --release -p chronos-bench --bin bench_adversarial -- \
 cargo run --release -p chronos-bench --bin bench_soak -- \
     --quick --check "$soak_baseline"
 
-exec cargo run --release -p chronos-bench --bin bench_fleet -- \
+cargo run --release -p chronos-bench --bin bench_fleet -- \
     --quick --check "$fleet_baseline"
+
+exec cargo run --release -p chronos-bench --bin bench_capacity -- \
+    --check "$capacity_baseline"

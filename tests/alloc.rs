@@ -2,7 +2,8 @@
 //! contract of `docs/PIPELINE.md`, enforced with a counting global
 //! allocator, plus two bitwise pins: a dirty solver scratch against a
 //! fresh one (off-raster and raster plans), and the pipeline's two
-//! estimation calls against each other.
+//! estimation calls against each other. One budget outside the
+//! pipeline rides along: the arbiter's utilization query.
 //!
 //! The contract under test: once a [`SweepPipeline`]'s scratch arena is
 //! warm, the estimation path — products → NDFT/ISTA → profile →
@@ -279,6 +280,29 @@ fn localization_is_allocation_free_with_warm_scratch() {
     let allocs = thread_allocations() - before;
     assert_eq!(allocs, 0, "warm localization allocated {allocs} times");
     assert!(out[0].point.dist(tx) < 1e-3);
+}
+
+/// `MediumArbiter::utilization` reserves its span buffer once for every
+/// booked window. Over a fleet shard's worth of blast windows a call
+/// makes at most two allocations: that buffer, and the merge scratch the
+/// standard stable sort takes on the heap above 256 spans.
+#[test]
+fn arbiter_utilization_reserves_its_spans_once() {
+    use chronos_suite::link::arbiter::{ArbiterConfig, MediumArbiter};
+    use chronos_suite::link::time::{Duration, Instant};
+
+    // 3,700 windows of 100 µs, one every 200 µs: half the span is busy.
+    let mut arb = MediumArbiter::new(ArbiterConfig::default());
+    let (n, period_ns, busy) = (3_700, 200_000, Duration::from_micros(100));
+    for i in 0..n {
+        arb.book(Instant::from_nanos(i * period_ns), busy);
+    }
+    let to = Instant::from_nanos(n * period_ns);
+    let before = thread_allocations();
+    let u = arb.utilization(Instant::ZERO, to);
+    let allocs = thread_allocations() - before;
+    assert!(allocs <= 2, "utilization allocated {allocs} times");
+    assert_eq!(u, 0.5);
 }
 
 /// The engine path built on the pipeline: a steady-state continuous
