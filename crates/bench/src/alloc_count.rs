@@ -3,9 +3,9 @@
 //!
 //! [`CountingAlloc`] forwards every request to the [`System`] allocator
 //! and counts allocation *events* (alloc, alloc_zeroed, realloc —
-//! dealloc is free and not counted) both globally and per thread. The
-//! per-thread counter is what measurements use: it is immune to
-//! allocations made by other test threads running concurrently.
+//! dealloc is free and not counted) per thread, so a measurement is
+//! immune to allocations made by other test threads running
+//! concurrently.
 //!
 //! Install it as the global allocator in a binary or test crate:
 //!
@@ -20,9 +20,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static GLOBAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -46,7 +43,6 @@ impl Default for CountingAlloc {
 
 #[inline]
 fn record() {
-    GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
     // `try_with` keeps us safe during thread teardown, when the TLS slot
     // may already be destroyed but late allocations still happen.
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
@@ -79,9 +75,4 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Take a delta around the measured region.
 pub fn thread_allocations() -> u64 {
     THREAD_ALLOCS.try_with(|c| c.get()).unwrap_or(0)
-}
-
-/// Allocation events recorded process-wide.
-pub fn total_allocations() -> u64 {
-    GLOBAL_ALLOCS.load(Ordering::Relaxed)
 }

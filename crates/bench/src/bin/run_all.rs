@@ -1,75 +1,74 @@
-//! Regenerates every figure of the paper's evaluation in one run and
-//! writes all tables to `EXPERIMENTS-data/*.csv`.
+//! Regenerates the paper's evaluation: every figure named on the command
+//! line, or all of them when none is, written to
+//! `EXPERIMENTS-data/<table>.csv` (or under `$CHRONOS_DATA_DIR`).
 //!
-//! Usage: `cargo run --release -p chronos-bench --bin run_all [pairs]`
-//! where `pairs` scales the Monte-Carlo effort of the testbed experiments
-//! (default 60; the measurements quoted in ROADMAP.md use 80).
+//! ```sh
+//! cargo run --release -p chronos-bench --bin run_all                 # every figure
+//! cargo run --release -p chronos-bench --bin run_all -- fig07a summary
+//! cargo run --release -p chronos-bench --bin run_all -- --pairs 80 fig08b
+//! ```
+//!
+//! Figure names: `fig03`, `fig04`, `fig07a`, `fig07b`, `fig07c`,
+//! `fig08a`, `fig08b`, `fig08c`, `fig09a`, `fig09b`, `fig09c`, `fig10a`,
+//! `fig10b` and `summary` (the paper's headline claims). `--pairs N`
+//! caps each testbed sweep at `N` placements; by default a sweep takes
+//! the whole floor (380 placements on floor 42, 383 on floor 43).
+//!
+//! Each experiment runs at most once per invocation, and every figure
+//! that reads it reads the same samples
+//! ([`chronos_bench::figures::Experiments`]): the floor-42 sweep feeds
+//! Figs. 7a–7c, 8a, 8b and the summary, the floor-43 sweep Fig. 8c and
+//! the summary, one hop-time sample Fig. 9a and the summary, and one
+//! drone flight Figs. 10a, 10b and the summary. The trials do not
+//! depend on the host's core count.
 
-use chronos_bench::figures;
-use chronos_bench::report::{data_dir, write_csv, Table};
-use chronos_rf::hardware::AntennaArray;
+use chronos_bench::figures::{Experiments, Figure, FIGURES};
+use chronos_bench::report::{data_dir, write_csv};
+use std::process::ExitCode;
 
-fn persist(tables: Vec<Table>) {
-    let dir = data_dir();
-    for t in tables {
-        let path = write_csv(&t, &dir).expect("write csv");
-        println!("  wrote {}", path.display());
+/// Parses `[--pairs N] [figure...]` into the placement cap and the
+/// figures to run, in the order given (all of them when none is named).
+fn parse(mut args: impl Iterator<Item = String>) -> Result<(usize, Vec<Figure>), String> {
+    let mut pairs = usize::MAX;
+    let mut figures = Vec::new();
+    while let Some(arg) = args.next() {
+        if arg == "--pairs" {
+            pairs = args
+                .next()
+                .and_then(|n| n.parse().ok())
+                .filter(|&n| n > 0)
+                .ok_or("--pairs needs a positive placement count")?;
+        } else {
+            let figure = FIGURES.iter().find(|f| f.0 == arg).ok_or_else(|| {
+                let names: Vec<&str> = FIGURES.iter().map(|f| f.0).collect();
+                format!("unknown figure {arg}; one of: {}", names.join(" "))
+            })?;
+            figures.push(*figure);
+        }
     }
+    if figures.is_empty() {
+        figures = FIGURES.to_vec();
+    }
+    Ok((pairs, figures))
 }
 
-fn main() {
-    let pairs = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60);
-
-    println!("== Fig. 3: CRT phase alignment ==");
-    persist(figures::fig03());
-
-    println!("== Fig. 4: multipath profile ==");
-    persist(figures::fig04());
-
-    println!("== Figs. 7a/7b/7c + 8a: testbed accuracy ({pairs} pairs) ==");
-    let trials = figures::accuracy_trials(42, pairs);
-    persist(figures::fig07a(&trials));
-    persist(figures::fig07b(&trials));
-    persist(figures::fig07c(&trials));
-    persist(figures::fig08a(&trials));
-
-    println!("== Fig. 8b: localization, 30 cm client array ==");
-    persist(figures::fig08_localization(
-        "fig08b_localization_client",
-        42,
-        pairs,
-        AntennaArray::laptop(),
-        "0.58",
-        "1.18",
-    ));
-
-    println!("== Fig. 8c: localization, 100 cm AP array ==");
-    persist(figures::fig08_localization(
-        "fig08c_localization_ap",
-        43,
-        pairs,
-        AntennaArray::access_point(),
-        "0.35",
-        "0.62",
-    ));
-
-    println!("== Fig. 9a: hop time ==");
-    persist(figures::fig09a(7, 200));
-
-    println!("== Fig. 9b: video trace ==");
-    persist(figures::fig09b(11));
-
-    println!("== Fig. 9c: TCP trace ==");
-    persist(figures::fig09c(12));
-
-    println!("== Fig. 10a: drone distance ==");
-    persist(figures::fig10a(21, 240));
-
-    println!("== Fig. 10b: drone trajectory ==");
-    persist(figures::fig10b(22, 240));
-
-    println!("all figures regenerated under {}", data_dir().display());
+fn main() -> ExitCode {
+    let (pairs, figures) = match parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let experiments = Experiments::new(pairs);
+    let dir = data_dir();
+    for (name, generate) in figures {
+        println!("== {name} ==");
+        for table in generate(&experiments) {
+            let path = write_csv(&table, &dir).expect("write csv");
+            println!("  wrote {}", path.display());
+        }
+    }
+    println!("figures written under {}", dir.display());
+    ExitCode::SUCCESS
 }

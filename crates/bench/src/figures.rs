@@ -1,18 +1,116 @@
-//! Figure generators: one function per paper figure, shared between the
-//! per-figure binaries and `run_all`. Each returns the tables it printed,
-//! so callers can also persist them as CSV.
+//! The paper's figures and the experiments behind them, run by
+//! `run_all <figure>`.
+//!
+//! [`FIGURES`] names every figure (Figs. 3, 4, 7a–10b and the headline
+//! `summary`) beside its generator. A generator reads its samples from
+//! [`Experiments`], which runs each experiment at most once, when the
+//! first figure asks for it, so every figure of one invocation that
+//! reads an experiment reads the same samples. Each generator prints its
+//! tables and returns them for the caller to persist as CSV.
 
 use crate::report::Table;
 use crate::scenarios::{
     run_accuracy, run_drone, run_fig4_profile, run_hop_times, run_tcp_trace, run_video_trace,
-    split_errors, summarize, AccuracyConfig,
+    split_errors, summarize, AccuracyConfig, LinkTrial,
 };
-use chronos_core::config::ChronosConfig;
 use chronos_core::crt::congruence_from_channel;
+use chronos_drone::FollowRecord;
 use chronos_math::stats::{Buckets, Ecdf, Histogram};
 use chronos_math::Complex64;
 use chronos_rf::hardware::AntennaArray;
+use std::cell::OnceCell;
 use std::f64::consts::PI;
+
+/// A figure: its name on `run_all`'s command line and its generator.
+pub type Figure = (&'static str, fn(&Experiments) -> Vec<Table>);
+
+/// Every figure, in the order `run_all` runs them when given no names.
+pub const FIGURES: [Figure; 14] = [
+    ("fig03", |_| fig03()),
+    ("fig04", |_| fig04()),
+    ("fig07a", |x| fig07a(x.floor42())),
+    ("fig07b", |x| fig07b(x.floor42())),
+    ("fig07c", |x| fig07c(x.floor42())),
+    ("fig08a", |x| fig08a(x.floor42())),
+    ("fig08b", |x| {
+        fig08_localization("fig08b_localization_client", x.floor42(), "0.58", "1.18")
+    }),
+    ("fig08c", |x| {
+        fig08_localization("fig08c_localization_ap", x.floor43(), "0.35", "0.62")
+    }),
+    ("fig09a", |x| fig09a(x.hop_times())),
+    ("fig09b", |_| fig09b(11)),
+    ("fig09c", |_| fig09c(12)),
+    ("fig10a", |x| fig10a(x.drone())),
+    ("fig10b", |x| fig10b(x.drone())),
+    ("summary", |x| {
+        summary(x.floor42(), x.floor43(), x.hop_times(), x.drone())
+    }),
+];
+
+/// The experiments the figures share, each run on first use and kept:
+///
+/// - floor 42 with the 30 cm laptop array: Figs. 7a–7c, 8a, 8b and the
+///   summary's ToF, distance and client-array rows;
+/// - floor 43 with the 100 cm access-point array: Fig. 8c and the
+///   summary's AP-array rows;
+/// - 200 band sweeps (seed 7): Fig. 9a and the summary's hop-time row;
+/// - one 240-tick drone flight (seed 21): Figs. 10a, 10b and the
+///   summary's drone rows.
+#[derive(Debug)]
+pub struct Experiments {
+    pairs: usize,
+    floor42: OnceCell<Vec<LinkTrial>>,
+    floor43: OnceCell<Vec<LinkTrial>>,
+    hop_times: OnceCell<Vec<f64>>,
+    drone: OnceCell<Vec<FollowRecord>>,
+}
+
+impl Experiments {
+    /// Experiments whose testbed sweeps take at most `pairs` placements
+    /// per floor (`usize::MAX`: the whole floor, 380 placements on
+    /// floor 42 and 383 on floor 43).
+    pub fn new(pairs: usize) -> Self {
+        Experiments {
+            pairs,
+            floor42: OnceCell::new(),
+            floor43: OnceCell::new(),
+            hop_times: OnceCell::new(),
+            drone: OnceCell::new(),
+        }
+    }
+
+    /// The floor-42 laptop-array sweep.
+    pub fn floor42(&self) -> &[LinkTrial] {
+        self.floor42
+            .get_or_init(|| self.sweep(42, AntennaArray::laptop()))
+    }
+
+    /// The floor-43 access-point-array sweep.
+    pub fn floor43(&self) -> &[LinkTrial] {
+        self.floor43
+            .get_or_init(|| self.sweep(43, AntennaArray::access_point()))
+    }
+
+    /// The band-sweep (hop) times, milliseconds.
+    pub fn hop_times(&self) -> &[f64] {
+        self.hop_times.get_or_init(|| run_hop_times(7, 200))
+    }
+
+    /// The drone flight's per-tick records.
+    pub fn drone(&self) -> &[FollowRecord] {
+        self.drone.get_or_init(|| run_drone(21, 240))
+    }
+
+    fn sweep(&self, seed: u64, array: AntennaArray) -> Vec<LinkTrial> {
+        run_accuracy(&AccuracyConfig {
+            seed,
+            max_pairs: self.pairs,
+            array,
+            ..Default::default()
+        })
+    }
+}
 
 /// Quantiles sampled when a figure dumps a CDF.
 const CDF_POINTS: [f64; 13] = [
@@ -43,7 +141,7 @@ fn cdf_table(name: &str, series: &[(&str, &[f64])]) -> Table {
 /// For each of the five illustrated bands, lists the candidate delays in
 /// `[0, 3]` ns implied by the band's phase; the final row reports the
 /// voting solution (the delay where most bands align).
-pub fn fig03() -> Vec<Table> {
+fn fig03() -> Vec<Table> {
     let tau = chronos_math::constants::m_to_ns(0.6);
     let freqs_ghz = [2.412, 2.462, 5.18, 5.3, 5.825];
     let mut t = Table::new("fig03_crt", &["band_ghz", "candidate_delays_ns"]);
@@ -77,7 +175,7 @@ pub fn fig03() -> Vec<Table> {
 }
 
 /// Fig. 4: the recovered three-path multipath profile.
-pub fn fig04() -> Vec<Table> {
+fn fig04() -> Vec<Table> {
     let (rows, tof) = run_fig4_profile();
     let mut t = Table::new("fig04_multipath_profile", &["delay_ns", "magnitude"]);
     for (d, m) in rows.iter().filter(|(_, m)| *m > 1e-6) {
@@ -90,19 +188,8 @@ pub fn fig04() -> Vec<Table> {
     vec![t, s]
 }
 
-/// Shared accuracy sweep used by Figs. 7a/7b/7c/8a/8b. Heavier than the
-/// rest; `pairs` scales effort.
-pub fn accuracy_trials(seed: u64, pairs: usize) -> Vec<crate::scenarios::LinkTrial> {
-    let cfg = AccuracyConfig {
-        seed,
-        max_pairs: pairs,
-        ..Default::default()
-    };
-    run_accuracy(&cfg)
-}
-
 /// Fig. 7(a): CDF of time-of-flight error, LOS vs NLOS.
-pub fn fig07a(trials: &[crate::scenarios::LinkTrial]) -> Vec<Table> {
+fn fig07a(trials: &[LinkTrial]) -> Vec<Table> {
     let (los, nlos) = split_errors(trials, |t| t.tof_errors_ns.clone());
     let t = cdf_table(
         "fig07a_tof_error_cdf",
@@ -142,7 +229,7 @@ pub fn fig07a(trials: &[crate::scenarios::LinkTrial]) -> Vec<Table> {
 }
 
 /// Fig. 7(b): representative multipath profiles + the sparsity statistic.
-pub fn fig07b(trials: &[crate::scenarios::LinkTrial]) -> Vec<Table> {
+fn fig07b(trials: &[LinkTrial]) -> Vec<Table> {
     let counts: Vec<f64> = trials
         .iter()
         .flat_map(|t| t.peak_counts.iter().map(|c| *c as f64))
@@ -164,7 +251,7 @@ pub fn fig07b(trials: &[crate::scenarios::LinkTrial]) -> Vec<Table> {
 }
 
 /// Fig. 7(c): histograms of propagation delay vs packet detection delay.
-pub fn fig07c(trials: &[crate::scenarios::LinkTrial]) -> Vec<Table> {
+fn fig07c(trials: &[LinkTrial]) -> Vec<Table> {
     let delays: Vec<f64> = trials
         .iter()
         .flat_map(|t| t.detection_delays_ns.clone())
@@ -211,7 +298,7 @@ pub fn fig07c(trials: &[crate::scenarios::LinkTrial]) -> Vec<Table> {
 }
 
 /// Fig. 8(a): distance error vs ground-truth distance buckets.
-pub fn fig08a(trials: &[crate::scenarios::LinkTrial]) -> Vec<Table> {
+fn fig08a(trials: &[LinkTrial]) -> Vec<Table> {
     let edges = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 15.0];
     let mut los_b = Buckets::new(&edges);
     let mut nlos_b = Buckets::new(&edges);
@@ -251,24 +338,14 @@ pub fn fig08a(trials: &[crate::scenarios::LinkTrial]) -> Vec<Table> {
     vec![t]
 }
 
-/// Figs. 8(b)/8(c): localization error CDF for a given antenna array.
-pub fn fig08_localization(
+/// Figs. 8(b)/8(c): localization error CDF of one testbed sweep.
+fn fig08_localization(
     name: &str,
-    seed: u64,
-    pairs: usize,
-    array: AntennaArray,
+    trials: &[LinkTrial],
     paper_los: &str,
     paper_nlos: &str,
 ) -> Vec<Table> {
-    let cfg = AccuracyConfig {
-        seed,
-        max_pairs: pairs,
-        array,
-        chronos: ChronosConfig::default(),
-        ..Default::default()
-    };
-    let trials = run_accuracy(&cfg);
-    let (los, nlos) = split_errors(&trials, |t| t.localization_error_m.into_iter().collect());
+    let (los, nlos) = split_errors(trials, |t| t.localization_error_m.into_iter().collect());
     let t = cdf_table(
         &format!("{name}_cdf"),
         &[("los_m", &los), ("nlos_m", &nlos)],
@@ -296,10 +373,9 @@ pub fn fig08_localization(
 }
 
 /// Fig. 9(a): CDF of band-sweep (hop) time.
-pub fn fig09a(seed: u64, n: usize) -> Vec<Table> {
-    let times = run_hop_times(seed, n);
-    let t = cdf_table("fig09a_hop_time_cdf", &[("hop_ms", &times)]);
-    let s = summarize(&times);
+fn fig09a(times: &[f64]) -> Vec<Table> {
+    let t = cdf_table("fig09a_hop_time_cdf", &[("hop_ms", times)]);
+    let s = summarize(times);
     let mut sm = Table::new("fig09a_summary", &["median_ms", "paper_median_ms", "n"]);
     sm.row(&[format!("{:.1}", s.median), "84".into(), format!("{}", s.n)]);
     println!("{}", sm.render());
@@ -307,7 +383,7 @@ pub fn fig09a(seed: u64, n: usize) -> Vec<Table> {
 }
 
 /// Fig. 9(b): video download/play trace around a localization at t = 6 s.
-pub fn fig09b(seed: u64) -> Vec<Table> {
+fn fig09b(seed: u64) -> Vec<Table> {
     let samples = run_video_trace(seed);
     let mut t = Table::new(
         "fig09b_video_trace",
@@ -329,7 +405,7 @@ pub fn fig09b(seed: u64) -> Vec<Table> {
 }
 
 /// Fig. 9(c): TCP throughput trace around the same localization.
-pub fn fig09c(seed: u64) -> Vec<Table> {
+fn fig09c(seed: u64) -> Vec<Table> {
     let samples = run_tcp_trace(seed);
     let mut t = Table::new("fig09c_tcp_trace", &["t_s", "throughput_mbps"]);
     for s in &samples {
@@ -356,12 +432,20 @@ pub fn fig09c(seed: u64) -> Vec<Table> {
     vec![t, sm]
 }
 
-/// Fig. 10(a): CDF of the drone's deviation from the 1.4 m target.
-pub fn fig10a(seed: u64, ticks: usize) -> Vec<Table> {
-    let records = run_drone(seed, ticks);
+/// The drone's deviation from its 1.4 m target distance per tick after
+/// the take-off (the first 30 ticks, or a quarter of a shorter flight),
+/// centimeters.
+fn drone_deviations_cm(records: &[FollowRecord]) -> Vec<f64> {
     let warmup = 30.min(records.len() / 4);
-    let dev = chronos_drone::FollowSim::deviations(&records, 1.4, warmup);
-    let dev_cm: Vec<f64> = dev.iter().map(|d| d * 100.0).collect();
+    chronos_drone::FollowSim::deviations(records, 1.4, warmup)
+        .iter()
+        .map(|d| d * 100.0)
+        .collect()
+}
+
+/// Fig. 10(a): CDF of the drone's deviation from the 1.4 m target.
+fn fig10a(records: &[FollowRecord]) -> Vec<Table> {
+    let dev_cm = drone_deviations_cm(records);
     let t = cdf_table("fig10a_drone_deviation_cdf", &[("deviation_cm", &dev_cm)]);
     let s = summarize(&dev_cm);
     let rmse = chronos_math::stats::rms(&dev_cm);
@@ -387,8 +471,7 @@ pub fn fig10a(seed: u64, ticks: usize) -> Vec<Table> {
 }
 
 /// Fig. 10(b): the drone/user trajectory dump.
-pub fn fig10b(seed: u64, ticks: usize) -> Vec<Table> {
-    let records = run_drone(seed, ticks);
+fn fig10b(records: &[FollowRecord]) -> Vec<Table> {
     let mut t = Table::new(
         "fig10b_trajectory",
         &[
@@ -417,6 +500,87 @@ pub fn fig10b(seed: u64, ticks: usize) -> Vec<Table> {
     vec![t]
 }
 
+/// The headline table: every §1 bullet of the paper beside the same
+/// samples Figs. 7a, 8b, 8c, 9a and 10a read.
+fn summary(
+    floor42: &[LinkTrial],
+    floor43: &[LinkTrial],
+    hop_times: &[f64],
+    drone: &[FollowRecord],
+) -> Vec<Table> {
+    let median = |xs: &[f64]| summarize(xs).median;
+    let median_cm = |xs: &[f64]| median(xs) * 100.0;
+    let localization =
+        |trials| split_errors(trials, |tr| tr.localization_error_m.into_iter().collect());
+    let (tof_los, tof_nlos) = split_errors(floor42, |tr| tr.tof_errors_ns.clone());
+    let (d_los, d_nlos) = split_errors(floor42, |tr| tr.distance_errors_m.clone());
+    let (client_los, client_nlos) = localization(floor42);
+    let (ap_los, ap_nlos) = localization(floor43);
+    let dev_cm = drone_deviations_cm(drone);
+    let rms_cm = chronos_math::stats::rms(&dev_cm);
+    // (metric, paper, measured, decimals, unit)
+    let rows = [
+        ("median ToF error, LOS", "0.47", median(&tof_los), 2, "ns"),
+        ("median ToF error, NLOS", "0.69", median(&tof_nlos), 2, "ns"),
+        (
+            "median distance error, LOS",
+            "14.1",
+            median_cm(&d_los),
+            1,
+            "cm",
+        ),
+        (
+            "median distance error, NLOS",
+            "20.7",
+            median_cm(&d_nlos),
+            1,
+            "cm",
+        ),
+        (
+            "median localization LOS, client 30cm",
+            "58",
+            median_cm(&client_los),
+            0,
+            "cm",
+        ),
+        (
+            "median localization NLOS, client 30cm",
+            "118",
+            median_cm(&client_nlos),
+            0,
+            "cm",
+        ),
+        (
+            "median localization LOS, AP 100cm",
+            "35",
+            median_cm(&ap_los),
+            0,
+            "cm",
+        ),
+        (
+            "median localization NLOS, AP 100cm",
+            "62",
+            median_cm(&ap_nlos),
+            0,
+            "cm",
+        ),
+        ("median band-sweep time", "84", median(hop_times), 0, "ms"),
+        ("drone distance RMSE", "4.2", rms_cm, 1, "cm"),
+        ("drone median deviation", "4.17", median(&dev_cm), 1, "cm"),
+    ];
+    let mut t = Table::new("summary_table", &["metric", "paper", "measured", "unit"]);
+    for (metric, paper, measured, decimals, unit) in rows {
+        t.row(&[
+            metric.into(),
+            paper.into(),
+            format!("{measured:.decimals$}"),
+            unit.into(),
+        ]);
+    }
+    println!("{}", t.render());
+    vec![t]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +597,7 @@ mod tests {
 
     #[test]
     fn fig09a_median_near_84() {
-        let tables = fig09a(5, 15);
+        let tables = fig09a(&run_hop_times(5, 15));
         let med: f64 = tables[1].rows[0][0].parse().unwrap();
         assert!((70.0..100.0).contains(&med), "median {med}");
     }
@@ -449,6 +613,52 @@ mod tests {
         let tables = fig09c(7);
         let dip: f64 = tables[1].rows[0][0].parse().unwrap();
         assert!((2.0..15.0).contains(&dip), "dip {dip}%");
+    }
+
+    #[test]
+    fn summary_reads_the_hop_and_drone_samples_of_figs_9a_and_10a() {
+        let hops = run_hop_times(5, 15);
+        // A flight shorter than the 30-tick take-off: the summary must
+        // skip the same ticks as Fig. 10a.
+        let drone = run_drone(21, 16);
+        let trial = LinkTrial {
+            true_distance_m: 3.0,
+            los: true,
+            tof_errors_ns: vec![0.1],
+            distance_errors_m: vec![0.03],
+            localization_error_m: Some(0.2),
+            peak_counts: vec![],
+            detection_delays_ns: vec![],
+            true_tof_ns: 10.0,
+        };
+        let trials = [
+            trial.clone(),
+            LinkTrial {
+                los: false,
+                ..trial
+            },
+        ];
+        let table = &summary(&trials, &trials, &hops, &drone)[0];
+        let cell = |metric: &str| -> f64 {
+            let row = table.rows.iter().find(|r| r[0] == metric).expect(metric);
+            row[2].parse().expect("number")
+        };
+        let fig09a: f64 = fig09a(&hops)[1].rows[0][0].parse().unwrap();
+        let fig10a = &fig10a(&drone)[1].rows[0];
+        let (median, rmse): (f64, f64) = (fig10a[0].parse().unwrap(), fig10a[1].parse().unwrap());
+        // Each pair agrees to the summary's precision (1 ms, 0.1 cm),
+        // widened by the figure's own rounding.
+        assert!((cell("median band-sweep time") - fig09a).abs() <= 0.55);
+        assert!((cell("drone distance RMSE") - rmse).abs() <= 0.055);
+        assert!((cell("drone median deviation") - median).abs() <= 0.055);
+    }
+
+    #[test]
+    fn figure_names_are_unique() {
+        let mut names: Vec<&str> = FIGURES.iter().map(|f| f.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FIGURES.len());
     }
 
     #[test]

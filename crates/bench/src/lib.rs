@@ -5,10 +5,12 @@
 //! "Paper Map" is the experiment index), plus CSV/console reporting
 //! helpers.
 //!
-//! Each figure has a binary in `src/bin/`; `run_all` executes everything
-//! and writes `EXPERIMENTS-data/*.csv`. The six `bench_*` binaries beside
-//! them are the gated benchmarks: each writes or checks a `BENCH_*.json`
-//! baseline (see [`cli`] and `scripts/check-bench-regression.sh`).
+//! One binary, `run_all <figure>...`, regenerates the figures
+//! ([`figures::FIGURES`]; none named means all) and writes
+//! `EXPERIMENTS-data/*.csv`, running each experiment once. The six
+//! `bench_*` binaries beside it are the gated benchmarks: each writes
+//! or checks a `BENCH_*.json` baseline (see [`cli`] and
+//! `scripts/check-bench-regression.sh`).
 
 pub mod adversarial;
 pub mod alloc_count;

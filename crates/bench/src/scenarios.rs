@@ -1,15 +1,19 @@
 //! Scenario builders and Monte-Carlo runners for the paper's evaluation.
 //!
-//! Every figure of §12 maps to one function here (the README's "Paper
-//! Map" indexes them). The
-//! runners are deterministic given a seed and parallelized across links
-//! with std scoped threads.
+//! Every experiment behind a §12 figure is one function here; the
+//! figures of [`crate::figures`] read their samples, and
+//! `run_all <figure>` regenerates them (the README's "Paper Map"
+//! indexes them).
+//! Every runner is a pure function of its seed and sizes:
+//! [`run_accuracy`] spreads its placements over a
+//! [`WorkerRuntime`], and each trial's seed depends on its placement
+//! alone, so the trials are the same at any thread count.
 
 use chronos_core::config::ChronosConfig;
 use chronos_core::delay::arrival_delay_ns;
 use chronos_core::session::ChronosSession;
 use chronos_core::tof::genie_product;
-use chronos_core::{SweepPipeline, TofEstimator};
+use chronos_core::{PlanCache, SweepPipeline, TofEstimator, WorkerRuntime};
 use chronos_link::sweep::{run_sweep, SweepConfig};
 use chronos_link::time::Instant;
 use chronos_link::traffic::{Outage, TcpModel, TcpSample, VideoModel, VideoSample};
@@ -21,9 +25,10 @@ use chronos_rf::hardware::{AntennaArray, DeviceModel, Intel5300};
 use chronos_rf::testbed::Testbed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// One link-level trial outcome (a device pair at a testbed placement).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkTrial {
     /// Ground-truth distance between device origins, meters.
     pub true_distance_m: f64,
@@ -49,13 +54,14 @@ pub struct AccuracyConfig {
     /// Master seed.
     pub seed: u64,
     /// Maximum number of placements to evaluate (subsampled determin-
-    /// istically from the testbed's pair list).
+    /// istically from the testbed's pair list; `usize::MAX` takes the
+    /// whole floor).
     pub max_pairs: usize,
     /// Receiver antenna array (laptop = Fig. 8b, access point = Fig. 8c).
     pub array: AntennaArray,
     /// Estimator configuration.
     pub chronos: ChronosConfig,
-    /// Worker threads.
+    /// Worker threads. The trials do not depend on it.
     pub threads: usize,
 }
 
@@ -77,13 +83,15 @@ impl Default for AccuracyConfig {
 /// testbed placement. Calibration happens once per pair at a known 2 m
 /// line-of-sight geometry (paper §7 obs. 2), *before* the pair ever sees
 /// the testbed — nothing about the evaluation placement leaks into it.
+/// The session reads its plans from `plans`, which every pair of an
+/// experiment shares (estimates are the same as on a private cache).
 fn calibrated_session(
     rng: &mut StdRng,
-    array: &AntennaArray,
-    chronos: &ChronosConfig,
+    cfg: &AccuracyConfig,
+    plans: &Arc<PlanCache>,
 ) -> ChronosSession {
     let initiator: DeviceModel = Intel5300::mobile(rng);
-    let responder: DeviceModel = Intel5300::device(rng, array.clone());
+    let responder: DeviceModel = Intel5300::device(rng, cfg.array.clone());
     let mut ctx = MeasurementContext::new(
         Environment::free_space(),
         initiator,
@@ -96,28 +104,30 @@ fn calibrated_session(
     // at 15 m (and through walls) retain workable CSI SNR, as the paper's
     // testbed did.
     ctx.snr.snr_at_1m_db = 50.0;
-    let mut session = ChronosSession::new(ctx, chronos.clone());
+    let mut session = ChronosSession::with_cache(ctx, cfg.chronos.clone(), Arc::clone(plans));
     session.calibrate(rng, 2);
     session
 }
 
-/// Runs one placement trial.
+/// Runs one placement trial, sweeping on `pipeline` (bitwise the same
+/// as a fresh one) with plans from `plans`.
 fn run_link_trial(
     seed: u64,
     testbed: &Testbed,
     pair: &chronos_rf::testbed::TestbedPair,
-    array: &AntennaArray,
-    chronos: &ChronosConfig,
+    cfg: &AccuracyConfig,
+    plans: &Arc<PlanCache>,
+    pipeline: &mut SweepPipeline,
 ) -> LinkTrial {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut session = calibrated_session(&mut rng, array, chronos);
+    let mut session = calibrated_session(&mut rng, cfg, plans);
 
     // Move the pair into the testbed.
     session.ctx.environment = testbed.environment.clone();
     session.ctx.initiator_pos = pair.a;
     session.ctx.responder_pos = pair.b;
 
-    let out = session.sweep(&mut rng, Instant::ZERO);
+    let out = session.sweep_with_pipeline(&session.sweep_cfg, &mut rng, Instant::ZERO, pipeline);
 
     let ant_world = session.ctx.responder.antennas.world_positions(pair.b);
     let mut tof_errors_ns = Vec::new();
@@ -166,7 +176,9 @@ fn run_link_trial(
 }
 
 /// Runs the full testbed accuracy experiment (shared by Figs. 7a, 7b, 7c,
-/// 8a, 8b, 8c). Deterministic per config.
+/// 8a, 8b, 8c). Placement `i` is trial `i`, seeded `seed·1 000 003 + i`
+/// whichever lane runs it, so the trials depend on the config but not
+/// on `threads`.
 pub fn run_accuracy(cfg: &AccuracyConfig) -> Vec<LinkTrial> {
     let testbed = Testbed::office(cfg.seed);
     let mut pairs = testbed.pairs_within(15.0);
@@ -178,33 +190,18 @@ pub fn run_accuracy(cfg: &AccuracyConfig) -> Vec<LinkTrial> {
             .collect();
     }
 
-    let results: Vec<LinkTrial> = std::thread::scope(|scope| {
-        let chunk = pairs.len().div_ceil(cfg.threads.max(1));
-        let mut handles = Vec::new();
-        for (w, slice) in pairs.chunks(chunk).enumerate() {
-            let testbed = &testbed;
-            let chronos = &cfg.chronos;
-            let array = &cfg.array;
-            let seed = cfg.seed;
-            handles.push(scope.spawn(move || {
-                slice
-                    .iter()
-                    .enumerate()
-                    .map(|(i, pair)| {
-                        let trial_seed = seed
-                            .wrapping_mul(1_000_003)
-                            .wrapping_add((w * 10_000 + i) as u64);
-                        run_link_trial(trial_seed, testbed, pair, array, chronos)
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker"))
-            .collect()
-    });
-    results
+    let lanes = cfg.threads.max(1);
+    let mut pipelines: Vec<SweepPipeline> = (0..lanes).map(|_| SweepPipeline::new()).collect();
+    let base = cfg.seed.wrapping_mul(1_000_003);
+    let plans = Arc::new(PlanCache::new());
+    WorkerRuntime::new(lanes - 1).run(
+        pairs.iter().enumerate(),
+        &mut pipelines,
+        |pipeline, (i, pair)| {
+            let seed = base.wrapping_add(i as u64);
+            run_link_trial(seed, &testbed, pair, cfg, &plans, pipeline)
+        },
+    )
 }
 
 /// Splits trials into (LOS, NLOS) flattened error vectors by a selector.
@@ -374,18 +371,20 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_runner_deterministic() {
-        let cfg = AccuracyConfig {
-            seed: 9,
-            max_pairs: 3,
-            array: AntennaArray::laptop(),
-            chronos: quick_chronos(),
-            threads: 1,
+    fn accuracy_trials_identical_at_any_thread_count() {
+        let run = |threads| {
+            run_accuracy(&AccuracyConfig {
+                seed: 9,
+                max_pairs: 6,
+                array: AntennaArray::laptop(),
+                chronos: quick_chronos(),
+                threads,
+            })
         };
-        let a = run_accuracy(&cfg);
-        let b = run_accuracy(&cfg);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.tof_errors_ns, y.tof_errors_ns);
+        let one = run(1);
+        assert_eq!(one.len(), 6);
+        for threads in [2, 5] {
+            assert_eq!(run(threads), one, "{threads} threads");
         }
     }
 

@@ -34,8 +34,8 @@
 //! ```
 //!
 //! `Join`/`Leave` are first-class: clients can enter and exit the pool
-//! mid-run ([`ServiceEngine::join_session`], [`ServiceEngine::leave`],
-//! [`ServiceEngine::leave_at`]) without disturbing other clients'
+//! between windows ([`ServiceEngine::join_session`],
+//! [`ServiceEngine::leave`]) without disturbing other clients'
 //! schedules or the arbiter's single-charge airtime accounting.
 //!
 //! ## Windows and epoch rounds
@@ -321,8 +321,6 @@ enum EngineEvent {
     SweepDue(usize),
     /// A sweep's link-layer exchange finished; fuse and reschedule.
     SweepComplete(Box<CompletedSweep>),
-    /// A client leaves the pool at this instant.
-    Leave(usize),
 }
 
 /// Everything a finished sweep carries to its `SweepComplete` event.
@@ -531,11 +529,6 @@ pub struct ServiceEngine {
     subsets: HashMap<(Vec<u16>, usize), Arc<Vec<Band>>>,
     arbiter: MediumArbiter,
     queue: EventQueue<EngineEvent>,
-    /// Queued `SweepDue`/`SweepComplete` events. When this hits zero the
-    /// queue holds only scheduled departures — a timeless epoch drain
-    /// stops there instead of pulling far-future `leave_at` events out
-    /// of their virtual time.
-    pending_ops: usize,
     /// `SweepComplete` events currently queued — sweeps on the air. The
     /// ingestion drain uses this for work conservation: with nothing in
     /// flight and nothing admitted this instant, at least one queued
@@ -585,7 +578,6 @@ impl ServiceEngine {
             subsets: HashMap::new(),
             arbiter,
             queue: EventQueue::new(),
-            pending_ops: 0,
             in_flight: 0,
             ingest,
             clock: Instant::ZERO,
@@ -615,8 +607,8 @@ impl ServiceEngine {
         self.clock
     }
 
-    /// Queued events (pending dues, in-flight completions, scheduled
-    /// leaves). Zero means the engine is quiescent.
+    /// Queued events (pending dues and in-flight completions). Zero
+    /// means the engine is quiescent.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -698,13 +690,6 @@ impl ServiceEngine {
             }
             _ => false,
         }
-    }
-
-    /// Schedules a client's departure at simulated time `t` (an
-    /// engine-level event, processed in time order with the sweeps).
-    pub fn leave_at(&mut self, idx: usize, t: Instant) {
-        self.queue
-            .schedule(t.max(self.clock), EngineEvent::Leave(idx));
     }
 
     /// Extracts a client's portable tracking state and deactivates the
@@ -1163,7 +1148,6 @@ impl ServiceEngine {
                     TrackMode::Acquire => ACQUIRE_GAP,
                 };
                 slot.scheduled = true;
-                self.pending_ops += 1;
                 self.queue
                     .schedule(now + gap, EngineEvent::SweepDue(client));
             }
@@ -1177,7 +1161,6 @@ impl ServiceEngine {
         for idx in 0..self.slots.len() {
             if self.slots[idx].active && !self.slots[idx].scheduled {
                 self.slots[idx].scheduled = true;
-                self.pending_ops += 1;
                 self.queue.schedule(at, EngineEvent::SweepDue(idx));
             }
         }
@@ -1203,23 +1186,22 @@ impl ServiceEngine {
     /// stays held by the retry event.
     fn retry_later(&mut self, client: usize, now: Instant, gap: Duration) {
         self.slots[client].pending_deferrals += 1;
-        self.pending_ops += 1;
         self.queue
             .schedule(now + gap, EngineEvent::SweepDue(client));
     }
 
     /// The event loop: processes queued events in virtual-time order
     /// until the next event would fire past `deadline` (a continuous
-    /// window) or, without a deadline (an epoch round), until only
-    /// scheduled departures remain. Only a window reschedules completed
-    /// sweeps, admits ACQUIRE dues first and runs the ingestion front
-    /// end; a round keeps the legacy semantics.
+    /// window) or, without a deadline (an epoch round), until the queue
+    /// is empty. Only a window reschedules completed sweeps, admits
+    /// ACQUIRE dues first and runs the ingestion front end; a round
+    /// keeps the legacy semantics.
     ///
     /// All events firing at one instant are drained together and
-    /// processed leaves first, then completions, then the admission
-    /// batch — completions before admissions so same-instant grants see
-    /// actual sweep ends, dues last so the ACQUIRE-priority ordering
-    /// spans every due of the instant.
+    /// processed completions first, then the admission batch —
+    /// completions before admissions so same-instant grants see actual
+    /// sweep ends, dues last so the ACQUIRE-priority ordering spans
+    /// every due of the instant.
     ///
     /// With the ingestion front-end active (continuous windows only),
     /// dues no longer book the arbiter directly: they are *offered* to
@@ -1236,33 +1218,19 @@ impl ServiceEngine {
         // borrow both freely.
         let mut ingest = if continuous { self.ingest.take() } else { None };
         while let Some(now) = self.queue.peek_time() {
-            match deadline {
-                Some(d) if now > d => break,
-                // A timeless (epoch) drain stops once only scheduled
-                // departures remain: a far-future `leave_at` must not be
-                // pulled out of its virtual time by the round.
-                None if self.pending_ops == 0 => break,
-                _ => {}
+            if deadline.is_some_and(|d| now > d) {
+                break;
             }
             // Drain the whole instant (pop order is deterministic).
             let mut completes: Vec<Box<CompletedSweep>> = Vec::new();
             let mut due: Vec<usize> = Vec::new();
             while let Some(event) = self.queue.pop_if_at(now) {
                 match event {
-                    EngineEvent::Leave(c) => {
-                        if let Some(s) = self.slots.get_mut(c) {
-                            s.active = false;
-                        }
-                    }
                     EngineEvent::SweepComplete(done) => {
-                        self.pending_ops -= 1;
                         self.in_flight -= 1;
                         completes.push(done);
                     }
-                    EngineEvent::SweepDue(c) => {
-                        self.pending_ops -= 1;
-                        due.push(c);
-                    }
+                    EngineEvent::SweepDue(c) => due.push(c),
                 }
             }
             // TRACK reschedules of this instant's completions see the
@@ -1362,7 +1330,6 @@ impl ServiceEngine {
             for (job, out) in jobs.into_iter().zip(results) {
                 self.arbiter.complete(job.grant.token, out.link.finished);
                 let ctx = &self.slots[job.client].session.ctx;
-                self.pending_ops += 1;
                 self.in_flight += 1;
                 self.queue.schedule(
                     out.link.finished,
@@ -1426,7 +1393,6 @@ impl ServiceEngine {
         if let Some(ing) = self.ingest.as_mut() {
             while let Some((class, c)) = ing.queue.pop() {
                 ing.stats.admitted.add(class, 1);
-                self.pending_ops += 1;
                 self.queue.schedule(at, EngineEvent::SweepDue(c));
             }
         }
@@ -1664,31 +1630,6 @@ mod tests {
     }
 
     #[test]
-    fn leave_at_stops_scheduling_mid_window() {
-        let mut eng = engine_with(2, ServiceConfig::adaptive(TrackerConfig::default()));
-        eng.leave_at(1, Instant::from_millis(250));
-        let w = eng.run_until(5, Instant::from_millis(800));
-        assert!(!eng.is_active(1));
-        assert_eq!(eng.n_active(), 1);
-        let last_c1 = w
-            .outcomes
-            .iter()
-            .filter(|o| o.client == 1)
-            .map(|o| o.started)
-            .max()
-            .expect("client 1 swept before leaving");
-        // Sweeps admitted after the departure instant would start later
-        // than ~250 ms (+ one in-flight completion).
-        assert!(
-            last_c1 < Instant::from_millis(400),
-            "client 1 still sweeping at {last_c1}"
-        );
-        // Client 0 keeps its cadence.
-        let c0 = w.outcomes.iter().filter(|o| o.client == 0).count();
-        assert!(c0 >= 8, "client 0 made only {c0} sweeps");
-    }
-
-    #[test]
     fn long_windows_keep_arbiter_bounded() {
         // One multi-second window must not accumulate an arbiter window
         // per sweep: fully elapsed windows are flushed periodically,
@@ -1719,27 +1660,6 @@ mod tests {
         );
         // Flushed coverage still reports as one continuous utilization.
         assert!(w.utilization > 0.8, "utilization {}", w.utilization);
-    }
-
-    #[test]
-    fn future_leave_survives_epoch_rounds_until_its_time() {
-        // A departure scheduled far in the virtual future must not be
-        // pulled forward by run_epoch's timeless queue drain: the client
-        // keeps sweeping until the engine's clock actually passes the
-        // departure instant.
-        let mut eng = engine_with(2, ServiceConfig::adaptive(TrackerConfig::default()));
-        eng.leave_at(1, Instant::from_millis(800));
-        let e0 = eng.run_epoch(3);
-        assert_eq!(e0.outcomes.len(), 2, "client 1 must still sweep");
-        assert!(eng.is_active(1), "leave fired {} early", eng.clock());
-        // Drive the clock past the departure with continuous windows.
-        eng.run_until(3, Instant::from_millis(900));
-        assert!(!eng.is_active(1));
-        // The later round serves only client 0 (possibly twice: a sweep
-        // carried over from the window plus its fresh epoch sweep).
-        let late = eng.run_epoch(3);
-        assert!(!late.outcomes.is_empty());
-        assert!(late.outcomes.iter().all(|o| o.client == 0));
     }
 
     #[test]

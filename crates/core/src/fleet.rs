@@ -75,6 +75,10 @@ const BLAST_SALT: u64 = 0xb1a5_7b1a_57b1_a570;
 /// comparison.
 const BLAST_ITEM_CLIENTS: usize = 32;
 
+/// A client hands off only when the nearest AP is closer than the
+/// serving AP by more than this margin, meters (ping-pong damping).
+const HANDOFF_HYSTERESIS_M: f64 = 2.0;
+
 /// How the fleet localizes its clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetRangingMode {
@@ -290,28 +294,6 @@ impl Default for TdoaConfig {
     }
 }
 
-/// Association / handoff policy.
-#[derive(Debug, Clone, Copy)]
-pub struct HandoffConfig {
-    /// A client hands off only when the nearest AP is closer than the
-    /// serving AP by more than this margin, meters (ping-pong damping).
-    pub hysteresis_m: f64,
-    /// Whether tracker/anomaly state migrates with the client
-    /// ([`ServiceEngine::extract_client`] →
-    /// [`ServiceEngine::join_migrated`]). Off = the paper's baseline:
-    /// every handoff restarts ACQUIRE at the new AP.
-    pub migrate_state: bool,
-}
-
-impl Default for HandoffConfig {
-    fn default() -> Self {
-        HandoffConfig {
-            hysteresis_m: 2.0,
-            migrate_state: true,
-        }
-    }
-}
-
 /// Full fleet configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -330,8 +312,6 @@ pub struct FleetConfig {
     pub clock: Option<ClockSyncConfig>,
     /// Blast/TDoA parameters (ignored in round-trip mode).
     pub tdoa: TdoaConfig,
-    /// Association policy.
-    pub handoff: HandoffConfig,
     /// SNR model anchor shared by every client context (see
     /// [`client_context`]).
     pub snr_at_1m_db: f64,
@@ -367,7 +347,6 @@ impl FleetConfig {
             mode,
             clock: Some(ClockSyncConfig::default()),
             tdoa: TdoaConfig::default(),
-            handoff: HandoffConfig::default(),
             snr_at_1m_db: 60.0,
             workers: None,
         }
@@ -1028,7 +1007,7 @@ impl FleetEngine {
             }
             let nearest = nearest_ap(&c.ap_dists_m);
             if nearest == serving
-                || c.ap_dists_m[serving] - c.ap_dists_m[nearest] <= self.cfg.handoff.hysteresis_m
+                || c.ap_dists_m[serving] - c.ap_dists_m[nearest] <= HANDOFF_HYSTERESIS_M
             {
                 continue;
             }
@@ -1043,16 +1022,12 @@ impl FleetEngine {
                     let slot = self.clients[id].slot.expect("round-trip client has a slot");
                     let ctx =
                         client_context(&self.env, pos, self.aps[nearest], self.cfg.snr_at_1m_db);
-                    let new_slot = if self.cfg.handoff.migrate_state {
-                        let mut state = self.shards[serving]
-                            .extract_client(slot)
-                            .expect("handoff of an active client");
-                        state.translate(self.aps[serving].sub(self.aps[nearest]));
-                        self.shards[nearest].join_migrated(ctx, self.cfg.chronos.clone(), state)
-                    } else {
-                        self.shards[serving].leave(slot);
-                        self.shards[nearest].join(ctx, self.cfg.chronos.clone())
-                    };
+                    let mut state = self.shards[serving]
+                        .extract_client(slot)
+                        .expect("handoff of an active client");
+                    state.translate(self.aps[serving].sub(self.aps[nearest]));
+                    let new_slot =
+                        self.shards[nearest].join_migrated(ctx, self.cfg.chronos.clone(), state);
                     debug_assert_eq!(self.slot_owner[nearest].len(), new_slot);
                     self.slot_owner[nearest].push(id);
                     self.clients[id].serving = nearest;

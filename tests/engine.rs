@@ -730,9 +730,7 @@ fn quarantined_client_rejoins_with_fresh_slot_and_clean_score() {
     }
 }
 
-/// A removed client stops being scheduled across window boundaries (the
-/// facade path; the engine-level mid-window `leave_at` event is covered
-/// by the engine's own unit tests).
+/// A removed client stops being scheduled across window boundaries.
 #[test]
 fn removed_client_not_rescheduled_across_windows() {
     let mut svc = adaptive_service(&[2.5, 4.0], 0);
@@ -895,7 +893,7 @@ fn window_reports_identical_across_threads_with_shedding() {
 /// carries its Kalman filter and anomaly score into the destination
 /// engine and resumes in TRACK — the first post-migration sweep plans
 /// the TRACK subset, with no re-ACQUIRE (the contract the fleet layer's
-/// `migrate_state` handoff is built on).
+/// round-trip handoff is built on).
 #[test]
 fn migrated_client_resumes_in_track_with_its_anomaly_score() {
     let cfg = ServiceConfig::adaptive(TrackerConfig::default());
