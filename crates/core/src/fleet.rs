@@ -30,12 +30,12 @@
 //!    the blast cadence instead of sweep airtime.
 //!
 //! Roaming ties the three together: clients move through the shared
-//! [`Environment`]; at each window boundary an association policy hands
-//! a client off to the nearest AP (with hysteresis), and the client's
-//! tracker/anomaly state migrates with it ([`MigratedClient`]) so the
-//! first sweep at the new AP runs in TRACK — no re-ACQUIRE. The report
-//! counts handoff-gap sweeps (post-handoff ACQUIRE sweeps before the
-//! first TRACK) so the migration claim is measurable.
+//! [`Environment`]; at the start of each window an association policy
+//! hands a client off to the nearest AP (with hysteresis), and the
+//! client's tracker/anomaly state migrates with it ([`MigratedClient`])
+//! so the first sweep at the new AP runs in TRACK — no re-ACQUIRE. The
+//! report counts handoff-gap sweeps (post-handoff ACQUIRE sweeps before
+//! the first TRACK) so the migration claim is measurable.
 //!
 //! See `docs/FLEET.md` for the topology diagram, the clock-sync math
 //! and the TDoA vs. round-trip trade-off table.
@@ -389,9 +389,11 @@ struct FleetClient {
     /// [`FleetEngine::set_client_pos`]).
     pos: Point,
     /// Distance from `pos` to each AP, in AP order: taken when the
-    /// client joins and again at every window boundary, and read by the
-    /// handoff policy and by every blast of the window — the position
-    /// only moves between windows.
+    /// client joins and again at the start of every window (at the
+    /// boundary in round-trip mode, at the head of the client's turn in
+    /// the client pass in TDoA mode), and read by the handoff policy and
+    /// by every blast of the window — the position only moves between
+    /// windows.
     ap_dists_m: Vec<f64>,
     /// Serving AP index.
     serving: usize,
@@ -410,6 +412,28 @@ struct FleetClient {
     /// Set at handoff; cleared by the first post-handoff TRACK outcome.
     /// ACQUIRE outcomes seen while set count as handoff-gap sweeps.
     awaiting_track: bool,
+}
+
+impl FleetClient {
+    /// Ranges every AP from the client's position, then runs the
+    /// association policy: the nearest AP, when it beats the serving AP
+    /// by more than the hysteresis margin. A client at a non-finite
+    /// position keeps its serving AP.
+    fn handoff_target(&mut self, aps: &[Point]) -> Option<usize> {
+        let pos = self.pos;
+        self.ap_dists_m.clear();
+        self.ap_dists_m.extend(aps.iter().map(|&ap| pos.dist(ap)));
+        if !pos.is_finite() {
+            return None;
+        }
+        let nearest = nearest_ap(&self.ap_dists_m);
+        if nearest == self.serving
+            || self.ap_dists_m[self.serving] - self.ap_dists_m[nearest] <= HANDOFF_HYSTERESIS_M
+        {
+            return None;
+        }
+        Some(nearest)
+    }
 }
 
 /// The AP nearest a client, from its distance to each AP: the first
@@ -584,14 +608,21 @@ struct BlastPass<'a> {
 }
 
 impl BlastPass<'_> {
-    /// Fires, client by client and in time order within a client, every
-    /// blast the item's clients owe before the window's end, each into
-    /// the next of the item's slots.
-    fn fire_item(&self, item: BlastItem<'_>, s: &mut BlastScratch) {
+    /// Takes the item's clients in turn: each first ranges the APs and
+    /// hands off ([`FleetClient::handoff_target`]), then fires, in time
+    /// order, every blast it owes before the window's end, each into the
+    /// next of the item's slots. Returns the item's handoffs.
+    fn fire_item(&self, item: BlastItem<'_>, s: &mut BlastScratch) -> usize {
         let w = self.words;
-        let mut slot = 0;
+        let (mut slot, mut handoffs) = (0, 0);
         for (i, c) in item.clients.iter_mut().enumerate() {
             let client = item.first + i;
+            // The reference AP changes; the world-frame track is
+            // frame-free and just continues.
+            if let Some(nearest) = c.handoff_target(self.aps) {
+                c.serving = nearest;
+                handoffs += 1;
+            }
             while c.next_blast < self.ended {
                 let t = c.next_blast;
                 c.next_blast = t + self.cfg.cadence;
@@ -602,6 +633,7 @@ impl BlastPass<'_> {
             }
         }
         debug_assert_eq!(slot, item.outcomes.len(), "the driver counted every blast");
+        handoffs
     }
 
     /// Fires client `client`'s blast at `t` and solves it into `out`,
@@ -712,7 +744,7 @@ pub struct FleetWindowReport {
     pub shard_reports: Vec<WindowReport>,
     /// TDoA blast outcomes, in blast order (TDoA mode only).
     pub tdoa_outcomes: Vec<TdoaOutcome>,
-    /// Clients handed off at this window's boundary.
+    /// Clients handed off at the start of this window.
     pub handoffs: usize,
     /// Post-handoff ACQUIRE sweeps observed this window before each
     /// migrated client's first TRACK sweep — 0 when state migration is
@@ -981,7 +1013,7 @@ impl FleetEngine {
 
     /// Moves a client (truth teleport; walkers call this every window).
     /// Round-trip geometry updates immediately; association is only
-    /// re-evaluated at the next window boundary.
+    /// re-evaluated at the start of the next window.
     pub fn set_client_pos(&mut self, client: usize, pos: Point) {
         self.clients[client].pos = pos;
         if let Some(slot) = self.clients[client].slot {
@@ -990,63 +1022,46 @@ impl FleetEngine {
         }
     }
 
-    /// Ranges every AP from every client's position, then runs the
-    /// association policy over every client: hand off to the nearest AP
-    /// when it beats the serving AP by more than the hysteresis margin.
-    /// A client at a non-finite position keeps its serving AP. Returns
-    /// the number of handoffs.
+    /// Round-trip mode's boundary: runs the association policy
+    /// ([`FleetClient::handoff_target`]) over every client and migrates
+    /// each client handed off, tracker and anomaly state included, to a
+    /// slot in its new AP's shard. Returns the number of handoffs.
     fn run_handoffs(&mut self) -> usize {
         let mut handoffs = 0;
         for id in 0..self.clients.len() {
-            let c = &mut self.clients[id];
-            let (pos, serving) = (c.pos, c.serving);
-            c.ap_dists_m.clear();
-            c.ap_dists_m.extend(self.aps.iter().map(|&ap| pos.dist(ap)));
-            if !pos.is_finite() {
+            let Some(nearest) = self.clients[id].handoff_target(&self.aps) else {
                 continue;
-            }
-            let nearest = nearest_ap(&c.ap_dists_m);
-            if nearest == serving
-                || c.ap_dists_m[serving] - c.ap_dists_m[nearest] <= HANDOFF_HYSTERESIS_M
-            {
-                continue;
-            }
+            };
             handoffs += 1;
-            match self.cfg.mode {
-                FleetRangingMode::Tdoa => {
-                    // The reference AP changes; the world-frame track
-                    // is frame-free and just continues.
-                    self.clients[id].serving = nearest;
-                }
-                FleetRangingMode::RoundTrip => {
-                    let slot = self.clients[id].slot.expect("round-trip client has a slot");
-                    let ctx =
-                        client_context(&self.env, pos, self.aps[nearest], self.cfg.snr_at_1m_db);
-                    let mut state = self.shards[serving]
-                        .extract_client(slot)
-                        .expect("handoff of an active client");
-                    state.translate(self.aps[serving].sub(self.aps[nearest]));
-                    let new_slot =
-                        self.shards[nearest].join_migrated(ctx, self.cfg.chronos.clone(), state);
-                    debug_assert_eq!(self.slot_owner[nearest].len(), new_slot);
-                    self.slot_owner[nearest].push(id);
-                    self.clients[id].serving = nearest;
-                    self.clients[id].slot = Some(new_slot);
-                    self.clients[id].awaiting_track = true;
-                }
-            }
+            let c = &self.clients[id];
+            let (pos, serving) = (c.pos, c.serving);
+            let slot = c.slot.expect("round-trip client has a slot");
+            let ctx = client_context(&self.env, pos, self.aps[nearest], self.cfg.snr_at_1m_db);
+            let mut state = self.shards[serving]
+                .extract_client(slot)
+                .expect("handoff of an active client");
+            state.translate(self.aps[serving].sub(self.aps[nearest]));
+            let new_slot = self.shards[nearest].join_migrated(ctx, self.cfg.chronos.clone(), state);
+            debug_assert_eq!(self.slot_owner[nearest].len(), new_slot);
+            self.slot_owner[nearest].push(id);
+            let c = &mut self.clients[id];
+            c.serving = nearest;
+            c.slot = Some(new_slot);
+            c.awaiting_track = true;
         }
         handoffs
     }
 
-    /// The client pass: every client fires and solves, in time order,
-    /// each blast it owes before `ended` ([`BlastPass::fire`]), in items
-    /// of [`BLAST_ITEM_CLIENTS`] clients spread over the runtime's lanes
+    /// The client pass: every client ranges the APs and hands off, then
+    /// fires and solves, in time order, each blast it owes before
+    /// `ended` ([`BlastPass::fire_item`]), in items of
+    /// [`BLAST_ITEM_CLIENTS`] clients spread over the runtime's lanes
     /// (over the driver alone without one). Each blast's outcome, key
     /// and hearing set go into the client-major slot counted for it
     /// here; the merge then sorts the keys into blast order and permutes
-    /// the outcomes to match, in place.
-    fn run_clients(&mut self, seed: u64, ended: Instant) -> Vec<TdoaOutcome> {
+    /// the outcomes to match, in place. Returns the window's handoffs
+    /// and its outcomes in blast order.
+    fn run_clients(&mut self, seed: u64, ended: Instant) -> (usize, Vec<TdoaOutcome>) {
         let cadence = self.cfg.tdoa.cadence;
         let due = |c: &FleetClient| blasts_due(c.next_blast, ended, cadence);
         let total: usize = self.clients.iter().map(due).sum();
@@ -1057,9 +1072,6 @@ impl FleetEngine {
         log.slot_heard.clear();
         log.slot_heard.resize(total * words, 0);
         log.heard.clear();
-        if total == 0 {
-            return Vec::new();
-        }
         let mut outcomes = vec![TdoaOutcome::fired(0, 0, Instant::ZERO); total];
         let pass = BlastPass {
             seed,
@@ -1102,15 +1114,17 @@ impl FleetEngine {
             // this lane's onto its stack for the item keeps two threads
             // from writing one cache line.
             let mut scratch = std::mem::take(lane);
-            pass.fire_item(item, &mut scratch);
+            let handoffs = pass.fire_item(item, &mut scratch);
             *lane = scratch;
+            handoffs
         };
-        match &self.runtime {
-            Some(rt) => {
-                rt.run_uncounted(items, &mut self.blast_lanes, fire);
-            }
-            None => items.for_each(|item| fire(&mut self.blast_lanes[0], item)),
-        }
+        let handoffs = match &self.runtime {
+            Some(rt) => rt
+                .run_uncounted(items, &mut self.blast_lanes, fire)
+                .into_iter()
+                .sum(),
+            None => items.map(|item| fire(&mut self.blast_lanes[0], item)).sum(),
+        };
         // Blast order is (instant, client): every client blasts on one
         // cadence, and a client joins at the fleet clock with its first
         // blast within one cadence of it, so of two clients blasting at
@@ -1141,7 +1155,7 @@ impl FleetEngine {
                 to = from;
             }
         }
-        outcomes
+        (handoffs, outcomes)
     }
 
     /// The shard pass: every shard books the window's fleet airtime
@@ -1223,31 +1237,34 @@ impl FleetEngine {
         }
     }
 
-    /// Advances the whole fleet by `window`: handoffs at the boundary,
-    /// the window's sync rounds, the client pass that fires and solves
-    /// every TDoA blast, then every shard's round-trip window. `seed`
-    /// follows the same convention as [`ServiceEngine::run_until`] —
-    /// reuse one seed across windows for a reproducible run; shard `ap`
-    /// consumes [`shard_seed`]`(seed, ap)`, so a `sync_disabled`
-    /// round-trip fleet is bit-identical to standalone engines run with
-    /// those seeds.
+    /// Advances the whole fleet by `window`: the window's sync rounds,
+    /// the handoffs (at the boundary in round-trip mode, at each client's
+    /// turn in the client pass in TDoA mode), the client pass that fires
+    /// and solves every TDoA blast, then every shard's round-trip window.
+    /// `seed` follows the same convention as
+    /// [`ServiceEngine::run_until`] — reuse one seed across windows for a
+    /// reproducible run; shard `ap` consumes [`shard_seed`]`(seed, ap)`,
+    /// so a `sync_disabled` round-trip fleet is bit-identical to
+    /// standalone engines run with those seeds.
     ///
     /// ## One level of parallelism, two batches
     ///
-    /// The driver alone runs a short boundary: handoffs, the window's
-    /// sync rounds (all drawn up front: [`ClockSync`] keeps the epochs
-    /// the window's blasts read) and, after the client pass, the merge
-    /// into blast order. Two batches spread over the driver plus the
-    /// runtime's scoped threads ([`FleetConfig::workers`]; without a
-    /// runtime both run on the driver alone), one level deep each:
+    /// The driver alone runs a short boundary: the window's sync rounds
+    /// (all drawn up front: [`ClockSync`] keeps the epochs the window's
+    /// blasts read), the round-trip handoffs, which move clients between
+    /// shards, and, after the client pass, the merge into blast order.
+    /// Two batches spread over the driver plus the runtime's scoped
+    /// threads ([`FleetConfig::workers`]; without a runtime both run on
+    /// the driver alone), one level deep each:
     ///
-    /// 1. the client pass (TDoA mode): each client fires, in time order,
-    ///    every blast it owes before the window's end. A blast reads only
-    ///    its own client (ordinal, AP distances, tracker), its own (seed,
-    ///    blast, client) stream and the epoch of the latest round at or
-    ///    before it, and writes only its client and its own slot, so no
-    ///    lane placement can change it; the merge puts the outcomes in
-    ///    blast order;
+    /// 1. the client pass (TDoA mode): each client ranges the APs and
+    ///    hands off, which changes only its own reference AP, then fires,
+    ///    in time order, every blast it owes before the window's end. A
+    ///    blast reads only its own client (ordinal, AP distances,
+    ///    tracker), its own (seed, blast, client) stream and the epoch of
+    ///    the latest round at or before it, and writes only its client and
+    ///    its own slot, so no lane placement can change it; the merge puts
+    ///    the outcomes in blast order;
     /// 2. the shard windows: each shard first books the window's beacon
     ///    and blast airtime in the order the window happened (a round's
     ///    beacon ahead of any blast at its instant), so its arbiter's
@@ -1265,11 +1282,10 @@ impl FleetEngine {
     pub fn run_window(&mut self, seed: u64, window: Duration) -> FleetWindowReport {
         let started = self.clock;
         let ended = started + window;
-        let handoffs = self.run_handoffs();
         let sync_rounds = self.sync.as_mut().map_or(0, |s| s.run_rounds(seed, ended));
-        let tdoa_outcomes = match self.cfg.mode {
+        let (handoffs, tdoa_outcomes) = match self.cfg.mode {
             FleetRangingMode::Tdoa => self.run_clients(seed, ended),
-            FleetRangingMode::RoundTrip => Vec::new(),
+            FleetRangingMode::RoundTrip => (self.run_handoffs(), Vec::new()),
         };
         let shard_reports = self.run_shards(seed, ended, sync_rounds);
         self.close_window(
@@ -1581,7 +1597,21 @@ mod tests {
             let f = &mut self.fleet;
             let started = f.clock;
             let ended = started + window;
-            let handoffs = f.run_handoffs();
+            let handoffs = match f.cfg.mode {
+                FleetRangingMode::RoundTrip => f.run_handoffs(),
+                // The reference hands off at the boundary; the client
+                // pass does it at the head of each client's turn.
+                FleetRangingMode::Tdoa => {
+                    let mut handoffs = 0;
+                    for c in &mut f.clients {
+                        if let Some(nearest) = c.handoff_target(&f.aps) {
+                            c.serving = nearest;
+                            handoffs += 1;
+                        }
+                    }
+                    handoffs
+                }
+            };
             let mut outcomes = Vec::new();
             let mut rounds = 0;
             loop {
@@ -1833,6 +1863,23 @@ mod tests {
         );
         assert!(reports[3].sync_rounds >= 12);
         assert!(blast_at_a_round(&reports, Duration::from_millis(20)));
+        // A 1 s cadence staggers 12 first blasts 98 ms apart from 0, so
+        // only the first 10 ms window fires one; the walkers still move
+        // 6 m a window, and every client hands off in its turn of the
+        // client pass as the serial pump does at the boundary.
+        let mut cfg = tdoa_cfg();
+        cfg.tdoa.cadence = Duration::from_millis(1000);
+        let reports = pin_against_serial_pump(
+            "no blast due",
+            &cfg,
+            &ap_grid(9, 20.0),
+            12,
+            no_joins,
+            &ms(&[10, 10, 10, 10]),
+        );
+        let blasts: Vec<usize> = reports.iter().map(|r| r.tdoa_outcomes.len()).collect();
+        assert_eq!(blasts, [1, 0, 0, 0]);
+        assert!(reports[1..].iter().any(|r| r.handoffs > 0));
     }
 
     #[test]

@@ -121,6 +121,19 @@ fn respect_guard(windows: &[Window], guard: Duration, t: Instant, expected: Dura
     bumped
 }
 
+/// Nanoseconds from `lo` on covered by the union of `spans`, given in
+/// order of start; empty spans cover nothing.
+fn covered_ns(spans: impl Iterator<Item = (u64, u64)>, lo: u64) -> u64 {
+    let (mut covered, mut covered_to) = (0, lo);
+    for (s, e) in spans.filter(|&(s, e)| e > s) {
+        if e > covered_to {
+            covered += e - s.max(covered_to);
+            covered_to = e;
+        }
+    }
+    covered
+}
+
 impl MediumArbiter {
     /// Creates an arbiter with the given policy.
     pub fn new(cfg: ArbiterConfig) -> Self {
@@ -235,49 +248,60 @@ impl MediumArbiter {
     /// Fraction of `[from, to)` covered by at least one tracked window.
     ///
     /// A union sweep: every window clamped to `[from, to)` and non-empty
-    /// there becomes one span, the spans are sorted by start, and one
-    /// pass adds the part of each span past the furthest end seen so
-    /// far (the span that reached it started no later, so it covers
-    /// everything before). The covered nanoseconds are an exact integer,
-    /// so the ratio does not depend on how the spans were ordered.
+    /// there becomes one span, the spans are visited in order of start,
+    /// and one pass adds the part of each span past the furthest end
+    /// seen so far (the span that reached it started no later, so it
+    /// covers everything before). The covered nanoseconds are an exact
+    /// integer, so the ratio does not depend on how spans of one start
+    /// were ordered.
     ///
-    /// The sort is the run-adaptive stable `sort`, not `sort_unstable`.
     /// A fleet shard tracks thousands of blast windows, booked in start
-    /// order, and each sync round pushes its beacon ahead of the blasts
-    /// booked after the round although the stagger guard admits it a few
-    /// milliseconds later than the first of them. The spans are two long
-    /// sorted runs, which the stable sort finds and merges in linear
-    /// time. On 3,690 such spans (2-vCPU Xeon host) it took 2.5 µs, while
-    /// `sort_unstable` took 55 µs, against 3.7 µs on spans already in
-    /// order.
+    /// order, and a sync round pushes its beacon ahead of the blasts
+    /// booked after the round, although the stagger guard admits it a
+    /// few milliseconds later than the first of them. So the windows, in
+    /// tracking order, are two sorted runs split at the first window
+    /// that starts before its predecessor, and the sweep walks a merge
+    /// of the two in place: no buffer, no sort. Only tracked windows that
+    /// form three or more sorted runs (a fleet window that holds several
+    /// sync rounds) are collected into spans and sorted, by the
+    /// run-adaptive stable `sort`.
     pub fn utilization(&self, from: Instant, to: Instant) -> f64 {
         let span = to.saturating_since(from).as_nanos();
         if span == 0 {
             return 0.0;
         }
         let (lo, hi) = (from.as_nanos(), to.as_nanos());
-        // Reserved once for every window, so collecting thousands of
-        // spans does not regrow the buffer.
-        let mut spans: Vec<(u64, u64)> = Vec::with_capacity(self.windows.len());
-        spans.extend(
-            self.windows
-                .iter()
-                .map(|w| {
-                    (
-                        w.start.as_nanos().clamp(lo, hi),
-                        w.end.as_nanos().clamp(lo, hi),
-                    )
-                })
-                .filter(|&(s, e)| e > s),
-        );
-        spans.sort_by_key(|&(s, _)| s);
-        let (mut covered, mut covered_to) = (0u64, lo);
-        for (s, e) in spans {
-            if e > covered_to {
-                covered += e - s.max(covered_to);
-                covered_to = e;
-            }
-        }
+        // Clamping keeps the order of starts, so a run of windows sorted
+        // by start gives spans sorted by start.
+        let clamp = |w: &Window| {
+            (
+                w.start.as_nanos().clamp(lo, hi),
+                w.end.as_nanos().clamp(lo, hi),
+            )
+        };
+        let descent = |pair: &[Window]| pair[1].start < pair[0].start;
+        let split = self
+            .windows
+            .windows(2)
+            .position(descent)
+            .map_or(self.windows.len(), |i| i + 1);
+        let (head, tail) = self.windows.split_at(split);
+        let covered = if tail.windows(2).any(descent) {
+            let mut spans: Vec<(u64, u64)> = self.windows.iter().map(clamp).collect();
+            spans.sort_by_key(|&(s, _)| s);
+            covered_ns(spans.into_iter(), lo)
+        } else {
+            let (mut head, mut tail) = (
+                head.iter().map(clamp).peekable(),
+                tail.iter().map(clamp).peekable(),
+            );
+            let merged = std::iter::from_fn(|| match (head.peek(), tail.peek()) {
+                (Some(h), Some(t)) if t.0 < h.0 => tail.next(),
+                (Some(_), _) => head.next(),
+                (None, _) => tail.next(),
+            });
+            covered_ns(merged, lo)
+        };
         covered as f64 / span as f64
     }
 

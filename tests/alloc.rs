@@ -282,27 +282,38 @@ fn localization_is_allocation_free_with_warm_scratch() {
     assert!(out[0].point.dist(tx) < 1e-3);
 }
 
-/// `MediumArbiter::utilization` reserves its span buffer once for every
-/// booked window. Over a fleet shard's worth of blast windows a call
-/// makes at most two allocations: that buffer, and the merge scratch the
-/// standard stable sort takes on the heap above 256 spans.
+/// `MediumArbiter::utilization` allocates nothing over a fleet shard's
+/// windows: blasts booked in start order, split into two sorted runs by
+/// a sync beacon booked ahead of the blasts that start before it. The
+/// sweep walks a merge of the two runs in place.
 #[test]
-fn arbiter_utilization_reserves_its_spans_once() {
+fn arbiter_utilization_merges_two_sorted_runs_without_allocating() {
     use chronos_suite::link::arbiter::{ArbiterConfig, MediumArbiter};
     use chronos_suite::link::time::{Duration, Instant};
 
-    // 3,700 windows of 100 µs, one every 200 µs: half the span is busy.
+    // 3,700 blasts of 100 µs, one every 200 µs, and after the first
+    // 1,850 a 100 µs beacon that fills the gap 2.5 ms later: half the
+    // span is busy, plus the beacon.
     let mut arb = MediumArbiter::new(ArbiterConfig::default());
     let (n, period_ns, busy) = (3_700, 200_000, Duration::from_micros(100));
     for i in 0..n {
+        if i == n / 2 {
+            let beacon_at = i * period_ns + 2_500_000;
+            arb.book(Instant::from_nanos(beacon_at), busy);
+        }
         arb.book(Instant::from_nanos(i * period_ns), busy);
     }
     let to = Instant::from_nanos(n * period_ns);
-    let before = thread_allocations();
-    let u = arb.utilization(Instant::ZERO, to);
-    let allocs = thread_allocations() - before;
-    assert!(allocs <= 2, "utilization allocated {allocs} times");
-    assert_eq!(u, 0.5);
+    for call in 0..2 {
+        let before = thread_allocations();
+        let u = arb.utilization(Instant::ZERO, to);
+        let allocs = thread_allocations() - before;
+        assert_eq!(
+            allocs, 0,
+            "utilization call {call} allocated {allocs} times"
+        );
+        assert_eq!(u, ((n + 1) * 100_000) as f64 / (n * period_ns) as f64);
+    }
 }
 
 /// The engine path built on the pipeline: a steady-state continuous
